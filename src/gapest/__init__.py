@@ -33,13 +33,11 @@ from .npmle import (
 )
 from .product_limit import (
     BootstrapBand,
-    RiskSet,
     StepSurvival,
     bootstrap_band,
     greenwood_variance,
     kaplan_meier,
     palmer_cox,
-    risk_set,
     window_product_limit,
     winter_foldes,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "IntegrabilityReport",
     "McConfig",
     "McReport",
-    "RiskSet",
     "Segment",
     "SegmentKind",
     "StepSurvival",
@@ -99,7 +96,6 @@ __all__ = [
     "npmle_oracle",
     "palmer_cox",
     "parse_distribution",
-    "risk_set",
     "sample_equilibrium",
     "sample_renewal_path",
     "sample_segment_replicates",

@@ -15,27 +15,19 @@ tests.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import GapDistribution, parse_distribution
 from .errors import EstimationError
-from .npmle import bin_segments, cox_vardi_from_pairs, default_grid, laslett_em
-from .product_limit import palmer_cox, window_product_limit, winter_foldes
+from .product_limit import ESTIMATORS, StepSurvival
 from .sampling import (
     sample_equilibrium,
     sample_segment_replicates,
     sample_window_replicates,
 )
 from .seeding import child_seed
-
-SCHEME_ESTIMATORS = {
-    "equilibrium": ("wf", "cv"),
-    "window": ("wpl",),
-    "segments": ("palmer_cox", "em"),
-}
 
 MSE_IDENTITY_TOL = 1e-10
 
@@ -55,14 +47,13 @@ class McConfig:
     bin_width: float = 0.1
     grid_size: int = 40
     check_time: float = 1.0
-    threads: int = 1
 
     def __post_init__(self):
-        if self.scheme not in SCHEME_ESTIMATORS:
+        allowed = tuple(tag for tag, row in ESTIMATORS.items() if row.scheme == self.scheme)
+        if not allowed:
             raise EstimationError(f"unknown scheme {self.scheme!r}")
         if not self.estimators:
-            self.estimators = SCHEME_ESTIMATORS[self.scheme]
-        allowed = set(SCHEME_ESTIMATORS[self.scheme])
+            self.estimators = allowed
         bad = [e for e in self.estimators if e not in allowed]
         if bad:
             raise EstimationError(
@@ -74,8 +65,6 @@ class McConfig:
             raise EstimationError("scheme 'segments' needs birth_rate")
         if self.n < 1 or self.replicates < 1:
             raise EstimationError("n and replicates must be >= 1")
-        if self.threads < 1:
-            raise EstimationError("threads must be >= 1")
 
     def echo(self) -> dict:
         return {
@@ -141,28 +130,6 @@ class McReport:
         return rows
 
 
-def _estimate_curve(tag: str, data, config: McConfig):
-    """Fit one estimator and return (jump_times, cdf_values)."""
-    if tag == "wf":
-        est = winter_foldes(data)
-        return est.jump_times, 1.0 - est.survival_values
-    if tag == "cv":
-        dist = cox_vardi_from_pairs(data)
-        return dist.atoms, np.cumsum(dist.masses)
-    if tag == "wpl":
-        est = window_product_limit(data)
-        return est.jump_times, 1.0 - est.survival_values
-    if tag == "palmer_cox":
-        est = palmer_cox(data, config.window_length)
-        return est.jump_times, 1.0 - est.survival_values
-    if tag == "em":
-        binned = bin_segments(data, config.bin_width)
-        grid = default_grid(binned, config.window_length, config.bin_width)
-        result = laslett_em(binned, config.window_length, grid)
-        return result.distribution.atoms, np.cumsum(result.distribution.masses)
-    raise EstimationError(f"unknown estimator {tag!r}")
-
-
 def _simulate(config: McConfig, dist: GapDistribution, rep: int):
     seed = child_seed(config.seed, rep)
     if config.scheme == "equilibrium":
@@ -174,11 +141,6 @@ def _simulate(config: McConfig, dist: GapDistribution, rep: int):
         config.birth_rate, dist, 0.0, config.window_length, config.n, seed
     )
     return [s for window in reps for s in window]
-
-
-def _step_cdf_at(times, cdf, grid):
-    idx = np.searchsorted(times, grid, side="right")
-    return np.concatenate(([0.0], cdf))[idx]
 
 
 def mc_compare(config: McConfig) -> McReport:
@@ -193,16 +155,12 @@ def mc_compare(config: McConfig) -> McReport:
         curves = {}
         tails = {}
         for tag in config.estimators:
-            times, cdf = _estimate_curve(tag, data, config)
-            curves[tag] = _step_cdf_at(times, cdf, grid)
-            tails[tag] = int(np.sum(grid > times[-1]))
+            est = ESTIMATORS[tag].fit(data, config.window_length, config.bin_width)
+            curves[tag] = est.cdf_at(grid)
+            tails[tag] = int(np.sum(grid > est.jump_times[-1]))
         return curves, tails
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one_replicate, range(config.replicates)))
-    else:
-        results = [one_replicate(rep) for rep in range(config.replicates)]
+    results = [one_replicate(rep) for rep in range(config.replicates)]
 
     summaries = {}
     for tag in config.estimators:
@@ -276,24 +234,19 @@ class TailReport:
         return [(r.dist, r.estimator, r.n, r.sqrt_n_sup_error) for r in self.rows]
 
 
-def sup_cdf_error(times, cdf, dist: GapDistribution, eps: float) -> float:
+def sup_cdf_error(est: StepSurvival, dist: GapDistribution, eps: float) -> float:
     """Exact sup over [0, eps] of |step cdf - true cdf|.
 
     The step function is constant between jumps and the truth is monotone,
-    so the sup is attained at a jump (from either side) or at eps.
+    so the sup is attained at a jump (from either side) or at eps. The
+    left limit at a jump is the value one float below it.
     """
-    times = np.asarray(times, dtype=float)
-    cdf = np.asarray(cdf, dtype=float)
-    inside = times <= eps
-    pts = times[inside]
+    pts = est.jump_times[est.jump_times <= eps]
     truth = np.asarray(dist.cdf(pts), dtype=float)
-    right = cdf[inside]
-    left = np.concatenate(([0.0], cdf))[:-1][inside]
-    worst = 0.0
-    if pts.size:
-        worst = max(np.max(np.abs(right - truth)), np.max(np.abs(left - truth)))
-    at_eps = abs(_step_cdf_at(times, cdf, np.array([eps]))[0] - float(dist.cdf(eps)))
-    return float(max(worst, at_eps))
+    right = np.abs(est.cdf_at(pts) - truth)
+    left = np.abs(est.cdf_at(np.nextafter(pts, -np.inf)) - truth)
+    at_eps = abs(est.cdf_at(eps) - float(dist.cdf(eps)))
+    return float(max(np.max(right, initial=0.0), np.max(left, initial=0.0), at_eps))
 
 
 def tail_failure_demo(
@@ -324,12 +277,9 @@ def tail_failure_demo(
             sups = {"wf": [], "cv": []}
             for rep in range(replicates):
                 pairs = sample_equilibrium(dist, nn, child_seed(seed, di, nn, rep))
-                est = winter_foldes(pairs)
-                sups["wf"].append(
-                    sup_cdf_error(est.jump_times, 1.0 - est.survival_values, dist, eps)
-                )
-                cv = cox_vardi_from_pairs(pairs)
-                sups["cv"].append(sup_cdf_error(cv.atoms, np.cumsum(cv.masses), dist, eps))
+                for tag in sups:
+                    est = ESTIMATORS[tag].fit(pairs, None, None)
+                    sups[tag].append(sup_cdf_error(est, dist, eps))
             for tag in ("wf", "cv"):
                 rows.append(
                     TailRow(

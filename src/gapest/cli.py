@@ -24,24 +24,11 @@ import numpy as np
 from . import benchmark, dataio, npmle, product_limit, sampling
 from .distributions import parse_distribution
 from .errors import DistributionSpecError, EstimationError, GapestError
-from .product_limit import StepSurvival
+from .product_limit import ESTIMATORS
 from .seeding import child_seed
 
 DEFAULT_SEED = 1
-
-_ESTIMATOR_DATA = {
-    "wf": "pairs",
-    "cv": "pairs",
-    "wpl": "window",
-    "palmer_cox": "segments",
-    "em": "segments",
-}
-_BOOTSTRAP_TAGS = {
-    "wf": "winter_foldes",
-    "cv": "cox_vardi",
-    "wpl": "window_pl",
-    "palmer_cox": "palmer_cox",
-}
+SCHEMES = tuple(dict.fromkeys(row.scheme for row in ESTIMATORS.values()))
 
 
 def _dist_arg(text: str):
@@ -77,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="write synthetic data for one scheme")
-    sim.add_argument("--scheme", required=True, choices=("equilibrium", "window", "segments"))
+    sim.add_argument("--scheme", required=True, choices=SCHEMES)
     sim.add_argument("--dist", required=True, type=_dist_arg, help="gap distribution spec")
     sim.add_argument("--n", required=True, type=int, help="pairs or replicate windows")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -88,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", help="fit an estimator to a data file")
-    est.add_argument("--estimator", required=True, choices=sorted(_ESTIMATOR_DATA))
+    est.add_argument("--estimator", required=True, choices=sorted(ESTIMATORS))
     est.add_argument("--in", dest="infile", required=True)
     est.add_argument("--out", required=True)
     est.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -96,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--grid", type=_grid_arg, help="width=<h> or atoms=<a1,a2,...> (em)")
     est.add_argument("--bootstrap", type=int, metavar="B", help="add pointwise bootstrap bands")
     est.add_argument("--level", type=float, default=0.95)
-    est.add_argument("--threads", type=int, default=1, help="bootstrap parallelism")
     est.add_argument("--seed", type=int, default=DEFAULT_SEED)
     est.add_argument("--max-iter", type=int, default=npmle.EM_DEFAULT_MAX_ITER)
     est.add_argument("--tol", type=float, default=npmle.EM_DEFAULT_TOL)
@@ -106,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
     cmp_p = bench_sub.add_parser("compare", help="bias/variance/MSE comparison")
-    cmp_p.add_argument("--scheme", required=True, choices=sorted(benchmark.SCHEME_ESTIMATORS))
+    cmp_p.add_argument("--scheme", required=True, choices=SCHEMES)
     cmp_p.add_argument("--dist", required=True, type=_dist_arg)
     cmp_p.add_argument("--n", required=True, type=int)
     cmp_p.add_argument("--reps", required=True, type=int)
@@ -116,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--rate", type=float)
     cmp_p.add_argument("--bin-width", type=float, default=0.1)
     cmp_p.add_argument("--check-time", type=float, default=1.0)
-    cmp_p.add_argument("--threads", type=int, default=1)
     cmp_p.add_argument("--out", required=True, help="JSON report path")
     cmp_p.add_argument("--csv", help="also write tidy CSV rows here")
     cmp_p.set_defaults(func=cmd_bench_compare)
@@ -183,23 +168,30 @@ def _window_from_sidecar(infile: str) -> float | None:
 
 
 def cmd_estimate(args) -> int:
-    kind = _ESTIMATOR_DATA[args.estimator]
+    row = ESTIMATORS[args.estimator]
+    if args.bootstrap is not None:
+        if row.bootstrap_name is None:
+            return _usage(f"estimator {args.estimator} has no bootstrap band")
+        if args.bootstrap < 1:
+            return _usage(f"--bootstrap must be >= 1, got {args.bootstrap}")
+    if not 0.0 < args.level < 1.0:
+        return _usage(f"--level must be in (0, 1), got {args.level}")
+    if args.estimator == "em" and args.grid is None:
+        return _usage("estimator em requires --grid width=<h> or atoms=<a1,...>")
     window = args.window
-    if kind == "segments" and window is None:
+    if row.scheme == "segments" and window is None:
         window = _window_from_sidecar(args.infile)
         if window is None:
             return _usage(f"estimator {args.estimator} requires --window")
 
-    if kind == "pairs":
+    if row.scheme == "equilibrium":
         data = dataio.read_pairs_csv(args.infile)
-    elif kind == "window":
+    elif row.scheme == "window":
         data = dataio.read_window_csv(args.infile)
     else:
         data = dataio.read_segments_csv(args.infile)
 
     if args.estimator == "em":
-        if args.grid is None:
-            return _usage("estimator em requires --grid width=<h> or atoms=<a1,...>")
         mode, value = args.grid
         if mode == "width":
             segments = npmle.bin_segments(data, value)
@@ -210,30 +202,18 @@ def cmd_estimate(args) -> int:
         dataio.write_em_result_json(args.out, result)
         return 0
 
-    if args.estimator == "wf":
-        est = product_limit.greenwood_variance(product_limit.winter_foldes(data))
-    elif args.estimator == "cv":
-        dist = npmle.cox_vardi_from_pairs(data)
-        est = StepSurvival(
-            jump_times=dist.atoms,
-            survival_values=1.0 - np.cumsum(dist.masses),
-            n_input=len(data),
-        )
-    elif args.estimator == "wpl":
-        est = product_limit.greenwood_variance(product_limit.window_product_limit(data))
-    else:
-        est = product_limit.greenwood_variance(product_limit.palmer_cox(data, window))
-
+    est = row.fit(data, window, None)
+    if est.event_counts is not None:
+        est = product_limit.greenwood_variance(est)
     band = None
-    if args.bootstrap:
+    if args.bootstrap is not None:
         band = product_limit.bootstrap_band(
             data,
-            _BOOTSTRAP_TAGS[args.estimator],
+            row.bootstrap_name,
             B=args.bootstrap,
             seed=args.seed,
             level=args.level,
             window_length=window,
-            threads=args.threads,
         )
     if args.format == "json":
         dataio.write_step_survival_json(args.out, est, band)
@@ -255,7 +235,6 @@ def cmd_bench_compare(args) -> int:
             birth_rate=args.rate,
             bin_width=args.bin_width,
             check_time=args.check_time,
-            threads=args.threads,
         )
     except EstimationError as exc:
         return _usage(str(exc))

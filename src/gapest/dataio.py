@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
 from .npmle import EmResult
-from .product_limit import BootstrapBand, StepSurvival
+from .product_limit import BootstrapBand, StepSurvival, step_at
 from .sampling import (
     EquilibriumPair,
     Segment,
@@ -55,8 +56,8 @@ def read_pairs_csv(path) -> list[EquilibriumPair]:
             r, s, flag = float(row[0]), float(row[1]), int(row[2])
             if flag not in (0, 1):
                 raise ValueError(f"censored flag must be 0 or 1, got {row[2]}")
-            if r < 0 or s < 0:
-                raise ValueError("r and s must be nonnegative")
+            if not (0 <= r < math.inf and 0 <= s < math.inf):
+                raise ValueError("r and s must be finite and nonnegative")
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         pairs.append(EquilibriumPair(r, s, bool(flag)))
@@ -78,8 +79,8 @@ def read_window_csv(path) -> list[WindowObservation]:
         try:
             kind = WindowKind(row[0])
             value = float(row[1])
-            if value < 0:
-                raise ValueError("value must be nonnegative")
+            if not 0 <= value < math.inf:
+                raise ValueError("value must be finite and nonnegative")
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         out.append(WindowObservation(kind, value))
@@ -101,8 +102,8 @@ def read_segments_csv(path) -> list[Segment]:
         try:
             kind = SegmentKind(row[0])
             length = float(row[1])
-            if length <= 0:
-                raise ValueError("length must be positive")
+            if not 0 < length < math.inf:
+                raise ValueError("length must be finite and positive")
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
         out.append(Segment(kind, length))
@@ -134,12 +135,9 @@ def _survival_columns(est: StepSurvival, band: BootstrapBand | None):
     if band is not None:
         times = np.union1d(times, band.times)
     survival = est.survival_at(times)
+    variance = None
     if est.variance_values is not None:
-        idx = np.searchsorted(est.jump_times, times, side="right") - 1
-        padded = np.concatenate(([np.nan], est.variance_values))
-        variance = padded[idx + 1]
-    else:
-        variance = None
+        variance = step_at(est.jump_times, est.variance_values, times, np.nan)
     lower = band.lower_at(times) if band is not None else None
     upper = band.upper_at(times) if band is not None else None
     return times, survival, variance, lower, upper

@@ -372,25 +372,19 @@ def npmle_oracle(segments: list[Segment], window_length: float, grid) -> Discret
     return DiscreteDistribution(atoms, best / best.sum())
 
 
-def _as_cdf_steps(obj):
-    if isinstance(obj, DiscreteDistribution):
-        return obj.atoms, np.cumsum(obj.masses)
-    if isinstance(obj, StepSurvival):
-        return obj.jump_times, 1.0 - obj.survival_values
-    raise TypeError(f"unsupported estimate type {type(obj).__name__}")
-
-
 def gof_discrepancy(a, b) -> float:
     """Sup distance between two estimated cdfs over their pooled jump points.
 
     Accepts StepSurvival or DiscreteDistribution on either side. A purely
     descriptive statistic for comparing estimators fitted to the same data.
     """
-    times_a, cdf_a = _as_cdf_steps(a)
-    times_b, cdf_b = _as_cdf_steps(b)
-    if times_a.size == 0 or times_b.size == 0:
+    a, b = (
+        StepSurvival.from_masses(x.atoms, x.masses, 0)
+        if isinstance(x, DiscreteDistribution)
+        else x
+        for x in (a, b)
+    )
+    if a.jump_times.size == 0 or b.jump_times.size == 0:
         raise EstimationError("empty estimate")
-    points = np.union1d(times_a, times_b)
-    fa = np.concatenate(([0.0], cdf_a))[np.searchsorted(times_a, points, side="right")]
-    fb = np.concatenate(([0.0], cdf_b))[np.searchsorted(times_b, points, side="right")]
-    return float(np.max(np.abs(fa - fb)))
+    points = np.union1d(a.jump_times, b.jump_times)
+    return float(np.max(np.abs(a.survival_at(points) - b.survival_at(points))))

@@ -15,6 +15,7 @@ nonparametric bootstrap over observation units.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,14 @@ from .seeding import derived_rng
 
 BOOTSTRAP_MAX_RETRIES = 100
 BOOTSTRAP_MAX_GRID = 4096
+
+
+def step_at(times, values, t, before):
+    """Right-continuous step function at t: ``before`` left of times[0] and
+    ``values[i]`` on [times[i], times[i+1]). A scalar t gives a float."""
+    idx = np.searchsorted(times, t, side="right")
+    out = np.concatenate(([before], values))[idx]
+    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -57,42 +66,23 @@ class StepSurvival:
         if self.variance_values is not None:
             self.variance_values = np.asarray(self.variance_values, dtype=float)
 
+    @classmethod
+    def from_masses(cls, atoms, masses, n_input: int) -> "StepSurvival":
+        """Survival of a discrete law with ``masses`` at increasing ``atoms``.
+
+        The value at atom i is the tail sum of the masses above it, so it
+        never goes below zero and ends at exactly 0.
+        """
+        masses = np.asarray(masses, dtype=float)
+        tails = np.append(np.cumsum(masses[:0:-1])[::-1], 0.0)
+        return cls(jump_times=atoms, survival_values=tails, n_input=n_input)
+
     def survival_at(self, t):
         """Evaluate the step function right-continuously (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.jump_times, t, side="right") - 1
-        values = np.concatenate(([1.0], self.survival_values))
-        out = values[idx + 1]
-        return out if out.ndim else float(out)
+        return step_at(self.jump_times, self.survival_values, t, 1.0)
 
     def cdf_at(self, t):
         return 1.0 - self.survival_at(t)
-
-
-@dataclass(frozen=True)
-class RiskSet:
-    """Counts at risk Y(t) on an evaluation grid of times."""
-
-    times: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, pairs: list[EquilibriumPair], times=None) -> "RiskSet":
-        """Risk counts over the covering gaps, by default at the q-values."""
-        r = np.array([p.r for p in pairs], dtype=float)
-        q = np.array([p.q for p in pairs], dtype=float)
-        if times is None:
-            times = np.unique(q)
-        times = np.asarray(times, dtype=float)
-        counts = np.array([np.sum((r < t) & (t <= q)) for t in times], dtype=int)
-        return cls(times=times, counts=counts)
-
-
-def risk_set(pairs: list[EquilibriumPair], t: float) -> int:
-    """Number of pairs with r < t <= r + s (censored pairs use the observed s)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return int(sum(1 for p in pairs if p.r < t <= p.q))
 
 
 def kaplan_meier(times, censored=None, entry_times=None) -> StepSurvival:
@@ -263,38 +253,55 @@ class BootstrapBand:
     failures: int = 0
 
     def lower_at(self, t):
-        return _step_eval(self.times, self.lower, t)
+        return step_at(self.times, self.lower, t, 1.0)
 
     def upper_at(self, t):
-        return _step_eval(self.times, self.upper, t)
+        return step_at(self.times, self.upper, t, 1.0)
 
 
-def _step_eval(times, values, t):
-    t = np.asarray(t, dtype=float)
-    idx = np.searchsorted(times, t, side="right") - 1
-    padded = np.concatenate(([1.0], values))
-    out = padded[idx + 1]
-    return out if out.ndim else float(out)
+@dataclass(frozen=True)
+class Estimator:
+    """One registered estimator.
+
+    ``scheme`` names the observation scheme whose records it reads,
+    ``bootstrap_name`` is its name in ``bootstrap_band`` (None when it has
+    no band), and ``fit(data, window_length, bin_width)`` returns its
+    survival estimate.
+    """
+
+    scheme: str
+    bootstrap_name: str | None
+    fit: Callable[..., StepSurvival]
 
 
-def _survival_curve(data, estimator: str, window_length):
-    if estimator == "winter_foldes":
-        est = winter_foldes(data)
-        return est.jump_times, est.survival_values
-    if estimator == "window_pl":
-        est = window_product_limit(data)
-        return est.jump_times, est.survival_values
-    if estimator == "palmer_cox":
-        if window_length is None:
-            raise EstimationError("palmer_cox bootstrap needs window_length")
-        est = palmer_cox(data, window_length)
-        return est.jump_times, est.survival_values
-    if estimator == "cox_vardi":
-        from .npmle import cox_vardi_from_pairs
+# The fits look the estimators up by name when called, never holding the
+# function objects, so a caller that rebinds a module attribute (a tracer,
+# a test double) is seen on every path.
+def _fit_cox_vardi(data, window_length, bin_width) -> StepSurvival:
+    from . import npmle
 
-        dist = cox_vardi_from_pairs(data)
-        return dist.atoms, 1.0 - np.cumsum(dist.masses)
-    raise EstimationError(f"unknown bootstrap estimator {estimator!r}")
+    dist = npmle.cox_vardi_from_pairs(data)
+    return StepSurvival.from_masses(dist.atoms, dist.masses, len(data))
+
+
+def _fit_laslett_em(data, window_length, bin_width) -> StepSurvival:
+    from . import npmle
+
+    binned = npmle.bin_segments(data, bin_width)
+    grid = npmle.default_grid(binned, window_length, bin_width)
+    dist = npmle.laslett_em(binned, window_length, grid).distribution
+    return StepSurvival.from_masses(dist.atoms, dist.masses, len(data))
+
+
+# Keyed by CLI tag; the order within a scheme is the default order of
+# ``McConfig.estimators``.
+ESTIMATORS = {
+    "wf": Estimator("equilibrium", "winter_foldes", lambda data, w, h: winter_foldes(data)),
+    "cv": Estimator("equilibrium", "cox_vardi", _fit_cox_vardi),
+    "wpl": Estimator("window", "window_pl", lambda data, w, h: window_product_limit(data)),
+    "palmer_cox": Estimator("segments", "palmer_cox", lambda data, w, h: palmer_cox(data, w)),
+    "em": Estimator("segments", None, _fit_laslett_em),
+}
 
 
 def bootstrap_band(
@@ -305,18 +312,17 @@ def bootstrap_band(
     level: float = 0.95,
     grid=None,
     window_length: float | None = None,
-    threads: int = 1,
 ) -> BootstrapBand:
     """Pointwise bootstrap quantile bands for one of the survival estimators.
 
-    Observation units (pairs, window records, or segments) are resampled
-    with replacement B times and the estimator is rerun on each resample;
+    ``estimator`` is a ``bootstrap_name`` from ESTIMATORS. Observation
+    units (pairs, window records, or segments) are resampled with
+    replacement B times and the estimator is rerun on each resample;
     for palmer_cox the doubling of complete lifetimes happens after
     resampling. A resample the estimator rejects (for example an
     all-censored draw) is redrawn from a fresh substream, up to
     BOOTSTRAP_MAX_RETRIES times. Replicate b always uses the streams
-    derived from (seed, b, retry), so the result does not depend on
-    ``threads``.
+    derived from (seed, b, retry).
 
     The band is evaluated on ``grid`` if given, otherwise on the pooled
     jump times of all replicates (subsampled to BOOTSTRAP_MAX_GRID
@@ -326,34 +332,31 @@ def bootstrap_band(
         raise ValueError(f"B must be >= 1, got {B}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    row = next((r for r in ESTIMATORS.values() if r.bootstrap_name == estimator), None)
+    if row is None:
+        raise EstimationError(f"unknown bootstrap estimator {estimator!r}")
+    if row.scheme == "segments" and window_length is None:
+        raise EstimationError(f"{estimator} bootstrap needs window_length")
     if not data:
         raise EstimationError("no data to resample")
     n = len(data)
 
-    def one_replicate(b: int):
+    curves = []
+    failures = 0
+    for b in range(B):
         for retry in range(BOOTSTRAP_MAX_RETRIES):
-            rng = derived_rng(seed, b, retry)
-            idx = rng.integers(0, n, size=n)
-            resample = [data[i] for i in idx]
+            idx = derived_rng(seed, b, retry).integers(0, n, size=n)
             try:
-                return _survival_curve(resample, estimator, window_length), retry
+                est = row.fit([data[i] for i in idx], window_length, None)
+                break
             except EstimationError:
                 continue
-        raise EstimationError(
-            f"estimator failed on {BOOTSTRAP_MAX_RETRIES} consecutive resamples"
-        )
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_replicate, range(B)))
-    else:
-        results = [one_replicate(b) for b in range(B)]
-    curves = [curve for curve, _ in results]
-    failures = sum(retries for _, retries in results)
+        else:
+            raise EstimationError(
+                f"estimator failed on {BOOTSTRAP_MAX_RETRIES} consecutive resamples"
+            )
+        curves.append((est.jump_times, est.survival_values))
+        failures += retry
 
     if grid is None:
         pooled = np.unique(np.concatenate([jumps for jumps, _ in curves]))
@@ -365,7 +368,7 @@ def bootstrap_band(
 
     values = np.empty((B, grid.size), dtype=float)
     for i, (jumps, surv) in enumerate(curves):
-        values[i] = _step_eval(jumps, surv, grid)
+        values[i] = step_at(jumps, surv, grid, 1.0)
     alpha = 1.0 - level
     lower = np.quantile(values, alpha / 2.0, axis=0)
     upper = np.quantile(values, 1.0 - alpha / 2.0, axis=0)

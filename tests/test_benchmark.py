@@ -31,11 +31,6 @@ class TestMcCompare:
         b = mc_compare(small_config())
         assert a.to_json_dict() == b.to_json_dict()
 
-    def test_threads_do_not_change_the_report(self):
-        a = mc_compare(small_config())
-        b = mc_compare(small_config(threads=4))
-        assert a.to_json_dict() == b.to_json_dict()
-
     def test_mse_decomposition(self):
         report = mc_compare(small_config())
         assert report.verdicts["mse_identity"]

@@ -125,11 +125,14 @@ class TestEstimate:
         assert run("estimate", "--estimator", "wf", "--in", str(src),
                    "--out", str(tmp_path / "x.csv")) == 1
 
-    def test_malformed_row_is_data_error(self, tmp_path):
+    def test_malformed_row_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "pairs.csv"
-        src.write_text("r,s,censored\n1.0,oops,0\n")
-        assert run("estimate", "--estimator", "wf", "--in", str(src),
-                   "--out", str(tmp_path / "x.csv")) == 1
+        for cell in ("oops", "nan", "inf", "-inf"):
+            src.write_text(f"r,s,censored\n1.0,2.0,0\n0.5,{cell},0\n")
+            assert run("estimate", "--estimator", "wf", "--in", str(src),
+                       "--out", str(tmp_path / "x.csv")) == 1
+            assert "pairs.csv:3" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bootstrap_adds_bands(self, tmp_path):
         out = simulate_pairs(tmp_path, n=60)
@@ -139,10 +142,33 @@ class TestEstimate:
         data = dataio.read_step_survival_csv(est)
         assert all(v is not None for v in data["lower"])
         assert all(v is not None for v in data["upper"])
-        est2 = tmp_path / "wf2.csv"
-        assert run("estimate", "--estimator", "wf", "--in", str(out), "--out", str(est2),
-                   "--bootstrap", "15", "--seed", "2", "--threads", "3") == 0
-        assert est2.read_text() == est.read_text()
+
+    def test_bootstrap_with_em_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "segments.csv"
+        src.write_text("kind,length\npc,0.75\npc,1.25\n")
+        out = tmp_path / "em.json"
+        assert run("estimate", "--estimator", "em", "--in", str(src), "--out", str(out),
+                   "--grid", "width=0.5", "--window", "2", "--bootstrap", "10") == 2
+        assert "bootstrap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bootstrap_below_one_is_usage_error(self, tmp_path, capsys):
+        src = simulate_pairs(tmp_path, n=20)
+        out = tmp_path / "wf.csv"
+        for b in ("0", "-5"):
+            assert run("estimate", "--estimator", "wf", "--in", str(src), "--out", str(out),
+                       "--bootstrap", b) == 2
+            assert "--bootstrap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_level_outside_unit_interval_is_usage_error(self, tmp_path, capsys):
+        src = simulate_pairs(tmp_path, n=20)
+        out = tmp_path / "wf.csv"
+        for level in ("0", "1", "1.5", "-0.1"):
+            assert run("estimate", "--estimator", "wf", "--in", str(src), "--out", str(out),
+                       "--bootstrap", "5", "--level", level) == 2
+            assert "--level" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_censored_pairs_rejected_by_cv_with_pointer(self, tmp_path, capsys):
         src = tmp_path / "pairs.csv"

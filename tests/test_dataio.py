@@ -34,9 +34,10 @@ class TestPairsCsv:
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("r,s,censored\n1.0,2.0,0\nx,2.0,0\n")
-        with pytest.raises(DataFormatError, match="bad.csv:3"):
-            dataio.read_pairs_csv(path)
+        for row in ("x,2.0,0", "nan,2.0,0", "1.0,nan,0", "inf,2.0,0", "1.0,inf,0", "1.0,-inf,0"):
+            path.write_text(f"r,s,censored\n1.0,2.0,0\n{row}\n")
+            with pytest.raises(DataFormatError, match="bad.csv:3"):
+                dataio.read_pairs_csv(path)
 
     def test_bad_flag_and_missing_header(self, tmp_path):
         path = tmp_path / "bad2.csv"
@@ -66,6 +67,13 @@ class TestWindowCsv:
         with pytest.raises(DataFormatError, match=":2"):
             dataio.read_window_csv(path)
 
+    def test_non_finite_or_negative_value(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for cell in ("nan", "inf", "-inf", "-1.0"):
+            path.write_text(f"kind,value\ncomplete,1.0\ncomplete,{cell}\n")
+            with pytest.raises(DataFormatError, match="bad.csv:3"):
+                dataio.read_window_csv(path)
+
 
 class TestSegmentsCsv:
     def test_round_trip(self, tmp_path):
@@ -83,9 +91,10 @@ class TestSegmentsCsv:
 
     def test_nonpositive_length(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("kind,length\npc,0.0\n")
-        with pytest.raises(DataFormatError, match=":2"):
-            dataio.read_segments_csv(path)
+        for cell in ("0.0", "nan", "inf", "-inf"):
+            path.write_text(f"kind,length\npc,{cell}\n")
+            with pytest.raises(DataFormatError, match=":2"):
+                dataio.read_segments_csv(path)
 
     def test_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -4,27 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gapest import (
     EquilibriumPair,
     EstimationError,
     Exponential,
-    RiskSet,
     Segment,
     SegmentKind,
     StepSurvival,
     WindowKind,
     WindowObservation,
     bootstrap_band,
+    cox_vardi_from_pairs,
     greenwood_variance,
     kaplan_meier,
     palmer_cox,
-    risk_set,
+    parse_distribution,
     sample_equilibrium,
     sample_segments,
     winter_foldes,
     window_product_limit,
 )
+from gapest.product_limit import step_at
 from gapest.seeding import derived_rng
 
 EXP1 = Exponential(1.0)
@@ -56,22 +59,66 @@ def random_segments(rng, n, w):
     return out
 
 
+def brute_step(times, values, t, before):
+    out = before
+    for tj, vj in zip(times, values):
+        if tj <= t:
+            out = vj
+    return out
+
+
+class TestStepAt:
+    @given(st.data())
+    def test_matches_brute_force_loop(self, data):
+        # quarter-spaced times make ties likely; queries include the jumps
+        quarters = st.integers(0, 40).map(lambda k: k / 4.0)
+        times = sorted(data.draw(st.lists(quarters, max_size=25)))
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(times), max_size=len(times)))
+        pick = st.sampled_from(times) if times else quarters
+        queries = data.draw(st.lists(st.one_of(pick, st.floats(-1.0, 11.0)), min_size=1))
+        got = step_at(np.array(times), np.array(values), np.array(queries), 1.0)
+        want = [brute_step(times, values, t, 1.0) for t in queries]
+        assert got.tolist() == want
+        for t in queries:
+            assert step_at(np.array(times), np.array(values), t, 1.0) == brute_step(
+                times, values, t, 1.0
+            )
+
+    def test_before_value_and_nan_fill(self):
+        assert step_at(np.array([1.0]), np.array([0.5]), 0.5, 1.0) == 1.0
+        assert math.isnan(step_at(np.array([1.0]), np.array([0.5]), 0.5, np.nan))
+
+
+class TestFromMasses:
+    def test_cox_vardi_survival_ends_at_exact_zero(self):
+        pairs = sample_equilibrium(parse_distribution("weibull:2:1"), 500, seed=1)
+        dist = cox_vardi_from_pairs(pairs)
+        est = StepSurvival.from_masses(dist.atoms, dist.masses, len(pairs))
+        assert est.survival_values[-1] == 0.0
+        assert np.all(est.survival_values >= 0.0)
+        assert np.all(np.diff(est.survival_values) <= 0.0)
+        assert np.allclose(est.survival_values, 1.0 - np.cumsum(dist.masses), rtol=0, atol=1e-12)
+
+    def test_tail_sums_by_hand(self):
+        est = StepSurvival.from_masses([1.0, 2.0, 4.0], [0.5, 0.25, 0.25], 3)
+        assert est.survival_values.tolist() == [0.5, 0.25, 0.0]
+        assert est.n_input == 3
+
+
 class TestRiskSet:
+    # the risk set R(t) = {i : r_i < t <= r_i + s_i}, read off winter_foldes
+
     def test_hand_counts(self):
-        assert risk_set(TWO_PAIRS, 2.0) == 2
-        assert risk_set(TWO_PAIRS, 3.0) == 1
-
-    def test_empty(self):
-        assert risk_set([], 1.0) == 0
-
-    def test_positive_time_required(self):
-        with pytest.raises(ValueError):
-            risk_set(TWO_PAIRS, 0.0)
+        # both pairs cover t = 2, only the second covers t = 3
+        est = winter_foldes(TWO_PAIRS)
+        counts = dict(zip(est.jump_times.tolist(), est.risk_counts.tolist()))
+        assert counts[2.0] == 2
+        assert counts[3.0] == 1
 
     def test_riskset_grid(self):
-        rs = RiskSet.from_pairs(TWO_PAIRS)
-        assert list(rs.times) == [2.0, 3.0]
-        assert list(rs.counts) == [2, 1]
+        est = winter_foldes(TWO_PAIRS)
+        assert list(est.jump_times) == [2.0, 3.0]
+        assert list(est.risk_counts) == [2, 1]
 
 
 class TestWinterFoldes:
@@ -155,6 +202,22 @@ class TestKaplanMeier:
         assert est.survival_at(0.5) == 1.0
         assert est.survival_at(1.0) == 0.5  # value at a jump is the post-jump value
         assert est.cdf_at(1.0) == 0.5
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.01, 100.0), st.booleans(), st.floats(0.0, 0.99)),
+            min_size=1,
+            max_size=60,
+        ).filter(lambda rows: not all(c for _, c, _ in rows))
+    )
+    def test_property_monotone_in_unit_interval(self, rows):
+        times = np.array([t for t, _, _ in rows])
+        censored = np.array([c for _, c, _ in rows])
+        entries = np.array([u * t for t, _, u in rows])
+        for entry_times in (None, entries):
+            s = kaplan_meier(times, censored, entry_times).survival_values
+            assert np.all((s >= 0.0) & (s <= 1.0))
+            assert np.all(np.diff(s) <= 0.0)
 
     def test_monotone_in_unit_interval_on_random_data(self):
         rng = derived_rng(777)
@@ -325,14 +388,11 @@ class TestBootstrapBand:
         )
         assert band.lower.shape == (2,)
 
-    def test_threads_do_not_change_the_band(self):
-        pairs = sample_equilibrium(EXP1, 120, seed=13)
-        a = bootstrap_band(pairs, "winter_foldes", B=30, seed=2)
-        b = bootstrap_band(pairs, "winter_foldes", B=30, seed=2, threads=4)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.lower, b.lower)
-        assert np.array_equal(a.upper, b.upper)
-        assert a.failures == b.failures
+    def test_cox_vardi_band_stays_in_unit_interval(self):
+        pairs = sample_equilibrium(parse_distribution("weibull:2:1"), 500, seed=1)
+        band = bootstrap_band(pairs, "cox_vardi", B=100, seed=1)
+        assert band.lower.min() >= 0.0
+        assert band.upper.max() <= 1.0
 
     def test_bad_args(self):
         pairs = sample_equilibrium(EXP1, 10, seed=1)
@@ -342,6 +402,9 @@ class TestBootstrapBand:
             bootstrap_band(pairs, "winter_foldes", B=5, seed=1, level=1.5)
         with pytest.raises(EstimationError):
             bootstrap_band(pairs, "nonsense", B=2, seed=1)
+        segs = sample_segments(3.0, EXP1, 0.0, 2.0, seed=8)
+        with pytest.raises(EstimationError, match="window_length"):
+            bootstrap_band(segs, "palmer_cox", B=2, seed=1)
 
 
 class TestConsistencySanity:
