@@ -65,6 +65,8 @@ class McConfig:
             raise EstimationError("scheme 'segments' needs birth_rate")
         if self.n < 1 or self.replicates < 1:
             raise EstimationError("n and replicates must be >= 1")
+        if not self.bin_width > 0:
+            raise EstimationError(f"bin_width must be positive, got {self.bin_width}")
 
     def echo(self) -> dict:
         return {
@@ -263,6 +265,8 @@ def tail_failure_demo(
     Requires the inverse-moment diagnostic to disagree between the two
     distributions (that disagreement is what the table illustrates).
     """
+    if n < 1 or replicates < 1 or not eps > 0:
+        raise EstimationError(f"need n, replicates >= 1 and eps > 0, got {n}, {replicates}, {eps}")
     diag_inf = dist_infinite.integrability_diagnostic()
     diag_fin = dist_finite.integrability_diagnostic()
     if diag_inf.finite == diag_fin.finite:

@@ -9,7 +9,7 @@ Subcommands:
 
 Every command is deterministic given its flags; all randomness flows from
 ``--seed`` (default 1, not entropy). Exit codes: 0 success, 1 runtime or
-data error (including a failed bench verdict), 2 usage error.
+data error (one ``error:`` line) or failed bench verdict, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import benchmark, dataio, npmle, product_limit, sampling
 from .distributions import parse_distribution
-from .errors import DistributionSpecError, EstimationError, GapestError
+from .errors import DistributionSpecError, EstimationError
 from .product_limit import ESTIMATORS
 from .seeding import child_seed
 
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GapestError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,8 +31,8 @@ from scipy.special import gammaln
 
 from .distributions import DiscreteDistribution
 from .errors import EstimationError
-from .product_limit import StepSurvival
-from .sampling import EquilibriumPair, Segment, SegmentKind
+from .product_limit import StepSurvival, _segment_columns
+from .sampling import EquilibriumPair, Segment
 
 EM_DEFAULT_TOL = 1e-8
 EM_DEFAULT_MAX_ITER = 100_000
@@ -116,32 +116,22 @@ def segment_loglik(
     proper complete x contributes log p(x); proper censored c contributes
     log sum_{a > c} p; residual complete x contributes
     log(sum_{a > x} p / mu); residual censored contributes
-    log(sum p (a - w)+ / mu). A zero factor yields -inf rather than an
-    exception. With ``include_poisson_factor`` the Poisson log probability
-    of the observed segment count, with mean birth_rate * (w + mu), is
-    added.
+    log(sum p (a - w)+ / mu): the ``_atom_weights`` numerators, over mu for
+    the residual kinds. A zero factor yields -inf, not an exception. With
+    ``include_poisson_factor`` the Poisson log probability of the observed
+    segment count, with mean birth_rate * (w + mu), is added.
 
     Atoms must cover every proper complete length exactly.
     """
     if window_length <= 0:
         raise ValueError(f"window_length must be positive, got {window_length}")
-    atoms = dist.atoms
-    p = dist.masses
     mu = dist.mean()
-    total = 0.0
-    for seg in segments:
-        if seg.kind is SegmentKind.PROPER_COMPLETE:
-            j = _match_atoms(np.array([seg.length]), atoms)[0]
-            factor = p[j]
-        elif seg.kind is SegmentKind.PROPER_CENSORED:
-            factor = float(p[atoms > seg.length].sum())
-        elif seg.kind is SegmentKind.RESIDUAL_COMPLETE:
-            factor = float(p[atoms > seg.length].sum()) / mu
-        else:
-            factor = float(np.dot(p, np.maximum(atoms - window_length, 0.0))) / mu
-        if factor <= 0.0:
-            return -math.inf
-        total += math.log(factor)
+    numer = _atom_weights(segments, dist.atoms, window_length) @ dist.masses
+    if np.any(numer <= 0.0):
+        return -math.inf
+    kinds, _ = _segment_columns(segments)
+    m_res = int(np.count_nonzero((kinds == "rc") | (kinds == "rx")))
+    total = float(np.sum(np.log(numer))) - m_res * math.log(mu)
     if include_poisson_factor:
         if birth_rate is None or birth_rate <= 0:
             raise ValueError("a positive birth_rate is required for the Poisson factor")
@@ -152,28 +142,31 @@ def segment_loglik(
 
 
 def _atom_weights(segments: list[Segment], atoms: np.ndarray, w: float) -> np.ndarray:
-    """Per-observation weight vectors over atoms.
+    """The one map from a segment kind to its likelihood numerator.
 
-    Row i is the vector whose inner product with the masses gives the
-    likelihood numerator of observation i: an indicator of the matching
-    atom for complete proper lifetimes, indicators of exceeding the
-    observed length for the singly censored kinds, and (a - w)+ for the
-    doubly censored kind.
+    Row i, dotted with the masses, gives the numerator of observation i:
+    a one-hot at the matching atom for ``pc``, 1{a > length} for the singly
+    censored ``px`` and ``rc``, and (a - w)+ for the doubly censored ``rx``.
+    A row may be all zero; ``_possible_weights`` rejects those.
     """
-    rows = np.zeros((len(segments), atoms.size), dtype=float)
-    for i, seg in enumerate(segments):
-        if seg.kind is SegmentKind.PROPER_COMPLETE:
-            j = _match_atoms(np.array([seg.length]), atoms)[0]
-            rows[i, j] = 1.0
-        elif seg.kind in (SegmentKind.PROPER_CENSORED, SegmentKind.RESIDUAL_COMPLETE):
-            rows[i] = (atoms > seg.length).astype(float)
-        else:
-            rows[i] = np.maximum(atoms - w, 0.0)
-    dead = ~rows.any(axis=1)
-    if dead.any():
-        k = int(np.nonzero(dead)[0][0])
+    kinds, lengths = _segment_columns(segments)
+    rows = (atoms > lengths[:, None]).astype(float)
+    rows[kinds == "rx"] = np.maximum(atoms - w, 0.0)
+    pc = np.nonzero(kinds == "pc")[0]
+    rows[pc] = 0.0
+    rows[pc, _match_atoms(lengths[pc], atoms)] = 1.0
+    return rows
+
+
+def _possible_weights(segments: list[Segment], atoms: np.ndarray, w: float) -> np.ndarray:
+    """``_atom_weights`` without all-zero rows: an observation that no
+    distribution on the grid can produce is an error."""
+    rows = _atom_weights(segments, atoms, w)
+    dead = np.nonzero(~rows.any(axis=1))[0]
+    if dead.size:
+        k, seg = int(dead[0]), segments[dead[0]]
         raise EstimationError(
-            f"observation {k} ({segments[k].kind.value} {segments[k].length}) has zero "
+            f"observation {k} ({seg.kind.value} {seg.length}) has zero "
             "probability under every distribution on this grid"
         )
     return rows
@@ -190,7 +183,7 @@ def segment_marginal_loglik(
     """
     if window_length <= 0:
         raise ValueError(f"window_length must be positive, got {window_length}")
-    weights = _atom_weights(segments, dist.atoms, window_length)
+    weights = _possible_weights(segments, dist.atoms, window_length)
     numer = weights @ dist.masses
     if np.any(numer <= 0.0):
         return -math.inf
@@ -205,11 +198,9 @@ def bin_segments(segments: list[Segment], bin_width: float) -> list[Segment]:
     """
     if bin_width <= 0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
-    out = []
-    for seg in segments:
-        k = math.ceil(seg.length / bin_width) - 1
-        out.append(Segment(seg.kind, (k + 0.5) * bin_width))
-    return out
+    lengths = np.array([seg.length for seg in segments], dtype=float)
+    mids = (np.ceil(lengths / bin_width) - 1 + 0.5) * bin_width
+    return [Segment(seg.kind, m) for seg, m in zip(segments, mids.tolist())]
 
 
 def default_grid(segments: list[Segment], window_length: float, bin_width: float) -> np.ndarray:
@@ -235,11 +226,13 @@ def laslett_em(
     """EM for the segment NPMLE on a fixed atom grid.
 
     Iterates in the window-biased parameterization q_j ~ p_j (w + a_j),
-    under which the observations are iid and the E-step posterior over
-    atoms has closed form (see ``_atom_weights``). The M-step averages the
-    posteriors into q and maps back to p. The trace records the marginal
-    log likelihood after each iteration and is nondecreasing up to float
-    slack; iteration stops when one step improves it by less than ``tol``.
+    under which the observations are iid and the E-step posterior of atom
+    j for observation i is W_ij p_j / numer_i (W from ``_atom_weights``,
+    numer = W p). The M-step averages the posteriors into q, which takes
+    only p_j (W^T (1/numer))_j, and maps back to p. The trace records the
+    marginal log likelihood after each iteration and is nondecreasing up
+    to float slack; iteration stops when one step improves it by less than
+    ``tol``.
 
     The fitted birth intensity is n / (w + mu_hat), the value that matches
     the expected number of observable lifetimes to the observed count.
@@ -256,20 +249,18 @@ def laslett_em(
     if atoms.size == 0 or np.any(atoms <= 0):
         raise EstimationError("grid atoms must be positive")
 
-    weights = _atom_weights(segments, atoms, window_length)
+    weights = _possible_weights(segments, atoms, window_length)
     n = len(segments)
     w = float(window_length)
     p = np.full(atoms.size, 1.0 / atoms.size)
+    numer = weights @ p
 
     trace = []
     converged = False
     iterations = 0
     prev = -math.inf
     for _ in range(max_iter):
-        post = weights * p
-        post /= post.sum(axis=1, keepdims=True)
-        q = post.sum(axis=0) / n
-        p = q / (w + atoms)
+        p = p * (weights.T @ (1.0 / numer)) / (w + atoms)
         p /= p.sum()
         iterations += 1
         numer = weights @ p
@@ -341,7 +332,7 @@ def npmle_oracle(segments: list[Segment], window_length: float, grid) -> Discret
         raise ValueError(f"window_length must be positive, got {window_length}")
     if not segments:
         raise EstimationError("need at least one segment")
-    weights = _atom_weights(segments, atoms, window_length)
+    weights = _possible_weights(segments, atoms, window_length)
     n = len(segments)
     w = float(window_length)
     if d == 1:

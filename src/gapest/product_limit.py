@@ -24,7 +24,6 @@ from .errors import EstimationError
 from .sampling import (
     EquilibriumPair,
     Segment,
-    SegmentKind,
     WindowKind,
     WindowObservation,
 )
@@ -180,6 +179,13 @@ def window_product_limit(obs: list[WindowObservation]) -> StepSurvival:
     return kaplan_meier(times, censored)
 
 
+def _segment_columns(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
+    """Kind codes ("pc", "px", "rc", "rx") and lengths of the segments, as arrays."""
+    kinds = np.array([seg.kind.value for seg in segments], dtype="<U2")
+    lengths = np.array([seg.length for seg in segments], dtype=float)
+    return kinds, lengths
+
+
 def palmer_cox(segments: list[Segment], window_length: float) -> StepSurvival:
     """Forward-backward combined product-limit estimator for segment data.
 
@@ -194,27 +200,23 @@ def palmer_cox(segments: list[Segment], window_length: float) -> StepSurvival:
     invariant under time reversal, which just swaps the two singly
     censored kinds.
 
-    Proper complete lengths cannot exceed the window under the observation
-    geometry; longer ones are rejected as malformed input.
+    Under the observation geometry no segment is longer than the window;
+    longer complete or singly censored ones are rejected as malformed input.
     """
     if window_length <= 0:
         raise ValueError(f"window_length must be positive, got {window_length}")
-    times: list[float] = []
-    censored: list[bool] = []
-    for seg in segments:
-        if seg.kind is SegmentKind.PROPER_COMPLETE:
-            if seg.length > window_length:
-                raise EstimationError(
-                    f"proper complete length {seg.length} exceeds the window {window_length}"
-                )
-            times.extend([seg.length, seg.length])
-            censored.extend([False, False])
-        elif seg.kind in (SegmentKind.PROPER_CENSORED, SegmentKind.RESIDUAL_COMPLETE):
-            times.append(seg.length)
-            censored.append(True)
-    if not times:
+    kinds, lengths = _segment_columns(segments)
+    too_long = (kinds != "rx") & (lengths > window_length)
+    if too_long.any():
+        k = int(np.argmax(too_long))
+        raise EstimationError(
+            f"segment {k} ({kinds[k]} {lengths[k]}) exceeds the window {window_length}"
+        )
+    complete = lengths[kinds == "pc"]
+    times = np.concatenate((complete, complete, lengths[(kinds == "px") | (kinds == "rc")]))
+    if times.size == 0:
         raise EstimationError("no usable segments after discarding doubly censored ones")
-    return kaplan_meier(np.array(times), np.array(censored))
+    return kaplan_meier(times, np.arange(times.size) >= 2 * complete.size)
 
 
 def greenwood_variance(

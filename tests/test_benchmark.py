@@ -84,6 +84,11 @@ class TestMcCompare:
         with pytest.raises(EstimationError):
             small_config(scheme="window")
 
+    def test_nonpositive_bin_width(self):
+        for h in (0.0, -0.25):
+            with pytest.raises(EstimationError, match="bin_width"):
+                small_config(bin_width=h)
+
     def test_csv_rows_shape(self):
         report = mc_compare(small_config(replicates=5))
         rows = report.csv_rows()
@@ -103,6 +108,11 @@ class TestTailDemo:
     def test_requires_disagreeing_diagnostics(self):
         with pytest.raises(EstimationError):
             tail_failure_demo(Exponential(1.0), UniformInterval(0.0, 1.0), 100, 2, 0.1)
+
+    @pytest.mark.parametrize("n,replicates,eps", [(0, 2, 0.1), (100, 0, 0.1), (100, 2, 0.0)])
+    def test_rejects_empty_studies(self, n, replicates, eps):
+        with pytest.raises(EstimationError):
+            tail_failure_demo(Exponential(1.0), Weibull(2.0, 1.0), n, replicates, eps)
 
     def test_finite_inverse_moment_rows_stay_bounded(self):
         report = tail_failure_demo(

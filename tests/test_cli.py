@@ -200,6 +200,39 @@ class TestEstimate:
                 assert run(*argv) == 0
 
 
+SEGMENTS = "kind,length\npc,0.75\npc,1.25\npx,1.5\nrx,2.0\n"
+TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull:2:1")
+
+
+@pytest.mark.parametrize("data,argv", [
+    (None, ("simulate", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "0")),
+    (None, ("simulate", "--scheme", "window", "--dist", "exp:1", "--n", "5", "--window", "-1")),
+    (None, ("simulate", "--scheme", "segments", "--dist", "exp:1", "--n", "5",
+            "--window", "2", "--rate", "-1")),
+    (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "-1")),
+    ("kind,length\npc,1.0\npx,5\n", ("estimate", "--estimator", "palmer_cox", "--window", "3")),
+    (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "width=0.5",
+                "--max-iter", "0")),
+    (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "width=0.5",
+                "--tol", "0")),
+    (None, ("diagnose", "--dist", "exp:1", "--eps", "0")),
+    (None, (*TAILS, "--eps", "0.1", "--n", "0")),
+    (None, (*TAILS, "--eps", "0.1", "--reps", "0")),
+    ("r,s,censored\n0,0,0\n", ("estimate", "--estimator", "wf")),
+    ("r,s,censored\n0.5,1,0\n1,0,1\n", ("estimate", "--estimator", "wf")),
+])
+def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
+    argv = (*argv, "--out", str(tmp_path / "out"))
+    if data is not None:
+        (tmp_path / "in.csv").write_text(data)
+        argv += ("--in", str(tmp_path / "in.csv"))
+    before = sorted(tmp_path.iterdir())
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
 class TestBench:
     def test_compare_writes_report(self, tmp_path):
         out = tmp_path / "report.json"

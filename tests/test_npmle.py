@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from gapest import (
@@ -71,6 +73,45 @@ def random_em_instance(rng, max_atoms=3, max_segments=8):
         else:
             segs.append(Segment(PX, float(rng.uniform(0.01, atoms[-1] * 0.95))))
     return segs, w, atoms
+
+
+def loglik_by_kind(dist, segments, w):
+    """Per-segment factors, one kind at a time: the reference for the
+    ``_atom_weights`` kernel behind ``segment_loglik``."""
+    atoms, p, mu = dist.atoms, dist.masses, dist.mean()
+    total = 0.0
+    for seg in segments:
+        if seg.kind is PC:
+            factor = float(p[atoms == seg.length].sum())
+        elif seg.kind is PX:
+            factor = float(p[atoms > seg.length].sum())
+        elif seg.kind is RC:
+            factor = float(p[atoms > seg.length].sum()) / mu
+        else:
+            factor = float(np.dot(p, np.maximum(atoms - w, 0.0))) / mu
+        if factor <= 0.0:
+            return -math.inf
+        total += math.log(factor)
+    return total
+
+
+@st.composite
+def kernel_instances(draw):
+    """Atoms on a quarter lattice, integer-weight masses with exact zeros,
+    and segments whose lengths often tie with an atom or the window."""
+    quarters = st.integers(1, 24).map(lambda k: k / 4.0)
+    atoms = np.array(sorted(draw(st.sets(quarters, min_size=1, max_size=8))))
+    weights = draw(st.lists(st.integers(0, 4), min_size=atoms.size, max_size=atoms.size))
+    weights[draw(st.integers(0, atoms.size - 1))] += 1
+    dist = DiscreteDistribution.from_weights(atoms, weights)
+    w = draw(st.one_of(quarters, st.floats(0.1, 6.0)))
+    length = st.one_of(st.sampled_from(atoms.tolist()), quarters, st.floats(0.01, 7.0))
+    segs = draw(st.lists(st.one_of(
+        st.sampled_from(atoms.tolist()).map(lambda x: Segment(PC, x)),
+        st.builds(Segment, st.sampled_from([PX, RC]), length),
+        st.just(Segment(RX, w)),
+    ), max_size=12))
+    return dist, segs, w
 
 
 class TestCoxVardi:
@@ -178,6 +219,42 @@ class TestSegmentLoglik:
     def test_poisson_factor_needs_rate(self):
         with pytest.raises(ValueError):
             segment_loglik(self.DIST, None, [Segment(PC, 1.0)], 2.0, include_poisson_factor=True)
+
+    @given(kernel_instances())
+    def test_matches_the_per_kind_loop(self, instance):
+        dist, segs, w = instance
+        got = segment_loglik(dist, None, segs, w)
+        want = loglik_by_kind(dist, segs, w)
+        assert got == want == -math.inf or math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_uncovered_complete_length_rejected_after_a_zero_factor(self):
+        # every row is scored, so a zero factor earlier does not hide the bad length
+        segs = [Segment(RX, 3.5), Segment(PC, 1.5)]
+        with pytest.raises(EstimationError, match="bin"):
+            segment_loglik(self.DIST, None, segs, 3.5)
+
+
+class TestAtomWeights:
+    @given(kernel_instances())
+    def test_rows_follow_their_kind(self, instance):
+        dist, segs, w = instance
+        atoms = dist.atoms
+        rows = _atom_weights(segs, atoms, w)
+        assert rows.shape == (len(segs), atoms.size)
+        for seg, row in zip(segs, rows):
+            if seg.kind is PC:
+                want = (atoms == seg.length).astype(float)
+            elif seg.kind is RX:
+                want = np.maximum(atoms - w, 0.0)
+            else:
+                want = (atoms > seg.length).astype(float)
+            assert np.array_equal(row, want)
+
+    def test_impossible_rows_are_kept(self):
+        # the kernel leaves all-zero rows in; the EM, the oracle and the
+        # marginal likelihood reject them
+        rows = _atom_weights([Segment(RX, 1.0), Segment(PX, 2.0)], np.array([0.5, 1.0]), 1.0)
+        assert not rows.any()
 
 
 class TestMarginalLoglik:

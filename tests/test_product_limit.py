@@ -287,6 +287,37 @@ class TestPalmerCox:
     def test_complete_longer_than_window_rejected(self):
         with pytest.raises(EstimationError):
             palmer_cox([Segment(SegmentKind.PROPER_COMPLETE, 2.5)], 2.0)
+        # a proper censored length is w - birth, a residual complete one the death time
+        for kind in (SegmentKind.PROPER_CENSORED, SegmentKind.RESIDUAL_COMPLETE):
+            segs = [Segment(SegmentKind.PROPER_COMPLETE, 1.0), Segment(kind, 2.5)]
+            with pytest.raises(EstimationError, match="exceeds the window"):
+                palmer_cox(segs, 2.0)
+            assert palmer_cox([segs[0], Segment(kind, 2.0)], 2.0).survival_values.size == 1
+
+    @given(st.data())
+    def test_equals_kaplan_meier_on_the_pooled_sample(self, data):
+        w = 3.0
+        length = st.one_of(st.integers(1, 12).map(lambda k: k / 4.0), st.floats(0.01, w))
+        kinds = st.sampled_from(list(SegmentKind))
+        segs = data.draw(st.lists(st.builds(Segment, kinds, length), max_size=30))
+        times, censored = [], []
+        for seg in segs:
+            if seg.kind is SegmentKind.PROPER_COMPLETE:
+                times += [seg.length, seg.length]
+                censored += [False, False]
+            elif seg.kind is not SegmentKind.RESIDUAL_CENSORED:
+                times.append(seg.length)
+                censored.append(True)
+        shuffled = data.draw(st.permutations(segs))
+        if all(censored):  # no events, or nothing usable at all
+            with pytest.raises(EstimationError):
+                palmer_cox(shuffled, w)
+            return
+        got = palmer_cox(shuffled, w)
+        want = kaplan_meier(times, censored)
+        for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.n_input, got.tail_censored) == (want.n_input, want.tail_censored)
 
     def test_time_reversal_invariance(self):
         rng = derived_rng(2024)
