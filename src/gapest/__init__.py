@@ -42,11 +42,9 @@ from .product_limit import (
     winter_foldes,
 )
 from .sampling import (
-    EquilibriumPair,
-    Segment,
-    SegmentKind,
-    WindowKind,
-    WindowObservation,
+    Pairs,
+    Segments,
+    WindowRecords,
     apply_right_censoring,
     sample_equilibrium,
     sample_renewal_path,
@@ -65,7 +63,6 @@ __all__ = [
     "DiscreteDistribution",
     "DistributionSpecError",
     "EmResult",
-    "EquilibriumPair",
     "EstimationError",
     "Exponential",
     "GapDistribution",
@@ -73,13 +70,12 @@ __all__ = [
     "IntegrabilityReport",
     "McConfig",
     "McReport",
-    "Segment",
-    "SegmentKind",
+    "Pairs",
+    "Segments",
     "StepSurvival",
     "UniformInterval",
     "Weibull",
-    "WindowKind",
-    "WindowObservation",
+    "WindowRecords",
     "apply_right_censoring",
     "bin_segments",
     "bootstrap_band",

@@ -23,6 +23,8 @@ from .distributions import GapDistribution, parse_distribution
 from .errors import EstimationError
 from .product_limit import ESTIMATORS, StepSurvival
 from .sampling import (
+    Segments,
+    WindowRecords,
     sample_equilibrium,
     sample_segment_replicates,
     sample_window_replicates,
@@ -138,11 +140,11 @@ def _simulate(config: McConfig, dist: GapDistribution, rep: int):
         return sample_equilibrium(dist, config.n, seed)
     if config.scheme == "window":
         reps = sample_window_replicates(dist, 0.0, config.window_length, config.n, seed)
-        return [o for window in reps for o in window]
+        return WindowRecords.concat(reps)
     reps = sample_segment_replicates(
         config.birth_rate, dist, 0.0, config.window_length, config.n, seed
     )
-    return [s for window in reps for s in window]
+    return Segments.concat(reps)
 
 
 def mc_compare(config: McConfig) -> McReport:

@@ -144,7 +144,7 @@ def cmd_simulate(args) -> int:
         if not args.window:
             return _usage("simulate --scheme window requires --window")
         reps = sampling.sample_window_replicates(args.dist, 0.0, args.window, args.n, args.seed)
-        dataio.write_window_csv(args.out, [o for rep in reps for o in rep])
+        dataio.write_window_csv(args.out, sampling.WindowRecords.concat(reps))
         meta["window"] = args.window
     else:
         if not args.window or not args.rate:
@@ -152,7 +152,7 @@ def cmd_simulate(args) -> int:
         reps = sampling.sample_segment_replicates(
             args.rate, args.dist, 0.0, args.window, args.n, args.seed
         )
-        dataio.write_segments_csv(args.out, [s for rep in reps for s in rep])
+        dataio.write_segments_csv(args.out, sampling.Segments.concat(reps))
         meta["window"] = args.window
         meta["rate"] = args.rate
     dataio.write_sidecar(args.out, meta)
@@ -192,6 +192,7 @@ def cmd_estimate(args) -> int:
         data = dataio.read_segments_csv(args.infile)
 
     if args.estimator == "em":
+        data.check_window(window)
         mode, value = args.grid
         if mode == "width":
             segments = npmle.bin_segments(data, value)
@@ -241,12 +242,8 @@ def cmd_bench_compare(args) -> int:
     report = benchmark.mc_compare(config)
     dataio.write_json(args.out, report.to_json_dict())
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["estimator", "t", "bias", "variance", "mse"])
-            writer.writerows(report.csv_rows())
+        header = ["estimator", "t", "bias", "variance", "mse"]
+        dataio.write_csv(args.csv, header, report.csv_rows())
     if not report.all_pass:
         failed = [k for k, v in report.verdicts.items() if not v]
         print(f"verdicts failed: {', '.join(failed)}", file=sys.stderr)
@@ -263,12 +260,7 @@ def cmd_bench_tails(args) -> int:
         eps=args.eps,
         seed=args.seed,
     )
-    import csv as _csv
-
-    with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["dist", "estimator", "n", "sqrt_n_sup_error"])
-        writer.writerows(report.csv_rows())
+    dataio.write_csv(args.out, ["dist", "estimator", "n", "sqrt_n_sup_error"], report.csv_rows())
     if args.json_out:
         dataio.write_json(args.json_out, report.to_json_dict())
     return 0

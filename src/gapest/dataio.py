@@ -26,13 +26,7 @@ import numpy as np
 from .errors import DataFormatError
 from .npmle import EmResult
 from .product_limit import BootstrapBand, StepSurvival, step_at
-from .sampling import (
-    EquilibriumPair,
-    Segment,
-    SegmentKind,
-    WindowKind,
-    WindowObservation,
-)
+from .sampling import SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords
 
 PAIRS_HEADER = ["r", "s", "censored"]
 WINDOW_HEADER = ["kind", "value"]
@@ -40,148 +34,123 @@ SEGMENTS_HEADER = ["kind", "length"]
 SURVIVAL_HEADER = ["t", "survival", "variance", "lower", "upper"]
 
 
-def write_pairs_csv(path, pairs: list[EquilibriumPair]) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """Write a header line and then the rows; floats are written as repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(PAIRS_HEADER)
-        for p in pairs:
-            writer.writerow([repr(p.r), repr(p.s), int(p.s_censored)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def read_pairs_csv(path) -> list[EquilibriumPair]:
-    rows = _read_rows(path, PAIRS_HEADER)
-    pairs = []
-    for lineno, row in rows:
-        try:
-            r, s, flag = float(row[0]), float(row[1]), int(row[2])
-            if flag not in (0, 1):
-                raise ValueError(f"censored flag must be 0 or 1, got {row[2]}")
-            if not (0 <= r < math.inf and 0 <= s < math.inf):
-                raise ValueError("r and s must be finite and nonnegative")
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        pairs.append(EquilibriumPair(r, s, bool(flag)))
-    return pairs
+def write_pairs_csv(path, pairs: Pairs) -> None:
+    cols = pairs.r.tolist(), pairs.s.tolist(), pairs.censored.astype(int).tolist()
+    write_csv(path, PAIRS_HEADER, zip(*cols))
 
 
-def write_window_csv(path, obs: list[WindowObservation]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WINDOW_HEADER)
-        for o in obs:
-            writer.writerow([o.kind.value, repr(o.value)])
+def _pair_row(row):
+    r, s, flag = float(row[0]), float(row[1]), int(row[2])
+    if flag not in (0, 1):
+        raise ValueError(f"censored flag must be 0 or 1, got {row[2]}")
+    if not (0 <= r < math.inf and 0 <= s < math.inf):
+        raise ValueError("r and s must be finite and nonnegative")
+    return r, s, flag
 
 
-def read_window_csv(path) -> list[WindowObservation]:
-    rows = _read_rows(path, WINDOW_HEADER)
-    out = []
-    for lineno, row in rows:
-        try:
-            kind = WindowKind(row[0])
-            value = float(row[1])
-            if not 0 <= value < math.inf:
-                raise ValueError("value must be finite and nonnegative")
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        out.append(WindowObservation(kind, value))
-    return out
+def read_pairs_csv(path) -> Pairs:
+    return Pairs(*_read_columns(path, PAIRS_HEADER, _pair_row))
 
 
-def write_segments_csv(path, segments: list[Segment]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEGMENTS_HEADER)
-        for s in segments:
-            writer.writerow([s.kind.value, repr(s.length)])
+def write_window_csv(path, obs: WindowRecords) -> None:
+    write_csv(path, WINDOW_HEADER, zip(obs.kind.tolist(), obs.value.tolist()))
 
 
-def read_segments_csv(path) -> list[Segment]:
-    rows = _read_rows(path, SEGMENTS_HEADER)
-    out = []
-    for lineno, row in rows:
-        try:
-            kind = SegmentKind(row[0])
-            length = float(row[1])
-            if not 0 < length < math.inf:
-                raise ValueError("length must be finite and positive")
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        out.append(Segment(kind, length))
-    return out
+def _window_row(row):
+    kind, value = row[0], float(row[1])
+    if kind not in WINDOW_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not 0 <= value < math.inf:
+        raise ValueError("value must be finite and nonnegative")
+    return kind, value
 
 
-def _read_rows(path, header: list[str]):
+def read_window_csv(path) -> WindowRecords:
+    return WindowRecords(*_read_columns(path, WINDOW_HEADER, _window_row))
+
+
+def write_segments_csv(path, segments: Segments) -> None:
+    write_csv(path, SEGMENTS_HEADER, zip(segments.kind.tolist(), segments.length.tolist()))
+
+
+def _segment_row(row):
+    kind, length = row[0], float(row[1])
+    if kind not in SEGMENT_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not 0 < length < math.inf:
+        raise ValueError("length must be finite and positive")
+    return kind, length
+
+
+def read_segments_csv(path) -> Segments:
+    return Segments(*_read_columns(path, SEGMENTS_HEADER, _segment_row))
+
+
+def _read_columns(path, header: list[str], parse) -> list:
+    """The data rows of a CSV file as columns. ``parse`` converts one row
+    and raises ValueError on a bad one; errors carry the line number."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
-    reader = csv.reader(text.splitlines())
-    rows = list(reader)
-    if not rows or [c.strip() for c in rows[0]] != header:
+    rows = csv.reader(text.splitlines())
+    if [c.strip() for c in next(rows, [])] != header:
         raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
-    out = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    parsed = []
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
-        if len(row) != len(header):
-            raise DataFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        out.append((lineno, row))
-    return out
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            parsed.append(parse(row))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    return list(zip(*parsed)) or [()] * len(header)
 
 
-def _survival_columns(est: StepSurvival, band: BootstrapBand | None):
+def _survival_columns(est: StepSurvival, band: BootstrapBand | None) -> list:
+    """The SURVIVAL_HEADER columns as lists: None for an absent column and
+    for an undefined variance."""
     times = est.jump_times
     if band is not None:
         times = np.union1d(times, band.times)
-    survival = est.survival_at(times)
     variance = None
     if est.variance_values is not None:
         variance = step_at(est.jump_times, est.variance_values, times, np.nan)
-    lower = band.lower_at(times) if band is not None else None
-    upper = band.upper_at(times) if band is not None else None
-    return times, survival, variance, lower, upper
+        variance = np.where(np.isnan(variance), None, variance).tolist()
+    lower = band.lower_at(times).tolist() if band is not None else None
+    upper = band.upper_at(times).tolist() if band is not None else None
+    return [times.tolist(), est.survival_at(times).tolist(), variance, lower, upper]
 
 
 def write_step_survival_csv(path, est: StepSurvival, band: BootstrapBand | None = None) -> None:
-    times, survival, variance, lower, upper = _survival_columns(est, band)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SURVIVAL_HEADER)
-        for i, t in enumerate(times):
-            row = [repr(float(t)), repr(float(survival[i]))]
-            row.append("" if variance is None or np.isnan(variance[i]) else repr(float(variance[i])))
-            row.append("" if lower is None else repr(float(lower[i])))
-            row.append("" if upper is None else repr(float(upper[i])))
-            writer.writerow(row)
+    cols = _survival_columns(est, band)
+    blank = [None] * len(cols[0])
+    write_csv(path, SURVIVAL_HEADER, zip(*(blank if col is None else col for col in cols)))
 
 
 def write_step_survival_json(path, est: StepSurvival, band: BootstrapBand | None = None) -> None:
-    times, survival, variance, lower, upper = _survival_columns(est, band)
-    payload = {
-        "t": [float(t) for t in times],
-        "survival": [float(s) for s in survival],
-        "variance": None
-        if variance is None
-        else [None if np.isnan(v) else float(v) for v in variance],
-        "lower": None if lower is None else [float(v) for v in lower],
-        "upper": None if upper is None else [float(v) for v in upper],
-    }
+    payload = dict(zip(SURVIVAL_HEADER, _survival_columns(est, band)))
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _survival_row(row):
+    return float(row[0]), float(row[1]), *(float(cell) if cell else None for cell in row[2:])
+
+
 def read_step_survival_csv(path) -> dict:
-    rows = _read_rows(path, SURVIVAL_HEADER)
-    out: dict = {name: [] for name in SURVIVAL_HEADER}
-    for lineno, row in rows:
-        try:
-            out["t"].append(float(row[0]))
-            out["survival"].append(float(row[1]))
-            for name, cell in zip(SURVIVAL_HEADER[2:], row[2:]):
-                out[name].append(float(cell) if cell else None)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-    return out
+    cols = _read_columns(path, SURVIVAL_HEADER, _survival_row)
+    return {name: list(col) for name, col in zip(SURVIVAL_HEADER, cols)}
 
 
 def write_em_result_json(path, result: EmResult) -> None:

@@ -31,8 +31,8 @@ from scipy.special import gammaln
 
 from .distributions import DiscreteDistribution
 from .errors import EstimationError
-from .product_limit import StepSurvival, _segment_columns
-from .sampling import EquilibriumPair, Segment
+from .product_limit import StepSurvival
+from .sampling import Pairs, Segments
 
 EM_DEFAULT_TOL = 1e-8
 EM_DEFAULT_MAX_ITER = 100_000
@@ -78,17 +78,17 @@ def cox_vardi(q_values) -> DiscreteDistribution:
     return DiscreteDistribution.from_weights(atoms, counts / atoms)
 
 
-def cox_vardi_from_pairs(pairs: list[EquilibriumPair]) -> DiscreteDistribution:
+def cox_vardi_from_pairs(pairs: Pairs) -> DiscreteDistribution:
     """NPMLE from uncensored equilibrium pairs, via the sums r + s.
 
     The pair (r, s) carries no information about the gap law beyond its
     sum. Censored pairs are rejected; use ``winter_foldes`` for those.
     """
-    if any(p.s_censored for p in pairs):
+    if pairs.censored.any():
         raise EstimationError(
             "censored pairs are not supported here; use winter_foldes for censored data"
         )
-    return cox_vardi([p.q for p in pairs])
+    return cox_vardi(pairs.q)
 
 
 def _match_atoms(lengths: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -106,7 +106,7 @@ def _match_atoms(lengths: np.ndarray, atoms: np.ndarray) -> np.ndarray:
 def segment_loglik(
     dist: DiscreteDistribution,
     birth_rate: float | None,
-    segments: list[Segment],
+    segments: Segments,
     window_length: float,
     include_poisson_factor: bool = False,
 ) -> float:
@@ -129,8 +129,7 @@ def segment_loglik(
     numer = _atom_weights(segments, dist.atoms, window_length) @ dist.masses
     if np.any(numer <= 0.0):
         return -math.inf
-    kinds, _ = _segment_columns(segments)
-    m_res = int(np.count_nonzero((kinds == "rc") | (kinds == "rx")))
+    m_res = int(np.count_nonzero((segments.kind == "rc") | (segments.kind == "rx")))
     total = float(np.sum(np.log(numer))) - m_res * math.log(mu)
     if include_poisson_factor:
         if birth_rate is None or birth_rate <= 0:
@@ -141,7 +140,7 @@ def segment_loglik(
     return total
 
 
-def _atom_weights(segments: list[Segment], atoms: np.ndarray, w: float) -> np.ndarray:
+def _atom_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray:
     """The one map from a segment kind to its likelihood numerator.
 
     Row i, dotted with the masses, gives the numerator of observation i:
@@ -149,7 +148,7 @@ def _atom_weights(segments: list[Segment], atoms: np.ndarray, w: float) -> np.nd
     censored ``px`` and ``rc``, and (a - w)+ for the doubly censored ``rx``.
     A row may be all zero; ``_possible_weights`` rejects those.
     """
-    kinds, lengths = _segment_columns(segments)
+    kinds, lengths = segments.kind, segments.length
     rows = (atoms > lengths[:, None]).astype(float)
     rows[kinds == "rx"] = np.maximum(atoms - w, 0.0)
     pc = np.nonzero(kinds == "pc")[0]
@@ -158,22 +157,22 @@ def _atom_weights(segments: list[Segment], atoms: np.ndarray, w: float) -> np.nd
     return rows
 
 
-def _possible_weights(segments: list[Segment], atoms: np.ndarray, w: float) -> np.ndarray:
+def _possible_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray:
     """``_atom_weights`` without all-zero rows: an observation that no
     distribution on the grid can produce is an error."""
     rows = _atom_weights(segments, atoms, w)
     dead = np.nonzero(~rows.any(axis=1))[0]
     if dead.size:
-        k, seg = int(dead[0]), segments[dead[0]]
+        k = int(dead[0])
         raise EstimationError(
-            f"observation {k} ({seg.kind.value} {seg.length}) has zero "
+            f"observation {k} ({segments.kind[k]} {segments.length[k]}) has zero "
             "probability under every distribution on this grid"
         )
     return rows
 
 
 def segment_marginal_loglik(
-    dist: DiscreteDistribution, segments: list[Segment], window_length: float
+    dist: DiscreteDistribution, segments: Segments, window_length: float
 ) -> float:
     """Log likelihood of the segments conditional on how many were seen.
 
@@ -190,7 +189,7 @@ def segment_marginal_loglik(
     return float(np.sum(np.log(numer)) - len(segments) * math.log(window_length + dist.mean()))
 
 
-def bin_segments(segments: list[Segment], bin_width: float) -> list[Segment]:
+def bin_segments(segments: Segments, bin_width: float) -> Segments:
     """Map every length onto the midpoint of its bin ((k h, (k+1) h] -> (k+0.5) h).
 
     Bins are left-open, so a length exactly at k h falls in the bin below.
@@ -198,12 +197,11 @@ def bin_segments(segments: list[Segment], bin_width: float) -> list[Segment]:
     """
     if bin_width <= 0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
-    lengths = np.array([seg.length for seg in segments], dtype=float)
-    mids = (np.ceil(lengths / bin_width) - 1 + 0.5) * bin_width
-    return [Segment(seg.kind, m) for seg, m in zip(segments, mids.tolist())]
+    mids = (np.ceil(segments.length / bin_width) - 1 + 0.5) * bin_width
+    return Segments(segments.kind, mids)
 
 
-def default_grid(segments: list[Segment], window_length: float, bin_width: float) -> np.ndarray:
+def default_grid(segments: Segments, window_length: float, bin_width: float) -> np.ndarray:
     """Bin midpoints spanning (0, max observed length + window length].
 
     Extending the atoms one window length past the data leaves room for the
@@ -211,13 +209,13 @@ def default_grid(segments: list[Segment], window_length: float, bin_width: float
     """
     if not segments:
         raise EstimationError("need at least one segment")
-    top = max(seg.length for seg in segments) + window_length
+    top = float(segments.length.max()) + window_length
     n_bins = max(1, math.ceil(top / bin_width))
     return (np.arange(n_bins) + 0.5) * bin_width
 
 
 def laslett_em(
-    segments: list[Segment],
+    segments: Segments,
     window_length: float,
     grid,
     max_iter: int = EM_DEFAULT_MAX_ITER,
@@ -312,7 +310,7 @@ def _score_candidates(P: np.ndarray, weights: np.ndarray, atoms: np.ndarray, w: 
     return ll
 
 
-def npmle_oracle(segments: list[Segment], window_length: float, grid) -> DiscreteDistribution:
+def npmle_oracle(segments: Segments, window_length: float, grid) -> DiscreteDistribution:
     """Brute-force maximizer of the marginal segment log likelihood.
 
     Dense scan of the probability simplex over the grid atoms (resolution

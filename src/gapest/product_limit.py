@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .sampling import (
-    EquilibriumPair,
-    Segment,
-    WindowKind,
-    WindowObservation,
-)
+from .sampling import Pairs, Segments, WindowRecords
 from .seeding import derived_rng
 
 BOOTSTRAP_MAX_RETRIES = 100
@@ -147,7 +142,7 @@ def kaplan_meier(times, censored=None, entry_times=None) -> StepSurvival:
     )
 
 
-def winter_foldes(pairs: list[EquilibriumPair]) -> StepSurvival:
+def winter_foldes(pairs: Pairs) -> StepSurvival:
     """Delayed-entry product-limit estimator from equilibrium pairs.
 
     Treats the covering gaps q = r + s as survival times left-truncated at
@@ -156,37 +151,25 @@ def winter_foldes(pairs: list[EquilibriumPair]) -> StepSurvival:
     """
     if not pairs:
         raise EstimationError("need at least one pair")
-    q = np.array([p.q for p in pairs], dtype=float)
-    censored = np.array([p.s_censored for p in pairs], dtype=bool)
-    r = np.array([p.r for p in pairs], dtype=float)
-    if censored.all():
+    if pairs.censored.all():
         raise EstimationError("all pairs are censored")
-    return kaplan_meier(q, censored, r)
+    return kaplan_meier(pairs.q, pairs.censored, pairs.r)
 
 
-def window_product_limit(obs: list[WindowObservation]) -> StepSurvival:
+def window_product_limit(obs: WindowRecords) -> StepSurvival:
     """Product-limit estimator from the gap records of window data.
 
     Uses complete gaps as events and the trailing censored gaps as censored
     observations; forward-recurrence and empty-window records are ignored.
     """
-    events = [o.value for o in obs if o.kind is WindowKind.COMPLETE]
-    cens = [o.value for o in obs if o.kind is WindowKind.CENSORED and o.value > 0]
-    if not events:
+    events = obs.value[obs.kind == "complete"]
+    if not events.size:
         raise EstimationError("no complete gaps among the observations")
-    times = np.array(events + cens, dtype=float)
-    censored = np.array([False] * len(events) + [True] * len(cens), dtype=bool)
-    return kaplan_meier(times, censored)
+    times = np.concatenate((events, obs.value[(obs.kind == "censored") & (obs.value > 0)]))
+    return kaplan_meier(times, np.arange(times.size) >= events.size)
 
 
-def _segment_columns(segments: list[Segment]) -> tuple[np.ndarray, np.ndarray]:
-    """Kind codes ("pc", "px", "rc", "rx") and lengths of the segments, as arrays."""
-    kinds = np.array([seg.kind.value for seg in segments], dtype="<U2")
-    lengths = np.array([seg.length for seg in segments], dtype=float)
-    return kinds, lengths
-
-
-def palmer_cox(segments: list[Segment], window_length: float) -> StepSurvival:
+def palmer_cox(segments: Segments, window_length: float) -> StepSurvival:
     """Forward-backward combined product-limit estimator for segment data.
 
     Builds one pooled sample: every proper complete length enters twice as
@@ -200,18 +183,13 @@ def palmer_cox(segments: list[Segment], window_length: float) -> StepSurvival:
     invariant under time reversal, which just swaps the two singly
     censored kinds.
 
-    Under the observation geometry no segment is longer than the window;
-    longer complete or singly censored ones are rejected as malformed input.
+    Lengths the window geometry cannot produce are rejected as malformed
+    input (``Segments.check_window``).
     """
     if window_length <= 0:
         raise ValueError(f"window_length must be positive, got {window_length}")
-    kinds, lengths = _segment_columns(segments)
-    too_long = (kinds != "rx") & (lengths > window_length)
-    if too_long.any():
-        k = int(np.argmax(too_long))
-        raise EstimationError(
-            f"segment {k} ({kinds[k]} {lengths[k]}) exceeds the window {window_length}"
-        )
+    segments.check_window(window_length)
+    kinds, lengths = segments.kind, segments.length
     complete = lengths[kinds == "pc"]
     times = np.concatenate((complete, complete, lengths[(kinds == "px") | (kinds == "rc")]))
     if times.size == 0:
@@ -289,6 +267,7 @@ def _fit_cox_vardi(data, window_length, bin_width) -> StepSurvival:
 def _fit_laslett_em(data, window_length, bin_width) -> StepSurvival:
     from . import npmle
 
+    data.check_window(window_length)
     binned = npmle.bin_segments(data, bin_width)
     grid = npmle.default_grid(binned, window_length, bin_width)
     dist = npmle.laslett_em(binned, window_length, grid).distribution
@@ -317,8 +296,10 @@ def bootstrap_band(
 ) -> BootstrapBand:
     """Pointwise bootstrap quantile bands for one of the survival estimators.
 
-    ``estimator`` is a ``bootstrap_name`` from ESTIMATORS. Observation
-    units (pairs, window records, or segments) are resampled with
+    ``estimator`` is a ``bootstrap_name`` from ESTIMATORS. ``data`` is a
+    ``Pairs``, ``WindowRecords`` or ``Segments`` container, or a list of
+    them (for example the one-row items that iterating one yields), which
+    is joined with ``concat`` first. Observation units are resampled with
     replacement B times and the estimator is rerun on each resample;
     for palmer_cox the doubling of complete lifetimes happens after
     resampling. A resample the estimator rejects (for example an
@@ -341,6 +322,8 @@ def bootstrap_band(
         raise EstimationError(f"{estimator} bootstrap needs window_length")
     if not data:
         raise EstimationError("no data to resample")
+    if isinstance(data, list):
+        data = type(data[0]).concat(data)
     n = len(data)
 
     curves = []
@@ -349,7 +332,7 @@ def bootstrap_band(
         for retry in range(BOOTSTRAP_MAX_RETRIES):
             idx = derived_rng(seed, b, retry).integers(0, n, size=n)
             try:
-                est = row.fit([data[i] for i in idx], window_length, None)
+                est = row.fit(data[idx], window_length, None)
                 break
             except EstimationError:
                 continue

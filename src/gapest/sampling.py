@@ -11,14 +11,16 @@ Three ways of observing a stationary renewal process are supported:
   of which only the intersections with [t1, t2] are seen, classified as
   proper/residual x complete/censored.
 
-All generators are pure functions of (inputs, seed); replicate k of a
-multi-window run uses the derived stream ``derived_rng(seed, k)``.
+Observations come back as column containers: ``Pairs``, ``WindowRecords``
+and ``Segments``. All generators are pure functions of (inputs, seed);
+replicate k of a multi-window run uses the derived stream
+``derived_rng(seed, k)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,52 +34,108 @@ SEGMENT_TRUNCATION_QUANTILE = 1.0 - 1e-9
 
 _GAP_CHUNK = 8  # gaps drawn per batch while filling a window
 
+# The kind codes of window records and segments, as written in the CSVs.
+WINDOW_KINDS = ("complete", "censored", "forward", "empty")
+SEGMENT_KINDS = ("pc", "px", "rc", "rx")
 
-@dataclass(frozen=True, slots=True)
-class EquilibriumPair:
-    """One (backward, forward) recurrence observation around a fixed point."""
 
-    r: float
-    s: float
-    s_censored: bool = False
+class _Columns:
+    """Observations stored as columns: every field is a numpy array, one
+    entry per observation.
+
+    ``len()`` counts the observations. ``records[i]`` with an int gives a
+    one-row item of the same class whose fields are Python scalars; a slice
+    or an index array gives a container. Iterating yields the one-row
+    items, and ``concat`` joins containers and one-row items in order.
+    """
+
+    __slots__ = ()
+    DTYPES: ClassVar[tuple] = ()
+
+    def __post_init__(self):
+        # __match_args__ is the dataclass's tuple of field names, in order.
+        for name, dtype in zip(self.__match_args__, self.DTYPES):
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            object.__setattr__(self, name, col if col.ndim else col.item())
+
+    def _columns(self) -> list:
+        return [getattr(self, name) for name in self.__match_args__]
+
+    def __len__(self) -> int:
+        return np.size(getattr(self, self.__match_args__[0]))
+
+    def __getitem__(self, idx):
+        return type(self)(*(col[idx] for col in self._columns()))
+
+    def __iter__(self):
+        # The items are built without __init__: the fields come from
+        # tolist() as Python scalars already, and this is five times faster.
+        cls, names = type(self), self.__match_args__
+        for values in zip(*(col.tolist() for col in self._columns())):
+            item = object.__new__(cls)
+            for name, value in zip(names, values):
+                object.__setattr__(item, name, value)
+            yield item
+
+    @classmethod
+    def concat(cls, parts):
+        """One container holding the rows of ``parts`` in order."""
+        # hstack, unlike concatenate, also takes the scalar fields of one-row items.
+        return cls(*(
+            np.hstack([getattr(p, name) for p in parts] or [np.empty(0, dtype)])
+            for name, dtype in zip(cls.__match_args__, cls.DTYPES)
+        ))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Pairs(_Columns):
+    """Equilibrium pairs: backward times r, forward times s, and whether
+    each s was cut short by censoring."""
+
+    r: np.ndarray
+    s: np.ndarray
+    censored: np.ndarray
+    DTYPES: ClassVar[tuple] = (float, float, bool)
 
     @property
-    def q(self) -> float:
-        """Total covering gap r + s (the exact gap only when uncensored)."""
+    def q(self) -> np.ndarray:
+        """Covering gaps r + s (the exact gap only where uncensored)."""
         return self.r + self.s
 
 
-class WindowKind(Enum):
-    COMPLETE = "complete"
-    CENSORED = "censored"
-    FORWARD = "forward"
-    EMPTY = "empty"
+@dataclass(frozen=True, slots=True, eq=False)
+class WindowRecords(_Columns):
+    """Records from watching a renewal process in windows: one kind code
+    from WINDOW_KINDS and one value per record."""
+
+    kind: np.ndarray
+    value: np.ndarray
+    DTYPES: ClassVar[tuple] = (str, float)
 
 
-@dataclass(frozen=True, slots=True)
-class WindowObservation:
-    """One elementary record from watching a renewal process in a window."""
+@dataclass(frozen=True, slots=True, eq=False)
+class Segments(_Columns):
+    """Observed intersections of lifetimes with a window: one kind code
+    from SEGMENT_KINDS and one length per segment."""
 
-    kind: WindowKind
-    value: float
+    kind: np.ndarray
+    length: np.ndarray
+    DTYPES: ClassVar[tuple] = (str, float)
+
+    def check_window(self, w: float) -> None:
+        """Reject lengths the window geometry cannot produce: ``pc``,
+        ``px`` and ``rc`` lengths above w, and ``rx`` lengths other than w."""
+        rx = self.kind == "rx"
+        bad = np.where(rx, self.length != w, self.length > w)
+        if bad.any():
+            k = int(np.argmax(bad))
+            broken = "must equal" if rx[k] else "exceeds"
+            raise EstimationError(
+                f"segment {k} ({self.kind[k]} {self.length[k]}) {broken} the window {w}"
+            )
 
 
-class SegmentKind(Enum):
-    PROPER_COMPLETE = "pc"
-    PROPER_CENSORED = "px"
-    RESIDUAL_COMPLETE = "rc"
-    RESIDUAL_CENSORED = "rx"
-
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """Observed intersection of one lifetime with the window."""
-
-    kind: SegmentKind
-    length: float
-
-
-def sample_equilibrium(dist: GapDistribution, n: int, seed: int) -> list[EquilibriumPair]:
+def sample_equilibrium(dist: GapDistribution, n: int, seed: int) -> Pairs:
     """Draw n equilibrium pairs (R, S) for the given gap distribution.
 
     The covering gap Q is drawn from the size-biased law q f(q) / mu and the
@@ -88,30 +146,21 @@ def sample_equilibrium(dist: GapDistribution, n: int, seed: int) -> list[Equilib
     rng = derived_rng(seed)
     q = dist.sample_length_biased(rng, n)
     r = rng.uniform(size=n) * q
-    s = q - r
-    return [EquilibriumPair(float(ri), float(si)) for ri, si in zip(r, s)]
+    return Pairs(r, q - r, np.zeros(n, dtype=bool))
 
 
-def apply_right_censoring(
-    pairs: list[EquilibriumPair], cens_dist: GapDistribution, seed: int
-) -> list[EquilibriumPair]:
+def apply_right_censoring(pairs: Pairs, cens_dist: GapDistribution, seed: int) -> Pairs:
     """Censor each forward time at an independent draw from cens_dist.
 
     s becomes min(s, c) and the flag records whether the draw cut it short.
     Input pairs must be uncensored.
     """
-    if any(p.s_censored for p in pairs):
+    if pairs.censored.any():
         raise EstimationError("input pairs must be uncensored")
     rng = derived_rng(seed)
-    cuts = cens_dist.sample(rng, len(pairs))
-    out = []
-    for pair, c in zip(pairs, cuts):
-        c = float(c)
-        if c < pair.s:
-            out.append(replace(pair, s=c, s_censored=True))
-        else:
-            out.append(pair)
-    return out
+    cuts = np.asarray(cens_dist.sample(rng, len(pairs)), dtype=float)
+    cut = cuts < pairs.s
+    return Pairs(pairs.r, np.where(cut, cuts, pairs.s), cut)
 
 
 def sample_renewal_path(
@@ -141,22 +190,23 @@ def sample_renewal_path(
                 return v, gaps
 
 
-def _classify_path(v: float, gaps: list[float], w: float) -> list[WindowObservation]:
+def _classify_path(v: float, gaps: list[float], w: float) -> WindowRecords:
     if v > w:
-        return [WindowObservation(WindowKind.EMPTY, w)]
-    obs = [WindowObservation(WindowKind.FORWARD, v)]
-    pos = v
+        return WindowRecords(["empty"], [w])
+    kinds, values, pos = ["forward"], [v], v
     for x in gaps:
         if pos + x <= w:
-            obs.append(WindowObservation(WindowKind.COMPLETE, x))
+            kinds.append("complete")
+            values.append(x)
             pos += x
         else:
-            obs.append(WindowObservation(WindowKind.CENSORED, w - pos))
+            kinds.append("censored")
+            values.append(w - pos)
             break
-    return obs
+    return WindowRecords(kinds, values)
 
 
-def sample_window(dist: GapDistribution, t1: float, t2: float, seed: int) -> list[WindowObservation]:
+def sample_window(dist: GapDistribution, t1: float, t2: float, seed: int) -> WindowRecords:
     """Observe one stationary realization on [t1, t2].
 
     Emits a forward-recurrence record when a renewal lands in the window
@@ -172,7 +222,7 @@ def sample_window(dist: GapDistribution, t1: float, t2: float, seed: int) -> lis
 
 def sample_window_replicates(
     dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
-) -> list[list[WindowObservation]]:
+) -> list[WindowRecords]:
     """Independent window realizations; window k uses derived_rng(seed, k)."""
     if t1 >= t2:
         raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
@@ -188,7 +238,7 @@ def sample_window_replicates(
 
 def sample_segments(
     birth_rate: float, dist: GapDistribution, t1: float, t2: float, seed: int
-) -> list[Segment]:
+) -> Segments:
     """Observed lifetime intersections with [t1, t2] for one window.
 
     Births form a Poisson process of the given rate; the simulation covers
@@ -200,13 +250,12 @@ def sample_segments(
         raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
     if birth_rate <= 0:
         raise ValueError(f"birth_rate must be positive, got {birth_rate}")
-    rng = derived_rng(seed)
-    return _segments_one_window(birth_rate, dist, t2 - t1, rng)
+    return _segment_windows(birth_rate, dist, t2 - t1, [derived_rng(seed)])[0]
 
 
 def sample_segment_replicates(
     birth_rate: float, dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
-) -> list[list[Segment]]:
+) -> list[Segments]:
     """Independent segment windows; window k uses derived_rng(seed, k)."""
     if t1 >= t2:
         raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
@@ -214,34 +263,29 @@ def sample_segment_replicates(
         raise ValueError(f"birth_rate must be positive, got {birth_rate}")
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    w = t2 - t1
-    return [
-        _segments_one_window(birth_rate, dist, w, derived_rng(seed, k))
-        for k in range(n_windows)
-    ]
+    rngs = (derived_rng(seed, k) for k in range(n_windows))
+    return _segment_windows(birth_rate, dist, t2 - t1, rngs)
 
 
-def _segments_one_window(
-    birth_rate: float, dist: GapDistribution, w: float, rng: np.random.Generator
-) -> list[Segment]:
+def _segment_windows(
+    birth_rate: float, dist: GapDistribution, w: float, rngs
+) -> list[Segments]:
+    """The segments of one window per generator, classified in one pass."""
     lmax = float(dist.ppf(SEGMENT_TRUNCATION_QUANTILE))
     span = w + lmax
-    count = rng.poisson(birth_rate * span)
-    births = np.sort(rng.uniform(-lmax, w, size=count))
-    lifetimes = dist.sample(rng, count)
-    deaths = births + lifetimes
-    out = []
-    for b, d, x in zip(births, deaths, lifetimes):
-        if d <= 0.0 or b >= w:
-            continue
-        if b >= 0.0:
-            if d <= w:
-                out.append(Segment(SegmentKind.PROPER_COMPLETE, float(x)))
-            else:
-                out.append(Segment(SegmentKind.PROPER_CENSORED, float(w - b)))
-        else:
-            if d <= w:
-                out.append(Segment(SegmentKind.RESIDUAL_COMPLETE, float(d)))
-            else:
-                out.append(Segment(SegmentKind.RESIDUAL_CENSORED, float(w)))
-    return [seg for seg in out if seg.length > 0.0]
+    births, lifetimes = [], []
+    for rng in rngs:
+        count = rng.poisson(birth_rate * span)
+        births.append(np.sort(rng.uniform(-lmax, w, size=count)))
+        lifetimes.append(dist.sample(rng, count))
+    window = np.repeat(np.arange(len(births)), [b.size for b in births])
+    b, x = np.concatenate(births), np.concatenate(lifetimes)
+    d = b + x
+    # 0 pc, 1 px, 2 rc, 3 rx: born before the window start (residual),
+    # dying after its end (censored). A pc length is the lifetime itself.
+    code = 2 * (b < 0.0) + (d > w)
+    length = np.where(code == 0, x, np.minimum(d, w) - np.maximum(b, 0.0))
+    keep = (d > 0.0) & (b < w) & (length > 0.0)
+    ends = np.cumsum(np.bincount(window[keep], minlength=len(births)))
+    segs = Segments(np.array(SEGMENT_KINDS)[code[keep]], length[keep])
+    return [segs[start:end] for start, end in zip(np.append(0, ends[:-1]), ends)]

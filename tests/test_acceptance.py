@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from gapest import (
-    EquilibriumPair,
     Exponential,
     McConfig,
-    Segment,
-    SegmentKind,
+    Pairs,
+    Segments,
     UniformInterval,
     Weibull,
-    WindowKind,
     bootstrap_band,
     cox_vardi_from_pairs,
     kaplan_meier,
@@ -32,6 +30,7 @@ from gapest import (
     segment_marginal_loglik,
     winter_foldes,
 )
+from gapest.sampling import SEGMENT_KINDS
 from gapest.seeding import child_seed, derived_rng
 
 from test_npmle import random_em_instance
@@ -82,8 +81,7 @@ def test_criterion_2_winter_foldes_is_delayed_entry_km():
         cens = rng.uniform(size=n) < 0.3
         if cens.all():
             cens[0] = False
-        pairs = [EquilibriumPair(float(a), float(b), bool(c)) for a, b, c in zip(r, s, cens)]
-        wf = winter_foldes(pairs)
+        wf = winter_foldes(Pairs(r, s, cens))
         km = kaplan_meier(r + s, cens, r)
         assert np.array_equal(wf.jump_times, km.jump_times)
         assert np.array_equal(wf.survival_values, km.survival_values)
@@ -162,19 +160,17 @@ def test_criterion_6_poisson_count_factor():
 def test_criterion_7_palmer_cox_time_reversal():
     start = time.time()
     rng = derived_rng(707)
-    swap = {
-        SegmentKind.PROPER_CENSORED: SegmentKind.RESIDUAL_COMPLETE,
-        SegmentKind.RESIDUAL_COMPLETE: SegmentKind.PROPER_CENSORED,
-    }
+    swap = {"px": "rc", "rc": "px"}
     w = 2.0
     for _ in range(1000):
         n = int(rng.integers(1, 30))
-        segs = [Segment(SegmentKind.PROPER_COMPLETE, float(rng.uniform(0.05, w)))]
+        rows = [("pc", float(rng.uniform(0.05, w)))]
         for _ in range(n):
-            kind = list(SegmentKind)[int(rng.integers(0, 4))]
-            length = w if kind is SegmentKind.RESIDUAL_CENSORED else float(rng.uniform(0.05, w))
-            segs.append(Segment(kind, length))
-        flipped = [Segment(swap.get(s.kind, s.kind), s.length) for s in segs]
+            kind = SEGMENT_KINDS[int(rng.integers(0, 4))]
+            length = w if kind == "rx" else float(rng.uniform(0.05, w))
+            rows.append((kind, length))
+        segs = Segments(*zip(*rows))
+        flipped = Segments([swap.get(k, k) for k in segs.kind.tolist()], segs.length)
         a = palmer_cox(segs, w)
         b = palmer_cox(flipped, w)
         assert np.array_equal(a.jump_times, b.jump_times)
@@ -186,7 +182,7 @@ def test_criterion_8_empty_window_probability():
     start = time.time()
     n = 100_000
     reps = sample_window_replicates(EXP1, 0.0, 1.0, n, seed=8)
-    freq = np.mean([rep[0].kind is WindowKind.EMPTY for rep in reps])
+    freq = np.mean([rep.kind[0] == "empty" for rep in reps])
     se = math.sqrt(E_INV * (1.0 - E_INV) / n)
     assert abs(freq - E_INV) < 3 * se
     report(

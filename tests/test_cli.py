@@ -71,7 +71,7 @@ class TestSimulate:
     def test_censoring_flag(self, tmp_path):
         out = simulate_pairs(tmp_path, extra=("--censor", "exp:1"))
         pairs = dataio.read_pairs_csv(out)
-        assert any(p.s_censored for p in pairs)
+        assert pairs.censored.any()
 
 
 class TestEstimate:
@@ -220,6 +220,13 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
     (None, (*TAILS, "--eps", "0.1", "--reps", "0")),
     ("r,s,censored\n0,0,0\n", ("estimate", "--estimator", "wf")),
     ("r,s,censored\n0.5,1,0\n1,0,1\n", ("estimate", "--estimator", "wf")),
+    ("kind,length\npc,1.0\npx,5\n", ("estimate", "--estimator", "em", "--window", "3",
+                                    "--grid", "width=0.5")),
+    ("kind,length\npc,1.0\nrx,1.0\n", ("estimate", "--estimator", "palmer_cox", "--window", "3")),
+    ("kind,length\npc,1.0\nrx,1.0\n", ("estimate", "--estimator", "em", "--window", "3",
+                                      "--grid", "width=0.5")),
+    ("kind,length\npc,1.0\nrx,1.0\n", ("estimate", "--estimator", "em", "--window", "3",
+                                      "--grid", "atoms=1.0,4.0")),
 ])
 def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
     argv = (*argv, "--out", str(tmp_path / "out"))

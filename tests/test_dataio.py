@@ -4,15 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gapest import (
     DataFormatError,
-    EquilibriumPair,
     Exponential,
-    Segment,
-    SegmentKind,
-    WindowKind,
-    WindowObservation,
+    Pairs,
+    Segments,
+    WindowRecords,
     bootstrap_band,
     greenwood_variance,
     kaplan_meier,
@@ -20,15 +20,33 @@ from gapest import (
     sample_equilibrium,
 )
 from gapest import dataio
+from gapest.sampling import SEGMENT_KINDS, WINDOW_KINDS
+
+from test_sampling import same
+
+# Finite nonnegative doubles, subnormals and values near 1e308 included.
+FINITE = st.one_of(
+    st.floats(0.0, allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1e-307),
+    st.floats(1e307, 1.7976931348623157e308),
+)
+POSITIVE = FINITE.filter(lambda x: x > 0.0)
+
+
+def round_trip(tmp_path_factory, write, read, records):
+    path = tmp_path_factory.mktemp("io") / "records.csv"
+    write(path, records)
+    back = read(path)
+    same(back, records)
 
 
 class TestPairsCsv:
     def test_round_trip(self, tmp_path):
         pairs = sample_equilibrium(Exponential(1.0), 50, seed=3)
-        pairs[3] = EquilibriumPair(pairs[3].r, 0.25, True)
+        pairs.s[3], pairs.censored[3] = 0.25, True
         path = tmp_path / "pairs.csv"
         dataio.write_pairs_csv(path, pairs)
-        assert dataio.read_pairs_csv(path) == pairs
+        same(dataio.read_pairs_csv(path), pairs)
         header = path.read_text().splitlines()[0]
         assert header == "r,s,censored"
 
@@ -48,18 +66,23 @@ class TestPairsCsv:
         with pytest.raises(DataFormatError, match=":1"):
             dataio.read_pairs_csv(path)
 
+    @given(st.lists(st.tuples(FINITE, FINITE, st.booleans()), min_size=1, max_size=20))
+    def test_property_round_trip_is_bitwise(self, tmp_path_factory, rows):
+        pairs = Pairs(*zip(*rows))
+        round_trip(tmp_path_factory, dataio.write_pairs_csv, dataio.read_pairs_csv, pairs)
+
 
 class TestWindowCsv:
     def test_round_trip(self, tmp_path):
-        obs = [
-            WindowObservation(WindowKind.FORWARD, 0.3),
-            WindowObservation(WindowKind.COMPLETE, 1.25),
-            WindowObservation(WindowKind.CENSORED, 0.5),
-            WindowObservation(WindowKind.EMPTY, 2.0),
-        ]
+        obs = WindowRecords(["forward", "complete", "censored", "empty"], [0.3, 1.25, 0.5, 2.0])
         path = tmp_path / "window.csv"
         dataio.write_window_csv(path, obs)
-        assert dataio.read_window_csv(path) == obs
+        same(dataio.read_window_csv(path), obs)
+
+    @given(st.lists(st.tuples(st.sampled_from(WINDOW_KINDS), FINITE), min_size=1, max_size=20))
+    def test_property_round_trip_is_bitwise(self, tmp_path_factory, rows):
+        obs = WindowRecords(*zip(*rows))
+        round_trip(tmp_path_factory, dataio.write_window_csv, dataio.read_window_csv, obs)
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -77,15 +100,10 @@ class TestWindowCsv:
 
 class TestSegmentsCsv:
     def test_round_trip(self, tmp_path):
-        segs = [
-            Segment(SegmentKind.PROPER_COMPLETE, 0.7),
-            Segment(SegmentKind.PROPER_CENSORED, 1.0),
-            Segment(SegmentKind.RESIDUAL_COMPLETE, 0.2),
-            Segment(SegmentKind.RESIDUAL_CENSORED, 2.0),
-        ]
+        segs = Segments(["pc", "px", "rc", "rx"], [0.7, 1.0, 0.2, 2.0])
         path = tmp_path / "segments.csv"
         dataio.write_segments_csv(path, segs)
-        assert dataio.read_segments_csv(path) == segs
+        same(dataio.read_segments_csv(path), segs)
         kinds = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
         assert kinds == ["pc", "px", "rc", "rx"]
 
@@ -102,12 +120,23 @@ class TestSegmentsCsv:
         with pytest.raises(DataFormatError, match=":2"):
             dataio.read_segments_csv(path)
 
+    def test_unknown_kind(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("kind,length\npc,1.0\nzz,1.0\n")
+        with pytest.raises(DataFormatError, match="bad.csv:3"):
+            dataio.read_segments_csv(path)
+
+    @given(st.lists(st.tuples(st.sampled_from(SEGMENT_KINDS), POSITIVE), min_size=1, max_size=20))
+    def test_property_round_trip_is_bitwise(self, tmp_path_factory, rows):
+        segs = Segments(*zip(*rows))
+        round_trip(tmp_path_factory, dataio.write_segments_csv, dataio.read_segments_csv, segs)
+
 
 class TestStepSurvivalFiles:
     def test_csv_with_variance_and_band(self, tmp_path):
         pairs = sample_equilibrium(Exponential(1.0), 80, seed=9)
         est = greenwood_variance(
-            kaplan_meier([p.q for p in pairs], [p.s_censored for p in pairs], [p.r for p in pairs])
+            kaplan_meier(pairs.q, pairs.censored, pairs.r)
         )
         band = bootstrap_band(pairs, "winter_foldes", B=20, seed=1, grid=[0.5, 1.0, 2.0])
         path = tmp_path / "est.csv"
@@ -142,7 +171,7 @@ class TestStepSurvivalFiles:
 
 class TestEmResultJson:
     def test_fields(self, tmp_path):
-        res = laslett_em([Segment(SegmentKind.PROPER_COMPLETE, 1.0)], 1.0, [1.0])
+        res = laslett_em(Segments(["pc"], [1.0]), 1.0, [1.0])
         path = tmp_path / "em.json"
         dataio.write_em_result_json(path, res)
         payload = json.loads(path.read_text())

@@ -21,11 +21,10 @@ from scipy import stats
 
 from gapest import (
     DiscreteDistribution,
-    EquilibriumPair,
     EstimationError,
     Exponential,
-    Segment,
-    SegmentKind,
+    Pairs,
+    Segments,
     bin_segments,
     cox_vardi,
     cox_vardi_from_pairs,
@@ -41,12 +40,20 @@ from gapest import (
 from gapest.npmle import _atom_weights
 from gapest.seeding import child_seed, derived_rng
 
-PC = SegmentKind.PROPER_COMPLETE
-PX = SegmentKind.PROPER_CENSORED
-RC = SegmentKind.RESIDUAL_COMPLETE
-RX = SegmentKind.RESIDUAL_CENSORED
+PC, PX, RC, RX = "pc", "px", "rc", "rx"
 
 EXP1 = Exponential(1.0)
+
+
+def segments(*rows):
+    """Segments from (kind, length) rows."""
+    return Segments(*zip(*rows)) if rows else Segments([], [])
+
+
+def pairs_of(*rows):
+    """Uncensored Pairs from (r, s) rows."""
+    r, s = zip(*rows)
+    return Pairs(r, s, [False] * len(rows))
 
 
 def random_em_instance(rng, max_atoms=3, max_segments=8):
@@ -58,21 +65,21 @@ def random_em_instance(rng, max_atoms=3, max_segments=8):
         if d == 1 or np.min(np.diff(atoms)) > 0.05:
             break
     w = float(rng.uniform(0.5, 2.5))
-    segs = [Segment(PC, float(a)) for a in atoms]
+    segs = [(PC, float(a)) for a in atoms]
     extra = int(rng.integers(0, max_segments - d + 1))
     for _ in range(extra):
         roll = rng.uniform()
         if roll < 0.4:
-            segs.append(Segment(PC, float(atoms[rng.integers(0, d)])))
+            segs.append((PC, float(atoms[rng.integers(0, d)])))
         elif roll < 0.65:
-            segs.append(Segment(PX, float(rng.uniform(0.01, atoms[-1] * 0.95))))
+            segs.append((PX, float(rng.uniform(0.01, atoms[-1] * 0.95))))
         elif roll < 0.9:
-            segs.append(Segment(RC, float(rng.uniform(0.01, atoms[-1] * 0.95))))
+            segs.append((RC, float(rng.uniform(0.01, atoms[-1] * 0.95))))
         elif atoms[-1] > w + 0.05:
-            segs.append(Segment(RX, w))
+            segs.append((RX, w))
         else:
-            segs.append(Segment(PX, float(rng.uniform(0.01, atoms[-1] * 0.95))))
-    return segs, w, atoms
+            segs.append((PX, float(rng.uniform(0.01, atoms[-1] * 0.95))))
+    return segments(*segs), w, atoms
 
 
 def loglik_by_kind(dist, segments, w):
@@ -80,13 +87,13 @@ def loglik_by_kind(dist, segments, w):
     ``_atom_weights`` kernel behind ``segment_loglik``."""
     atoms, p, mu = dist.atoms, dist.masses, dist.mean()
     total = 0.0
-    for seg in segments:
-        if seg.kind is PC:
-            factor = float(p[atoms == seg.length].sum())
-        elif seg.kind is PX:
-            factor = float(p[atoms > seg.length].sum())
-        elif seg.kind is RC:
-            factor = float(p[atoms > seg.length].sum()) / mu
+    for kind, length in zip(segments.kind, segments.length):
+        if kind == PC:
+            factor = float(p[atoms == length].sum())
+        elif kind == PX:
+            factor = float(p[atoms > length].sum())
+        elif kind == RC:
+            factor = float(p[atoms > length].sum()) / mu
         else:
             factor = float(np.dot(p, np.maximum(atoms - w, 0.0))) / mu
         if factor <= 0.0:
@@ -106,12 +113,12 @@ def kernel_instances(draw):
     dist = DiscreteDistribution.from_weights(atoms, weights)
     w = draw(st.one_of(quarters, st.floats(0.1, 6.0)))
     length = st.one_of(st.sampled_from(atoms.tolist()), quarters, st.floats(0.01, 7.0))
-    segs = draw(st.lists(st.one_of(
-        st.sampled_from(atoms.tolist()).map(lambda x: Segment(PC, x)),
-        st.builds(Segment, st.sampled_from([PX, RC]), length),
-        st.just(Segment(RX, w)),
+    rows = draw(st.lists(st.one_of(
+        st.tuples(st.just(PC), st.sampled_from(atoms.tolist())),
+        st.tuples(st.sampled_from([PX, RC]), length),
+        st.just((RX, w)),
     ), max_size=12))
-    return dist, segs, w
+    return dist, segments(*rows), w
 
 
 class TestCoxVardi:
@@ -152,64 +159,64 @@ class TestCoxVardi:
 
 class TestCoxVardiFromPairs:
     def test_matches_sums(self):
-        pairs = [EquilibriumPair(0.4, 0.6), EquilibriumPair(1.5, 0.5)]
+        pairs = pairs_of((0.4, 0.6), (1.5, 0.5))
         a = cox_vardi_from_pairs(pairs)
         b = cox_vardi([1.0, 2.0])
         assert np.array_equal(a.atoms, b.atoms)
         assert np.allclose(a.masses, b.masses)
 
     def test_permutation_invariance(self):
-        pairs = [EquilibriumPair(0.4, 0.6), EquilibriumPair(1.5, 0.5), EquilibriumPair(0.1, 2.2)]
+        pairs = pairs_of((0.4, 0.6), (1.5, 0.5), (0.1, 2.2))
         a = cox_vardi_from_pairs(pairs)
-        b = cox_vardi_from_pairs(list(reversed(pairs)))
+        b = cox_vardi_from_pairs(pairs[::-1])
         assert np.array_equal(a.atoms, b.atoms)
         assert np.allclose(a.masses, b.masses)
 
     def test_depends_only_on_sums(self):
-        a = cox_vardi_from_pairs([EquilibriumPair(0.25, 0.75), EquilibriumPair(1.0, 1.0)])
-        b = cox_vardi_from_pairs([EquilibriumPair(0.99, 0.01), EquilibriumPair(0.5, 1.5)])
+        a = cox_vardi_from_pairs(pairs_of((0.25, 0.75), (1.0, 1.0)))
+        b = cox_vardi_from_pairs(pairs_of((0.99, 0.01), (0.5, 1.5)))
         assert np.array_equal(a.atoms, b.atoms)
         assert np.allclose(a.masses, b.masses)
 
     def test_censored_rejected_with_pointer(self):
         with pytest.raises(EstimationError, match="winter_foldes"):
-            cox_vardi_from_pairs([EquilibriumPair(1.0, 1.0, True)])
+            cox_vardi_from_pairs(Pairs([1.0], [1.0], [True]))
 
 
 class TestSegmentLoglik:
     DIST = DiscreteDistribution([1.0, 3.0], [0.5, 0.5])  # mean 2
 
     def test_hand_contributions(self):
-        assert segment_loglik(self.DIST, None, [Segment(RC, 2.0)], 5.0) == pytest.approx(
+        assert segment_loglik(self.DIST, None, segments((RC, 2.0)), 5.0) == pytest.approx(
             math.log(0.25)
         )
-        assert segment_loglik(self.DIST, None, [Segment(RX, 2.0)], 2.0) == pytest.approx(
+        assert segment_loglik(self.DIST, None, segments((RX, 2.0)), 2.0) == pytest.approx(
             math.log(0.25)
         )
-        assert segment_loglik(self.DIST, None, [Segment(PC, 1.0)], 2.0) == pytest.approx(
+        assert segment_loglik(self.DIST, None, segments((PC, 1.0)), 2.0) == pytest.approx(
             math.log(0.5)
         )
-        assert segment_loglik(self.DIST, None, [Segment(PX, 2.0)], 4.0) == pytest.approx(
+        assert segment_loglik(self.DIST, None, segments((PX, 2.0)), 4.0) == pytest.approx(
             math.log(0.5)
         )
 
     def test_censoring_exceedance_is_strict(self):
         # a censored proper of length exactly 1 excludes the atom at 1
-        assert segment_loglik(self.DIST, None, [Segment(PX, 1.0)], 4.0) == pytest.approx(
+        assert segment_loglik(self.DIST, None, segments((PX, 1.0)), 4.0) == pytest.approx(
             math.log(0.5)
         )
 
     def test_zero_probability_is_minus_inf(self):
         dist = DiscreteDistribution([1.0, 3.0], [1.0, 0.0])
-        assert segment_loglik(dist, None, [Segment(PX, 2.0)], 4.0) == -math.inf
-        assert segment_loglik(self.DIST, None, [Segment(RX, 2.0)], 3.5) == -math.inf
+        assert segment_loglik(dist, None, segments((PX, 2.0)), 4.0) == -math.inf
+        assert segment_loglik(self.DIST, None, segments((RX, 2.0)), 3.5) == -math.inf
 
     def test_uncovered_complete_length_rejected(self):
         with pytest.raises(EstimationError, match="bin"):
-            segment_loglik(self.DIST, None, [Segment(PC, 1.5)], 2.0)
+            segment_loglik(self.DIST, None, segments((PC, 1.5)), 2.0)
 
     def test_poisson_factor_against_scipy(self):
-        segs = [Segment(PC, 1.0), Segment(RX, 2.0), Segment(PX, 0.5)]
+        segs = segments((PC, 1.0), (RX, 2.0), (PX, 0.5))
         w, rate = 2.0, 1.7
         base = segment_loglik(self.DIST, rate, segs, w)
         full = segment_loglik(self.DIST, rate, segs, w, include_poisson_factor=True)
@@ -218,7 +225,7 @@ class TestSegmentLoglik:
 
     def test_poisson_factor_needs_rate(self):
         with pytest.raises(ValueError):
-            segment_loglik(self.DIST, None, [Segment(PC, 1.0)], 2.0, include_poisson_factor=True)
+            segment_loglik(self.DIST, None, segments((PC, 1.0)), 2.0, include_poisson_factor=True)
 
     @given(kernel_instances())
     def test_matches_the_per_kind_loop(self, instance):
@@ -229,7 +236,7 @@ class TestSegmentLoglik:
 
     def test_uncovered_complete_length_rejected_after_a_zero_factor(self):
         # every row is scored, so a zero factor earlier does not hide the bad length
-        segs = [Segment(RX, 3.5), Segment(PC, 1.5)]
+        segs = segments((RX, 3.5), (PC, 1.5))
         with pytest.raises(EstimationError, match="bin"):
             segment_loglik(self.DIST, None, segs, 3.5)
 
@@ -241,19 +248,19 @@ class TestAtomWeights:
         atoms = dist.atoms
         rows = _atom_weights(segs, atoms, w)
         assert rows.shape == (len(segs), atoms.size)
-        for seg, row in zip(segs, rows):
-            if seg.kind is PC:
-                want = (atoms == seg.length).astype(float)
-            elif seg.kind is RX:
+        for kind, length, row in zip(segs.kind, segs.length, rows):
+            if kind == PC:
+                want = (atoms == length).astype(float)
+            elif kind == RX:
                 want = np.maximum(atoms - w, 0.0)
             else:
-                want = (atoms > seg.length).astype(float)
+                want = (atoms > length).astype(float)
             assert np.array_equal(row, want)
 
     def test_impossible_rows_are_kept(self):
         # the kernel leaves all-zero rows in; the EM, the oracle and the
         # marginal likelihood reject them
-        rows = _atom_weights([Segment(RX, 1.0), Segment(PX, 2.0)], np.array([0.5, 1.0]), 1.0)
+        rows = _atom_weights(segments((RX, 1.0), (PX, 2.0)), np.array([0.5, 1.0]), 1.0)
         assert not rows.any()
 
 
@@ -262,7 +269,7 @@ class TestMarginalLoglik:
         # the marginal likelihood swaps the 1/mu normalizers of the
         # residual kinds for one 1/(w + mu) per observation
         dist = DiscreteDistribution([1.0, 3.0], [0.5, 0.5])
-        segs = [Segment(PC, 1.0), Segment(RC, 0.5), Segment(RX, 2.0), Segment(PX, 0.5)]
+        segs = segments((PC, 1.0), (RC, 0.5), (RX, 2.0), (PX, 0.5))
         w = 2.0
         mu = dist.mean()
         m_residual = 2
@@ -276,26 +283,26 @@ class TestMarginalLoglik:
     def test_impossible_observation_raises(self):
         dist = DiscreteDistribution([1.0], [1.0])
         with pytest.raises(EstimationError, match="zero"):
-            segment_marginal_loglik(dist, [Segment(PX, 2.0)], 1.0)
+            segment_marginal_loglik(dist, segments((PX, 2.0)), 1.0)
 
 
 class TestBinning:
     def test_same_bin(self):
-        out = bin_segments([Segment(PC, 0.24), Segment(PX, 0.26)], 0.5)
-        assert [s.length for s in out] == [0.25, 0.25]
-        assert [s.kind for s in out] == [PC, PX]
+        out = bin_segments(segments((PC, 0.24), (PX, 0.26)), 0.5)
+        assert out.length.tolist() == [0.25, 0.25]
+        assert out.kind.tolist() == [PC, PX]
 
     def test_boundary_goes_down(self):
-        out = bin_segments([Segment(PC, 1.0)], 0.5)
-        assert out[0].length == 0.75
+        out = bin_segments(segments((PC, 1.0)), 0.5)
+        assert out.length[0] == 0.75
 
     def test_small_width_barely_moves_the_em(self):
-        segs = [
-            Segment(PC, 0.30003),
-            Segment(PC, 1.10004),
-            Segment(PX, 0.70007),
-            Segment(RX, 1.5),
-        ]
+        segs = segments(
+            (PC, 0.30003),
+            (PC, 1.10004),
+            (PX, 0.70007),
+            (RX, 1.5),
+        )
         w = 1.5
         grid_raw = np.array([0.30003, 1.10004, 1.9])
         h = 1e-4
@@ -309,7 +316,7 @@ class TestBinning:
         assert np.max(np.abs(a.distribution.atoms - b.distribution.atoms)) <= h / 2
 
     def test_default_grid_spans_past_the_window(self):
-        segs = [Segment(PC, 0.75), Segment(PX, 1.25)]
+        segs = segments((PC, 0.75), (PX, 1.25))
         grid = default_grid(segs, window_length=2.0, bin_width=0.5)
         assert grid[0] == 0.25
         assert grid[-1] >= 1.25 + 2.0 - 0.5
@@ -318,7 +325,7 @@ class TestBinning:
 
 class TestLaslettEm:
     def test_complete_only_closed_form(self):
-        segs = [Segment(PC, 1.0), Segment(PC, 1.0), Segment(PC, 2.0)]
+        segs = segments((PC, 1.0), (PC, 1.0), (PC, 2.0))
         res = laslett_em(segs, 2.0, [1.0, 2.0], tol=1e-13)
         assert np.allclose(res.distribution.masses, [8 / 11, 3 / 11], atol=1e-9)
         mu_hat = res.distribution.mean()
@@ -327,19 +334,19 @@ class TestLaslettEm:
 
     def test_complete_only_any_window(self):
         # optimum masses are (count/n)/(w + atom), renormalized
-        segs = [Segment(PC, 1.0), Segment(PC, 1.0), Segment(PC, 2.0)]
+        segs = segments((PC, 1.0), (PC, 1.0), (PC, 2.0))
         for w in (0.5, 2.0, 7.0):
             res = laslett_em(segs, w, [1.0, 2.0], tol=1e-13)
             raw = np.array([(2 / 3) / (w + 1.0), (1 / 3) / (w + 2.0)])
             assert np.allclose(res.distribution.masses, raw / raw.sum(), atol=1e-9)
 
     def test_two_atom_hand_instance(self):
-        segs = [Segment(PC, 1.0), Segment(RX, 2.0)]
+        segs = segments((PC, 1.0), (RX, 2.0))
         res = laslett_em(segs, 2.0, [1.0, 3.0], tol=1e-13)
         assert np.allclose(res.distribution.masses, [5 / 8, 3 / 8], atol=1e-9)
 
     def test_single_atom_grid(self):
-        res = laslett_em([Segment(PC, 0.5), Segment(PX, 0.2)], 1.0, [0.5], max_iter=1)
+        res = laslett_em(segments((PC, 0.5), (PX, 0.2)), 1.0, [0.5], max_iter=1)
         assert np.allclose(res.distribution.masses, [1.0])
 
     def test_birth_rate_identity_exact(self):
@@ -368,29 +375,29 @@ class TestLaslettEm:
 
     def test_grid_must_cover_complete_lengths(self):
         with pytest.raises(EstimationError, match="bin"):
-            laslett_em([Segment(PC, 0.7)], 1.0, [0.5, 1.0])
+            laslett_em(segments((PC, 0.7)), 1.0, [0.5, 1.0])
 
     def test_impossible_observation_detected(self):
         # doubly censored data but no atom beyond the window
         with pytest.raises(EstimationError, match="zero"):
-            laslett_em([Segment(PC, 0.5), Segment(RX, 1.0)], 1.0, [0.5, 0.8])
+            laslett_em(segments((PC, 0.5), (RX, 1.0)), 1.0, [0.5, 0.8])
 
     def test_em_result_json_fields(self):
-        res = laslett_em([Segment(PC, 1.0)], 1.0, [1.0])
+        res = laslett_em(segments((PC, 1.0)), 1.0, [1.0])
         payload = res.to_json_dict()
         assert set(payload) == {"atoms", "masses", "birth_rate", "loglik", "iterations", "converged"}
 
 
 class TestOracle:
     def test_complete_only_matches_closed_form(self):
-        segs = [Segment(PC, 0.5)] * 3 + [Segment(PC, 1.5)]
+        segs = segments((PC, 0.5), (PC, 0.5), (PC, 0.5), (PC, 1.5))
         w = 1.8
         est = npmle_oracle(segs, w, [0.5, 1.5])
         raw = np.array([(3 / 4) / (w + 0.5), (1 / 4) / (w + 1.5)])
         assert np.allclose(est.masses, raw / raw.sum(), atol=1e-6)
 
     def test_two_atom_hand_instance(self):
-        est = npmle_oracle([Segment(PC, 1.0), Segment(RX, 2.0)], 2.0, [1.0, 3.0])
+        est = npmle_oracle(segments((PC, 1.0), (RX, 2.0)), 2.0, [1.0, 3.0])
         assert np.allclose(est.masses, [5 / 8, 3 / 8], atol=1e-6)
 
     def test_matches_em_on_random_instances(self):
@@ -406,7 +413,7 @@ class TestOracle:
             assert np.max(np.abs(oracle.masses - em.distribution.masses)) < 1e-4
 
     def test_atom_cap(self):
-        segs = [Segment(PC, 0.5)]
+        segs = segments((PC, 0.5))
         with pytest.raises(EstimationError):
             npmle_oracle(segs, 1.0, np.linspace(0.5, 3.0, 7))
 

@@ -8,15 +8,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from gapest import (
-    EquilibriumPair,
     EstimationError,
     Exponential,
-    SegmentKind,
+    Pairs,
+    Segments,
     UniformInterval,
-    WindowKind,
+    WindowRecords,
     parse_distribution,
     sample_equilibrium,
     apply_right_censoring,
@@ -27,13 +29,58 @@ from gapest import (
     sample_window_replicates,
 )
 
+from gapest.sampling import SEGMENT_TRUNCATION_QUANTILE
+from gapest.seeding import derived_rng
+
 EXP1 = Exponential(1.0)
 
 
-def pair_arrays(pairs):
-    r = np.array([p.r for p in pairs])
-    s = np.array([p.s for p in pairs])
-    return r, s
+def same(a, b):
+    """Same container type and bitwise-equal columns."""
+    assert type(a) is type(b)
+    for col_a, col_b in zip(a._columns(), b._columns()):
+        assert col_a.dtype.kind == col_b.dtype.kind
+        assert col_a.shape == col_b.shape
+        assert col_a.tobytes() == col_b.astype(col_a.dtype).tobytes()
+
+
+def segments_by_loop(birth_rate, dist, w, rng):
+    """One window of segments, classified one birth at a time: the
+    reference for the vectorized classification in the segment sampler."""
+    lmax = float(dist.ppf(SEGMENT_TRUNCATION_QUANTILE))
+    span = w + lmax
+    count = rng.poisson(birth_rate * span)
+    births = np.sort(rng.uniform(-lmax, w, size=count))
+    lifetimes = dist.sample(rng, count)
+    deaths = births + lifetimes
+    out = []
+    for b, d, x in zip(births, deaths, lifetimes):
+        if d <= 0.0 or b >= w:
+            continue
+        if b >= 0.0:
+            if d <= w:
+                out.append(("pc", float(x)))
+            else:
+                out.append(("px", float(w - b)))
+        else:
+            if d <= w:
+                out.append(("rc", float(d)))
+            else:
+                out.append(("rx", float(w)))
+    out = [seg for seg in out if seg[1] > 0.0]
+    return Segments([k for k, _ in out], [x for _, x in out])
+
+
+def censor_by_loop(pairs, cuts):
+    """Right censoring one pair at a time: the reference for
+    ``apply_right_censoring``."""
+    rows = []
+    for r, s, c in zip(pairs.r.tolist(), pairs.s.tolist(), cuts.tolist()):
+        rows.append((r, c, True) if c < s else (r, s, False))
+    return Pairs(*zip(*rows))
+
+
+LAWS = st.sampled_from(["exp:1", "weibull:2:1", "uniform:0.2:1.5", "atoms:0.5=0.5,2.5=0.5"])
 
 
 class TestEquilibriumSampling:
@@ -41,25 +88,21 @@ class TestEquilibriumSampling:
         # size-biased exponential(1) is Gamma(2, 1): mean 2, variance 2
         n = 100_000
         pairs = sample_equilibrium(EXP1, n, seed=101)
-        q = np.array([p.q for p in pairs])
+        q = pairs.q
         se = math.sqrt(2.0 / n)
         assert abs(q.mean() - 2.0) < 3 * se
 
     def test_backward_marginal_is_exponential(self):
         pairs = sample_equilibrium(EXP1, 100_000, seed=102)
-        r, _ = pair_arrays(pairs)
-        assert stats.kstest(r, "expon").statistic < 0.01
+        assert stats.kstest(pairs.r, "expon").statistic < 0.01
 
     def test_forward_equals_backward_in_law(self):
         pairs = sample_equilibrium(EXP1, 100_000, seed=103)
-        r, s = pair_arrays(pairs)
-        assert stats.ks_2samp(r, s).statistic < 0.01
+        assert stats.ks_2samp(pairs.r, pairs.s).statistic < 0.01
 
     def test_determinism(self):
-        a = sample_equilibrium(EXP1, 50, seed=7)
-        b = sample_equilibrium(EXP1, 50, seed=7)
-        assert a == b
-        assert sample_equilibrium(EXP1, 1, seed=9) == sample_equilibrium(EXP1, 1, seed=9)
+        same(sample_equilibrium(EXP1, 50, seed=7), sample_equilibrium(EXP1, 50, seed=7))
+        same(sample_equilibrium(EXP1, 1, seed=9), sample_equilibrium(EXP1, 1, seed=9))
 
     @pytest.mark.parametrize("spec", ["weibull:2:1", "uniform:0.5:2"])
     def test_size_biased_law(self, spec):
@@ -67,7 +110,7 @@ class TestEquilibriumSampling:
         # through the generic dense-grid inversion
         dist = parse_distribution(spec)
         pairs = sample_equilibrium(dist, 50_000, seed=104)
-        q = np.array([p.q for p in pairs])
+        q = pairs.q
         mu = dist.mean()
 
         def lb_cdf(x):
@@ -96,7 +139,7 @@ class TestEquilibriumSampling:
     def test_discrete_gaps(self):
         dist = parse_distribution("atoms:1=0.5,3=0.5")
         pairs = sample_equilibrium(dist, 20_000, seed=105)
-        q = np.array([p.q for p in pairs])
+        q = pairs.q
         assert set(np.unique(q)) == {1.0, 3.0}
         # size-biased masses 1*0.5 : 3*0.5 -> 0.25, 0.75
         frac3 = np.mean(q == 3.0)
@@ -111,32 +154,41 @@ class TestRightCensoring:
     def test_noop_with_huge_bound(self):
         pairs = sample_equilibrium(EXP1, 200, seed=11)
         out = apply_right_censoring(pairs, parse_distribution("atoms:1e9=1"), seed=1)
-        assert out == pairs
+        same(out, pairs)
 
     def test_min_rule(self):
         out = apply_right_censoring(
-            [EquilibriumPair(1.0, 2.0)], parse_distribution("atoms:1.5=1"), seed=1
+            Pairs([1.0], [2.0], [False]), parse_distribution("atoms:1.5=1"), seed=1
         )
-        assert out == [EquilibriumPair(1.0, 1.5, True)]
+        same(out, Pairs([1.0], [1.5], [True]))
 
     def test_censored_fraction(self):
         # independent exp(1) censoring of an exp(1) forward time: P(C < S) = 1/2
         n = 100_000
         pairs = sample_equilibrium(EXP1, n, seed=12)
         out = apply_right_censoring(pairs, EXP1, seed=13)
-        frac = np.mean([p.s_censored for p in out])
+        frac = np.mean(out.censored)
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / n)
 
     def test_rejects_already_censored(self):
         with pytest.raises(EstimationError):
-            apply_right_censoring([EquilibriumPair(1.0, 1.0, True)], EXP1, seed=1)
+            apply_right_censoring(Pairs([1.0], [1.0], [True]), EXP1, seed=1)
+
+    @given(st.integers(0, 2**32), LAWS, st.lists(st.integers(1, 12), min_size=1, max_size=30))
+    def test_equals_the_per_pair_loop(self, seed, law, quarters):
+        # forward times on the quarter lattice tie with the discrete law's atoms
+        s = np.array(quarters) / 4.0
+        pairs = Pairs(np.full(s.size, 0.25), s, np.zeros(s.size, dtype=bool))
+        cens = parse_distribution(law)
+        want = censor_by_loop(pairs, cens.sample(derived_rng(seed), s.size))
+        same(apply_right_censoring(pairs, cens, seed), want)
 
 
 class TestWindowSampling:
     def test_empty_window_frequency(self):
         n = 20_000
         reps = sample_window_replicates(EXP1, 0.0, 1.0, n, seed=21)
-        freq = np.mean([rep[0].kind is WindowKind.EMPTY for rep in reps])
+        freq = np.mean([rep.kind[0] == "empty" for rep in reps])
         p = math.exp(-1.0)
         assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -145,35 +197,28 @@ class TestWindowSampling:
         # records count them; for exponential gaps the count is Poisson(10)
         n = 10_000
         reps = sample_window_replicates(EXP1, 0.0, 10.0, n, seed=22)
-        counts = np.array(
-            [
-                sum(1 for o in rep if o.kind in (WindowKind.COMPLETE, WindowKind.CENSORED))
-                for rep in reps
-            ]
-        )
+        counts = np.array([np.isin(rep.kind, ("complete", "censored")).sum() for rep in reps])
         assert abs(counts.mean() - 10.0) < 3 * math.sqrt(10.0 / n)
 
     def test_gap_larger_than_window_never_complete(self):
         dist = parse_distribution("atoms:5=1")
         reps = sample_window_replicates(dist, 0.0, 1.0, 500, seed=23)
-        kinds = {o.kind for rep in reps for o in rep}
-        assert WindowKind.COMPLETE not in kinds
+        assert "complete" not in WindowRecords.concat(reps).kind
 
     def test_record_structure(self):
         reps = sample_window_replicates(EXP1, 2.0, 5.0, 300, seed=24)
         for rep in reps:
-            if rep[0].kind is WindowKind.EMPTY:
+            if rep.kind[0] == "empty":
                 assert len(rep) == 1
-                assert rep[0].value == 3.0
+                assert rep.value[0] == 3.0
             else:
-                assert rep[0].kind is WindowKind.FORWARD
-                assert rep[-1].kind is WindowKind.CENSORED
-                assert all(o.kind is WindowKind.COMPLETE for o in rep[1:-1])
-                total = sum(o.value for o in rep)
-                assert total == pytest.approx(3.0, abs=1e-9)
+                assert rep.kind[0] == "forward"
+                assert rep.kind[-1] == "censored"
+                assert np.all(rep.kind[1:-1] == "complete")
+                assert rep.value.sum() == pytest.approx(3.0, abs=1e-9)
 
     def test_determinism_and_preconditions(self):
-        assert sample_window(EXP1, 0.0, 2.0, seed=5) == sample_window(EXP1, 0.0, 2.0, seed=5)
+        same(sample_window(EXP1, 0.0, 2.0, seed=5), sample_window(EXP1, 0.0, 2.0, seed=5))
         with pytest.raises(ValueError):
             sample_window(EXP1, 1.0, 1.0, seed=5)
 
@@ -187,11 +232,11 @@ class TestWindowSampling:
         reps = sample_window_replicates(dist, 0.0, 3.0, n, seed=25)
         fwd = np.empty(n)
         for i, rep in enumerate(reps):
-            assert rep[0].kind is WindowKind.FORWARD
-            pos = rep[0].value
+            assert rep.kind[0] == "forward"
+            pos = rep.value[0]
             renewals = [pos]
-            for o in rep[1:-1]:
-                pos += o.value
+            for value in rep.value[1:-1]:
+                pos += value
                 renewals.append(pos)
             after = [u for u in renewals if u > t_star]
             fwd[i] = min(after) - t_star
@@ -220,19 +265,17 @@ class TestSegmentSampling:
     def test_long_lifetime_never_proper_complete(self):
         dist = parse_distribution("atoms:5=1")
         reps = sample_segment_replicates(1.0, dist, 0.0, 1.0, 300, seed=33)
-        kinds = {s.kind for rep in reps for s in rep}
-        assert SegmentKind.PROPER_COMPLETE not in kinds
+        assert "pc" not in Segments.concat(reps).kind
 
     def test_geometry_invariants(self):
         w = 2.0
         reps = sample_segment_replicates(3.0, EXP1, 1.0, 3.0, 400, seed=34)
-        for rep in reps:
-            for s in rep:
-                assert s.length > 0
-                if s.kind is SegmentKind.RESIDUAL_CENSORED:
-                    assert s.length == w
-                else:
-                    assert s.length <= w + 1e-12
+        segs = Segments.concat(reps)
+        assert np.all(segs.length > 0)
+        rx = segs.kind == "rx"
+        assert np.all(segs.length[rx] == w)
+        assert np.all(segs.length[~rx] <= w + 1e-12)
+        segs.check_window(w)
 
     def test_proper_complete_length_law(self):
         # a complete proper lifetime of length x needs its birth in a
@@ -240,9 +283,8 @@ class TestSegmentSampling:
         # density proportional to f(x) (w - x)+
         w = 2.0
         reps = sample_segment_replicates(100.0, EXP1, 0.0, w, 400, seed=35)
-        pc = np.array(
-            [s.length for rep in reps for s in rep if s.kind is SegmentKind.PROPER_COMPLETE]
-        )
+        segs = Segments.concat(reps)
+        pc = segs.length[segs.kind == "pc"]
         assert pc.size > 20_000
         grid = np.linspace(0.0, w, 2001)
         dens = np.asarray(EXP1.pdf(grid)) * (w - grid)
@@ -252,12 +294,26 @@ class TestSegmentSampling:
 
     def test_determinism_and_preconditions(self):
         a = sample_segments(2.0, EXP1, 0.0, 3.0, seed=36)
-        b = sample_segments(2.0, EXP1, 0.0, 3.0, seed=36)
-        assert a == b
+        same(a, sample_segments(2.0, EXP1, 0.0, 3.0, seed=36))
         with pytest.raises(ValueError):
             sample_segments(0.0, EXP1, 0.0, 3.0, seed=1)
         with pytest.raises(ValueError):
             sample_segments(1.0, EXP1, 3.0, 3.0, seed=1)
+
+    @given(
+        st.integers(0, 2**32), LAWS, st.floats(0.1, 5.0), st.floats(-2.0, 2.0),
+        st.floats(0.05, 6.0), st.integers(1, 6),
+    )
+    def test_equals_the_per_birth_loop(self, seed, law, rate, t1, width, n_windows):
+        dist = parse_distribution(law)
+        t2 = t1 + width
+        w = t2 - t1  # the window length the sampler sees
+        got = sample_segment_replicates(rate, dist, t1, t2, n_windows, seed)
+        assert len(got) == n_windows
+        for k, segs in enumerate(got):
+            same(segs, segments_by_loop(rate, dist, w, derived_rng(seed, k)))
+        one = sample_segments(rate, dist, t1, t2, seed)
+        same(one, segments_by_loop(rate, dist, w, derived_rng(seed)))
 
 
 class TestRenewalPath:
@@ -265,7 +321,7 @@ class TestRenewalPath:
         v, gaps = sample_renewal_path(EXP1, 4.0, seed=41)
         obs = sample_window(EXP1, 0.0, 4.0, seed=41)
         if v > 4.0:
-            assert obs[0].kind is WindowKind.EMPTY
+            assert obs.kind[0] == "empty"
         else:
-            assert obs[0].value == v
-            assert [o.value for o in obs[1:-1]] == gaps[:-1]
+            assert obs.value[0] == v
+            assert obs.value[1:-1].tolist() == gaps[:-1]
