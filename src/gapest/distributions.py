@@ -42,21 +42,6 @@ _GRID_POINTS = 200_001  # dense grid for numeric inverse-cdf samplers
 
 
 @dataclass(frozen=True)
-class PointEvaluation:
-    """F, density, survival, hazard and cumulative hazard at one time point.
-
-    ``beta`` is NaN where survival is zero (hazard undefined there), and
-    ``cum_hazard`` is +inf past the end of the support.
-    """
-
-    F: float
-    f: float
-    survival: float
-    beta: float
-    cum_hazard: float
-
-
-@dataclass(frozen=True)
 class OccupationProbabilities:
     """P{still before entry}, P{astride t}, P{already past} for the phase process."""
 
@@ -137,18 +122,6 @@ class GapDistribution:
         if s <= 0.0:
             return math.inf
         return -math.log(s)
-
-    def evaluate(self, t: float) -> PointEvaluation:
-        """cdf, density, survival, hazard and cumulative hazard at t >= 0."""
-        if t < 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
-        return PointEvaluation(
-            F=float(self.cdf(t)),
-            f=float(self.pdf(t)),
-            survival=float(self.survival(t)),
-            beta=self.hazard(t),
-            cum_hazard=self.cumulative_hazard(t),
-        )
 
     def alpha(self, t: float) -> float:
         """Marginal hazard of the backward recurrence time at t.

@@ -17,15 +17,19 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EstimationError
-from .sampling import Pairs, Segments, WindowRecords
+from .sampling import WINDOW_KINDS, Pairs, Segments, WindowRecords, _check_kinds
 from .seeding import derived_rng
 
 BOOTSTRAP_MAX_RETRIES = 100
 BOOTSTRAP_MAX_GRID = 4096
+# Bytes of one (replicates x units) integer matrix of a band chunk; the
+# chunk's other temporaries are a few times this.
+BOOTSTRAP_CHUNK_BYTES = 2**18
 
 
 def step_at(times, values, t, before):
@@ -79,7 +83,43 @@ class StepSurvival:
         return 1.0 - self.survival_at(t)
 
 
-def kaplan_meier(times, censored=None, entry_times=None) -> StepSurvival:
+class _Pooled(NamedTuple):
+    """The rows a product-limit fit counts, and the data unit of each row."""
+
+    times: np.ndarray
+    censored: np.ndarray
+    entry: np.ndarray
+    weights: np.ndarray
+    unit: np.ndarray
+
+
+def _counter(times, censored, entry):
+    """Distinct event times T of weighted rows, and a function that maps
+    weights -- one per row, or a (c, rows) matrix of c weight vectors -- to
+    the weighted event counts D and risk counts Y at T, with the leading
+    shape of the weights. Y(t) = w{entry < t} - w{exit < t}."""
+    by_entry, by_exit = np.argsort(entry), np.argsort(times)
+    exits, is_event = times[by_exit], ~censored[by_exit]
+    ev, t = by_exit[is_event], exits[is_event]
+    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    event_times = t[starts]
+    entered = np.searchsorted(entry[by_entry], event_times, side="left")
+    exited = np.searchsorted(exits, event_times, side="left")
+
+    def below(w, order, pos):
+        # cum[..., k] is the weight of the first k rows in ``order``
+        cum = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,), dtype=w.dtype)
+        np.cumsum(w[..., order], axis=-1, out=cum[..., 1:])
+        return cum[..., pos]
+
+    def counts(w):
+        d = np.add.reduceat(w[..., ev], starts, axis=-1)
+        return d, below(w, by_entry, entered) - below(w, by_exit, exited)
+
+    return event_times, counts
+
+
+def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSurvival:
     """Product-limit estimator with optional right censoring and delayed entry.
 
     Parameters
@@ -89,6 +129,9 @@ def kaplan_meier(times, censored=None, entry_times=None) -> StepSurvival:
         Defaults to all events.
     entry_times : left-truncation entry times; a subject is at risk on
         (entry, exit]. Defaults to zero (classical estimator).
+    weights : nonnegative integers; a row of weight k counts as k identical
+        observations, and the estimate equals the one on the expanded rows
+        bitwise. Defaults to one per row.
 
     Ties: events at the same time form a single factor 1 - d/Y; a censoring
     tied with an event is processed after it (the censored subject still
@@ -107,6 +150,9 @@ def kaplan_meier(times, censored=None, entry_times=None) -> StepSurvival:
     entry_times = np.asarray(entry_times, dtype=float)
     if entry_times.shape != times.shape:
         raise EstimationError("entry times must match times")
+    weights = np.ones(times.shape, dtype=np.int64) if weights is None else np.asarray(weights)
+    if weights.shape != times.shape or weights.dtype.kind not in "iu" or np.any(weights < 0):
+        raise EstimationError("weights must be nonnegative integers matching times")
     if np.any(times <= 0):
         raise ValueError("observation times must be positive")
     if np.any(entry_times < 0):
@@ -115,31 +161,31 @@ def kaplan_meier(times, censored=None, entry_times=None) -> StepSurvival:
     if bad.size:
         raise ValueError(f"time <= entry time at index {bad[0]}")
 
-    events = ~censored
-    if not events.any():
+    live = weights > 0
+    times, censored, entry_times = times[live], censored[live], entry_times[live]
+    weights = weights[live].astype(np.int64, copy=False)
+    if censored.all():
         raise EstimationError("all observations are censored")
 
-    event_times, d = np.unique(times[events], return_counts=True)
-    sorted_entries = np.sort(entry_times)
-    sorted_times = np.sort(times)
-    # Y(q) = #{entry < q} - #{exit < q} = #{entry < q <= exit}
-    y = np.searchsorted(sorted_entries, event_times, side="left") - np.searchsorted(
-        sorted_times, event_times, side="left"
-    )
+    event_times, counts = _counter(times, censored, entry_times)
+    d, y = counts(weights)
     survival = np.cumprod(1.0 - d / y)
 
-    t_max = times.max()
-    tail_censored = bool(np.any(censored & (times == t_max))) and not bool(
-        np.any(events & (times == t_max))
-    )
+    at_max = times == times.max()
+    tail_censored = bool(np.any(censored & at_max)) and not bool(np.any(~censored & at_max))
     return StepSurvival(
         jump_times=event_times,
         survival_values=survival,
-        n_input=int(times.size),
-        event_counts=d.astype(int),
-        risk_counts=y.astype(int),
+        n_input=int(weights.sum()),
+        event_counts=d,
+        risk_counts=y,
         tail_censored=tail_censored,
     )
+
+
+def _pair_rows(pairs: Pairs) -> _Pooled:
+    n = len(pairs)
+    return _Pooled(pairs.q, pairs.censored, pairs.r, np.ones(n, dtype=np.int64), np.arange(n))
 
 
 def winter_foldes(pairs: Pairs) -> StepSurvival:
@@ -153,7 +199,14 @@ def winter_foldes(pairs: Pairs) -> StepSurvival:
         raise EstimationError("need at least one pair")
     if pairs.censored.all():
         raise EstimationError("all pairs are censored")
-    return kaplan_meier(pairs.q, pairs.censored, pairs.r)
+    return kaplan_meier(*_pair_rows(pairs)[:4])
+
+
+def _window_rows(obs: WindowRecords) -> _Pooled:
+    complete = obs.kind == "complete"
+    unit = np.flatnonzero(complete | ((obs.kind == "censored") & (obs.value > 0)))
+    ones = np.ones(unit.size, dtype=np.int64)
+    return _Pooled(obs.value[unit], ~complete[unit], np.zeros(unit.size), ones, unit)
 
 
 def window_product_limit(obs: WindowRecords) -> StepSurvival:
@@ -161,40 +214,47 @@ def window_product_limit(obs: WindowRecords) -> StepSurvival:
 
     Uses complete gaps as events and the trailing censored gaps as censored
     observations; forward-recurrence and empty-window records are ignored.
+    Kind codes outside WINDOW_KINDS are rejected.
     """
-    events = obs.value[obs.kind == "complete"]
-    if not events.size:
+    _check_kinds(obs.kind, WINDOW_KINDS, "record")
+    rows = _window_rows(obs)
+    if rows.censored.all():
         raise EstimationError("no complete gaps among the observations")
-    times = np.concatenate((events, obs.value[(obs.kind == "censored") & (obs.value > 0)]))
-    return kaplan_meier(times, np.arange(times.size) >= events.size)
+    return kaplan_meier(*rows[:4])
+
+
+def _segment_rows(segments: Segments) -> _Pooled:
+    pc = segments.kind == "pc"
+    unit = np.flatnonzero(pc | (segments.kind == "px") | (segments.kind == "rc"))
+    return _Pooled(
+        segments.length[unit], ~pc[unit], np.zeros(unit.size), np.where(pc[unit], 2, 1), unit
+    )
 
 
 def palmer_cox(segments: Segments, window_length: float) -> StepSurvival:
     """Forward-backward combined product-limit estimator for segment data.
 
     Builds one pooled sample: every proper complete length enters twice as
-    an event, every singly censored length once as a censored observation,
-    and residual censored segments are dropped. A proper censored segment
-    is right-censored in forward time (birth seen, death not). A residual
-    complete segment is the mirror image: reversing the time axis swaps
-    births with deaths and maps it to a segment whose "birth" (the death)
-    is seen and whose end is cut off at the window edge, so its observed
-    length enters as right-censored too. The combined sample is therefore
-    invariant under time reversal, which just swaps the two singly
-    censored kinds.
+    an event (one row of weight 2), every singly censored length once as a
+    censored observation, and residual censored segments are dropped. A
+    proper censored segment is right-censored in forward time (birth seen,
+    death not). A residual complete segment is the mirror image: reversing
+    the time axis swaps births with deaths and maps it to a segment whose
+    "birth" (the death) is seen and whose end is cut off at the window
+    edge, so its observed length enters as right-censored too. The combined
+    sample is therefore invariant under time reversal, which just swaps the
+    two singly censored kinds.
 
-    Lengths the window geometry cannot produce are rejected as malformed
-    input (``Segments.check_window``).
+    Kind codes and lengths the window geometry cannot produce are rejected
+    as malformed input (``Segments.check_window``).
     """
     if window_length <= 0:
         raise ValueError(f"window_length must be positive, got {window_length}")
     segments.check_window(window_length)
-    kinds, lengths = segments.kind, segments.length
-    complete = lengths[kinds == "pc"]
-    times = np.concatenate((complete, complete, lengths[(kinds == "px") | (kinds == "rc")]))
-    if times.size == 0:
+    rows = _segment_rows(segments)
+    if rows.times.size == 0:
         raise EstimationError("no usable segments after discarding doubly censored ones")
-    return kaplan_meier(times, np.arange(times.size) >= 2 * complete.size)
+    return kaplan_meier(*rows[:4])
 
 
 def greenwood_variance(
@@ -245,13 +305,15 @@ class Estimator:
 
     ``scheme`` names the observation scheme whose records it reads,
     ``bootstrap_name`` is its name in ``bootstrap_band`` (None when it has
-    no band), and ``fit(data, window_length, bin_width)`` returns its
-    survival estimate.
+    no band), ``fit(data, window_length, bin_width)`` returns its survival
+    estimate, and ``rows(data)`` gives the pooled rows its band resamples
+    (None when it has no band).
     """
 
     scheme: str
     bootstrap_name: str | None
     fit: Callable[..., StepSurvival]
+    rows: Callable[..., _Pooled] | None
 
 
 # The fits look the estimators up by name when called, never holding the
@@ -277,12 +339,33 @@ def _fit_laslett_em(data, window_length, bin_width) -> StepSurvival:
 # Keyed by CLI tag; the order within a scheme is the default order of
 # ``McConfig.estimators``.
 ESTIMATORS = {
-    "wf": Estimator("equilibrium", "winter_foldes", lambda data, w, h: winter_foldes(data)),
-    "cv": Estimator("equilibrium", "cox_vardi", _fit_cox_vardi),
-    "wpl": Estimator("window", "window_pl", lambda data, w, h: window_product_limit(data)),
-    "palmer_cox": Estimator("segments", "palmer_cox", lambda data, w, h: palmer_cox(data, w)),
-    "em": Estimator("segments", None, _fit_laslett_em),
+    "wf": Estimator("equilibrium", "winter_foldes", lambda d, w, h: winter_foldes(d), _pair_rows),
+    "cv": Estimator("equilibrium", "cox_vardi", _fit_cox_vardi, _pair_rows),
+    "wpl": Estimator("window", "window_pl", lambda d, w, h: window_product_limit(d), _window_rows),
+    "palmer_cox": Estimator(
+        "segments", "palmer_cox", lambda d, w, h: palmer_cox(d, w), _segment_rows
+    ),
+    "em": Estimator("segments", None, _fit_laslett_em, None),
 }
+
+
+def _mass_survival(atoms, counts):
+    """Survival rows of ``cox_vardi``'s masses count/atom, one row per row of
+    counts. Each row is normalised over its drawn atoms only, and twice, as
+    ``DiscreteDistribution.from_weights`` and then its ``__init__`` do, and
+    its tails are summed as ``StepSurvival.from_masses`` sums them, so a row
+    equals the fit on that resample bitwise."""
+    masses = counts / atoms
+    drawn = counts > 0
+    ends = np.cumsum(np.count_nonzero(drawn, axis=1))
+    starts = np.r_[0, ends[:-1]]
+    for _ in range(2):
+        # np.add.reduce sums each row's drawn masses pairwise, as .sum() does
+        flat = masses[drawn]
+        masses /= np.array([np.add.reduce(flat[a:b]) for a, b in zip(starts, ends)])[:, None]
+    tails = np.zeros(masses.shape)
+    tails[:, :-1] = np.cumsum(masses[:, :0:-1], axis=1)[:, ::-1]
+    return np.where(np.logical_or.accumulate(drawn, axis=1), tails, 1.0)
 
 
 def bootstrap_band(
@@ -299,13 +382,17 @@ def bootstrap_band(
     ``estimator`` is a ``bootstrap_name`` from ESTIMATORS. ``data`` is a
     ``Pairs``, ``WindowRecords`` or ``Segments`` container, or a list of
     them (for example the one-row items that iterating one yields), which
-    is joined with ``concat`` first. Observation units are resampled with
-    replacement B times and the estimator is rerun on each resample;
-    for palmer_cox the doubling of complete lifetimes happens after
-    resampling. A resample the estimator rejects (for example an
-    all-censored draw) is redrawn from a fresh substream, up to
-    BOOTSTRAP_MAX_RETRIES times. Replicate b always uses the streams
-    derived from (seed, b, retry).
+    is joined with ``concat`` first. The estimator is fitted to the whole
+    data first, so input it rejects fails at once with its own message.
+
+    Observation units are resampled with replacement B times. Replicate b
+    draws from the stream derived from (seed, b, retry); a draw with no
+    event is redrawn with the next retry, up to BOOTSTRAP_MAX_RETRIES
+    times, and ``failures`` counts the redraws. The draws' unit counts
+    weight the estimator's pooled rows, and each chunk of replicates (sized
+    by BOOTSTRAP_CHUNK_BYTES) is fitted in one array pass over the event
+    times of the whole data. A replicate's factor is exactly 1 where it has
+    no event, so each equals the estimator run on its resample, bitwise.
 
     The band is evaluated on ``grid`` if given, otherwise on the pooled
     jump times of all replicates (subsampled to BOOTSTRAP_MAX_GRID
@@ -324,39 +411,54 @@ def bootstrap_band(
         raise EstimationError("no data to resample")
     if isinstance(data, list):
         data = type(data[0]).concat(data)
+    row.fit(data, window_length, None)  # rejects invalid input before any draw
+    rows = row.rows(data)
     n = len(data)
+    event_times, counts = _counter(rows.times, rows.censored, rows.entry)
+    has_event = np.zeros(n, dtype=bool)
+    has_event[rows.unit[~rows.censored]] = True
 
-    curves = []
+    # survival[0] is the value before the first event time.
+    survival = np.empty((event_times.size + 1, B))
+    survival[0] = 1.0
+    jumped = np.zeros(event_times.size, dtype=bool)
+    chunk = max(1, min(B, BOOTSTRAP_CHUNK_BYTES // (8 * n)))
+    draws = np.empty((chunk, n), dtype=np.int64)
     failures = 0
-    for b in range(B):
-        for retry in range(BOOTSTRAP_MAX_RETRIES):
-            idx = derived_rng(seed, b, retry).integers(0, n, size=n)
-            try:
-                est = row.fit(data[idx], window_length, None)
-                break
-            except EstimationError:
-                continue
+    for lo in range(0, B, chunk):
+        hi = min(lo + chunk, B)
+        for i, b in enumerate(range(lo, hi)):
+            for retry in range(BOOTSTRAP_MAX_RETRIES):
+                idx = derived_rng(seed, b, retry).integers(0, n, size=n)
+                if has_event[idx].any():
+                    break
+            else:
+                raise EstimationError(
+                    f"no event in {BOOTSTRAP_MAX_RETRIES} consecutive resamples"
+                )
+            failures += retry
+            draws[i] = np.bincount(idx, minlength=n)
+        d, y = counts(draws[: hi - lo, rows.unit] * rows.weights)
+        jumped |= (d > 0).any(axis=0)
+        if estimator == "cox_vardi":
+            surv = _mass_survival(event_times, d)
         else:
-            raise EstimationError(
-                f"estimator failed on {BOOTSTRAP_MAX_RETRIES} consecutive resamples"
-            )
-        curves.append((est.jump_times, est.survival_values))
-        failures += retry
+            surv = np.cumprod(np.where(d > 0, 1.0 - d / np.maximum(y, 1), 1.0), axis=1)
+        survival[1:, lo:hi] = surv.T
 
     if grid is None:
-        pooled = np.unique(np.concatenate([jumps for jumps, _ in curves]))
+        pooled = event_times[jumped]
         if pooled.size > BOOTSTRAP_MAX_GRID:
             qs = np.linspace(0.0, 1.0, BOOTSTRAP_MAX_GRID)
             pooled = np.unique(np.quantile(pooled, qs))
         grid = pooled
-    grid = np.asarray(grid, dtype=float)
+    grid = np.array(grid, dtype=float, ndmin=1)
 
-    values = np.empty((B, grid.size), dtype=float)
-    for i, (jumps, surv) in enumerate(curves):
-        values[i] = step_at(jumps, surv, grid, 1.0)
+    values = survival[np.searchsorted(event_times, grid, side="right")]
     alpha = 1.0 - level
-    lower = np.quantile(values, alpha / 2.0, axis=0)
-    upper = np.quantile(values, 1.0 - alpha / 2.0, axis=0)
+    lower, upper = np.quantile(
+        values, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1, overwrite_input=True
+    )
     return BootstrapBand(
         times=grid, lower=lower, upper=upper, level=level, n_resamples=B, failures=failures
     )

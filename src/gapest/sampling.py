@@ -39,6 +39,15 @@ WINDOW_KINDS = ("complete", "censored", "forward", "empty")
 SEGMENT_KINDS = ("pc", "px", "rc", "rx")
 
 
+def _check_kinds(kind: np.ndarray, codes: tuple, what: str) -> None:
+    """Reject kind codes outside ``codes``. Containers do not check their
+    codes on construction, which every ``records[idx]`` runs."""
+    unknown = ~np.isin(kind, codes)
+    if unknown.any():
+        k = int(np.argmax(unknown))
+        raise EstimationError(f"{what} {k} has unknown kind {str(kind[k])!r}")
+
+
 class _Columns:
     """Observations stored as columns: every field is a numpy array, one
     entry per observation.
@@ -123,10 +132,14 @@ class Segments(_Columns):
     DTYPES: ClassVar[tuple] = (str, float)
 
     def check_window(self, w: float) -> None:
-        """Reject lengths the window geometry cannot produce: ``pc``,
-        ``px`` and ``rc`` lengths above w, and ``rx`` lengths other than w."""
+        """Reject kind codes outside SEGMENT_KINDS and lengths the window
+        geometry cannot produce: ``pc``, ``px`` and ``rc`` lengths above w,
+        and ``rx`` lengths other than w. An ``rx`` length is computed as
+        t2 - t1, so it may differ from w by rounding: 1e-12 relative is
+        allowed."""
+        _check_kinds(self.kind, SEGMENT_KINDS, "segment")
         rx = self.kind == "rx"
-        bad = np.where(rx, self.length != w, self.length > w)
+        bad = np.where(rx, np.abs(self.length - w) > 1e-12 * w, self.length > w)
         if bad.any():
             k = int(np.argmax(bad))
             broken = "must equal" if rx[k] else "exceeds"

@@ -35,34 +35,31 @@ def quad_tail(dist, t, hi):
 
 
 class TestEvaluate:
+    """cdf, survival, hazard and cumulative hazard at one time point."""
+
     def test_exponential_at_one(self):
-        ev = Exponential(1.0).evaluate(1.0)
-        assert ev.F == pytest.approx(1.0 - E_INV, abs=1e-12)
-        assert ev.beta == pytest.approx(1.0, abs=1e-12)
-        assert ev.cum_hazard == pytest.approx(1.0, abs=1e-12)
-        assert ev.survival == pytest.approx(E_INV, abs=1e-12)
+        dist = Exponential(1.0)
+        assert dist.cdf(1.0) == pytest.approx(1.0 - E_INV, abs=1e-12)
+        assert dist.hazard(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert dist.cumulative_hazard(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert dist.survival(1.0) == pytest.approx(E_INV, abs=1e-12)
 
     @pytest.mark.parametrize("dist", FAMILIES)
     def test_boundary_at_zero(self, dist):
-        ev = dist.evaluate(0.0)
-        assert ev.F == 0.0
-        assert ev.cum_hazard == 0.0
+        assert dist.cdf(0.0) == 0.0
+        assert dist.cumulative_hazard(0.0) == 0.0
 
     def test_weibull_hand_hazard(self):
         # hazard of Weibull(2, 1) is 2 t, so beta(1) = 2 and F(1) = 1 - 1/e
-        ev = Weibull(2.0, 1.0).evaluate(1.0)
-        assert ev.F == pytest.approx(1.0 - E_INV, abs=1e-12)
-        assert ev.beta == pytest.approx(2.0, abs=1e-12)
+        dist = Weibull(2.0, 1.0)
+        assert dist.cdf(1.0) == pytest.approx(1.0 - E_INV, abs=1e-12)
+        assert dist.hazard(1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_beta_undefined_past_support(self):
-        ev = UniformInterval(0.0, 1.0).evaluate(1.5)
-        assert ev.survival == 0.0
-        assert math.isnan(ev.beta)
-        assert ev.cum_hazard == math.inf
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            Exponential(1.0).evaluate(-0.1)
+        dist = UniformInterval(0.0, 1.0)
+        assert dist.survival(1.5) == 0.0
+        assert math.isnan(dist.hazard(1.5))
+        assert dist.cumulative_hazard(1.5) == math.inf
 
 
 class TestMean:

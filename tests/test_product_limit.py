@@ -14,6 +14,7 @@ from gapest import (
     Segments,
     StepSurvival,
     WindowRecords,
+    apply_right_censoring,
     bootstrap_band,
     cox_vardi_from_pairs,
     greenwood_variance,
@@ -27,8 +28,8 @@ from gapest import (
     winter_foldes,
     window_product_limit,
 )
-from gapest.product_limit import step_at
-from gapest.sampling import SEGMENT_KINDS
+from gapest.product_limit import BOOTSTRAP_MAX_RETRIES, ESTIMATORS, BootstrapBand, step_at
+from gapest.sampling import SEGMENT_KINDS, WINDOW_KINDS
 from gapest.seeding import derived_rng
 
 EXP1 = Exponential(1.0)
@@ -45,17 +46,6 @@ def random_pairs(rng, n, censor_prob=0.3):
     if pairs.censored.all():
         pairs.censored[0] = False
     return pairs
-
-
-def random_segments(rng, n, w):
-    rows = []
-    for _ in range(n):
-        kind = SEGMENT_KINDS[int(rng.integers(0, 4))]
-        rows.append((kind, w if kind == "rx" else float(rng.uniform(0.05, w))))
-    segs = Segments(*zip(*rows))
-    if np.all(segs.kind == "rx"):
-        segs = Segments(np.append("pc", segs.kind[1:]), np.append(w / 2, segs.length[1:]))
-    return segs
 
 
 def brute_step(times, values, t, before):
@@ -184,6 +174,12 @@ class TestKaplanMeier:
         est = kaplan_meier([2.0, 2.0], [False, True])
         assert np.allclose(est.survival_values, [0.5])
 
+    def test_entry_tied_with_event_is_not_yet_at_risk(self):
+        # at risk on (entry, exit]: the second subject enters at 1.0
+        est = kaplan_meier([1.0, 2.0], entry_times=[0.0, 1.0])
+        assert est.risk_counts.tolist() == [1, 1]
+        assert est.survival_values.tolist() == [0.0, 0.0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             kaplan_meier([1.0, 2.0], entry_times=[0.5, 2.0])
@@ -213,6 +209,39 @@ class TestKaplanMeier:
             s = kaplan_meier(times, censored, entry_times).survival_values
             assert np.all((s >= 0.0) & (s <= 1.0))
             assert np.all(np.diff(s) <= 0.0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(1, 12).map(lambda k: k / 4.0), st.floats(0.01, 10.0)),
+                st.booleans(),
+                st.floats(0.0, 0.99),
+                st.integers(0, 4),
+            ),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda rows: any(not c and k > 0 for _, c, _, k in rows))
+    )
+    def test_property_weights_equal_the_expanded_rows(self, rows):
+        times, censored, frac, weights = (np.array(col) for col in zip(*rows))
+        for entry in (None, frac * times):
+            got = kaplan_meier(times, censored, entry, weights)
+            want = kaplan_meier(
+                np.repeat(times, weights),
+                np.repeat(censored, weights),
+                None if entry is None else np.repeat(entry, weights),
+            )
+            for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert (got.n_input, got.tail_censored) == (want.n_input, want.tail_censored)
+
+    def test_weights_must_be_nonnegative_integers(self):
+        with pytest.raises(EstimationError, match="integers"):
+            kaplan_meier([1.0, 2.0], weights=[1.0, 2.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            kaplan_meier([1.0, 2.0], weights=[1, -1])
+        with pytest.raises(EstimationError, match="all observations are censored"):
+            kaplan_meier([1.0, 2.0], [False, True], weights=[0, 3])
 
     def test_monotone_in_unit_interval_on_random_data(self):
         rng = derived_rng(777)
@@ -254,6 +283,18 @@ class TestWindowProductLimit:
         assert np.allclose(est.survival_values, [0.0])
 
 
+@pytest.mark.parametrize("tag", ["wpl", "palmer_cox", "em"])
+def test_unknown_kind_codes_rejected(tag):
+    row = ESTIMATORS[tag]
+    data = (
+        WindowRecords(["bogus", "complete"], [1.0, 1.0])
+        if row.scheme == "window"
+        else Segments(["pc", "zz", "pc"], [1.0, 1.0, 0.5])
+    )
+    with pytest.raises(EstimationError, match="unknown kind"):
+        row.fit(data, 2.0, 0.5)
+
+
 class TestPalmerCox:
     def test_hand_example(self):
         segs = Segments(["pc", "px", "rc", "rx"], [1.0, 2.0, 1.5, 3.0])
@@ -281,6 +322,15 @@ class TestPalmerCox:
             with pytest.raises(EstimationError, match="must equal the window"):
                 palmer_cox(Segments(["pc", "rx"], [1.0, length]), 2.0)
         assert palmer_cox(Segments(["pc", "rx"], [1.0, 2.0]), 2.0).survival_values.size == 1
+
+    def test_doubly_censored_length_allows_rounding(self):
+        # the samplers store t2 - t1: here 0.30000000000000004 for w = 0.3
+        rx = sample_segments(2.0, EXP1, 0.1, 0.4, seed=3)
+        assert rx.kind.tolist() == ["rx"] and rx.length[0] != 0.3
+        segs = Segments.concat([rx, Segments(["pc"], [0.1])])
+        assert palmer_cox(segs, 0.3).jump_times.tolist() == [0.1]
+        with pytest.raises(EstimationError, match="must equal the window"):
+            palmer_cox(Segments(["pc", "rx"], [0.1, 0.3 + 1e-9]), 0.3)
 
     @given(st.data())
     def test_equals_kaplan_meier_on_the_pooled_sample(self, data):
@@ -310,21 +360,25 @@ class TestPalmerCox:
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert (got.n_input, got.tail_censored) == (want.n_input, want.tail_censored)
 
-    def test_time_reversal_invariance(self):
-        rng = derived_rng(2024)
+    @given(st.data())
+    def test_time_reversal_invariance(self, data):
+        w = 2.0
+        length = st.one_of(st.integers(1, 8).map(lambda k: k / 4.0), st.floats(0.01, w))
+        segment = st.one_of(
+            st.tuples(st.sampled_from(["pc", "px", "rc"]), length), st.just(("rx", w))
+        )
+        rows = data.draw(st.lists(segment, min_size=1, max_size=40))
         swap = {"px": "rc", "rc": "px"}
-        for _ in range(200):
-            segs = random_segments(rng, int(rng.integers(1, 40)), w=2.0)
-            flipped = Segments([swap.get(k, k) for k in segs.kind.tolist()], segs.length)
-            try:
-                a = palmer_cox(segs, 2.0)
-            except EstimationError:
+        segs = Segments(*zip(*rows))
+        flipped = Segments([swap.get(k, k) for k, _ in rows], segs.length)
+        if not np.any(segs.kind == "pc"):
+            for s in (segs, flipped):
                 with pytest.raises(EstimationError):
-                    palmer_cox(flipped, 2.0)
-                continue
-            b = palmer_cox(flipped, 2.0)
-            assert np.array_equal(a.jump_times, b.jump_times)
-            assert np.array_equal(a.survival_values, b.survival_values)
+                    palmer_cox(s, w)
+            return
+        a, b = palmer_cox(segs, w), palmer_cox(flipped, w)
+        for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 class TestGreenwood:
@@ -361,6 +415,77 @@ class TestGreenwood:
         a = greenwood_variance(est)
         b = greenwood_variance(est, est.event_counts, est.risk_counts)
         assert np.allclose(a.variance_values, b.variance_values, equal_nan=True)
+
+
+def band_by_loop(data, estimator, B, seed, level=0.95, grid=None, window_length=None):
+    """The reference band: one fit per resample, redrawing a resample the
+    estimator rejects, and the band read from each fit's step function."""
+    row = next(r for r in ESTIMATORS.values() if r.bootstrap_name == estimator)
+    n = len(data)
+    curves = []
+    failures = 0
+    for b in range(B):
+        for retry in range(BOOTSTRAP_MAX_RETRIES):
+            idx = derived_rng(seed, b, retry).integers(0, n, size=n)
+            try:
+                est = row.fit(data[idx], window_length, None)
+                break
+            except EstimationError:
+                continue
+        else:
+            raise EstimationError("every resample failed")
+        curves.append((est.jump_times, est.survival_values))
+        failures += retry
+    if grid is None:
+        grid = np.unique(np.concatenate([jumps for jumps, _ in curves]))
+    grid = np.asarray(grid, dtype=float)
+    values = np.empty((B, grid.size), dtype=float)
+    for i, (jumps, surv) in enumerate(curves):
+        values[i] = step_at(jumps, surv, grid, 1.0)
+    alpha = 1.0 - level
+    lower = np.quantile(values, alpha / 2.0, axis=0)
+    upper = np.quantile(values, 1.0 - alpha / 2.0, axis=0)
+    return BootstrapBand(grid, lower, upper, level, B, failures)
+
+
+def assert_same_band(got, want):
+    for field in ("times", "lower", "upper"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert (got.n_resamples, got.failures) == (want.n_resamples, want.failures)
+
+
+LATTICE = st.integers(0, 12).map(lambda k: k / 4.0)
+POSITIVE = st.one_of(st.integers(1, 12).map(lambda k: k / 4.0), st.floats(0.01, 3.0))
+
+
+@st.composite
+def band_data(draw, estimator, w=3.0):
+    """Valid data for ``estimator``'s band: lattice values with ties, and
+    often a single event among many censored units, so that draws fail."""
+    n = draw(st.integers(1, 25))
+    event = draw(st.integers(0, n - 1))
+    censored = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    censored[event] = False
+    if estimator == "cox_vardi":
+        censored = [False] * n
+    if estimator in ("winter_foldes", "cox_vardi"):
+        r = draw(st.lists(LATTICE, min_size=n, max_size=n))
+        s = draw(st.lists(POSITIVE, min_size=n, max_size=n))
+        return Pairs(r, s, censored)
+    if estimator == "window_pl":
+        kinds = draw(st.lists(st.sampled_from(WINDOW_KINDS), min_size=n, max_size=n))
+        kinds[event] = "complete"
+        values = [
+            draw(POSITIVE if k == "complete" else LATTICE) for k in kinds
+        ]
+        return WindowRecords(kinds, values)
+    kinds = draw(st.lists(st.sampled_from(SEGMENT_KINDS), min_size=n, max_size=n))
+    kinds[event] = "pc"
+    lengths = [w if k == "rx" else draw(POSITIVE) for k in kinds]
+    return Segments(kinds, lengths)
+
+
+BAND_ESTIMATORS = ["winter_foldes", "cox_vardi", "window_pl", "palmer_cox"]
 
 
 class TestBootstrapBand:
@@ -435,6 +560,69 @@ class TestBootstrapBand:
         band = bootstrap_band(pairs, "cox_vardi", B=100, seed=1)
         assert band.lower.min() >= 0.0
         assert band.upper.max() <= 1.0
+
+    @pytest.mark.parametrize("estimator", BAND_ESTIMATORS)
+    @given(data=st.data())
+    def test_equals_the_loop_reference(self, estimator, data):
+        records = data.draw(band_data(estimator))
+        B = data.draw(st.integers(1, 30))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        level = data.draw(st.sampled_from([0.5, 0.9, 0.95]))
+        grid = data.draw(st.none() | st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6))
+        got = bootstrap_band(records, estimator, B, seed, level, grid, window_length=3.0)
+        want = band_by_loop(records, estimator, B, seed, level, grid, window_length=3.0)
+        assert_same_band(got, want)
+
+    @pytest.mark.parametrize("estimator", BAND_ESTIMATORS)
+    def test_equals_the_loop_reference_on_sampled_data(self, estimator):
+        dist, w = parse_distribution("weibull:2:1"), 3.0
+        if estimator == "winter_foldes":
+            data = apply_right_censoring(
+                sample_equilibrium(dist, 60, seed=1), parse_distribution("exp:4"), seed=2
+            )
+        elif estimator == "cox_vardi":
+            data = sample_equilibrium(dist, 60, seed=1)
+        elif estimator == "window_pl":
+            data = WindowRecords.concat(sample_window_replicates(dist, 0.0, w, 15, seed=1))
+        else:
+            data = Segments.concat(sample_segment_replicates(2.0, dist, 0.0, w, 8, seed=1))
+        for grid in (None, [0.25, 0.5, 1.0, 2.0]):
+            got = bootstrap_band(data, estimator, B=200, seed=20101003, grid=grid, window_length=w)
+            want = band_by_loop(data, estimator, B=200, seed=20101003, grid=grid, window_length=w)
+            assert_same_band(got, want)
+
+    def test_redraws_match_the_loop_reference(self):
+        # one event among 15 pairs: about a third of the draws have none
+        pairs = sample_equilibrium(EXP1, 15, seed=4)
+        pairs = Pairs(pairs.r, pairs.s, np.arange(15) > 0)
+        got = bootstrap_band(pairs, "winter_foldes", B=100, seed=7)
+        assert got.failures > 20
+        assert_same_band(got, band_by_loop(pairs, "winter_foldes", B=100, seed=7))
+
+    def test_grid_is_subsampled_above_the_cap(self, monkeypatch):
+        monkeypatch.setattr("gapest.product_limit.BOOTSTRAP_MAX_GRID", 16)
+        pairs = sample_equilibrium(EXP1, 80, seed=6)
+        band = bootstrap_band(pairs, "winter_foldes", B=20, seed=9)
+        jumps = np.unique(np.concatenate([
+            winter_foldes(pairs[derived_rng(9, b, 0).integers(0, 80, size=80)]).jump_times
+            for b in range(20)
+        ]))
+        want = np.unique(np.quantile(jumps, np.linspace(0, 1, 16)))
+        assert band.times.tobytes() == want.tobytes()
+
+    def test_invalid_input_fails_before_drawing(self):
+        # one px length above the window: palmer_cox rejects the whole data
+        segs = Segments(
+            ["pc"] * 30 + ["px"] * 10 + ["rc"] * 10 + ["px"], [*np.linspace(0.1, 2.5, 50), 5.0]
+        )
+        with pytest.raises(EstimationError, match="exceeds the window"):
+            bootstrap_band(segs, "palmer_cox", B=200, seed=1, window_length=3.0)
+        # cox_vardi takes no censored pairs, even when a draw misses them
+        pairs = Pairs([0.5] * 20, [1.0] * 20, [True] + [False] * 19)
+        with pytest.raises(EstimationError, match="censored pairs are not supported"):
+            bootstrap_band(pairs, "cox_vardi", B=50, seed=1)
+        with pytest.raises(EstimationError, match="unknown kind"):
+            bootstrap_band(WindowRecords(["complete", "x"], [1.0, 1.0]), "window_pl", B=5, seed=1)
 
     def test_bad_args(self):
         pairs = sample_equilibrium(EXP1, 10, seed=1)
