@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = sub.add_parser("diagnose", help="inverse-moment diagnostic for a distribution")
     diag.add_argument("--dist", required=True, type=_dist_arg)
-    diag.add_argument("--eps", type=float, default=0.1)
     diag.add_argument("--out", help="write JSON here instead of stdout")
     diag.set_defaults(func=cmd_diagnose)
 
@@ -267,10 +266,9 @@ def cmd_bench_tails(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    report = args.dist.integrability_diagnostic(args.eps)
+    report = args.dist.integrability_diagnostic()
     payload = {
         "dist": args.dist.spec(),
-        "eps": args.eps,
         "finite": report.finite,
         "value": None if math.isinf(report.value) else report.value,
     }

@@ -19,26 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy import integrate, special
 
-from .errors import DistributionSpecError, EstimationError
+from .errors import DistributionSpecError
 
-# Adaptive quadrature settings: relative tolerance, and the survival mass
-# allowed beyond the upper truncation point of improper integrals.
-QUAD_RTOL = 1e-9
+# Survival mass allowed beyond the upper truncation point of the support.
 TAIL_MASS = 1e-12
-
-# Inverse-moment divergence test: keep halving the lower integration limit
-# until the added increment drops below _INCREMENT_TOL twice in a row, or
-# give up after _HALVING_LIMIT halvings (lower limit ~ eps * 5e-20) with the
-# last three increments all still above the threshold.
-_INCREMENT_TOL = 1e-9
-_HALVING_LIMIT = 64
-
-_GRID_POINTS = 200_001  # dense grid for numeric inverse-cdf samplers
 
 
 @dataclass(frozen=True)
@@ -58,16 +45,17 @@ class IntegrabilityReport:
     value: float
 
 
+_DIVERGENT = IntegrabilityReport(finite=False, value=math.inf)
+
+
 class GapDistribution:
     """Base class for gap-time distributions with finite mean.
 
-    Subclasses implement the family surface (``cdf``, ``pdf``, ``mean``,
-    ``ppf``, ``sample``, ``spec``); everything else is derived here, with
-    analytic overrides in the families where closed forms exist.
-    ``cdf``/``pdf`` accept scalars or arrays.
+    Subclasses implement the family surface below in closed form; the
+    hazards and the equilibrium functionals are derived here from it.
+    ``cdf``/``pdf`` accept scalars or arrays. Every sampler takes exactly
+    one uniform per draw where it inverts a cdf.
     """
-
-    support_lower: float = 0.0
 
     # -- family surface -------------------------------------------------
 
@@ -78,14 +66,30 @@ class GapDistribution:
         raise NotImplementedError
 
     def mean(self) -> float:
-        """E(X); families override with closed forms, the fallback integrates 1 - F."""
-        return self.integrated_survival(0.0)
+        """E(X)."""
+        raise NotImplementedError
 
     def ppf(self, u):
         raise NotImplementedError
 
+    def integrated_survival(self, t: float) -> float:
+        """Integral of 1 - F over (t, infinity)."""
+        raise NotImplementedError
+
+    def integrability_diagnostic(self) -> IntegrabilityReport:
+        """Whether E(1/X) is finite, and its value if so."""
+        raise NotImplementedError
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n iid draws from F."""
+        raise NotImplementedError
+
+    def sample_length_biased(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n iid draws from the size-biased density t f(t) / mu."""
+        raise NotImplementedError
+
+    def sample_equilibrium_recurrence(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n iid draws from the equilibrium recurrence density (1 - F) / mu."""
         raise NotImplementedError
 
     def spec(self) -> str:
@@ -100,14 +104,6 @@ class GapDistribution:
     def support_upper(self) -> float:
         """Truncation point leaving survival mass below TAIL_MASS."""
         return float(self.ppf(1.0 - TAIL_MASS))
-
-    def integrated_survival(self, t: float) -> float:
-        """Integral of 1 - F over (t, infinity), by adaptive quadrature."""
-        hi = self.support_upper()
-        if t >= hi:
-            return 0.0
-        val, _ = integrate.quad(self.survival, t, hi, epsrel=QUAD_RTOL, limit=200)
-        return float(val)
 
     def hazard(self, t: float) -> float:
         """f / (1 - F); NaN where survival is zero."""
@@ -163,95 +159,6 @@ class GapDistribution:
             return math.nan
         return self.alpha(t) * occ.p0 / occ.p1
 
-    def integrability_diagnostic(self, eps: float = 0.1) -> IntegrabilityReport:
-        """Decide whether E(1/X) is finite and return its value if so.
-
-        The tail integral over (eps, inf) always converges; near zero the
-        lower limit is halved repeatedly and divergence is declared when the
-        increments refuse to die out (see module constants).
-        """
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-
-        def g(x):
-            return self.pdf(x) / x
-
-        hi = self.support_upper()
-        eps_eff = min(eps, hi)
-        total, _ = integrate.quad(g, eps_eff, hi, epsrel=QUAD_RTOL, limit=200)
-
-        lo = max(self.support_lower, 0.0)
-        if lo > 0.0:
-            # Support bounded away from zero: the integrand is bounded by
-            # pdf/lo, so the inverse moment is finite outright.
-            if lo < eps_eff:
-                head, _ = integrate.quad(g, lo, eps_eff, epsrel=QUAD_RTOL, limit=200)
-                total += head
-            return IntegrabilityReport(finite=True, value=float(total))
-
-        upper = eps_eff
-        small_in_a_row = 0
-        recent = []
-        for k in range(1, _HALVING_LIMIT + 1):
-            lower = eps_eff * 2.0 ** (-k)
-            inc, _ = integrate.quad(g, lower, upper, epsrel=QUAD_RTOL, limit=200)
-            total += inc
-            recent = (recent + [inc])[-3:]
-            upper = lower
-            if inc < _INCREMENT_TOL:
-                small_in_a_row += 1
-                if small_in_a_row >= 2:
-                    return IntegrabilityReport(finite=True, value=float(total))
-            else:
-                small_in_a_row = 0
-        if len(recent) == 3 and all(r >= _INCREMENT_TOL for r in recent):
-            return IntegrabilityReport(finite=False, value=math.inf)
-        return IntegrabilityReport(finite=True, value=float(total))
-
-    # -- sampling helpers used by the observation-frame generators -------
-
-    @cached_property
-    def _length_biased_grid(self):
-        lo = max(self.support_lower, 0.0)
-        hi = self.support_upper()
-        grid = np.linspace(lo, hi, _GRID_POINTS)
-        with np.errstate(invalid="ignore"):
-            weight = grid * np.asarray(self.pdf(grid), dtype=float)
-        # t f(t) -> 0 as t -> 0 whenever the mean is finite; clear 0 * inf
-        weight = np.nan_to_num(weight, nan=0.0)
-        cdf = integrate.cumulative_trapezoid(weight, grid, initial=0.0)
-        if cdf[-1] <= 0.0:
-            raise EstimationError(
-                f"length-biased grid for {self.spec()} carries no mass"
-            )
-        return cdf / cdf[-1], grid
-
-    def sample_length_biased(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n iid draws from the size-biased density t f(t) / mu.
-
-        Default path inverts the size-biased cdf on a dense grid; families
-        with an exact transform override it.
-        """
-        cdf, grid = self._length_biased_grid
-        return np.interp(rng.uniform(size=n), cdf, grid)
-
-    @cached_property
-    def _equilibrium_grid(self):
-        hi = self.support_upper()
-        grid = np.linspace(0.0, hi, _GRID_POINTS)
-        weight = np.asarray(self.survival(grid), dtype=float)
-        cdf = integrate.cumulative_trapezoid(weight, grid, initial=0.0)
-        if cdf[-1] <= 0.0:
-            raise EstimationError(
-                f"equilibrium grid for {self.spec()} carries no mass"
-            )
-        return cdf / cdf[-1], grid
-
-    def sample_equilibrium_recurrence(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n iid draws from the equilibrium recurrence density (1 - F) / mu."""
-        cdf, grid = self._equilibrium_grid
-        return np.interp(rng.uniform(size=n), cdf, grid)
-
     def __repr__(self):
         return f"{type(self).__name__}({self.spec()!r})"
 
@@ -292,6 +199,9 @@ class Exponential(GapDistribution):
     def sample_length_biased(self, rng, n):
         # Size-biasing an exponential gives a shape-2 gamma.
         return rng.gamma(2.0, 1.0 / self.rate, size=n)
+
+    def integrability_diagnostic(self):
+        return _DIVERGENT
 
     def sample_equilibrium_recurrence(self, rng, n):
         return rng.exponential(1.0 / self.rate, size=n)
@@ -339,9 +249,18 @@ class Weibull(GapDistribution):
     def integrated_survival(self, t):
         # Substituting v = (u/scale)^shape turns the tail integral into an
         # upper incomplete gamma with parameter 1/shape.
+        from scipy import special
+
         k = self.shape
         z = (max(t, 0.0) / self.scale) ** k
         return (self.scale / k) * math.gamma(1.0 / k) * float(special.gammaincc(1.0 / k, z))
+
+    def integrability_diagnostic(self):
+        # E(1/X) = Gamma(1 - 1/shape) / scale, finite only for shape > 1.
+        if self.shape <= 1.0:
+            return _DIVERGENT
+        value = math.gamma(1.0 - 1.0 / self.shape) / self.scale
+        return IntegrabilityReport(finite=True, value=value)
 
     def sample(self, rng, n):
         return self.scale * rng.weibull(self.shape, size=n)
@@ -349,9 +268,17 @@ class Weibull(GapDistribution):
     def sample_length_biased(self, rng, n):
         # Size-biased cdf is the regularized lower incomplete gamma of
         # (q/scale)^shape with parameter 1 + 1/shape; invert it exactly.
-        u = rng.uniform(size=n)
-        z = special.gammaincinv(1.0 + 1.0 / self.shape, u)
-        return self.scale * z ** (1.0 / self.shape)
+        return self._gamma_inverse(1.0 + 1.0 / self.shape, rng.uniform(size=n))
+
+    def sample_equilibrium_recurrence(self, rng, n):
+        # Equilibrium cdf 1 - integrated_survival / mu is the regularized
+        # lower incomplete gamma of (t/scale)^shape with parameter 1/shape.
+        return self._gamma_inverse(1.0 / self.shape, rng.uniform(size=n))
+
+    def _gamma_inverse(self, a, u):
+        from scipy import special
+
+        return self.scale * special.gammaincinv(a, u) ** (1.0 / self.shape)
 
     def spec(self):
         return f"weibull:{self.shape:g}:{self.scale:g}"
@@ -361,7 +288,7 @@ class UniformInterval(GapDistribution):
     """Uniform gaps on [a, b] with 0 <= a < b.
 
     The support is bounded, so survival reaches zero at b: hazard-type
-    quantities (beta, alpha, backward_alpha) are NaN from b on and the
+    quantities (hazard, alpha, backward_alpha) are NaN from b on and the
     cumulative hazard is +inf there.
     """
 
@@ -371,7 +298,6 @@ class UniformInterval(GapDistribution):
             raise DistributionSpecError(f"need 0 <= a < b, got a={a}, b={b}")
         self.a = a
         self.b = b
-        self.support_lower = a
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -398,8 +324,24 @@ class UniformInterval(GapDistribution):
             return (self.a - t) + 0.5 * (self.b - self.a)
         return 0.5 * (self.b - t) ** 2 / (self.b - self.a)
 
+    def integrability_diagnostic(self):
+        if self.a <= 0.0:
+            return _DIVERGENT
+        return IntegrabilityReport(finite=True, value=math.log(self.b / self.a) / (self.b - self.a))
+
     def sample(self, rng, n):
         return rng.uniform(self.a, self.b, size=n)
+
+    def sample_length_biased(self, rng, n):
+        # Size-biased cdf (t^2 - a^2) / (b^2 - a^2) on [a, b].
+        return np.sqrt(self.a**2 + rng.uniform(size=n) * (self.b**2 - self.a**2))
+
+    def sample_equilibrium_recurrence(self, rng, n):
+        # Equilibrium cdf: t / mu up to a, then 1 - (b - t)^2 / (b^2 - a^2).
+        u = rng.uniform(size=n)
+        mu = self.mean()
+        tail = self.b - np.sqrt((self.b**2 - self.a**2) * (1.0 - u))
+        return np.where(u * mu <= self.a, u * mu, tail)
 
     def spec(self):
         return f"uniform:{self.a:g}:{self.b:g}"
@@ -409,8 +351,8 @@ class DiscreteDistribution(GapDistribution):
     """Distribution with point masses at strictly increasing positive atoms.
 
     The cdf is a right-continuous step function; hazard-type quantities use
-    sums over atoms (``beta`` at an atom is its mass over the survival just
-    before it) and the inverse-moment diagnostic is the finite sum of
+    sums over atoms (the hazard at an atom is its mass over the survival
+    just before it) and the inverse-moment diagnostic is the finite sum of
     mass/atom.
     """
 
@@ -432,7 +374,6 @@ class DiscreteDistribution(GapDistribution):
         self.masses = masses / total
         self._cum = np.cumsum(self.masses)
         self._cum[-1] = 1.0
-        self.support_lower = float(atoms[0])
 
     @classmethod
     def from_weights(cls, atoms, weights) -> "DiscreteDistribution":
@@ -494,9 +435,7 @@ class DiscreteDistribution(GapDistribution):
             terms = np.where(s_left > 0, self.masses / s_left, np.inf)
         return float(np.sum(terms[live]))
 
-    def integrability_diagnostic(self, eps: float = 0.1) -> IntegrabilityReport:
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
+    def integrability_diagnostic(self):
         return IntegrabilityReport(finite=True, value=float(np.dot(self.masses, 1.0 / self.atoms)))
 
     def sample(self, rng, n):

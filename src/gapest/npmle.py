@@ -27,12 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import DiscreteDistribution
 from .errors import EstimationError
 from .product_limit import StepSurvival
-from .sampling import Pairs, Segments
+from .sampling import Pairs, Segments, window_length_checked
 
 EM_DEFAULT_TOL = 1e-8
 EM_DEFAULT_MAX_ITER = 100_000
@@ -123,8 +122,7 @@ def segment_loglik(
 
     Atoms must cover every proper complete length exactly.
     """
-    if window_length <= 0:
-        raise ValueError(f"window_length must be positive, got {window_length}")
+    window_length_checked(window_length)
     mu = dist.mean()
     numer = _atom_weights(segments, dist.atoms, window_length) @ dist.masses
     if np.any(numer <= 0.0):
@@ -136,7 +134,7 @@ def segment_loglik(
             raise ValueError("a positive birth_rate is required for the Poisson factor")
         n = len(segments)
         mean = birth_rate * (window_length + mu)
-        total += n * math.log(mean) - mean - float(gammaln(n + 1))
+        total += n * math.log(mean) - mean - math.lgamma(n + 1)
     return total
 
 
@@ -180,8 +178,7 @@ def segment_marginal_loglik(
     likelihood leaves, up to data-only constants, the sum of the per-kind
     numerators minus n log(w + mu). This is the objective the EM ascends.
     """
-    if window_length <= 0:
-        raise ValueError(f"window_length must be positive, got {window_length}")
+    window_length_checked(window_length)
     weights = _possible_weights(segments, dist.atoms, window_length)
     numer = weights @ dist.masses
     if np.any(numer <= 0.0):
@@ -239,8 +236,7 @@ def laslett_em(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if window_length <= 0:
-        raise ValueError(f"window_length must be positive, got {window_length}")
+    window_length_checked(window_length)
     if not segments:
         raise EstimationError("need at least one segment")
     atoms = np.unique(np.asarray(grid, dtype=float))
@@ -326,8 +322,7 @@ def npmle_oracle(segments: Segments, window_length: float, grid) -> DiscreteDist
         raise EstimationError(f"oracle supports at most {ORACLE_MAX_ATOMS} atoms, got {d}")
     if d == 0 or np.any(atoms <= 0):
         raise EstimationError("grid atoms must be positive")
-    if window_length <= 0:
-        raise ValueError(f"window_length must be positive, got {window_length}")
+    window_length_checked(window_length)
     if not segments:
         raise EstimationError("need at least one segment")
     weights = _possible_weights(segments, atoms, window_length)

@@ -246,10 +246,9 @@ def palmer_cox(segments: Segments, window_length: float) -> StepSurvival:
     two singly censored kinds.
 
     Kind codes and lengths the window geometry cannot produce are rejected
-    as malformed input (``Segments.check_window``).
+    as malformed input, and so is a window length that is not finite and
+    positive (``Segments.check_window``).
     """
-    if window_length <= 0:
-        raise ValueError(f"window_length must be positive, got {window_length}")
     segments.check_window(window_length)
     rows = _segment_rows(segments)
     if rows.times.size == 0:

@@ -19,6 +19,7 @@ replicate k of a multi-window run uses the derived stream
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -37,6 +38,13 @@ _GAP_CHUNK = 8  # gaps drawn per batch while filling a window
 # The kind codes of window records and segments, as written in the CSVs.
 WINDOW_KINDS = ("complete", "censored", "forward", "empty")
 SEGMENT_KINDS = ("pc", "px", "rc", "rx")
+
+
+def window_length_checked(w: float) -> float:
+    """w itself, once checked to be finite and positive."""
+    if not 0.0 < w < math.inf:
+        raise EstimationError(f"window length must be finite and positive, got {w}")
+    return w
 
 
 def _check_kinds(kind: np.ndarray, codes: tuple, what: str) -> None:
@@ -136,7 +144,8 @@ class Segments(_Columns):
         geometry cannot produce: ``pc``, ``px`` and ``rc`` lengths above w,
         and ``rx`` lengths other than w. An ``rx`` length is computed as
         t2 - t1, so it may differ from w by rounding: 1e-12 relative is
-        allowed."""
+        allowed. The window itself must be finite and positive."""
+        window_length_checked(w)
         _check_kinds(self.kind, SEGMENT_KINDS, "segment")
         rx = self.kind == "rx"
         bad = np.where(rx, np.abs(self.length - w) > 1e-12 * w, self.length > w)
@@ -186,8 +195,7 @@ def sample_renewal_path(
     times, generated until they carry the path past the window end. gaps is
     empty when v alone overshoots the window.
     """
-    if window_length <= 0:
-        raise ValueError(f"window_length must be positive, got {window_length}")
+    window_length_checked(window_length)
     if rng is None:
         rng = derived_rng(seed)
     v = float(dist.sample_equilibrium_recurrence(rng, 1)[0])
@@ -226,9 +234,7 @@ def sample_window(dist: GapDistribution, t1: float, t2: float, seed: int) -> Win
     (followed by the complete gaps and one trailing censored gap), or a
     single empty-window record. Only the length t2 - t1 matters.
     """
-    if t1 >= t2:
-        raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
-    w = t2 - t1
+    w = window_length_checked(t2 - t1)
     v, gaps = sample_renewal_path(dist, w, seed=seed)
     return _classify_path(v, gaps, w)
 
@@ -237,11 +243,9 @@ def sample_window_replicates(
     dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> list[WindowRecords]:
     """Independent window realizations; window k uses derived_rng(seed, k)."""
-    if t1 >= t2:
-        raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
+    w = window_length_checked(t2 - t1)
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    w = t2 - t1
     out = []
     for k in range(n_windows):
         v, gaps = sample_renewal_path(dist, w, rng=derived_rng(seed, k))
@@ -259,25 +263,23 @@ def sample_segments(
     of the lifetime law, so earlier births are observable only with
     negligible probability. Segments are returned in birth order.
     """
-    if t1 >= t2:
-        raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
+    w = window_length_checked(t2 - t1)
     if birth_rate <= 0:
         raise ValueError(f"birth_rate must be positive, got {birth_rate}")
-    return _segment_windows(birth_rate, dist, t2 - t1, [derived_rng(seed)])[0]
+    return _segment_windows(birth_rate, dist, w, [derived_rng(seed)])[0]
 
 
 def sample_segment_replicates(
     birth_rate: float, dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> list[Segments]:
     """Independent segment windows; window k uses derived_rng(seed, k)."""
-    if t1 >= t2:
-        raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
+    w = window_length_checked(t2 - t1)
     if birth_rate <= 0:
         raise ValueError(f"birth_rate must be positive, got {birth_rate}")
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     rngs = (derived_rng(seed, k) for k in range(n_windows))
-    return _segment_windows(birth_rate, dist, t2 - t1, rngs)
+    return _segment_windows(birth_rate, dist, w, rngs)
 
 
 def _segment_windows(

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gapest
 from gapest import dataio
 from gapest.cli import main
 
@@ -215,7 +220,7 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
                 "--max-iter", "0")),
     (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "width=0.5",
                 "--tol", "0")),
-    (None, ("diagnose", "--dist", "exp:1", "--eps", "0")),
+    (None, ("simulate", "--scheme", "window", "--dist", "exp:1", "--n", "5", "--window", "nan")),
     (None, (*TAILS, "--eps", "0.1", "--n", "0")),
     (None, (*TAILS, "--eps", "0.1", "--reps", "0")),
     ("r,s,censored\n0,0,0\n", ("estimate", "--estimator", "wf")),
@@ -227,6 +232,9 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
                                       "--grid", "width=0.5")),
     ("kind,length\npc,1.0\nrx,1.0\n", ("estimate", "--estimator", "em", "--window", "3",
                                       "--grid", "atoms=1.0,4.0")),
+    (None, ("simulate", "--scheme", "window", "--dist", "exp:1", "--n", "5", "--window", "inf")),
+    (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "nan")),
+    (SEGMENTS, ("estimate", "--estimator", "em", "--window", "inf", "--grid", "width=0.5")),
 ])
 def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
     argv = (*argv, "--out", str(tmp_path / "out"))
@@ -282,13 +290,20 @@ class TestBench:
         assert lines[0] == "dist,estimator,n,sqrt_n_sup_error"
         assert len(lines) == 17
 
+    def test_tails_accepts_a_weibull_with_shape_just_above_one(self, tmp_path):
+        # E(1/X) = Gamma(1/6) is finite for weibull:1.2:1, so the two
+        # diagnostics disagree
+        assert run("bench", "tails", "--dist-infinite", "exp:1",
+                   "--dist-finite", "weibull:1.2:1", "--eps", "0.1", "--n", "20",
+                   "--reps", "1", "--out", str(tmp_path / "tails.csv")) == 0
+
 
 class TestDiagnose:
     def test_stdout_json(self, capsys):
         assert run("diagnose", "--dist", "weibull:2:1") == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["finite"] is True
-        assert payload["value"] == pytest.approx(1.7724538509, abs=1e-3)
+        assert payload == {"dist": "weibull:2:1", "finite": True,
+                           "value": pytest.approx(1.7724538509055159, rel=1e-12)}
 
     def test_divergent_value_is_null(self, capsys):
         assert run("diagnose", "--dist", "exp:1") == 0
@@ -300,3 +315,13 @@ class TestDiagnose:
         out = tmp_path / "diag.json"
         assert run("diagnose", "--dist", "atoms:1=0.5,2=0.5", "--out", str(out)) == 0
         assert json.loads(out.read_text())["finite"] is True
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where it is used, so start-up stays fast
+    code = "import sys, gapest; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    src = str(Path(gapest.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -199,9 +199,22 @@ class TestIntegrabilityDiagnostic:
         assert report.finite
         assert report.value == pytest.approx(math.log(3.0), abs=1e-8)
 
-    def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            Exponential(1.0).integrability_diagnostic(eps=0.0)
+    @pytest.mark.parametrize(
+        "spec,expect",
+        [
+            # E(1/X) = Gamma(1 - 1/k) / lam for Weibull shapes k > 1
+            ("weibull:1.2:1", math.gamma(1.0 / 6.0)),
+            ("weibull:3:2", math.gamma(2.0 / 3.0) / 2.0),
+            ("weibull:0.9:1", math.inf),
+            # log(b/a) / (b - a) for uniforms away from zero
+            ("uniform:0.5:1.5", math.log(3.0)),
+            ("uniform:0:1", math.inf),
+        ],
+    )
+    def test_closed_forms(self, spec, expect):
+        report = parse_distribution(spec).integrability_diagnostic()
+        assert report.finite == math.isfinite(expect)
+        assert report.value == pytest.approx(expect, rel=1e-12)
 
 
 class TestDensityAndShape:

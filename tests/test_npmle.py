@@ -121,6 +121,23 @@ def kernel_instances(draw):
     return dist, segments(*rows), w
 
 
+@st.composite
+def em_instances(draw):
+    """Segments every one of which some atom can produce: pc lengths are
+    atoms, px and rc lengths lie below the top atom, and rx rows appear
+    only when the top atom exceeds the window."""
+    quarters = st.integers(1, 24).map(lambda k: k / 4.0)
+    atoms = sorted(draw(st.sets(quarters, min_size=1, max_size=6)))
+    w = draw(st.one_of(quarters, st.floats(0.1, 6.0)))
+    rows = [
+        st.tuples(st.just(PC), st.sampled_from(atoms)),
+        st.tuples(st.sampled_from([PX, RC]), st.floats(0.01, 0.99 * atoms[-1])),
+    ]
+    if atoms[-1] > w:
+        rows.append(st.just((RX, w)))
+    return segments(*draw(st.lists(st.one_of(*rows), min_size=1, max_size=12))), w, atoms
+
+
 class TestCoxVardi:
     def test_two_values(self):
         dist = cox_vardi([1.0, 2.0])
@@ -372,6 +389,26 @@ class TestLaslettEm:
             p_next = q / (w + res.distribution.atoms)
             p_next /= p_next.sum()
             assert np.max(np.abs(p_next - p)) < 1e-8
+
+    @given(em_instances())
+    def test_trace_never_decreases(self, instance):
+        # the slack is 1e-12 relative to the log likelihood, or absolute below 1
+        segs, w, atoms = instance
+        trace = laslett_em(segs, w, atoms, tol=1e-15, max_iter=500).loglik_trace
+        slack = 1e-12 * np.maximum(np.abs(trace[:-1]), 1.0)
+        assert np.all(np.diff(trace) >= -slack)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf])
+    def test_window_must_be_finite(self, w):
+        segs, dist = segments((PC, 1.0)), DiscreteDistribution([1.0], [1.0])
+        for call in (
+            lambda: laslett_em(segs, w, [1.0]),
+            lambda: npmle_oracle(segs, w, [1.0]),
+            lambda: segment_loglik(dist, None, segs, w),
+            lambda: segment_marginal_loglik(dist, segs, w),
+        ):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call()
 
     def test_grid_must_cover_complete_lengths(self):
         with pytest.raises(EstimationError, match="bin"):

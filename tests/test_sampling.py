@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from gapest import (
     EstimationError,
@@ -106,8 +106,8 @@ class TestEquilibriumSampling:
 
     @pytest.mark.parametrize("spec", ["weibull:2:1", "uniform:0.5:2"])
     def test_size_biased_law(self, spec):
-        # weibull draws through the exact incomplete-gamma inverse, uniform
-        # through the generic dense-grid inversion
+        # both families draw through exact inverses (incomplete gamma for
+        # the weibull, a square root for the uniform); the oracle integrates
         dist = parse_distribution(spec)
         pairs = sample_equilibrium(dist, 50_000, seed=104)
         q = pairs.q
@@ -122,8 +122,9 @@ class TestEquilibriumSampling:
         assert stats.kstest(q, lambda x: np.interp(x, grid, cdf_vals)).statistic < 0.01
 
     def test_equilibrium_recurrence_law(self):
-        # generic grid path for a continuous family and the exact piecewise
-        # linear inverse for a discrete one
+        # the exact incomplete-gamma inverse for a continuous family and the
+        # exact piecewise linear inverse for a discrete one, against a
+        # trapezoid oracle
         for spec, seed in (("weibull:2:1", 106), ("atoms:1=0.4,2.5=0.6", 107)):
             dist = parse_distribution(spec)
             draws = dist.sample_equilibrium_recurrence(
@@ -148,6 +149,42 @@ class TestEquilibriumSampling:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             sample_equilibrium(EXP1, 0, seed=1)
+
+
+def equilibrium_cdf(dist, x):
+    return 1.0 - dist.integrated_survival(x) / dist.mean()
+
+
+def size_biased_cdf(dist, x):
+    if isinstance(dist, UniformInterval):
+        return (x**2 - dist.a**2) / (dist.b**2 - dist.a**2)
+    return special.gammainc(1.0 + 1.0 / dist.shape, (x / dist.scale) ** dist.shape)
+
+
+class TestExactInverse:
+    """Each inverse-cdf sampler maps the i-th uniform of its generator to a
+    draw whose cdf is that uniform, and takes no other randomness."""
+
+    @pytest.mark.parametrize("method,spec", [
+        *(("sample_equilibrium_recurrence", spec) for spec in (
+            "weibull:2:1", "weibull:0.7:1.3", "uniform:0:1", "uniform:0.5:2",
+            "atoms:0.5=0.3,1=0.2,2.5=0.5",
+        )),
+        *(("sample_length_biased", spec) for spec in (
+            "weibull:2:1", "weibull:0.7:1.3", "uniform:0:1", "uniform:0.5:2",
+        )),
+    ])
+    def test_cdf_of_each_draw_is_its_uniform(self, method, spec):
+        dist = parse_distribution(spec)
+        rng, twin = np.random.default_rng(61), np.random.default_rng(61)
+        draws = getattr(dist, method)(rng, 2000)
+        u = twin.uniform(size=2000)
+        if method == "sample_length_biased":
+            got = size_biased_cdf(dist, draws)
+        else:
+            got = np.array([equilibrium_cdf(dist, x) for x in draws.tolist()])
+        assert np.max(np.abs(got - u)) < 1e-12
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestRightCensoring:
@@ -325,3 +362,20 @@ class TestRenewalPath:
         else:
             assert obs.value[0] == v
             assert obs.value[1:-1].tolist() == gaps[:-1]
+
+
+@pytest.mark.parametrize("t2", [math.nan, math.inf])
+def test_window_length_must_be_finite(t2):
+    # a NaN or infinite window never ends, so the path loop would not stop
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_window(EXP1, 0.0, t2, seed=1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_renewal_path(EXP1, t2, seed=1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_window_replicates(EXP1, 0.0, t2, 3, seed=1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_segments(1.0, EXP1, 0.0, t2, seed=1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_segment_replicates(1.0, EXP1, 0.0, t2, 3, seed=1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        Segments(["pc"], [1.0]).check_window(t2)
