@@ -15,7 +15,7 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .sampling import (
 from .seeding import child_seed
 
 MSE_IDENTITY_TOL = 1e-10
+TAIL_DOUBLINGS = 3  # tail_failure_demo runs n, 2n, ..., 2**TAIL_DOUBLINGS n
 
 
 @dataclass
@@ -219,23 +220,10 @@ class TailReport:
     rows: list[TailRow]
 
     def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "dist": r.dist,
-                    "estimator": r.estimator,
-                    "n": r.n,
-                    "sqrt_n_sup_error": r.sqrt_n_sup_error,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[tuple]:
-        return [(r.dist, r.estimator, r.n, r.sqrt_n_sup_error) for r in self.rows]
+        return [astuple(r) for r in self.rows]
 
 
 def sup_cdf_error(est: StepSurvival, dist: GapDistribution, eps: float) -> float:
@@ -260,7 +248,6 @@ def tail_failure_demo(
     replicates: int,
     eps: float,
     seed: int = 0,
-    doublings: int = 3,
 ) -> TailReport:
     """Tabulate sqrt(n) * sup_{t <= eps} |F_hat - F| across doubling n.
 
@@ -275,7 +262,7 @@ def tail_failure_demo(
         raise EstimationError(
             "the two distributions must disagree on the inverse-moment diagnostic"
         )
-    ns = [n * 2**k for k in range(doublings + 1)]
+    ns = [n * 2**k for k in range(TAIL_DOUBLINGS + 1)]
     rows = []
     for di, dist in enumerate((dist_infinite, dist_finite)):
         label = dist.spec()

@@ -43,13 +43,13 @@ def _grid_arg(text: str):
     try:
         if key == "width":
             width = float(value)
-            if width <= 0:
-                raise ValueError("width must be positive")
+            if not 0 < width < math.inf:
+                raise ValueError("width must be positive and finite")
             return ("width", width)
         if key == "atoms":
             atoms = np.array([float(v) for v in value.split(",")], dtype=float)
-            if atoms.size == 0 or np.any(atoms <= 0):
-                raise ValueError("atoms must be positive")
+            if atoms.size == 0 or not np.all((atoms > 0) & (atoms < math.inf)):
+                raise ValueError("atoms must be positive and finite")
             return ("atoms", atoms)
         raise ValueError("expected width=<h> or atoms=<a1,a2,...>")
     except ValueError as exc:
@@ -166,6 +166,18 @@ def _window_from_sidecar(infile: str) -> float | None:
         return None
 
 
+def _snap_complete_lengths(segments: sampling.Segments, atoms) -> sampling.Segments:
+    """Move each proper complete length onto the atom whose cell (lo, hi]
+    holds it. Cells end halfway between neighbouring atoms and half a
+    spacing past the end atoms, so a one-atom cell is empty; ``laslett_em``
+    rejects the lengths left outside every cell."""
+    mirrored = np.pad(atoms, 1, mode="reflect", reflect_type="odd")
+    k = np.searchsorted((mirrored[1:] + mirrored[:-1]) / 2, segments.length) - 1
+    snap = (segments.kind == "pc") & (k >= 0) & (k < atoms.size)
+    nearest = atoms[np.clip(k, 0, atoms.size - 1)]
+    return sampling.Segments(segments.kind, np.where(snap, nearest, segments.length))
+
+
 def cmd_estimate(args) -> int:
     row = ESTIMATORS[args.estimator]
     if args.bootstrap is not None:
@@ -197,7 +209,8 @@ def cmd_estimate(args) -> int:
             segments = npmle.bin_segments(data, value)
             grid = npmle.default_grid(segments, window, value)
         else:
-            segments, grid = data, value
+            grid = np.unique(value)
+            segments = _snap_complete_lengths(data, grid)
         result = npmle.laslett_em(segments, window, grid, max_iter=args.max_iter, tol=args.tol)
         dataio.write_em_result_json(args.out, result)
         return 0

@@ -23,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .distributions import step_at
 from .errors import DataFormatError
 from .npmle import EmResult
-from .product_limit import BootstrapBand, StepSurvival, step_at
+from .product_limit import BootstrapBand, StepSurvival
 from .sampling import SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords
 
 PAIRS_HEADER = ["r", "s", "censored"]

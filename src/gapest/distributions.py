@@ -48,6 +48,29 @@ class IntegrabilityReport:
 _DIVERGENT = IntegrabilityReport(finite=False, value=math.inf)
 
 
+def step_at(times, values, t, before):
+    """Right-continuous step function at t: ``before`` left of times[0] and
+    ``values[i]`` on [times[i], times[i+1]). A scalar t gives a float."""
+    idx = np.searchsorted(times, t, side="right")
+    out = np.concatenate(([before], values))[idx]
+    return out if out.ndim else float(out)
+
+
+def atom_lookup(atoms, t):
+    """Index of the first of the increasing ``atoms`` at or above t (the
+    last atom when t is past them all), and whether that atom equals t."""
+    idx = np.minimum(np.searchsorted(atoms, t), atoms.size - 1)
+    return idx, atoms[idx] == t
+
+
+def normalised(weights):
+    """Nonnegative ``weights`` over their total along the last axis: the one
+    division that makes the masses of a discrete law. The total is the
+    running sum, which exact zeros cannot change, so zero weights inserted
+    anywhere leave every other mass bitwise the same."""
+    return weights / np.cumsum(weights, axis=-1)[..., -1:]
+
+
 class GapDistribution:
     """Base class for gap-time distributions with finite mean.
 
@@ -357,51 +380,42 @@ class DiscreteDistribution(GapDistribution):
     """
 
     def __init__(self, atoms, masses):
-        atoms = np.asarray(atoms, dtype=float)
-        masses = np.asarray(masses, dtype=float)
+        atoms = np.array(atoms, dtype=float)
+        masses = np.array(masses, dtype=float)
         if atoms.ndim != 1 or atoms.size == 0 or atoms.shape != masses.shape:
             raise DistributionSpecError("atoms and masses must be matching nonempty 1-d sequences")
-        if not np.all(atoms > 0):
-            raise DistributionSpecError("atoms must be positive")
+        if not np.all(np.isfinite(atoms) & (atoms > 0)):
+            raise DistributionSpecError("atoms must be finite and positive")
         if not np.all(np.diff(atoms) > 0):
             raise DistributionSpecError("atoms must be strictly increasing")
-        if np.any(masses < 0):
-            raise DistributionSpecError("masses must be nonnegative")
-        total = float(masses.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise DistributionSpecError(f"masses must sum to 1, got {total!r}")
-        self.atoms = atoms
-        self.masses = masses / total
-        self._cum = np.cumsum(self.masses)
+        if not np.all(np.isfinite(masses) & (masses >= 0)):
+            raise DistributionSpecError("masses must be finite and nonnegative")
+        self._cum = np.cumsum(masses)
+        if abs(self._cum[-1] - 1.0) > 1e-9:
+            raise DistributionSpecError(f"masses must sum to 1, got {float(self._cum[-1])!r}")
         self._cum[-1] = 1.0
+        self.atoms = atoms
+        self.masses = masses
 
     @classmethod
     def from_weights(cls, atoms, weights) -> "DiscreteDistribution":
-        """Build from nonnegative weights, normalizing them to masses."""
+        """Build from nonnegative weights, dividing them once by their total."""
         weights = np.asarray(weights, dtype=float)
-        total = weights.sum()
-        if total <= 0:
-            raise DistributionSpecError("weights must have positive total")
-        return cls(atoms, weights / total)
+        if not (np.all(weights >= 0) and np.any(weights > 0)):
+            raise DistributionSpecError("weights must be nonnegative with a positive total")
+        return cls(atoms, normalised(weights))
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.atoms, t, side="right")
-        out = np.where(idx > 0, np.concatenate(([0.0], self._cum))[idx], 0.0)
-        return out if out.ndim else float(out)
+        return step_at(self.atoms, self._cum, t, 0.0)
 
     def cdf_left(self, t: float) -> float:
-        """F(t-), the left limit of the step cdf."""
-        idx = int(np.searchsorted(self.atoms, t, side="left"))
-        return float(self._cum[idx - 1]) if idx > 0 else 0.0
+        """F(t-), the left limit of the step cdf: F at the float below t."""
+        return self.cdf(np.nextafter(t, -np.inf))
 
     def pdf(self, t):
         """Mass at t (zero except exactly at atoms)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.atoms, t, side="left")
-        idx_c = np.minimum(idx, self.atoms.size - 1)
-        hit = self.atoms[idx_c] == t
-        out = np.where(hit, self.masses[idx_c], 0.0)
+        idx, hit = atom_lookup(self.atoms, np.asarray(t, dtype=float))
+        out = np.where(hit, self.masses[idx], 0.0)
         return out if out.ndim else float(out)
 
     def mean(self):
@@ -428,8 +442,6 @@ class DiscreteDistribution(GapDistribution):
 
     def cumulative_hazard(self, t):
         live = self.atoms <= t
-        if not live.any():
-            return 0.0
         s_left = 1.0 - np.concatenate(([0.0], self._cum))[:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(s_left > 0, self.masses / s_left, np.inf)
@@ -442,8 +454,7 @@ class DiscreteDistribution(GapDistribution):
         return rng.choice(self.atoms, size=n, p=self.masses)
 
     def sample_length_biased(self, rng, n):
-        weights = self.atoms * self.masses
-        return rng.choice(self.atoms, size=n, p=weights / weights.sum())
+        return rng.choice(self.atoms, size=n, p=normalised(self.atoms * self.masses))
 
     def sample_equilibrium_recurrence(self, rng, n):
         # The equilibrium density is piecewise constant between atoms, so

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, atom_lookup, normalised
 from .errors import EstimationError
 from .product_limit import StepSurvival
 from .sampling import Pairs, Segments, window_length_checked
@@ -91,15 +91,13 @@ def cox_vardi_from_pairs(pairs: Pairs) -> DiscreteDistribution:
 
 
 def _match_atoms(lengths: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(atoms, lengths)
-    idx_c = np.minimum(idx, atoms.size - 1)
-    bad = atoms[idx_c] != lengths
-    if bad.any():
-        missing = lengths[bad][0]
+    idx, hit = atom_lookup(atoms, lengths)
+    if not hit.all():
         raise EstimationError(
-            f"atom grid does not cover the complete length {missing}; bin the data first"
+            f"atom grid does not cover the complete length {lengths[~hit][0]}; "
+            "bin the data first"
         )
-    return idx_c
+    return idx
 
 
 def segment_loglik(
@@ -254,18 +252,17 @@ def laslett_em(
     iterations = 0
     prev = -math.inf
     for _ in range(max_iter):
-        p = p * (weights.T @ (1.0 / numer)) / (w + atoms)
-        p /= p.sum()
+        p = normalised(p * (weights.T @ (1.0 / numer)) / (w + atoms))
         iterations += 1
         numer = weights @ p
-        ll = float(np.sum(np.log(numer)) - n * math.log(w + float(np.dot(atoms, p))))
+        ll = float(np.log(numer).sum() - n * math.log(w + float(np.dot(atoms, p))))
         trace.append(ll)
         if ll - prev < tol:
             converged = True
             break
         prev = ll
 
-    fitted = DiscreteDistribution(atoms, p / p.sum())
+    fitted = DiscreteDistribution(atoms, p)
     return EmResult(
         distribution=fitted,
         birth_rate=n / (w + fitted.mean()),
@@ -353,7 +350,7 @@ def npmle_oracle(segments: Segments, window_length: float, grid) -> DiscreteDist
         ll = _score_candidates(cand, weights, atoms, w, n)
         best = cand[int(np.argmax(ll))]
 
-    return DiscreteDistribution(atoms, best / best.sum())
+    return DiscreteDistribution.from_weights(atoms, best)
 
 
 def gof_discrepancy(a, b) -> float:

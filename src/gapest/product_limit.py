@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .distributions import normalised, step_at
 from .errors import EstimationError
 from .sampling import WINDOW_KINDS, Pairs, Segments, WindowRecords, _check_kinds
 from .seeding import derived_rng
@@ -30,14 +31,6 @@ BOOTSTRAP_MAX_GRID = 4096
 # Bytes of one (replicates x units) integer matrix of a band chunk; the
 # chunk's other temporaries are a few times this.
 BOOTSTRAP_CHUNK_BYTES = 2**18
-
-
-def step_at(times, values, t, before):
-    """Right-continuous step function at t: ``before`` left of times[0] and
-    ``values[i]`` on [times[i], times[i+1]). A scalar t gives a float."""
-    idx = np.searchsorted(times, t, side="right")
-    out = np.concatenate(([before], values))[idx]
-    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -71,9 +64,7 @@ class StepSurvival:
         The value at atom i is the tail sum of the masses above it, so it
         never goes below zero and ends at exactly 0.
         """
-        masses = np.asarray(masses, dtype=float)
-        tails = np.append(np.cumsum(masses[:0:-1])[::-1], 0.0)
-        return cls(jump_times=atoms, survival_values=tails, n_input=n_input)
+        return cls(jump_times=atoms, survival_values=_tail_sums(masses), n_input=n_input)
 
     def survival_at(self, t):
         """Evaluate the step function right-continuously (vectorized)."""
@@ -81,6 +72,15 @@ class StepSurvival:
 
     def cdf_at(self, t):
         return 1.0 - self.survival_at(t)
+
+
+def _tail_sums(masses):
+    """Along the last axis, the sum of the masses after each one, summed
+    from the last mass down, so exact zeros leave every sum unchanged."""
+    masses = np.asarray(masses, dtype=float)
+    tails = np.zeros(masses.shape)
+    tails[..., :-1] = np.cumsum(masses[..., :0:-1], axis=-1)[..., ::-1]
+    return tails
 
 
 class _Pooled(NamedTuple):
@@ -256,21 +256,17 @@ def palmer_cox(segments: Segments, window_length: float) -> StepSurvival:
     return kaplan_meier(*rows[:4])
 
 
-def greenwood_variance(
-    est: StepSurvival, event_counts=None, risk_counts=None
-) -> StepSurvival:
+def greenwood_variance(est: StepSurvival) -> StepSurvival:
     """Attach the Greenwood pointwise variance to a product-limit estimate.
 
-    variance(t) = S(t)^2 * sum_{q <= t} d / (Y (Y - d)). At a jump where
-    Y == d the survival hits zero and the variance is reported as NaN from
-    there on.
+    variance(t) = S(t)^2 * sum_{q <= t} d / (Y (Y - d)), from the estimate's
+    event and risk counts. At a jump where Y == d the survival hits zero and
+    the variance is reported as NaN from there on.
     """
-    d = est.event_counts if event_counts is None else np.asarray(event_counts)
-    y = est.risk_counts if risk_counts is None else np.asarray(risk_counts)
-    if d is None or y is None:
+    if est.event_counts is None or est.risk_counts is None:
         raise EstimationError("event and risk counts are required")
-    d = np.asarray(d, dtype=float)
-    y = np.asarray(y, dtype=float)
+    d = np.asarray(est.event_counts, dtype=float)
+    y = np.asarray(est.risk_counts, dtype=float)
     if d.shape != est.jump_times.shape or y.shape != est.jump_times.shape:
         raise EstimationError("counts do not align with the jump times")
     exhausted = y <= d
@@ -350,21 +346,11 @@ ESTIMATORS = {
 
 def _mass_survival(atoms, counts):
     """Survival rows of ``cox_vardi``'s masses count/atom, one row per row of
-    counts. Each row is normalised over its drawn atoms only, and twice, as
-    ``DiscreteDistribution.from_weights`` and then its ``__init__`` do, and
-    its tails are summed as ``StepSurvival.from_masses`` sums them, so a row
-    equals the fit on that resample bitwise."""
-    masses = counts / atoms
-    drawn = counts > 0
-    ends = np.cumsum(np.count_nonzero(drawn, axis=1))
-    starts = np.r_[0, ends[:-1]]
-    for _ in range(2):
-        # np.add.reduce sums each row's drawn masses pairwise, as .sum() does
-        flat = masses[drawn]
-        masses /= np.array([np.add.reduce(flat[a:b]) for a, b in zip(starts, ends)])[:, None]
-    tails = np.zeros(masses.shape)
-    tails[:, :-1] = np.cumsum(masses[:, :0:-1], axis=1)[:, ::-1]
-    return np.where(np.logical_or.accumulate(drawn, axis=1), tails, 1.0)
+    counts. Masses and tails are running sums, which the zero counts of
+    undrawn atoms leave unchanged, so a row equals the fit on its resample
+    bitwise; before its first drawn atom a row is 1."""
+    tails = _tail_sums(normalised(counts / atoms))
+    return np.where(np.logical_or.accumulate(counts > 0, axis=1), tails, 1.0)
 
 
 def bootstrap_band(

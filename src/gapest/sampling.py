@@ -186,7 +186,7 @@ def apply_right_censoring(pairs: Pairs, cens_dist: GapDistribution, seed: int) -
 
 
 def sample_renewal_path(
-    dist: GapDistribution, window_length: float, seed=None, rng=None
+    dist: GapDistribution, window_length: float, seed: int
 ) -> tuple[float, list[float]]:
     """One stationary realization on a window of the given length.
 
@@ -195,19 +195,20 @@ def sample_renewal_path(
     times, generated until they carry the path past the window end. gaps is
     empty when v alone overshoots the window.
     """
-    window_length_checked(window_length)
-    if rng is None:
-        rng = derived_rng(seed)
+    return _renewal_path(dist, window_length_checked(window_length), derived_rng(seed))
+
+
+def _renewal_path(dist: GapDistribution, w: float, rng) -> tuple[float, list[float]]:
     v = float(dist.sample_equilibrium_recurrence(rng, 1)[0])
     gaps: list[float] = []
-    if v > window_length:
+    if v > w:
         return v, gaps
     pos = v
     while True:
         for x in dist.sample(rng, _GAP_CHUNK):
             gaps.append(float(x))
             pos += float(x)
-            if pos > window_length:
+            if pos > w:
                 return v, gaps
 
 
@@ -235,7 +236,7 @@ def sample_window(dist: GapDistribution, t1: float, t2: float, seed: int) -> Win
     single empty-window record. Only the length t2 - t1 matters.
     """
     w = window_length_checked(t2 - t1)
-    v, gaps = sample_renewal_path(dist, w, seed=seed)
+    v, gaps = sample_renewal_path(dist, w, seed)
     return _classify_path(v, gaps, w)
 
 
@@ -248,7 +249,7 @@ def sample_window_replicates(
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     out = []
     for k in range(n_windows):
-        v, gaps = sample_renewal_path(dist, w, rng=derived_rng(seed, k))
+        v, gaps = _renewal_path(dist, w, derived_rng(seed, k))
         out.append(_classify_path(v, gaps, w))
     return out
 

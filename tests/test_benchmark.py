@@ -12,6 +12,7 @@ from gapest import (
     mc_compare,
     tail_failure_demo,
 )
+from gapest.benchmark import TailReport, TailRow
 
 
 def small_config(**kw):
@@ -124,6 +125,18 @@ class TestTailDemo:
         # gap to the divergent case at every size
         assert max(finite) <= 3.0 * min(finite)
         assert max(finite) < min(divergent)
+
+    def test_report_dict_and_rows_follow_the_fields(self):
+        report = TailReport(
+            eps=0.1, replicates=2, seed=5, rows=[TailRow("exp:1", "wf", 100, 1.5)]
+        )
+        assert report.to_json_dict() == {
+            "eps": 0.1,
+            "replicates": 2,
+            "seed": 5,
+            "rows": [{"dist": "exp:1", "estimator": "wf", "n": 100, "sqrt_n_sup_error": 1.5}],
+        }
+        assert report.csv_rows() == [("exp:1", "wf", 100, 1.5)]
 
     def test_determinism(self):
         a = tail_failure_demo(Exponential(1.0), Weibull(2.0, 1.0), 100, 3, 0.1, seed=5)

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gapest
-from gapest import dataio
+from gapest import EstimationError, Segments, dataio, laslett_em
 from gapest.cli import main
 
 
@@ -109,6 +110,34 @@ class TestEstimate:
         payload = json.loads(out.read_text())
         assert payload["converged"] is True
         assert abs(sum(payload["masses"]) - 1.0) < 1e-9
+
+    def test_em_snaps_complete_lengths_to_the_atom_grid(self, tmp_path):
+        src = tmp_path / "segments.csv"
+        assert run("simulate", "--scheme", "segments", "--dist", "exp:1", "--n", "30",
+                   "--window", "3", "--rate", "2", "--seed", "4", "--out", str(src)) == 0
+        atoms = np.arange(0.25, 6.0, 0.5)
+        segs = dataio.read_segments_csv(src)
+        with pytest.raises(EstimationError, match="does not cover"):
+            laslett_em(segs, 3.0, atoms)
+        out = tmp_path / "em.json"
+        grid = "atoms=" + ",".join(repr(float(a)) for a in atoms)
+        assert run("estimate", "--estimator", "em", "--in", str(src), "--out", str(out),
+                   "--grid", grid) == 0
+        nearest = atoms[np.argmin(np.abs(segs.length[:, None] - atoms), axis=1)]
+        snapped = Segments(segs.kind, np.where(segs.kind == "pc", nearest, segs.length))
+        assert json.loads(out.read_text()) == laslett_em(snapped, 3.0, atoms).to_json_dict()
+
+    @pytest.mark.parametrize(
+        "grid", ["width=0", "width=nan", "width=inf", "atoms=0.5,inf", "atoms=nan", "atoms=-1"]
+    )
+    def test_invalid_grid_is_usage_error(self, tmp_path, grid):
+        src = tmp_path / "segments.csv"
+        src.write_text("kind,length\npc,0.75\n")
+        with pytest.raises(SystemExit) as exc:
+            run("estimate", "--estimator", "em", "--in", str(src), "--window", "2",
+                "--out", str(tmp_path / "em.json"), "--grid", grid)
+        assert exc.value.code == 2
+        assert not (tmp_path / "em.json").exists()
 
     def test_em_requires_grid(self, tmp_path):
         src = tmp_path / "segments.csv"
@@ -235,6 +264,10 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
     (None, ("simulate", "--scheme", "window", "--dist", "exp:1", "--n", "5", "--window", "inf")),
     (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "nan")),
     (SEGMENTS, ("estimate", "--estimator", "em", "--window", "inf", "--grid", "width=0.5")),
+    ("kind,length\npc,0.75\npc,1.3\n", ("estimate", "--estimator", "em", "--window", "2",
+                                       "--grid", "atoms=0.5,1.0")),
+    ("kind,length\npc,1.0\npc,1.01\n", ("estimate", "--estimator", "em", "--window", "2",
+                                       "--grid", "atoms=1.0")),
 ])
 def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
     argv = (*argv, "--out", str(tmp_path / "out"))

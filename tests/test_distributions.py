@@ -264,6 +264,13 @@ class TestDiscreteSteps:
         with pytest.raises(DistributionSpecError):
             DiscreteDistribution([1.0, 2.0], [0.6, 0.6])
 
+    @pytest.mark.parametrize(
+        "atoms,masses", [([1.0, 2.0], [math.nan, math.nan]), ([1.0, math.inf], [0.5, 0.5])]
+    )
+    def test_non_finite_rejected(self, atoms, masses):
+        with pytest.raises(DistributionSpecError, match="finite"):
+            DiscreteDistribution(atoms, masses)
+
 
 class TestSpecStrings:
     @pytest.mark.parametrize(
