@@ -23,10 +23,9 @@ from .distributions import GapDistribution, parse_distribution
 from .errors import EstimationError
 from .product_limit import ESTIMATORS, StepSurvival
 from .sampling import (
-    Segments,
     WindowRecords,
     sample_equilibrium,
-    sample_segment_replicates,
+    sample_pooled_segments,
     sample_window_replicates,
 )
 from .seeding import child_seed
@@ -142,10 +141,10 @@ def _simulate(config: McConfig, dist: GapDistribution, rep: int):
     if config.scheme == "window":
         reps = sample_window_replicates(dist, 0.0, config.window_length, config.n, seed)
         return WindowRecords.concat(reps)
-    reps = sample_segment_replicates(
+    segs, _ = sample_pooled_segments(
         config.birth_rate, dist, 0.0, config.window_length, config.n, seed
     )
-    return Segments.concat(reps)
+    return segs
 
 
 def mc_compare(config: McConfig) -> McReport:

@@ -84,8 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--bootstrap", type=int, metavar="B", help="add pointwise bootstrap bands")
     est.add_argument("--level", type=float, default=0.95)
     est.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    est.add_argument("--max-iter", type=int, default=npmle.EM_DEFAULT_MAX_ITER)
-    est.add_argument("--tol", type=float, default=npmle.EM_DEFAULT_TOL)
+    est.add_argument("--max-iter", type=int, default=npmle.EM_DEFAULT_MAX_ITER,
+                     help="most EM-map evaluations (em)")
+    est.add_argument("--tol", type=float, default=npmle.EM_DEFAULT_TOL,
+                     help="stop once the gradient gap max_j D_j - 1 is at most this (em)")
     est.set_defaults(func=cmd_estimate)
 
     bench = sub.add_parser("bench", help="Monte Carlo studies")
@@ -148,10 +150,10 @@ def cmd_simulate(args) -> int:
     else:
         if not args.window or not args.rate:
             return _usage("simulate --scheme segments requires --window and --rate")
-        reps = sampling.sample_segment_replicates(
+        segments, _ = sampling.sample_pooled_segments(
             args.rate, args.dist, 0.0, args.window, args.n, args.seed
         )
-        dataio.write_segments_csv(args.out, sampling.Segments.concat(reps))
+        dataio.write_segments_csv(args.out, segments)
         meta["window"] = args.window
         meta["rate"] = args.rate
     dataio.write_sidecar(args.out, meta)
@@ -187,6 +189,10 @@ def cmd_estimate(args) -> int:
             return _usage(f"--bootstrap must be >= 1, got {args.bootstrap}")
     if not 0.0 < args.level < 1.0:
         return _usage(f"--level must be in (0, 1), got {args.level}")
+    if args.max_iter < 1:
+        return _usage(f"--max-iter must be >= 1, got {args.max_iter}")
+    if not 0.0 < args.tol < math.inf:
+        return _usage(f"--tol must be finite and positive, got {args.tol}")
     if args.estimator == "em" and args.grid is None:
         return _usage("estimator em requires --grid width=<h> or atoms=<a1,...>")
     window = args.window

@@ -7,7 +7,10 @@ data the NPMLE over a fixed atom grid is computed by an EM iteration in
 the window-biased parameterization q_j ~ p_j (w + a_j), under which an
 observed segment is an iid draw: pick an atom with probability q_j, then a
 birth position uniform over its w + a_j observable placements
-(``laslett_em``).
+(``laslett_em``). The EM runs on the distinct (kind, length) rows with
+their counts, takes SQUAREM steps that fall back to plain EM steps
+rather than lower the likelihood, and stops on Lindsay's gradient
+certificate: max_j D_j - 1 <= tol, reported as ``gradient_gap``.
 
 Likelihood evaluators: ``segment_loglik`` scores a discrete distribution
 with the per-kind factors mass(x), S(c+), S(x+)/mu and E(X-w)+/mu plus an
@@ -31,10 +34,13 @@ import numpy as np
 from .distributions import DiscreteDistribution, atom_lookup, normalised
 from .errors import EstimationError
 from .product_limit import StepSurvival
-from .sampling import Pairs, Segments, window_length_checked
+from .sampling import SEGMENT_KINDS, Pairs, Segments, _check_kinds, window_length_checked
 
 EM_DEFAULT_TOL = 1e-8
 EM_DEFAULT_MAX_ITER = 100_000
+# Extrapolations a SQUAREM step tries, each halfway back towards the plain
+# EM point, before it keeps that point.
+SQUAREM_TRIES = 3
 
 ORACLE_MAX_ATOMS = 6
 ORACLE_COARSE_CAP = 600_000  # candidate budget for the dense simplex scan
@@ -50,6 +56,7 @@ class EmResult:
     loglik_trace: np.ndarray
     iterations: int
     converged: bool
+    gradient_gap: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -59,6 +66,7 @@ class EmResult:
             "loglik": float(self.loglik_trace[-1]),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
+            "gradient_gap": float(self.gradient_gap),
         }
 
 
@@ -155,13 +163,15 @@ def _atom_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray
 
 def _possible_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray:
     """``_atom_weights`` without all-zero rows: an observation that no
-    distribution on the grid can produce is an error."""
+    distribution on the grid can produce is an error. The message names the
+    observation by kind and length, since ``laslett_em`` passes its
+    distinct rows, whose order is not that of the data."""
     rows = _atom_weights(segments, atoms, w)
     dead = np.nonzero(~rows.any(axis=1))[0]
     if dead.size:
         k = int(dead[0])
         raise EstimationError(
-            f"observation {k} ({segments.kind[k]} {segments.length[k]}) has zero "
+            f"a {segments.kind[k]} segment of length {segments.length[k]} has zero "
             "probability under every distribution on this grid"
         )
     return rows
@@ -209,6 +219,24 @@ def default_grid(segments: Segments, window_length: float, bin_width: float) -> 
     return (np.arange(n_bins) + 0.5) * bin_width
 
 
+def _distinct_rows(segments: Segments) -> tuple[Segments, np.ndarray]:
+    """The distinct (kind, length) rows of ``segments`` and the count of each.
+
+    The kinds are sorted through integer codes (SEGMENT_KINDS is in
+    alphabetical order), which costs a small fraction of sorting the
+    strings themselves.
+    """
+    _check_kinds(segments.kind, SEGMENT_KINDS, "segment")
+    kinds = np.asarray(SEGMENT_KINDS)
+    code = np.searchsorted(kinds, segments.kind)
+    order = np.lexsort((segments.length, code))
+    code, length = code[order], segments.length[order]
+    first = np.ones(code.size, dtype=bool)
+    first[1:] = (code[1:] != code[:-1]) | (length[1:] != length[:-1])
+    starts = np.flatnonzero(first)
+    return Segments(kinds[code[starts]], length[starts]), np.diff(np.append(starts, code.size))
+
+
 def laslett_em(
     segments: Segments,
     window_length: float,
@@ -216,24 +244,48 @@ def laslett_em(
     max_iter: int = EM_DEFAULT_MAX_ITER,
     tol: float = EM_DEFAULT_TOL,
 ) -> EmResult:
-    """EM for the segment NPMLE on a fixed atom grid.
+    """EM for the segment NPMLE on a fixed atom grid, accelerated and certified.
 
-    Iterates in the window-biased parameterization q_j ~ p_j (w + a_j),
-    under which the observations are iid and the E-step posterior of atom
-    j for observation i is W_ij p_j / numer_i (W from ``_atom_weights``,
-    numer = W p). The M-step averages the posteriors into q, which takes
-    only p_j (W^T (1/numer))_j, and maps back to p. The trace records the
-    marginal log likelihood after each iteration and is nondecreasing up
-    to float slack; iteration stops when one step improves it by less than
-    ``tol``.
+    Works in the window-biased parameterization q_j ~ p_j (w + a_j), under
+    which the observations are iid draws from a mixture with kernel
+    K_ij = W_ij / (w + a_j) (W from ``_atom_weights``) and the marginal log
+    likelihood is l(q) = sum_i c_i log (K q)_i. The segments are first
+    collapsed to their distinct (kind, length) rows with counts c, so one
+    EM step costs O(distinct rows x atoms), not O(segments x atoms).
+
+    Stop rule. The EM map is q -> q D(q), where D(q) = K^T (c / K q) / n is
+    also Lindsay's gradient: q maximizes l over the grid exactly when
+    max_j D_j <= 1, and l(optimum) - l(q) <= n log(max_j D_j). The fit
+    stops once the gap max_j D_j - 1 is at most ``tol``; ``converged``
+    says that it did, and ``gradient_gap`` is the gap of the returned
+    masses either way. It also stops, after taking the gap, when an
+    accepted step no longer raises l, so a ``tol`` below float resolution
+    cannot run to ``max_iter``. That rise is computed from K times the
+    step, not as a difference of two values of l, so rises far below the
+    rounding error of l still count.
+
+    Steps. Each is SQUAREM (Varadhan and Roland 2008, scheme SqS3): from
+    q1 = F(q) and q2 = F(q1), with r = q1 - q, v = q2 - q1 - r and
+    alpha = min(-|r| / |v|, -1), the point q - 2 alpha r + alpha^2 v is
+    projected onto the simplex (negative entries set to 0, then
+    renormalized) and given one stabilizing EM step. The result replaces
+    q2 only if every (K q)_i stays positive and its l is no lower than
+    l(q2). Otherwise alpha moves halfway to -1 and the step is tried
+    again, up to SQUAREM_TRIES times, before q2 is kept. So every
+    accepted point is at least as likely as the one before, and the trace
+    (l of the start and of each accepted point) is nondecreasing up to
+    float slack. ``iterations`` counts evaluations of the EM map: three
+    per SQUAREM step, one more per retry, and plain EM steps once too few
+    remain for a SQUAREM step and the gap after it, so it never exceeds
+    ``max_iter``.
 
     The fitted birth intensity is n / (w + mu_hat), the value that matches
     the expected number of observable lifetimes to the observed count.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     window_length_checked(window_length)
     if not segments:
         raise EstimationError("need at least one segment")
@@ -241,34 +293,70 @@ def laslett_em(
     if atoms.size == 0 or np.any(atoms <= 0):
         raise EstimationError("grid atoms must be positive")
 
-    weights = _possible_weights(segments, atoms, window_length)
-    n = len(segments)
+    distinct, counts = _distinct_rows(segments)
     w = float(window_length)
-    p = np.full(atoms.size, 1.0 / atoms.size)
-    numer = weights @ p
+    kernel = _possible_weights(distinct, atoms, w) / (w + atoms)
+    n = len(segments)
 
-    trace = []
-    converged = False
-    iterations = 0
-    prev = -math.inf
-    for _ in range(max_iter):
-        p = normalised(p * (weights.T @ (1.0 / numer)) / (w + atoms))
-        iterations += 1
-        numer = weights @ p
-        ll = float(np.log(numer).sum() - n * math.log(w + float(np.dot(atoms, p))))
-        trace.append(ll)
-        if ll - prev < tol:
-            converged = True
+    def em_map(q, kq):
+        """F(q) and the gradient D(q), given K q > 0."""
+        d = kernel.T @ (counts / kq) / n
+        return normalised(q * d), d
+
+    def rise(q_to, q_from, kq_from) -> float:
+        """l(q_to) - l(q_from), from K (q_to - q_from): accurate down to
+        rises far below the rounding error of l itself. The last term
+        corrects for the rounding of the two totals away from 1."""
+        step = q_to - q_from
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = float(counts @ np.log1p(kernel @ step / kq_from))
+        return gain - n * math.log1p(math.fsum(step) / math.fsum(q_from))
+
+    q = normalised(w + atoms)  # uniform masses p
+    kq = kernel @ q
+    trace = [float(counts @ np.log(kq))]
+    evals = 0
+    stalled = False
+    while True:
+        q1, d = em_map(q, kq)
+        evals += 1
+        gap = max(float(d.max()) - 1.0, 0.0)
+        if gap <= tol or stalled or evals == max_iter:
             break
-        prev = ll
+        q_new, kq_new = q1, kernel @ q1
+        if max_iter - evals >= 3:  # room for a SQUAREM step and the gap after it
+            q2, _ = em_map(q1, kq_new)
+            evals += 1
+            q_new, kq_new = q2, kernel @ q2
+            r, v = q1 - q, q2 - 2.0 * q1 + q
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                alpha = min(-float(np.linalg.norm(r) / np.linalg.norm(v)), -1.0)
+            for _ in range(SQUAREM_TRIES):
+                if max_iter - evals < 2:
+                    break
+                with np.errstate(over="ignore", invalid="ignore"):
+                    qx = normalised(np.maximum(q - 2.0 * alpha * r + alpha * alpha * v, 0.0))
+                kqx = kernel @ qx
+                if np.all(kqx > 0.0):  # false for nan too
+                    qs, _ = em_map(qx, kqx)
+                    evals += 1
+                    kqs = kernel @ qs
+                    if np.all(kqs > 0.0) and rise(qs, q2, kq_new) >= 0.0:
+                        q_new, kq_new = qs, kqs
+                        break
+                alpha = (alpha - 1.0) / 2.0
+        stalled = not rise(q_new, q, kq) > 0.0
+        q, kq = q_new, kq_new
+        trace.append(float(counts @ np.log(kq)))
 
-    fitted = DiscreteDistribution(atoms, p)
+    fitted = DiscreteDistribution(atoms, normalised(q / (w + atoms)))
     return EmResult(
         distribution=fitted,
         birth_rate=n / (w + fitted.mean()),
         loglik_trace=np.asarray(trace),
-        iterations=iterations,
-        converged=converged,
+        iterations=evals,
+        converged=gap <= tol,
+        gradient_gap=gap,
     )
 
 

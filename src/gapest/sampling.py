@@ -274,6 +274,16 @@ def sample_segment_replicates(
     birth_rate: float, dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> list[Segments]:
     """Independent segment windows; window k uses derived_rng(seed, k)."""
+    segs, ends = sample_pooled_segments(birth_rate, dist, t1, t2, n_windows, seed)
+    return [segs[start:end] for start, end in zip(np.append(0, ends[:-1]), ends)]
+
+
+def sample_pooled_segments(
+    birth_rate: float, dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
+) -> tuple[Segments, np.ndarray]:
+    """The windows of ``sample_segment_replicates`` in one container, in
+    window order, with the end row of each window: the same rows and
+    streams, without splitting them apart."""
     w = window_length_checked(t2 - t1)
     if birth_rate <= 0:
         raise ValueError(f"birth_rate must be positive, got {birth_rate}")
@@ -285,8 +295,9 @@ def sample_segment_replicates(
 
 def _segment_windows(
     birth_rate: float, dist: GapDistribution, w: float, rngs
-) -> list[Segments]:
-    """The segments of one window per generator, classified in one pass."""
+) -> tuple[Segments, np.ndarray]:
+    """The segments of one window per generator, classified in one pass,
+    and the end row of each window's segments."""
     lmax = float(dist.ppf(SEGMENT_TRUNCATION_QUANTILE))
     span = w + lmax
     births, lifetimes = [], []
@@ -303,5 +314,4 @@ def _segment_windows(
     length = np.where(code == 0, x, np.minimum(d, w) - np.maximum(b, 0.0))
     keep = (d > 0.0) & (b < w) & (length > 0.0)
     ends = np.cumsum(np.bincount(window[keep], minlength=len(births)))
-    segs = Segments(np.array(SEGMENT_KINDS)[code[keep]], length[keep])
-    return [segs[start:end] for start, end in zip(np.append(0, ends[:-1]), ends)]
+    return Segments(np.array(SEGMENT_KINDS)[code[keep]], length[keep]), ends

@@ -204,6 +204,19 @@ class TestEstimate:
             assert "--level" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-iter", "0"), ("--max-iter", "-3"),
+        ("--tol", "0"), ("--tol", "-0.5"), ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_invalid_em_controls_are_usage_errors(self, tmp_path, capsys, flag, value):
+        src = tmp_path / "segments.csv"
+        src.write_text(SEGMENTS)
+        out = tmp_path / "em.json"
+        assert run("estimate", "--estimator", "em", "--in", str(src), "--out", str(out),
+                   "--window", "2", "--grid", "width=0.5", flag, value) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_censored_pairs_rejected_by_cv_with_pointer(self, tmp_path, capsys):
         src = tmp_path / "pairs.csv"
         src.write_text("r,s,censored\n0.4,0.6,0\n1.5,0.5,1\n")
@@ -245,10 +258,8 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
             "--window", "2", "--rate", "-1")),
     (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "-1")),
     ("kind,length\npc,1.0\npx,5\n", ("estimate", "--estimator", "palmer_cox", "--window", "3")),
-    (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "width=0.5",
-                "--max-iter", "0")),
-    (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "width=0.5",
-                "--tol", "0")),
+    (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "atoms=0.75,1.25")),
+    (SEGMENTS, ("estimate", "--estimator", "em", "--window", "1", "--grid", "width=0.5")),
     (None, ("simulate", "--scheme", "window", "--dist", "exp:1", "--n", "5", "--window", "nan")),
     (None, (*TAILS, "--eps", "0.1", "--n", "0")),
     (None, (*TAILS, "--eps", "0.1", "--reps", "0")),

@@ -175,6 +175,8 @@ class TestEmResultJson:
         path = tmp_path / "em.json"
         dataio.write_em_result_json(path, res)
         payload = json.loads(path.read_text())
-        assert set(payload) == {"atoms", "masses", "birth_rate", "loglik", "iterations", "converged"}
+        assert set(payload) == {
+            "atoms", "masses", "birth_rate", "loglik", "iterations", "converged", "gradient_gap"
+        }
         assert payload["masses"] == [1.0]
         assert payload["converged"] is True

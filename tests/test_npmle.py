@@ -33,11 +33,12 @@ from gapest import (
     laslett_em,
     npmle_oracle,
     sample_equilibrium,
+    sample_segment_replicates,
     segment_loglik,
     segment_marginal_loglik,
     winter_foldes,
 )
-from gapest.npmle import _atom_weights
+from gapest.npmle import EM_DEFAULT_TOL, _atom_weights
 from gapest.seeding import child_seed, derived_rng
 
 PC, PX, RC, RX = "pc", "px", "rc", "rx"
@@ -100,6 +101,32 @@ def loglik_by_kind(dist, segments, w):
             return -math.inf
         total += math.log(factor)
     return total
+
+
+def lindsay_gap(dist, segs, w):
+    """max_j D_j - 1 of the masses of ``dist``, recomputed on every row: the
+    certificate ``laslett_em`` reports."""
+    kernel = _atom_weights(segs, dist.atoms, w) / (w + dist.atoms)
+    q = dist.masses * (w + dist.atoms)
+    q /= q.sum()
+    return float(np.max(kernel.T @ (1.0 / (kernel @ q))) / len(segs) - 1.0)
+
+
+def textbook_em(segs, w, atoms, tol, max_steps=200_000):
+    """Plain EM in the masses p, one E-step row per segment and no
+    acceleration, run until its own Lindsay gap is at most ``tol``: the
+    reference for ``laslett_em``."""
+    weights = _atom_weights(segs, atoms, w)
+    p = np.full(atoms.size, 1.0 / atoms.size)
+    for _ in range(max_steps):
+        dist = DiscreteDistribution(atoms, p)
+        if lindsay_gap(dist, segs, w) <= tol:
+            return dist
+        post = weights * p
+        post /= post.sum(axis=1, keepdims=True)
+        p = post.mean(axis=0) / (w + atoms)
+        p /= p.sum()
+    raise AssertionError(f"textbook EM not certified after {max_steps} steps")
 
 
 @st.composite
@@ -398,6 +425,67 @@ class TestLaslettEm:
         slack = 1e-12 * np.maximum(np.abs(trace[:-1]), 1.0)
         assert np.all(np.diff(trace) >= -slack)
 
+    @given(em_instances())
+    def test_certificate_and_duality_bound(self, instance):
+        # the reported gap is the gap of the returned masses, and it bounds
+        # how far the fit can be below the best log likelihood on the grid
+        segs, w, atoms = instance
+        res = laslett_em(segs, w, atoms)
+        assert res.converged
+        gap = lindsay_gap(res.distribution, segs, w)
+        assert gap <= EM_DEFAULT_TOL + 1e-12
+        assert abs(gap - res.gradient_gap) <= 1e-12
+        if len(atoms) <= 3:  # the oracle's simplex scan takes seconds above three atoms
+            ll_em = segment_marginal_loglik(res.distribution, segs, w)
+            ll_oracle = segment_marginal_loglik(npmle_oracle(segs, w, atoms), segs, w)
+            assert ll_oracle <= ll_em + len(segs) * math.log1p(res.gradient_gap) + 1e-9
+
+    def test_matches_textbook_em(self):
+        # both fits are certified, so both are within n tol of the optimum
+        rng = derived_rng(34)
+        cases = [random_em_instance(rng) for _ in range(20)]
+        binned = bin_segments(Segments.concat(sample_segment_replicates(
+            2.0, EXP1, 0.0, 3.0, 60, seed=35)), 0.25)
+        cases.append((binned, 3.0, default_grid(binned, 3.0, 0.25)))
+        for segs, w, atoms in cases:
+            res = laslett_em(segs, w, atoms)
+            assert res.converged
+            ref = textbook_em(segs, w, atoms, EM_DEFAULT_TOL)
+            ll_em = segment_marginal_loglik(res.distribution, segs, w)
+            ll_ref = segment_marginal_loglik(ref, segs, w)
+            assert abs(ll_em - ll_ref) <= len(segs) * EM_DEFAULT_TOL
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            laslett_em(segments((PC, 1.0)), 1.0, [1.0], tol=tol)
+
+    def test_a_tol_below_float_resolution_stops_at_the_floor(self):
+        rng = derived_rng(36)
+        fits = [laslett_em(*random_em_instance(rng), tol=1e-300) for _ in range(30)]
+        assert all(f.iterations < 1_000 and f.gradient_gap < 1e-12 for f in fits)
+        assert any(not f.converged for f in fits)  # some end on the stall rule
+
+    def test_max_iter_bounds_the_em_map_evaluations(self):
+        # on this sample some SQUAREM steps retry their extrapolation, one
+        # EM-map evaluation each, close to the end of the budget
+        segs = bin_segments(Segments.concat(sample_segment_replicates(
+            2.0, EXP1, 0.0, 3.0, 100, seed=34)), 0.1)
+        grid = default_grid(segs, 3.0, 0.1)
+        for max_iter in range(1, 61):
+            res = laslett_em(segs, 3.0, grid, max_iter=max_iter, tol=1e-300)
+            assert res.iterations <= max_iter
+            assert res.loglik_trace.size >= 1
+
+    def test_duplicate_rows_fit_like_their_counts(self):
+        # the fit sees only distinct rows and their counts, so the order of
+        # the segments does not matter
+        segs, w, atoms = random_em_instance(derived_rng(38))
+        a = laslett_em(segs, w, atoms)
+        b = laslett_em(segs[::-1], w, atoms)
+        assert np.array_equal(a.distribution.masses, b.distribution.masses)
+        assert a.iterations == b.iterations
+
     @pytest.mark.parametrize("w", [math.nan, math.inf])
     def test_window_must_be_finite(self, w):
         segs, dist = segments((PC, 1.0)), DiscreteDistribution([1.0], [1.0])
@@ -422,7 +510,9 @@ class TestLaslettEm:
     def test_em_result_json_fields(self):
         res = laslett_em(segments((PC, 1.0)), 1.0, [1.0])
         payload = res.to_json_dict()
-        assert set(payload) == {"atoms", "masses", "birth_rate", "loglik", "iterations", "converged"}
+        assert set(payload) == {
+            "atoms", "masses", "birth_rate", "loglik", "iterations", "converged", "gradient_gap"
+        }
 
 
 class TestOracle:

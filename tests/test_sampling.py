@@ -29,7 +29,7 @@ from gapest import (
     sample_window_replicates,
 )
 
-from gapest.sampling import SEGMENT_TRUNCATION_QUANTILE
+from gapest.sampling import SEGMENT_TRUNCATION_QUANTILE, sample_pooled_segments
 from gapest.seeding import derived_rng
 
 EXP1 = Exponential(1.0)
@@ -351,6 +351,9 @@ class TestSegmentSampling:
             same(segs, segments_by_loop(rate, dist, w, derived_rng(seed, k)))
         one = sample_segments(rate, dist, t1, t2, seed)
         same(one, segments_by_loop(rate, dist, w, derived_rng(seed)))
+        pooled, ends = sample_pooled_segments(rate, dist, t1, t2, n_windows, seed)
+        same(pooled, Segments.concat(got))
+        assert ends.tolist() == np.cumsum([len(segs) for segs in got]).tolist()
 
 
 class TestRenewalPath:
