@@ -11,7 +11,10 @@ Everything is plain decimal text. Formats:
 * EM results: JSON with atoms, masses, birth_rate, loglik, iterations,
   converged.
 
-Readers report malformed rows with their line numbers.
+Readers report malformed rows with their line numbers. The pairs, window
+and segment readers parse the whole file in C (``np.loadtxt``) and check
+the columns as arrays; their line-by-line loop runs only on a file that
+fails this, to word the error.
 """
 
 from __future__ import annotations
@@ -43,6 +46,45 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+# Printable ASCII and the newline. Outside it the C parse and the row loop
+# part ways: float() reads non-ASCII digits that numpy rejects, numpy reads
+# \x1f as a blank where float() fails, and numpy text fields drop a
+# trailing NUL. So text with any other character goes to the row loop.
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\n"
+
+
+def _parse_in_c(text: str, lines: list[str], dtype, columns):
+    """The columns of the data ``lines`` parsed by np.loadtxt, or None where
+    the row loop must run: on other than plain text, no data rows (where
+    loadtxt would warn), a ValueError or a failed check. Like the loop,
+    loadtxt skips empty lines."""
+    if not any(lines) or not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return columns(*(np.ascontiguousarray(table[name]) for name in table.dtype.names))
+
+
+def _nonnegative(x: np.ndarray) -> bool:
+    return bool(((0 <= x) & (x < math.inf)).all())
+
+
+def _kind_table(kinds: tuple) -> np.dtype:
+    """A text field one character wider than the longest code, so that a
+    longer cell is cut to a width no code has, then a float field."""
+    return np.dtype([("kind", f"<U{max(map(len, kinds)) + 1}"), ("value", float)])
+
+
+def _known_kinds(kind: np.ndarray, kinds: tuple):
+    """``kind`` as np.asarray(kind.tolist(), dtype=str) would give it, or
+    None if a code is not in ``kinds``."""
+    if not np.isin(kind, kinds).all():
+        return None
+    return kind.astype(f"<U{np.char.str_len(kind).max()}")
+
+
 def write_pairs_csv(path, pairs: Pairs) -> None:
     cols = pairs.r.tolist(), pairs.s.tolist(), pairs.censored.astype(int).tolist()
     write_csv(path, PAIRS_HEADER, zip(*cols))
@@ -57,8 +99,19 @@ def _pair_row(row):
     return r, s, flag
 
 
+def _pair_columns(r, s, flag):
+    if _nonnegative(r) and _nonnegative(s) and np.isin(flag, ("0", "1")).all():
+        return [r, s, flag == "1"]
+    return None
+
+
+# The flag is read as text, so that only the cells "0" and "1" skip the row
+# loop: numpy's integer parse reads "२" as 2360 where int() reads 2.
+_PAIRS_TABLE = np.dtype([("r", float), ("s", float), ("censored", "<U2")]), _pair_columns
+
+
 def read_pairs_csv(path) -> Pairs:
-    return Pairs(*_read_columns(path, PAIRS_HEADER, _pair_row))
+    return Pairs(*_read_columns(path, PAIRS_HEADER, _pair_row, _PAIRS_TABLE))
 
 
 def write_window_csv(path, obs: WindowRecords) -> None:
@@ -74,8 +127,16 @@ def _window_row(row):
     return kind, value
 
 
+def _window_columns(kind, value):
+    kind = _known_kinds(kind, WINDOW_KINDS)
+    return [kind, value] if kind is not None and _nonnegative(value) else None
+
+
+_WINDOW_TABLE = _kind_table(WINDOW_KINDS), _window_columns
+
+
 def read_window_csv(path) -> WindowRecords:
-    return WindowRecords(*_read_columns(path, WINDOW_HEADER, _window_row))
+    return WindowRecords(*_read_columns(path, WINDOW_HEADER, _window_row, _WINDOW_TABLE))
 
 
 def write_segments_csv(path, segments: Segments) -> None:
@@ -91,21 +152,40 @@ def _segment_row(row):
     return kind, length
 
 
+def _segment_columns(kind, length):
+    kind = _known_kinds(kind, SEGMENT_KINDS)
+    positive = bool(((0 < length) & (length < math.inf)).all())
+    return [kind, length] if kind is not None and positive else None
+
+
+_SEGMENTS_TABLE = _kind_table(SEGMENT_KINDS), _segment_columns
+
+
 def read_segments_csv(path) -> Segments:
-    return Segments(*_read_columns(path, SEGMENTS_HEADER, _segment_row))
+    return Segments(*_read_columns(path, SEGMENTS_HEADER, _segment_row, _SEGMENTS_TABLE))
 
 
-def _read_columns(path, header: list[str], parse) -> list:
+def _read_columns(path, header: list[str], parse, table=None) -> list:
     """The data rows of a CSV file as columns. ``parse`` converts one row
-    and raises ValueError on a bad one; errors carry the line number."""
+    and raises ValueError on a bad one; errors carry the line number.
+
+    ``table`` is ``(dtype, columns)``: the rows are first parsed in C into
+    the fields of ``dtype``, and ``columns`` turns the fields into the
+    columns the row loop would return, or None if some row would fail
+    ``parse``. The row loop runs only where that fails, to word the error."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
-    rows = csv.reader(text.splitlines())
+    lines = text.splitlines()
+    rows = csv.reader(lines)
     if [c.strip() for c in next(rows, [])] != header:
         raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
+    if table is not None:
+        cols = _parse_in_c(text, lines[1:], *table)
+        if cols is not None:
+            return cols
     parsed = []
     for lineno, row in enumerate(rows, start=2):
         if not row:

@@ -1,6 +1,9 @@
 """On-disk formats: round trips and malformed-input reporting."""
 
+import csv
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +133,161 @@ class TestSegmentsCsv:
     def test_property_round_trip_is_bitwise(self, tmp_path_factory, rows):
         segs = Segments(*zip(*rows))
         round_trip(tmp_path_factory, dataio.write_segments_csv, dataio.read_segments_csv, segs)
+
+
+def read_by_loop(path, header, parse, container):
+    """The reference reader: the csv rows of the file, one ``parse`` call
+    per nonblank row, and each error worded with its line number."""
+    text = Path(path).read_text()
+    rows = csv.reader(text.splitlines())
+    if [c.strip() for c in next(rows, [])] != header:
+        raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
+    parsed = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            parsed.append(parse(row))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+    return container(*(list(zip(*parsed)) or [()] * len(header)))
+
+
+def identical(got, want):
+    """Same container type and columns equal bit for bit, dtypes included."""
+    assert type(got) is type(want)
+    for col_got, col_want in zip(got._columns(), want._columns()):
+        assert col_got.dtype == col_want.dtype
+        assert col_got.shape == col_want.shape
+        assert col_got.tobytes() == col_want.tobytes()
+
+
+# Per format: writer, reader, header, the loop's row parse, container, and
+# the cells of one valid row as the writer prints them.
+FORMATS = {
+    "pairs": (
+        dataio.write_pairs_csv, dataio.read_pairs_csv, dataio.PAIRS_HEADER, dataio._pair_row,
+        Pairs, st.tuples(FINITE.map(repr), FINITE.map(repr), st.sampled_from(["0", "1"])),
+    ),
+    "window": (
+        dataio.write_window_csv, dataio.read_window_csv, dataio.WINDOW_HEADER,
+        dataio._window_row, WindowRecords,
+        st.tuples(st.sampled_from(WINDOW_KINDS), FINITE.map(repr)),
+    ),
+    "segments": (
+        dataio.write_segments_csv, dataio.read_segments_csv, dataio.SEGMENTS_HEADER,
+        dataio._segment_row, Segments,
+        st.tuples(st.sampled_from(SEGMENT_KINDS), POSITIVE.map(repr)),
+    ),
+}
+
+
+def assert_reads_as_by_loop(fmt, path):
+    """The reader returns what read_by_loop returns, or raises its error."""
+    _, read, header, parse, container, _ = FORMATS[fmt]
+
+    def outcome(read):
+        try:
+            return read(path)
+        except Exception as exc:  # noqa: BLE001 - the error itself is compared
+            return type(exc), str(exc)
+
+    got, want = outcome(read), outcome(lambda p: read_by_loop(p, header, parse, container))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        identical(got, want)
+
+# Cells and lines on which np.loadtxt, float() and int() may part ways.
+HARD_TOKENS = [
+    "२", "१.५", "1_0", " 1", "+1", "1.0", "1e0", "nan", "inf", "-inf", "1e400", "-0",
+    '"1"', '"1', "#x", "", " ", "\t", "\x0c", "\x1c", "\x1f1", "1\x00", "pc\x00",
+    " complete", "complete ", "completeX", "pcX", "censored", "empty", "rx", "0", "1",
+    "01", "-1", "0.5", "5e-324",
+]
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["cell", "line", "comma"]),
+        st.integers(0, 99),
+        st.integers(0, 2),
+        st.sampled_from(HARD_TOKENS),
+    ),
+    max_size=3,
+)
+
+
+class TestCParseMatchesRowLoop:
+    """The readers parse in C and fall back to the row loop; either way
+    they return what the loop alone returns, or raise its error."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @given(data=st.data(), edits=EDITS, newline=st.sampled_from(["\n", "\r\n"]),
+           end=st.booleans())
+    def test_corrupted_files_read_as_by_the_loop(
+        self, tmp_path_factory, fmt, data, edits, newline, end
+    ):
+        header, cells = FORMATS[fmt][2], FORMATS[fmt][5]
+        rows = [list(row) for row in data.draw(st.lists(cells, max_size=8))]
+        for edit, i, j, token in edits:
+            if edit == "line":
+                rows.insert(i % (len(rows) + 1), [token])
+            elif rows and edit == "cell":
+                row = rows[i % len(rows)]
+                row[j % len(row)] = token
+            elif rows:
+                rows[i % len(rows)].append("")
+        lines = [",".join(header)] + [",".join(row) for row in rows]
+        path = tmp_path_factory.mktemp("io") / "records.csv"
+        path.write_bytes((newline.join(lines) + newline * end).encode())
+        assert_reads_as_by_loop(fmt, path)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_every_hard_token_in_every_place(self, tmp_path, fmt):
+        header = FORMATS[fmt][2]
+        valid = {"pairs": ["0.5", "2.0", "1"], "window": ["complete", "0.5"],
+                 "segments": ["pc", "0.5"]}[fmt]
+        path = tmp_path / "records.csv"
+        for token in HARD_TOKENS:
+            for k in range(len(valid) + 1):
+                # The token in column k of the middle row, or as a line of its own.
+                middle = valid[:k] + [token] + valid[k + 1:] if k < len(valid) else [token]
+                rows = [header, valid, middle, valid]
+                path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+                assert_reads_as_by_loop(fmt, path)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @given(data=st.data())
+    def test_written_files_never_enter_the_row_loop(self, tmp_path_factory, fmt, data):
+        write, read, _, _, container, cells = FORMATS[fmt]
+        records = container(*zip(*data.draw(st.lists(cells, min_size=1, max_size=20))))
+        path = tmp_path_factory.mktemp("io") / "records.csv"
+        write(path, records)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_pair_row", "_window_row", "_segment_row"):
+                patch.setattr(dataio, name, entered_row_loop)
+            identical(read(path), records)
+
+    @pytest.mark.parametrize("fmt, dtypes", [
+        ("pairs", ["float64", "float64", "bool"]),
+        ("window", ["<U1", "float64"]),
+        ("segments", ["<U1", "float64"]),
+    ])
+    @pytest.mark.parametrize("tail", ["", "\n", "\n\n", "\n\n\n"])
+    def test_header_only_files_read_as_empty_columns(self, tmp_path, fmt, dtypes, tail):
+        _, read, header, _, container, _ = FORMATS[fmt]
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(header) + tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read(path)
+        identical(got, container(*[()] * len(header)))
+        assert [col.dtype for col in got._columns()] == [np.dtype(d) for d in dtypes]
+
+
+def entered_row_loop(row):
+    raise AssertionError(f"the row loop parsed {row}")
 
 
 class TestStepSurvivalFiles:
