@@ -27,7 +27,6 @@ from .npmle import (
     default_grid,
     gof_discrepancy,
     laslett_em,
-    npmle_oracle,
     segment_loglik,
     segment_marginal_loglik,
 )
@@ -47,10 +46,8 @@ from .sampling import (
     WindowRecords,
     apply_right_censoring,
     sample_equilibrium,
-    sample_renewal_path,
+    sample_pooled_windows,
     sample_segment_replicates,
-    sample_segments,
-    sample_window,
     sample_window_replicates,
 )
 from .seeding import child_seed, derived_rng
@@ -89,14 +86,11 @@ __all__ = [
     "kaplan_meier",
     "laslett_em",
     "mc_compare",
-    "npmle_oracle",
     "palmer_cox",
     "parse_distribution",
     "sample_equilibrium",
-    "sample_renewal_path",
+    "sample_pooled_windows",
     "sample_segment_replicates",
-    "sample_segments",
-    "sample_window",
     "sample_window_replicates",
     "segment_loglik",
     "segment_marginal_loglik",

@@ -22,15 +22,11 @@ import numpy as np
 from .distributions import GapDistribution, parse_distribution
 from .errors import EstimationError
 from .product_limit import ESTIMATORS, StepSurvival
-from .sampling import (
-    WindowRecords,
-    sample_equilibrium,
-    sample_pooled_segments,
-    sample_window_replicates,
-)
+from .sampling import sample_equilibrium, sample_pooled_segments, sample_pooled_windows
 from .seeding import child_seed
 
 MSE_IDENTITY_TOL = 1e-10
+MC_GRID_SIZE = 40  # evenly spaced cdf points between the 5% and 95% quantiles
 TAIL_DOUBLINGS = 3  # tail_failure_demo runs n, 2n, ..., 2**TAIL_DOUBLINGS n
 
 
@@ -47,7 +43,6 @@ class McConfig:
     window_length: float | None = None
     birth_rate: float | None = None
     bin_width: float = 0.1
-    grid_size: int = 40
     check_time: float = 1.0
 
     def __post_init__(self):
@@ -81,7 +76,7 @@ class McConfig:
             "window_length": self.window_length,
             "birth_rate": self.birth_rate,
             "bin_width": self.bin_width,
-            "grid_size": self.grid_size,
+            "grid_size": MC_GRID_SIZE,
             "check_time": self.check_time,
         }
 
@@ -139,8 +134,8 @@ def _simulate(config: McConfig, dist: GapDistribution, rep: int):
     if config.scheme == "equilibrium":
         return sample_equilibrium(dist, config.n, seed)
     if config.scheme == "window":
-        reps = sample_window_replicates(dist, 0.0, config.window_length, config.n, seed)
-        return WindowRecords.concat(reps)
+        records, _ = sample_pooled_windows(dist, 0.0, config.window_length, config.n, seed)
+        return records
     segs, _ = sample_pooled_segments(
         config.birth_rate, dist, 0.0, config.window_length, config.n, seed
     )
@@ -150,7 +145,7 @@ def _simulate(config: McConfig, dist: GapDistribution, rep: int):
 def mc_compare(config: McConfig) -> McReport:
     """Run the replicated comparison described by ``config``."""
     dist = parse_distribution(config.dist_spec)
-    base = np.linspace(dist.ppf(0.05), dist.ppf(0.95), config.grid_size)
+    base = np.linspace(dist.ppf(0.05), dist.ppf(0.95), MC_GRID_SIZE)
     grid = np.unique(np.append(base, config.check_time))
     true_cdf = np.asarray(dist.cdf(grid), dtype=float)
 

@@ -144,8 +144,10 @@ def cmd_simulate(args) -> int:
     elif args.scheme == "window":
         if not args.window:
             return _usage("simulate --scheme window requires --window")
-        reps = sampling.sample_window_replicates(args.dist, 0.0, args.window, args.n, args.seed)
-        dataio.write_window_csv(args.out, sampling.WindowRecords.concat(reps))
+        records, _ = sampling.sample_pooled_windows(
+            args.dist, 0.0, args.window, args.n, args.seed
+        )
+        dataio.write_window_csv(args.out, records)
         meta["window"] = args.window
     else:
         if not args.window or not args.rate:

@@ -167,7 +167,8 @@ def read_segments_csv(path) -> Segments:
 
 def _read_columns(path, header: list[str], parse, table=None) -> list:
     """The data rows of a CSV file as columns. ``parse`` converts one row
-    and raises ValueError on a bad one; errors carry the line number.
+    and raises ValueError on a bad one; errors carry the number of the file
+    line on which the bad row ends, as a quoted cell may span lines.
 
     ``table`` is ``(dtype, columns)``: the rows are first parsed in C into
     the fields of ``dtype``, and ``columns`` turns the fields into the
@@ -187,7 +188,7 @@ def _read_columns(path, header: list[str], parse, table=None) -> list:
         if cols is not None:
             return cols
     parsed = []
-    for lineno, row in enumerate(rows, start=2):
+    for row in rows:
         if not row:
             continue
         try:
@@ -195,7 +196,7 @@ def _read_columns(path, header: list[str], parse, table=None) -> list:
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
             parsed.append(parse(row))
         except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            raise DataFormatError(f"{path}:{rows.line_num}: {exc}") from None
     return list(zip(*parsed)) or [()] * len(header)
 
 

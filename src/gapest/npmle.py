@@ -17,8 +17,7 @@ with the per-kind factors mass(x), S(c+), S(x+)/mu and E(X-w)+/mu plus an
 optional Poisson factor for the observed count;
 ``segment_marginal_loglik`` is the count-conditional log likelihood
 obtained by profiling the birth intensity out of the full segment
-likelihood, which is the objective the EM ascends and the brute-force
-``npmle_oracle`` maximizes.
+likelihood, which is the objective the EM ascends.
 
 Binning segment lengths onto a midpoint grid before running the EM
 regularizes the estimator (``bin_segments``, ``default_grid``).
@@ -41,10 +40,6 @@ EM_DEFAULT_MAX_ITER = 100_000
 # Extrapolations a SQUAREM step tries, each halfway back towards the plain
 # EM point, before it keeps that point.
 SQUAREM_TRIES = 3
-
-ORACLE_MAX_ATOMS = 6
-ORACLE_COARSE_CAP = 600_000  # candidate budget for the dense simplex scan
-ORACLE_REFINE_STEP = 1e-7
 
 
 @dataclass
@@ -358,87 +353,6 @@ def laslett_em(
         converged=gap <= tol,
         gradient_gap=gap,
     )
-
-
-def _simplex_lattice(d: int, divisions: int) -> np.ndarray:
-    """All mass vectors with entries k/divisions summing to 1, in a fixed order."""
-    if d == 1:
-        return np.ones((1, 1))
-    if d == 2:
-        i = np.arange(divisions + 1)
-        return np.column_stack([i, divisions - i]) / divisions
-    if d == 3:
-        i = np.arange(divisions + 1)
-        reps = divisions + 1 - i
-        first = np.repeat(i, reps)
-        second = np.concatenate([np.arange(r) for r in reps])
-        return np.column_stack([first, second, divisions - first - second]) / divisions
-    import itertools
-
-    cuts = itertools.combinations(range(divisions + d - 1), d - 1)
-    rows = []
-    for c in cuts:
-        parts = np.diff(np.concatenate(([-1], np.array(c), [divisions + d - 1]))) - 1
-        rows.append(parts)
-    return np.asarray(rows, dtype=float) / divisions
-
-
-def _score_candidates(P: np.ndarray, weights: np.ndarray, atoms: np.ndarray, w: float, n: int):
-    numer = P @ weights.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ll = np.sum(np.log(numer), axis=1) - n * np.log(w + P @ atoms)
-    ll[np.any(numer <= 0.0, axis=1)] = -np.inf
-    return ll
-
-
-def npmle_oracle(segments: Segments, window_length: float, grid) -> DiscreteDistribution:
-    """Brute-force maximizer of the marginal segment log likelihood.
-
-    Dense scan of the probability simplex over the grid atoms (resolution
-    1e-3 up to three atoms, coarser above to stay within the candidate
-    budget) followed by shrinking-box refinement down to steps of 1e-7.
-    Exists purely to cross-check ``laslett_em``; exponential in the number
-    of atoms, hence the cap at ORACLE_MAX_ATOMS. Ties are broken by the
-    first maximum in lattice order.
-    """
-    atoms = np.unique(np.asarray(grid, dtype=float))
-    d = atoms.size
-    if d > ORACLE_MAX_ATOMS:
-        raise EstimationError(f"oracle supports at most {ORACLE_MAX_ATOMS} atoms, got {d}")
-    if d == 0 or np.any(atoms <= 0):
-        raise EstimationError("grid atoms must be positive")
-    window_length_checked(window_length)
-    if not segments:
-        raise EstimationError("need at least one segment")
-    weights = _possible_weights(segments, atoms, window_length)
-    n = len(segments)
-    w = float(window_length)
-    if d == 1:
-        return DiscreteDistribution(atoms, np.ones(1))
-
-    divisions = 1000
-    while divisions > 2 and math.comb(divisions + d - 1, d - 1) > ORACLE_COARSE_CAP:
-        divisions -= 1
-    P = _simplex_lattice(d, divisions)
-    ll = _score_candidates(P, weights, atoms, w, n)
-    best = P[int(np.argmax(ll))]
-
-    step = 1.0 / divisions
-    while step > ORACLE_REFINE_STEP:
-        step /= 5.0
-        offsets = np.arange(-5, 6) * step
-        grids = np.meshgrid(*[best[j] + offsets for j in range(d - 1)], indexing="ij")
-        free = np.column_stack([g.ravel() for g in grids])
-        free = free[np.all(free >= 0.0, axis=1)]
-        last = 1.0 - free.sum(axis=1)
-        keep = last >= 0.0
-        cand = np.column_stack([free[keep], last[keep]])
-        if cand.size == 0:
-            continue
-        ll = _score_candidates(cand, weights, atoms, w, n)
-        best = cand[int(np.argmax(ll))]
-
-    return DiscreteDistribution.from_weights(atoms, best)
 
 
 def gof_discrepancy(a, b) -> float:

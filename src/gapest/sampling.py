@@ -185,105 +185,77 @@ def apply_right_censoring(pairs: Pairs, cens_dist: GapDistribution, seed: int) -
     return Pairs(pairs.r, np.where(cut, cuts, pairs.s), cut)
 
 
-def sample_renewal_path(
-    dist: GapDistribution, window_length: float, seed: int
-) -> tuple[float, list[float]]:
-    """One stationary realization on a window of the given length.
-
-    Returns (v, gaps): v is the offset of the first renewal past the window
-    start (equilibrium recurrence draw), gaps the subsequent interarrival
-    times, generated until they carry the path past the window end. gaps is
-    empty when v alone overshoots the window.
-    """
-    return _renewal_path(dist, window_length_checked(window_length), derived_rng(seed))
-
-
-def _renewal_path(dist: GapDistribution, w: float, rng) -> tuple[float, list[float]]:
-    v = float(dist.sample_equilibrium_recurrence(rng, 1)[0])
-    gaps: list[float] = []
-    if v > w:
-        return v, gaps
-    pos = v
-    while True:
-        for x in dist.sample(rng, _GAP_CHUNK):
-            gaps.append(float(x))
-            pos += float(x)
-            if pos > w:
-                return v, gaps
-
-
-def _classify_path(v: float, gaps: list[float], w: float) -> WindowRecords:
-    if v > w:
-        return WindowRecords(["empty"], [w])
-    kinds, values, pos = ["forward"], [v], v
-    for x in gaps:
-        if pos + x <= w:
-            kinds.append("complete")
-            values.append(x)
-            pos += x
-        else:
-            kinds.append("censored")
-            values.append(w - pos)
-            break
-    return WindowRecords(kinds, values)
-
-
-def sample_window(dist: GapDistribution, t1: float, t2: float, seed: int) -> WindowRecords:
-    """Observe one stationary realization on [t1, t2].
-
-    Emits a forward-recurrence record when a renewal lands in the window
-    (followed by the complete gaps and one trailing censored gap), or a
-    single empty-window record. Only the length t2 - t1 matters.
-    """
-    w = window_length_checked(t2 - t1)
-    v, gaps = sample_renewal_path(dist, w, seed)
-    return _classify_path(v, gaps, w)
-
-
 def sample_window_replicates(
     dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> list[WindowRecords]:
     """Independent window realizations; window k uses derived_rng(seed, k)."""
+    return _split(*sample_pooled_windows(dist, t1, t2, n_windows, seed))
+
+
+def sample_pooled_windows(
+    dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
+) -> tuple[WindowRecords, np.ndarray]:
+    """Stationary realizations watched on [t1, t2], one per window, in one
+    container in window order, with the end row of each window.
+
+    A window whose first renewal lands inside it gives a forward-recurrence
+    record, the complete gaps and one trailing censored gap; otherwise it
+    gives a single empty-window record. Only the length t2 - t1 matters.
+    Window k draws its first renewal and then its gaps, _GAP_CHUNK at a
+    time, from derived_rng(seed, k).
+    """
     w = window_length_checked(t2 - t1)
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    out = []
+    rows, ends = [], []
     for k in range(n_windows):
-        v, gaps = _renewal_path(dist, w, derived_rng(seed, k))
-        out.append(_classify_path(v, gaps, w))
-    return out
+        rng = derived_rng(seed, k)
+        pos = float(dist.sample_equilibrium_recurrence(rng, 1)[0])
+        if pos > w:
+            rows.append(("empty", w))
+        else:
+            rows.append(("forward", pos))
+            for x in _gaps(dist, rng):
+                if pos + x <= w:
+                    rows.append(("complete", x))
+                    pos += x
+                else:
+                    rows.append(("censored", w - pos))
+                    break
+        ends.append(len(rows))
+    return WindowRecords(*zip(*rows)), np.array(ends)
 
 
-def sample_segments(
-    birth_rate: float, dist: GapDistribution, t1: float, t2: float, seed: int
-) -> Segments:
-    """Observed lifetime intersections with [t1, t2] for one window.
+def _gaps(dist: GapDistribution, rng):
+    """Gaps drawn from rng, _GAP_CHUNK at a time, for as long as they are taken."""
+    while True:
+        yield from dist.sample(rng, _GAP_CHUNK).tolist()
 
-    Births form a Poisson process of the given rate; the simulation covers
-    births back to t1 - L where L is the SEGMENT_TRUNCATION_QUANTILE point
-    of the lifetime law, so earlier births are observable only with
-    negligible probability. Segments are returned in birth order.
-    """
-    w = window_length_checked(t2 - t1)
-    if birth_rate <= 0:
-        raise ValueError(f"birth_rate must be positive, got {birth_rate}")
-    return _segment_windows(birth_rate, dist, w, [derived_rng(seed)])[0]
+
+def _split(pooled, ends: np.ndarray) -> list:
+    """The windows of a pooled container, given the end row of each."""
+    return [pooled[start:end] for start, end in zip(np.append(0, ends[:-1]), ends)]
 
 
 def sample_segment_replicates(
     birth_rate: float, dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> list[Segments]:
     """Independent segment windows; window k uses derived_rng(seed, k)."""
-    segs, ends = sample_pooled_segments(birth_rate, dist, t1, t2, n_windows, seed)
-    return [segs[start:end] for start, end in zip(np.append(0, ends[:-1]), ends)]
+    return _split(*sample_pooled_segments(birth_rate, dist, t1, t2, n_windows, seed))
 
 
 def sample_pooled_segments(
     birth_rate: float, dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> tuple[Segments, np.ndarray]:
-    """The windows of ``sample_segment_replicates`` in one container, in
-    window order, with the end row of each window: the same rows and
-    streams, without splitting them apart."""
+    """Observed lifetime intersections with [t1, t2], for n_windows
+    independent windows, in one container in window order, with the end
+    row of each window. Window k uses derived_rng(seed, k).
+
+    Births form a Poisson process of the given rate; the simulation covers
+    births back to t1 - L where L is the SEGMENT_TRUNCATION_QUANTILE point
+    of the lifetime law, so earlier births are observable only with
+    negligible probability. Each window's segments are in birth order.
+    """
     w = window_length_checked(t2 - t1)
     if birth_rate <= 0:
         raise ValueError(f"birth_rate must be positive, got {birth_rate}")

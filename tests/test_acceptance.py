@@ -22,7 +22,6 @@ from gapest import (
     kaplan_meier,
     laslett_em,
     mc_compare,
-    npmle_oracle,
     palmer_cox,
     sample_equilibrium,
     sample_segment_replicates,
@@ -33,6 +32,7 @@ from gapest import (
 from gapest.sampling import SEGMENT_KINDS
 from gapest.seeding import child_seed, derived_rng
 
+from npmle_oracle import npmle_oracle
 from test_npmle import random_em_instance
 
 EXP1 = Exponential(1.0)

@@ -69,6 +69,13 @@ class TestPairsCsv:
         with pytest.raises(DataFormatError, match=":1"):
             dataio.read_pairs_csv(path)
 
+    def test_errors_name_the_file_line_after_a_multiline_cell(self, tmp_path):
+        # the quoted cell on lines 2-3 is one csv record; the bad row is line 4
+        path = tmp_path / "bad.csv"
+        path.write_text('r,s,censored\n"1\n",2,0\nx,2,0\n')
+        with pytest.raises(DataFormatError, match="bad.csv:4: could not convert"):
+            dataio.read_pairs_csv(path)
+
     @given(st.lists(st.tuples(FINITE, FINITE, st.booleans()), min_size=1, max_size=20))
     def test_property_round_trip_is_bitwise(self, tmp_path_factory, rows):
         pairs = Pairs(*zip(*rows))
@@ -143,7 +150,7 @@ def read_by_loop(path, header, parse, container):
     if [c.strip() for c in next(rows, [])] != header:
         raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
     parsed = []
-    for lineno, row in enumerate(rows, start=2):
+    for row in rows:
         if not row:
             continue
         try:
@@ -151,7 +158,7 @@ def read_by_loop(path, header, parse, container):
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
             parsed.append(parse(row))
         except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+            raise DataFormatError(f"{path}:{rows.line_num}: {exc}") from None
     return container(*(list(zip(*parsed)) or [()] * len(header)))
 
 
@@ -200,12 +207,13 @@ def assert_reads_as_by_loop(fmt, path):
     else:
         identical(got, want)
 
-# Cells and lines on which np.loadtxt, float() and int() may part ways.
+# Cells and lines on which np.loadtxt, float() and int() may part ways, and
+# quoted cells that span lines.
 HARD_TOKENS = [
     "२", "१.५", "1_0", " 1", "+1", "1.0", "1e0", "nan", "inf", "-inf", "1e400", "-0",
     '"1"', '"1', "#x", "", " ", "\t", "\x0c", "\x1c", "\x1f1", "1\x00", "pc\x00",
     " complete", "complete ", "completeX", "pcX", "censored", "empty", "rx", "0", "1",
-    "01", "-1", "0.5", "5e-324",
+    "01", "-1", "0.5", "5e-324", '"1\n"', '"x\ny"',
 ]
 EDITS = st.lists(
     st.tuples(

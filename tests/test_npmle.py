@@ -31,7 +31,6 @@ from gapest import (
     default_grid,
     gof_discrepancy,
     laslett_em,
-    npmle_oracle,
     sample_equilibrium,
     sample_segment_replicates,
     segment_loglik,
@@ -40,6 +39,8 @@ from gapest import (
 )
 from gapest.npmle import EM_DEFAULT_TOL, _atom_weights
 from gapest.seeding import child_seed, derived_rng
+
+from npmle_oracle import npmle_oracle
 
 PC, PX, RC, RX = "pc", "px", "rc", "rx"
 

@@ -1,0 +1,67 @@
+"""The names the benchmark in ``perfbench/`` takes from gapest still exist.
+
+The benchmark is kept unchanged across releases, so a change that deletes
+or renames a function it traces or calls would break it without failing
+any other test.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import gapest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def dotted(node):
+    """``a.b.c`` for a chain of attribute lookups on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def gapest_names(path):
+    """Each outermost ``gapest.…`` name in a source file, and whether it is called."""
+    tree = ast.parse(path.read_text())
+    called = {dotted(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = {
+        dotted(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and id(node) not in inner
+    }
+    return {name: name in called for name in names if name and name.startswith("gapest.")}
+
+
+@pytest.mark.parametrize("name", load("tracing").TRACED)
+def test_every_traced_name_is_a_function_of_its_module(name):
+    module, _, attr = name.rpartition(".")
+    fn = getattr(importlib.import_module(f"gapest.{module}"), attr, None)
+    assert inspect.isfunction(fn), name
+    assert fn.__module__ == f"gapest.{module}", name
+
+
+@pytest.mark.parametrize("source", ["workloads.py", "run.py"])
+def test_every_gapest_name_the_benchmark_uses_resolves(source):
+    names = gapest_names(PERFBENCH / source)
+    assert names
+    for name, is_called in names.items():
+        value = gapest
+        for part in name.split(".")[1:]:
+            if not hasattr(value, part):
+                importlib.import_module(f"{value.__name__}.{part}")
+            value = getattr(value, part)
+        assert callable(value) or not is_called, name

@@ -24,7 +24,6 @@ from gapest import (
     parse_distribution,
     sample_equilibrium,
     sample_segment_replicates,
-    sample_segments,
     sample_window_replicates,
     winter_foldes,
     window_product_limit,
@@ -326,7 +325,8 @@ class TestPalmerCox:
 
     def test_doubly_censored_length_allows_rounding(self):
         # the samplers store t2 - t1: here 0.30000000000000004 for w = 0.3
-        rx = sample_segments(2.0, EXP1, 0.1, 0.4, seed=3)
+        segs = sample_segment_replicates(2.0, EXP1, 0.1, 0.4, 1, seed=3)[0]
+        rx = segs[segs.kind == "rx"]
         assert rx.kind.tolist() == ["rx"] and rx.length[0] != 0.3
         segs = Segments.concat([rx, Segments(["pc"], [0.1])])
         assert palmer_cox(segs, 0.3).jump_times.tolist() == [0.1]
@@ -519,7 +519,7 @@ class TestBootstrapBand:
         assert inside.all()
 
     def test_segment_band_runs(self):
-        segs = sample_segments(3.0, EXP1, 0.0, 2.0, seed=8)
+        segs = sample_segment_replicates(3.0, EXP1, 0.0, 2.0, 1, seed=8)[0]
         band = bootstrap_band(
             segs, "palmer_cox", B=25, seed=4, grid=[0.5, 1.0], window_length=2.0
         )
@@ -629,7 +629,7 @@ class TestBootstrapBand:
             bootstrap_band(pairs, "winter_foldes", B=5, seed=1, level=1.5)
         with pytest.raises(EstimationError):
             bootstrap_band(pairs, "nonsense", B=2, seed=1)
-        segs = sample_segments(3.0, EXP1, 0.0, 2.0, seed=8)
+        segs = sample_segment_replicates(3.0, EXP1, 0.0, 2.0, 1, seed=8)[0]
         with pytest.raises(EstimationError, match="window_length"):
             bootstrap_band(segs, "palmer_cox", B=2, seed=1)
 

@@ -22,10 +22,8 @@ from gapest import (
     parse_distribution,
     sample_equilibrium,
     apply_right_censoring,
-    sample_renewal_path,
+    sample_pooled_windows,
     sample_segment_replicates,
-    sample_segments,
-    sample_window,
     sample_window_replicates,
 )
 
@@ -42,6 +40,42 @@ def same(a, b):
         assert col_a.dtype.kind == col_b.dtype.kind
         assert col_a.shape == col_b.shape
         assert col_a.tobytes() == col_b.astype(col_a.dtype).tobytes()
+
+
+def renewal_path_by_loop(dist, w, rng):
+    """The first renewal v past the window start and the gaps after it,
+    drawn in chunks of eight until they carry the path past w; no gaps
+    when v alone overshoots."""
+    v = float(dist.sample_equilibrium_recurrence(rng, 1)[0])
+    gaps = []
+    if v > w:
+        return v, gaps
+    pos = v
+    while True:
+        for x in dist.sample(rng, 8):
+            gaps.append(float(x))
+            pos += float(x)
+            if pos > w:
+                return v, gaps
+
+
+def windows_by_loop(dist, w, rng):
+    """One window's records, classified one gap at a time from the path:
+    the reference for the window sampler."""
+    v, gaps = renewal_path_by_loop(dist, w, rng)
+    if v > w:
+        return WindowRecords(["empty"], [w])
+    kinds, values, pos = ["forward"], [v], v
+    for x in gaps:
+        if pos + x <= w:
+            kinds.append("complete")
+            values.append(x)
+            pos += x
+        else:
+            kinds.append("censored")
+            values.append(w - pos)
+            break
+    return WindowRecords(kinds, values)
 
 
 def segments_by_loop(birth_rate, dist, w, rng):
@@ -255,9 +289,29 @@ class TestWindowSampling:
                 assert rep.value.sum() == pytest.approx(3.0, abs=1e-9)
 
     def test_determinism_and_preconditions(self):
-        same(sample_window(EXP1, 0.0, 2.0, seed=5), sample_window(EXP1, 0.0, 2.0, seed=5))
-        with pytest.raises(ValueError):
-            sample_window(EXP1, 1.0, 1.0, seed=5)
+        same(*(sample_pooled_windows(EXP1, 0.0, 2.0, 5, seed=5)[0] for _ in range(2)))
+        for sampler in (sample_window_replicates, sample_pooled_windows):
+            with pytest.raises(ValueError):
+                sampler(EXP1, 1.0, 1.0, 5, seed=5)
+            with pytest.raises(ValueError):
+                sampler(EXP1, 0.0, 1.0, 0, seed=5)
+
+    @given(
+        st.integers(0, 2**32), LAWS, st.floats(-2.0, 2.0), st.floats(0.05, 6.0),
+        st.integers(1, 6),
+    )
+    def test_equals_the_path_loop(self, seed, law, t1, width, n_windows):
+        dist = parse_distribution(law)
+        t2 = t1 + width
+        w = t2 - t1  # the window length the sampler sees
+        want = [windows_by_loop(dist, w, derived_rng(seed, k)) for k in range(n_windows)]
+        got = sample_window_replicates(dist, t1, t2, n_windows, seed)
+        assert len(got) == n_windows
+        for records, ref in zip(got, want):
+            same(records, ref)
+        pooled, ends = sample_pooled_windows(dist, t1, t2, n_windows, seed)
+        same(pooled, WindowRecords.concat(want))
+        assert ends.tolist() == np.cumsum([len(ref) for ref in want]).tolist()
 
     def test_stationarity_forward_from_interior_point(self):
         # with gaps in [0.2, 1] every window of length 3 contains a renewal
@@ -330,12 +384,14 @@ class TestSegmentSampling:
         assert stats.kstest(pc, lambda x: np.interp(x, grid, cdf_vals)).statistic < 0.015
 
     def test_determinism_and_preconditions(self):
-        a = sample_segments(2.0, EXP1, 0.0, 3.0, seed=36)
-        same(a, sample_segments(2.0, EXP1, 0.0, 3.0, seed=36))
-        with pytest.raises(ValueError):
-            sample_segments(0.0, EXP1, 0.0, 3.0, seed=1)
-        with pytest.raises(ValueError):
-            sample_segments(1.0, EXP1, 3.0, 3.0, seed=1)
+        same(*(sample_pooled_segments(2.0, EXP1, 0.0, 3.0, 5, seed=36)[0] for _ in range(2)))
+        for sampler in (sample_segment_replicates, sample_pooled_segments):
+            with pytest.raises(ValueError):
+                sampler(0.0, EXP1, 0.0, 3.0, 1, seed=1)
+            with pytest.raises(ValueError):
+                sampler(1.0, EXP1, 3.0, 3.0, 1, seed=1)
+            with pytest.raises(ValueError):
+                sampler(1.0, EXP1, 0.0, 3.0, 0, seed=1)
 
     @given(
         st.integers(0, 2**32), LAWS, st.floats(0.1, 5.0), st.floats(-2.0, 2.0),
@@ -349,8 +405,6 @@ class TestSegmentSampling:
         assert len(got) == n_windows
         for k, segs in enumerate(got):
             same(segs, segments_by_loop(rate, dist, w, derived_rng(seed, k)))
-        one = sample_segments(rate, dist, t1, t2, seed)
-        same(one, segments_by_loop(rate, dist, w, derived_rng(seed)))
         pooled, ends = sample_pooled_segments(rate, dist, t1, t2, n_windows, seed)
         same(pooled, Segments.concat(got))
         assert ends.tolist() == np.cumsum([len(segs) for segs in got]).tolist()
@@ -358,27 +412,24 @@ class TestSegmentSampling:
 
 class TestRenewalPath:
     def test_path_consistent_with_window_records(self):
-        v, gaps = sample_renewal_path(EXP1, 4.0, seed=41)
-        obs = sample_window(EXP1, 0.0, 4.0, seed=41)
-        if v > 4.0:
-            assert obs.kind[0] == "empty"
-        else:
-            assert obs.value[0] == v
-            assert obs.value[1:-1].tolist() == gaps[:-1]
+        # the records carry the path's first renewal and every gap but the last
+        v, gaps = renewal_path_by_loop(EXP1, 4.0, derived_rng(41, 0))
+        obs = sample_window_replicates(EXP1, 0.0, 4.0, 1, seed=41)[0]
+        assert v <= 4.0 and obs.kind[0] == "forward"
+        assert obs.value[0] == v
+        assert obs.value[1:-1].tolist() == gaps[:-1]
 
 
 @pytest.mark.parametrize("t2", [math.nan, math.inf])
 def test_window_length_must_be_finite(t2):
     # a NaN or infinite window never ends, so the path loop would not stop
     with pytest.raises(ValueError, match="finite and positive"):
-        sample_window(EXP1, 0.0, t2, seed=1)
-    with pytest.raises(ValueError, match="finite and positive"):
-        sample_renewal_path(EXP1, t2, seed=1)
-    with pytest.raises(ValueError, match="finite and positive"):
         sample_window_replicates(EXP1, 0.0, t2, 3, seed=1)
     with pytest.raises(ValueError, match="finite and positive"):
-        sample_segments(1.0, EXP1, 0.0, t2, seed=1)
+        sample_pooled_windows(EXP1, 0.0, t2, 3, seed=1)
     with pytest.raises(ValueError, match="finite and positive"):
         sample_segment_replicates(1.0, EXP1, 0.0, t2, 3, seed=1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_pooled_segments(1.0, EXP1, 0.0, t2, 3, seed=1)
     with pytest.raises(ValueError, match="finite and positive"):
         Segments(["pc"], [1.0]).check_window(t2)
