@@ -38,6 +38,12 @@ def _dist_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed_arg(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _grid_arg(text: str):
     key, _, value = text.partition("=")
     try:
@@ -67,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scheme", required=True, choices=SCHEMES)
     sim.add_argument("--dist", required=True, type=_dist_arg, help="gap distribution spec")
     sim.add_argument("--n", required=True, type=int, help="pairs or replicate windows")
-    sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sim.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     sim.add_argument("--out", required=True)
     sim.add_argument("--window", type=float, help="window length (window/segments schemes)")
     sim.add_argument("--rate", type=float, help="birth intensity (segments scheme)")
@@ -83,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--grid", type=_grid_arg, help="width=<h> or atoms=<a1,a2,...> (em)")
     est.add_argument("--bootstrap", type=int, metavar="B", help="add pointwise bootstrap bands")
     est.add_argument("--level", type=float, default=0.95)
-    est.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    est.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     est.add_argument("--max-iter", type=int, default=npmle.EM_DEFAULT_MAX_ITER,
                      help="most EM-map evaluations (em)")
     est.add_argument("--tol", type=float, default=npmle.EM_DEFAULT_TOL,
@@ -98,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--dist", required=True, type=_dist_arg)
     cmp_p.add_argument("--n", required=True, type=int)
     cmp_p.add_argument("--reps", required=True, type=int)
-    cmp_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    cmp_p.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     cmp_p.add_argument("--estimators", type=lambda s: tuple(s.split(",")), default=())
     cmp_p.add_argument("--window", type=float)
     cmp_p.add_argument("--rate", type=float)
@@ -114,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     tails.add_argument("--eps", required=True, type=float)
     tails.add_argument("--n", type=int, default=500, help="smallest sample size")
     tails.add_argument("--reps", type=int, default=20)
-    tails.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    tails.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     tails.add_argument("--out", required=True, help="CSV table path")
     tails.add_argument("--json", dest="json_out", help="also write the report as JSON")
     tails.set_defaults(func=cmd_bench_tails)

@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import normalised, step_at
 from .errors import EstimationError
 from .sampling import WINDOW_KINDS, Pairs, Segments, WindowRecords, _check_kinds
-from .seeding import derived_rng
+from .seeding import derived_rng, derived_rngs
 
 BOOTSTRAP_MAX_RETRIES = 100
 BOOTSTRAP_MAX_GRID = 4096
@@ -412,9 +412,9 @@ def bootstrap_band(
     failures = 0
     for lo in range(0, B, chunk):
         hi = min(lo + chunk, B)
-        for i, b in enumerate(range(lo, hi)):
+        for i, first in enumerate(derived_rngs(seed, [(b, 0) for b in range(lo, hi)])):
             for retry in range(BOOTSTRAP_MAX_RETRIES):
-                idx = derived_rng(seed, b, retry).integers(0, n, size=n)
+                idx = (derived_rng(seed, lo + i, retry) if retry else first).integers(0, n, size=n)
                 if has_event[idx].any():
                     break
             else:

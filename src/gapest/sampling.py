@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import GapDistribution
 from .errors import EstimationError
-from .seeding import derived_rng
+from .seeding import derived_rng, derived_rngs
 
 # Births earlier than this quantile of the lifetime law cannot reach the
 # window except with probability below the Monte Carlo test tolerances.
@@ -207,29 +207,32 @@ def sample_pooled_windows(
     w = window_length_checked(t2 - t1)
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    rows, ends = [], []
-    for k in range(n_windows):
-        rng = derived_rng(seed, k)
-        pos = float(dist.sample_equilibrium_recurrence(rng, 1)[0])
-        if pos > w:
-            rows.append(("empty", w))
-        else:
-            rows.append(("forward", pos))
-            for x in _gaps(dist, rng):
-                if pos + x <= w:
-                    rows.append(("complete", x))
-                    pos += x
-                else:
-                    rows.append(("censored", w - pos))
-                    break
-        ends.append(len(rows))
-    return WindowRecords(*zip(*rows)), np.array(ends)
-
-
-def _gaps(dist: GapDistribution, rng):
-    """Gaps drawn from rng, _GAP_CHUNK at a time, for as long as they are taken."""
-    while True:
-        yield from dist.sample(rng, _GAP_CHUNK).tolist()
+    first = np.empty((n_windows, 1 + _GAP_CHUNK))  # v, then the first chunk
+    for row, rng in zip(first, derived_rngs(seed, np.arange(n_windows)[:, None])):
+        row[0] = dist.sample_equilibrium_recurrence(rng, 1)[0]
+        row[1:] = dist.sample(rng, _GAP_CHUNK)
+    times = np.cumsum(first, axis=1)  # sequential sums, as a running position adds
+    # A window still inside after its first chunk takes its stream again,
+    # repeats the draws above and draws on, a chunk at a time.
+    longer = np.flatnonzero(times[:, -1] <= w)
+    draws, times = list(first), list(times)
+    for k, rng in zip(longer, derived_rngs(seed, longer[:, None])):
+        path = np.append(dist.sample_equilibrium_recurrence(rng, 1), dist.sample(rng, _GAP_CHUNK))
+        while np.cumsum(path)[-1] <= w:
+            path = np.append(path, dist.sample(rng, _GAP_CHUNK))
+        draws[k], times[k] = path, np.cumsum(path)
+    window = np.repeat(np.arange(n_windows), [d.size for d in draws])
+    value, time = np.concatenate(draws), np.concatenate(times)
+    # A window's first entry v gives a forward record, or an empty one past w.
+    # Gaps ending inside are complete, the one across w is censored, the rest go.
+    head = np.append(True, window[1:] != window[:-1])
+    before = np.append(np.inf, time[:-1])
+    inside = time <= w
+    keep = head | (before <= w)
+    code = 2 * head + ~inside  # index into WINDOW_KINDS
+    value = np.where(inside, value, np.where(head, w, w - before))
+    ends = np.cumsum(np.bincount(window[keep], minlength=n_windows))
+    return WindowRecords(np.array(WINDOW_KINDS)[code[keep]], value[keep]), ends
 
 
 def _split(pooled, ends: np.ndarray) -> list:
@@ -254,30 +257,22 @@ def sample_pooled_segments(
     Births form a Poisson process of the given rate; the simulation covers
     births back to t1 - L where L is the SEGMENT_TRUNCATION_QUANTILE point
     of the lifetime law, so earlier births are observable only with
-    negligible probability. Each window's segments are in birth order.
+    negligible probability. Each window's segments are in birth order,
+    and all windows are classified in one array pass.
     """
     w = window_length_checked(t2 - t1)
     if birth_rate <= 0:
         raise ValueError(f"birth_rate must be positive, got {birth_rate}")
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    rngs = (derived_rng(seed, k) for k in range(n_windows))
-    return _segment_windows(birth_rate, dist, w, rngs)
-
-
-def _segment_windows(
-    birth_rate: float, dist: GapDistribution, w: float, rngs
-) -> tuple[Segments, np.ndarray]:
-    """The segments of one window per generator, classified in one pass,
-    and the end row of each window's segments."""
     lmax = float(dist.ppf(SEGMENT_TRUNCATION_QUANTILE))
     span = w + lmax
     births, lifetimes = [], []
-    for rng in rngs:
+    for rng in derived_rngs(seed, np.arange(n_windows)[:, None]):
         count = rng.poisson(birth_rate * span)
         births.append(np.sort(rng.uniform(-lmax, w, size=count)))
         lifetimes.append(dist.sample(rng, count))
-    window = np.repeat(np.arange(len(births)), [b.size for b in births])
+    window = np.repeat(np.arange(n_windows), [b.size for b in births])
     b, x = np.concatenate(births), np.concatenate(lifetimes)
     d = b + x
     # 0 pc, 1 px, 2 rc, 3 rx: born before the window start (residual),
@@ -285,5 +280,5 @@ def _segment_windows(
     code = 2 * (b < 0.0) + (d > w)
     length = np.where(code == 0, x, np.minimum(d, w) - np.maximum(b, 0.0))
     keep = (d > 0.0) & (b < w) & (length > 0.0)
-    ends = np.cumsum(np.bincount(window[keep], minlength=len(births)))
+    ends = np.cumsum(np.bincount(window[keep], minlength=n_windows))
     return Segments(np.array(SEGMENT_KINDS)[code[keep]], length[keep]), ends

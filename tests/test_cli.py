@@ -292,6 +292,21 @@ def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "5"),
+    ("estimate", "--estimator", "wf", "--in", "in.csv"),
+    ("bench", "compare", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "5", "--reps", "2"),
+    (*TAILS, "--eps", "0.1"),
+])
+@pytest.mark.parametrize("seed", ["-3", "1.5", "x"])
+def test_bad_seed_is_usage_error_naming_the_flag(tmp_path, capsys, argv, seed):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--seed", seed, "--out", str(tmp_path / "out"))
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 class TestBench:
     def test_compare_writes_report(self, tmp_path):
         out = tmp_path / "report.json"

@@ -588,13 +588,17 @@ class TestBootstrapBand:
             want = band_by_loop(data, estimator, B=200, seed=20101003, grid=grid, window_length=w)
             assert_same_band(got, want)
 
-    def test_redraws_match_the_loop_reference(self):
+    def test_redraws_match_the_loop_reference(self, monkeypatch):
         # one event among 15 pairs: about a third of the draws have none
         pairs = sample_equilibrium(EXP1, 15, seed=4)
         pairs = Pairs(pairs.r, pairs.s, np.arange(15) > 0)
+        want = band_by_loop(pairs, "winter_foldes", B=100, seed=7)
         got = bootstrap_band(pairs, "winter_foldes", B=100, seed=7)
         assert got.failures > 20
-        assert_same_band(got, band_by_loop(pairs, "winter_foldes", B=100, seed=7))
+        assert_same_band(got, want)
+        # chunks of 7 replicates: redraws happen in chunks that start past b = 0
+        monkeypatch.setattr("gapest.product_limit.BOOTSTRAP_CHUNK_BYTES", 8 * 15 * 7)
+        assert_same_band(bootstrap_band(pairs, "winter_foldes", B=100, seed=7), want)
 
     def test_grid_is_subsampled_above_the_cap(self, monkeypatch):
         monkeypatch.setattr("gapest.product_limit.BOOTSTRAP_MAX_GRID", 16)
