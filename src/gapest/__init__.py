@@ -46,6 +46,7 @@ from .sampling import (
     WindowRecords,
     apply_right_censoring,
     sample_equilibrium,
+    sample_pooled_segments,
     sample_pooled_windows,
     sample_segment_replicates,
     sample_window_replicates,
@@ -89,6 +90,7 @@ __all__ = [
     "palmer_cox",
     "parse_distribution",
     "sample_equilibrium",
+    "sample_pooled_segments",
     "sample_pooled_windows",
     "sample_segment_replicates",
     "sample_window_replicates",

@@ -15,12 +15,14 @@ tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
 from .distributions import GapDistribution, parse_distribution
 from .errors import EstimationError
+from .npmle import bin_width_checked
 from .product_limit import ESTIMATORS, StepSurvival
 from .sampling import sample_equilibrium, sample_pooled_segments, sample_pooled_windows
 from .seeding import child_seed
@@ -62,8 +64,11 @@ class McConfig:
             raise EstimationError("scheme 'segments' needs birth_rate")
         if self.n < 1 or self.replicates < 1:
             raise EstimationError("n and replicates must be >= 1")
-        if not self.bin_width > 0:
-            raise EstimationError(f"bin_width must be positive, got {self.bin_width}")
+        bin_width_checked(self.bin_width)
+        if not 0.0 < self.check_time < math.inf:
+            raise EstimationError(
+                f"check_time must be finite and positive, got {self.check_time}"
+            )
 
     def echo(self) -> dict:
         return {

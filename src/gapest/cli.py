@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--level", type=float, default=0.95)
     est.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     est.add_argument("--max-iter", type=int, default=npmle.EM_DEFAULT_MAX_ITER,
-                     help="most EM-map evaluations (em)")
+                     help="most SQUAREM steps (em)")
     est.add_argument("--tol", type=float, default=npmle.EM_DEFAULT_TOL,
                      help="stop once the gradient gap max_j D_j - 1 is at most this (em)")
     est.set_defaults(func=cmd_estimate)

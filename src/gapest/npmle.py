@@ -8,9 +8,10 @@ the window-biased parameterization q_j ~ p_j (w + a_j), under which an
 observed segment is an iid draw: pick an atom with probability q_j, then a
 birth position uniform over its w + a_j observable placements
 (``laslett_em``). The EM runs on the distinct (kind, length) rows with
-their counts, takes SQUAREM steps that fall back to plain EM steps
-rather than lower the likelihood, and stops on Lindsay's gradient
-certificate: max_j D_j - 1 <= tol, reported as ``gradient_gap``.
+their counts, takes SQUAREM steps that keep the plain EM point rather
+than lower the likelihood, and stops on Lindsay's gradient certificate:
+max_j D_j - 1 <= tol, reported as ``gradient_gap``, or after ``max_iter``
+steps.
 
 Likelihood evaluators: ``segment_loglik`` scores a discrete distribution
 with the per-kind factors mass(x), S(c+), S(x+)/mu and E(X-w)+/mu plus an
@@ -36,7 +37,7 @@ from .product_limit import StepSurvival
 from .sampling import SEGMENT_KINDS, Pairs, Segments, _check_kinds, window_length_checked
 
 EM_DEFAULT_TOL = 1e-8
-EM_DEFAULT_MAX_ITER = 100_000
+EM_DEFAULT_MAX_ITER = 20_000
 # Extrapolations a SQUAREM step tries, each halfway back towards the plain
 # EM point, before it keeps that point.
 SQUAREM_TRIES = 3
@@ -49,9 +50,13 @@ class EmResult:
     distribution: DiscreteDistribution
     birth_rate: float
     loglik_trace: np.ndarray
-    iterations: int
     converged: bool
     gradient_gap: float
+
+    @property
+    def iterations(self) -> int:
+        """SQUAREM steps taken: the trace holds the start and each step."""
+        return len(self.loglik_trace) - 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,6 +79,9 @@ def cox_vardi(q_values) -> DiscreteDistribution:
     q = np.asarray(q_values, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise EstimationError("need at least one observation")
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:
+        raise EstimationError(f"observation {bad[0]} is not finite: {q[bad[0]]}")
     if np.any(q <= 0):
         raise EstimationError("observations must be positive")
     atoms, counts = np.unique(q, return_counts=True)
@@ -189,14 +197,20 @@ def segment_marginal_loglik(
     return float(np.sum(np.log(numer)) - len(segments) * math.log(window_length + dist.mean()))
 
 
+def bin_width_checked(bin_width: float) -> float:
+    """bin_width itself, once checked to be finite and positive."""
+    if not 0.0 < bin_width < math.inf:
+        raise EstimationError(f"bin_width must be finite and positive, got {bin_width}")
+    return bin_width
+
+
 def bin_segments(segments: Segments, bin_width: float) -> Segments:
     """Map every length onto the midpoint of its bin ((k h, (k+1) h] -> (k+0.5) h).
 
     Bins are left-open, so a length exactly at k h falls in the bin below.
     Kinds are unchanged.
     """
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    bin_width_checked(bin_width)
     mids = (np.ceil(segments.length / bin_width) - 1 + 0.5) * bin_width
     return Segments(segments.kind, mids)
 
@@ -209,8 +223,8 @@ def default_grid(segments: Segments, window_length: float, bin_width: float) -> 
     """
     if not segments:
         raise EstimationError("need at least one segment")
-    top = float(segments.length.max()) + window_length
-    n_bins = max(1, math.ceil(top / bin_width))
+    top = float(segments.length.max()) + window_length_checked(window_length)
+    n_bins = max(1, math.ceil(top / bin_width_checked(bin_width)))
     return (np.arange(n_bins) + 0.5) * bin_width
 
 
@@ -269,10 +283,10 @@ def laslett_em(
     again, up to SQUAREM_TRIES times, before q2 is kept. So every
     accepted point is at least as likely as the one before, and the trace
     (l of the start and of each accepted point) is nondecreasing up to
-    float slack. ``iterations`` counts evaluations of the EM map: three
-    per SQUAREM step, one more per retry, and plain EM steps once too few
-    remain for a SQUAREM step and the gap after it, so it never exceeds
-    ``max_iter``.
+    float slack. ``iterations`` counts the accepted steps, the length of
+    the trace less one, and ``max_iter`` bounds it. A step costs three
+    evaluations of the EM map, with the gap at its start, and one more
+    per retry.
 
     The fitted birth intensity is n / (w + mu_hat), the value that matches
     the expected number of observable lifetimes to the observed count.
@@ -285,8 +299,8 @@ def laslett_em(
     if not segments:
         raise EstimationError("need at least one segment")
     atoms = np.unique(np.asarray(grid, dtype=float))
-    if atoms.size == 0 or np.any(atoms <= 0):
-        raise EstimationError("grid atoms must be positive")
+    if atoms.size == 0 or not np.all((atoms > 0.0) & (atoms < math.inf)):
+        raise EstimationError("grid atoms must be finite and positive")
 
     distinct, counts = _distinct_rows(segments)
     w = float(window_length)
@@ -310,36 +324,28 @@ def laslett_em(
     q = normalised(w + atoms)  # uniform masses p
     kq = kernel @ q
     trace = [float(counts @ np.log(kq))]
-    evals = 0
     stalled = False
     while True:
         q1, d = em_map(q, kq)
-        evals += 1
         gap = max(float(d.max()) - 1.0, 0.0)
-        if gap <= tol or stalled or evals == max_iter:
+        if gap <= tol or stalled or len(trace) > max_iter:
             break
-        q_new, kq_new = q1, kernel @ q1
-        if max_iter - evals >= 3:  # room for a SQUAREM step and the gap after it
-            q2, _ = em_map(q1, kq_new)
-            evals += 1
-            q_new, kq_new = q2, kernel @ q2
-            r, v = q1 - q, q2 - 2.0 * q1 + q
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                alpha = min(-float(np.linalg.norm(r) / np.linalg.norm(v)), -1.0)
-            for _ in range(SQUAREM_TRIES):
-                if max_iter - evals < 2:
+        q2, _ = em_map(q1, kernel @ q1)
+        q_new, kq_new = q2, kernel @ q2
+        r, v = q1 - q, q2 - 2.0 * q1 + q
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            alpha = min(-float(np.linalg.norm(r) / np.linalg.norm(v)), -1.0)
+        for _ in range(SQUAREM_TRIES):
+            with np.errstate(over="ignore", invalid="ignore"):
+                qx = normalised(np.maximum(q - 2.0 * alpha * r + alpha * alpha * v, 0.0))
+            kqx = kernel @ qx
+            if np.all(kqx > 0.0):  # false for nan too
+                qs, _ = em_map(qx, kqx)
+                kqs = kernel @ qs
+                if np.all(kqs > 0.0) and rise(qs, q2, kq_new) >= 0.0:
+                    q_new, kq_new = qs, kqs
                     break
-                with np.errstate(over="ignore", invalid="ignore"):
-                    qx = normalised(np.maximum(q - 2.0 * alpha * r + alpha * alpha * v, 0.0))
-                kqx = kernel @ qx
-                if np.all(kqx > 0.0):  # false for nan too
-                    qs, _ = em_map(qx, kqx)
-                    evals += 1
-                    kqs = kernel @ qs
-                    if np.all(kqs > 0.0) and rise(qs, q2, kq_new) >= 0.0:
-                        q_new, kq_new = qs, kqs
-                        break
-                alpha = (alpha - 1.0) / 2.0
+            alpha = (alpha - 1.0) / 2.0
         stalled = not rise(q_new, q, kq) > 0.0
         q, kq = q_new, kq_new
         trace.append(float(counts @ np.log(kq)))
@@ -349,7 +355,6 @@ def laslett_em(
         distribution=fitted,
         birth_rate=n / (w + fitted.mean()),
         loglik_trace=np.asarray(trace),
-        iterations=evals,
         converged=gap <= tol,
         gradient_gap=gap,
     )

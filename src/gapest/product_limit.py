@@ -153,6 +153,12 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
     weights = np.ones(times.shape, dtype=np.int64) if weights is None else np.asarray(weights)
     if weights.shape != times.shape or weights.dtype.kind not in "iu" or np.any(weights < 0):
         raise EstimationError("weights must be nonnegative integers matching times")
+    bad = np.flatnonzero(~np.isfinite(times) | ~np.isfinite(entry_times))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"time {times[k]} with entry time {entry_times[k]} at index {k} is not finite"
+        )
     if np.any(times <= 0):
         raise ValueError("observation times must be positive")
     if np.any(entry_times < 0):
@@ -204,7 +210,7 @@ def winter_foldes(pairs: Pairs) -> StepSurvival:
 
 def _window_rows(obs: WindowRecords) -> _Pooled:
     complete = obs.kind == "complete"
-    unit = np.flatnonzero(complete | ((obs.kind == "censored") & (obs.value > 0)))
+    unit = np.flatnonzero(complete | ((obs.kind == "censored") & ~(obs.value <= 0)))
     ones = np.ones(unit.size, dtype=np.int64)
     return _Pooled(obs.value[unit], ~complete[unit], np.zeros(unit.size), ones, unit)
 

@@ -141,20 +141,22 @@ class Segments(_Columns):
 
     def check_window(self, w: float) -> None:
         """Reject kind codes outside SEGMENT_KINDS and lengths the window
-        geometry cannot produce: ``pc``, ``px`` and ``rc`` lengths above w,
-        and ``rx`` lengths other than w. An ``rx`` length is computed as
-        t2 - t1, so it may differ from w by rounding: 1e-12 relative is
-        allowed. The window itself must be finite and positive."""
+        geometry cannot produce: non-finite lengths, ``pc``, ``px`` and
+        ``rc`` lengths above w, and ``rx`` lengths other than w. An ``rx``
+        length is computed as t2 - t1, so it may differ from w by rounding:
+        1e-12 relative is allowed. The window itself must be finite and
+        positive."""
         window_length_checked(w)
         _check_kinds(self.kind, SEGMENT_KINDS, "segment")
         rx = self.kind == "rx"
-        bad = np.where(rx, np.abs(self.length - w) > 1e-12 * w, self.length > w)
+        fits = np.where(rx, np.abs(self.length - w) <= 1e-12 * w, self.length <= w)
+        bad = ~(fits & np.isfinite(self.length))
         if bad.any():
             k = int(np.argmax(bad))
-            broken = "must equal" if rx[k] else "exceeds"
-            raise EstimationError(
-                f"segment {k} ({self.kind[k]} {self.length[k]}) {broken} the window {w}"
-            )
+            broken = f"{'must equal' if rx[k] else 'exceeds'} the window {w}"
+            if not np.isfinite(self.length[k]):
+                broken = "is not finite"
+            raise EstimationError(f"segment {k} ({self.kind[k]} {self.length[k]}) {broken}")
 
 
 def sample_equilibrium(dist: GapDistribution, n: int, seed: int) -> Pairs:

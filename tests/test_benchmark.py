@@ -1,5 +1,7 @@
 """Monte Carlo comparison harness and the near-zero error demonstration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,9 +88,22 @@ class TestMcCompare:
             small_config(scheme="window")
 
     def test_nonpositive_bin_width(self):
-        for h in (0.0, -0.25):
+        for h in (0.0, -0.25, math.nan, math.inf):
             with pytest.raises(EstimationError, match="bin_width"):
                 small_config(bin_width=h)
+
+    @pytest.mark.parametrize("kw,match", [
+        (dict(scheme="nonsense"), "unknown scheme 'nonsense'"),
+        (dict(scheme="segments", window_length=3.0), "needs birth_rate"),
+        (dict(n=0), "n and replicates must be >= 1"),
+        (dict(replicates=0), "n and replicates must be >= 1"),
+        (dict(check_time=math.nan), "check_time must be finite and positive, got nan"),
+        (dict(check_time=math.inf), "check_time must be finite and positive, got inf"),
+        (dict(check_time=0.0), "check_time must be finite and positive, got 0.0"),
+    ])
+    def test_config_rejected(self, kw, match):
+        with pytest.raises(EstimationError, match=match):
+            small_config(**kw)
 
     def test_csv_rows_shape(self):
         report = mc_compare(small_config(replicates=5))

@@ -128,7 +128,8 @@ class TestEstimate:
         assert json.loads(out.read_text()) == laslett_em(snapped, 3.0, atoms).to_json_dict()
 
     @pytest.mark.parametrize(
-        "grid", ["width=0", "width=nan", "width=inf", "atoms=0.5,inf", "atoms=nan", "atoms=-1"]
+        "grid",
+        ["width=0", "width=nan", "width=inf", "atoms=0.5,inf", "atoms=nan", "atoms=-1", "size=1"],
     )
     def test_invalid_grid_is_usage_error(self, tmp_path, grid):
         src = tmp_path / "segments.csv"
@@ -307,6 +308,35 @@ def test_bad_seed_is_usage_error_naming_the_flag(tmp_path, capsys, argv, seed):
     assert not any(tmp_path.iterdir())
 
 
+COMPARE = ("bench", "compare", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "20",
+           "--reps", "2")
+
+
+@pytest.mark.parametrize("data,argv,code,message", [
+    (None, ("simulate", "--scheme", "segments", "--dist", "exp:1", "--n", "5", "--window", "2"),
+     2, "usage error: simulate --scheme segments requires --window and --rate"),
+    (SEGMENTS, ("estimate", "--estimator", "palmer_cox"),
+     2, "usage error: estimator palmer_cox requires --window"),
+    (None, ("estimate", "--estimator", "wf", "--in", "missing.csv"), 1, "error: cannot read"),
+    (None, (*COMPARE, "--check-time", "nan"),
+     2, "usage error: check_time must be finite and positive, got nan"),
+    (None, (*COMPARE, "--check-time", "inf"),
+     2, "usage error: check_time must be finite and positive, got inf"),
+    (None, COMPARE, 1, "verdicts failed: mse_identity"),
+])
+def test_error_paths_exit_with_their_message(tmp_path, capsys, monkeypatch, data, argv, code,
+                                             message):
+    # no MSE decomposition holds to a negative tolerance, so a compare that
+    # gets as far as its verdicts fails them
+    monkeypatch.setattr("gapest.benchmark.MSE_IDENTITY_TOL", -1.0)
+    monkeypatch.chdir(tmp_path)
+    if data is not None:
+        (tmp_path / "in.csv").write_text(data)
+        argv += ("--in", "in.csv")
+    assert run(*argv, "--out", "out") == code
+    assert capsys.readouterr().err.startswith(message)
+
+
 class TestBench:
     def test_compare_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -348,6 +378,16 @@ class TestBench:
         lines = out.read_text().splitlines()
         assert lines[0] == "dist,estimator,n,sqrt_n_sup_error"
         assert len(lines) == 17
+
+    def test_tails_json_matches_the_report(self, tmp_path):
+        out = tmp_path / "tails.json"
+        assert run(*TAILS, "--eps", "0.1", "--n", "20", "--reps", "2", "--seed", "1",
+                   "--out", str(tmp_path / "tails.csv"), "--json", str(out)) == 0
+        report = gapest.tail_failure_demo(
+            gapest.parse_distribution("exp:1"), gapest.parse_distribution("weibull:2:1"),
+            n=20, replicates=2, eps=0.1, seed=1,
+        )
+        assert json.loads(out.read_text()) == json.loads(json.dumps(report.to_json_dict()))
 
     def test_tails_accepts_a_weibull_with_shape_just_above_one(self, tmp_path):
         # E(1/X) = Gamma(1/6) is finite for weibull:1.2:1, so the two

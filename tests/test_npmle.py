@@ -368,6 +368,18 @@ class TestBinning:
         assert np.allclose(np.diff(grid), 0.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("call,match", [
+    (lambda x: bin_segments(segments((PC, 0.5)), x), "bin_width must be finite and positive"),
+    (lambda x: default_grid(segments((PC, 0.5)), 2.0, x), "bin_width must be finite and positive"),
+    (lambda x: default_grid(segments((PC, 0.5)), x, 0.5), "window length must be finite"),
+    (lambda x: laslett_em(segments((PC, 0.5)), 2.0, [0.5, x]), "grid atoms must be finite"),
+], ids=["bin_segments", "default_grid_width", "default_grid_window", "laslett_em_grid"])
+def test_em_inputs_must_be_finite(call, match, x):
+    with pytest.raises(EstimationError, match=match):
+        call(x)
+
+
 class TestLaslettEm:
     def test_complete_only_closed_form(self):
         segs = segments((PC, 1.0), (PC, 1.0), (PC, 2.0))
@@ -467,16 +479,15 @@ class TestLaslettEm:
         assert all(f.iterations < 1_000 and f.gradient_gap < 1e-12 for f in fits)
         assert any(not f.converged for f in fits)  # some end on the stall rule
 
-    def test_max_iter_bounds_the_em_map_evaluations(self):
-        # on this sample some SQUAREM steps retry their extrapolation, one
-        # EM-map evaluation each, close to the end of the budget
+    def test_max_iter_bounds_the_squarem_steps(self):
+        # the trace holds the start and one entry per step, however many
+        # extrapolations each step retried
         segs = bin_segments(Segments.concat(sample_segment_replicates(
             2.0, EXP1, 0.0, 3.0, 100, seed=34)), 0.1)
         grid = default_grid(segs, 3.0, 0.1)
         for max_iter in range(1, 61):
             res = laslett_em(segs, 3.0, grid, max_iter=max_iter, tol=1e-300)
-            assert res.iterations <= max_iter
-            assert res.loglik_trace.size >= 1
+            assert res.iterations == res.loglik_trace.size - 1 <= max_iter
 
     def test_duplicate_rows_fit_like_their_counts(self):
         # the fit sees only distinct rows and their counts, so the order of

@@ -17,6 +17,7 @@ from gapest import (
     WindowRecords,
     apply_right_censoring,
     bootstrap_band,
+    cox_vardi,
     cox_vardi_from_pairs,
     greenwood_variance,
     kaplan_meier,
@@ -293,6 +294,45 @@ def test_unknown_kind_codes_rejected(tag):
     )
     with pytest.raises(EstimationError, match="unknown kind"):
         row.fit(data, 2.0, 0.5)
+
+
+def _pair_with_r(x):
+    return Pairs([x, 1.0], [1.0, 1.0], [False, False])
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("call,match", [
+    (lambda x: kaplan_meier([x, 1.0]), "time (nan|inf) with entry time 0.0 at index 0"),
+    (lambda x: kaplan_meier([2.0, 1.0], entry_times=[x, 0.0]), "entry time (nan|inf) at index 0"),
+    (lambda x: winter_foldes(_pair_with_r(x)), "at index 0 is not finite"),
+    (lambda x: window_product_limit(WindowRecords(["complete", "censored"], [1.0, x])),
+     "at index 1 is not finite"),
+    (lambda x: bootstrap_band(_pair_with_r(x), "winter_foldes", B=5, seed=1),
+     "at index 0 is not finite"),
+    (lambda x: palmer_cox(Segments(["pc", "px"], [0.5, x]), 3.0), "segment 1 .* is not finite"),
+    (lambda x: palmer_cox(Segments(["pc", "rx"], [0.5, x]), 3.0), "segment 1 .* is not finite"),
+    (lambda x: ESTIMATORS["em"].fit(Segments(["pc", "rc"], [0.5, x]), 3.0, 0.25),
+     "segment 1 .* is not finite"),
+    (lambda x: cox_vardi([x, 1.0]), "observation 0 is not finite"),
+], ids=["km_time", "km_entry", "winter_foldes", "window_pl", "bootstrap", "palmer_cox_px",
+        "palmer_cox_rx", "em", "cox_vardi"])
+def test_non_finite_observations_rejected(call, match, x):
+    with pytest.raises(ValueError, match=match):
+        call(x)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: kaplan_meier([1.0, 2.0], censored=[False]), "censored flags must match"),
+    (lambda: kaplan_meier([1.0, 2.0], entry_times=[0.0]), "entry times must match"),
+    (lambda: kaplan_meier([1.0, 2.0], entry_times=[-0.5, 0.0]), "entry times must be nonnegative"),
+    (lambda: greenwood_variance(StepSurvival.from_masses([1.0], [1.0], 1)),
+     "event and risk counts are required"),
+    (lambda: bootstrap_band(Pairs([], [], []), "winter_foldes", B=5, seed=1),
+     "no data to resample"),
+])
+def test_error_paths(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestPalmerCox:
@@ -599,6 +639,14 @@ class TestBootstrapBand:
         # chunks of 7 replicates: redraws happen in chunks that start past b = 0
         monkeypatch.setattr("gapest.product_limit.BOOTSTRAP_CHUNK_BYTES", 8 * 15 * 7)
         assert_same_band(bootstrap_band(pairs, "winter_foldes", B=100, seed=7), want)
+
+    def test_gives_up_after_the_retry_cap(self, monkeypatch):
+        # one event among 15 pairs: a single try per replicate soon draws none
+        monkeypatch.setattr("gapest.product_limit.BOOTSTRAP_MAX_RETRIES", 1)
+        pairs = sample_equilibrium(EXP1, 15, seed=4)
+        pairs = Pairs(pairs.r, pairs.s, np.arange(15) > 0)
+        with pytest.raises(EstimationError, match="no event in 1 consecutive resamples"):
+            bootstrap_band(pairs, "winter_foldes", B=100, seed=7)
 
     def test_grid_is_subsampled_above_the_cap(self, monkeypatch):
         monkeypatch.setattr("gapest.product_limit.BOOTSTRAP_MAX_GRID", 16)
