@@ -58,17 +58,18 @@ class McConfig:
             raise EstimationError(
                 f"estimator {bad[0]!r} does not apply to scheme {self.scheme!r}"
             )
-        if self.scheme in ("window", "segments") and not self.window_length:
-            raise EstimationError(f"scheme {self.scheme!r} needs window_length")
-        if self.scheme == "segments" and not self.birth_rate:
-            raise EstimationError("scheme 'segments' needs birth_rate")
+        needs = {"window": ("window_length",), "segments": ("window_length", "birth_rate")}
+        needed = needs.get(self.scheme, ())
+        for name in needed:
+            if getattr(self, name) is None:
+                raise EstimationError(f"scheme {self.scheme!r} needs {name}")
         if self.n < 1 or self.replicates < 1:
             raise EstimationError("n and replicates must be >= 1")
         bin_width_checked(self.bin_width)
-        if not 0.0 < self.check_time < math.inf:
-            raise EstimationError(
-                f"check_time must be finite and positive, got {self.check_time}"
-            )
+        for name in (*needed, "check_time"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise EstimationError(f"{name} must be finite and positive, got {value}")
 
     def echo(self) -> dict:
         return {

@@ -269,7 +269,7 @@ def cmd_bench_compare(args) -> int:
     dataio.write_json(args.out, report.to_json_dict())
     if args.csv:
         header = ["estimator", "t", "bias", "variance", "mse"]
-        dataio.write_csv(args.csv, header, report.csv_rows())
+        dataio.write_csv(args.csv, header, list(zip(*report.csv_rows())))
     if not report.all_pass:
         failed = [k for k, v in report.verdicts.items() if not v]
         print(f"verdicts failed: {', '.join(failed)}", file=sys.stderr)
@@ -286,7 +286,8 @@ def cmd_bench_tails(args) -> int:
         eps=args.eps,
         seed=args.seed,
     )
-    dataio.write_csv(args.out, ["dist", "estimator", "n", "sqrt_n_sup_error"], report.csv_rows())
+    header = ["dist", "estimator", "n", "sqrt_n_sup_error"]
+    dataio.write_csv(args.out, header, list(zip(*report.csv_rows())))
     if args.json_out:
         dataio.write_json(args.json_out, report.to_json_dict())
     return 0

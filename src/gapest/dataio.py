@@ -11,6 +11,10 @@ Everything is plain decimal text. Formats:
 * EM results: JSON with atoms, masses, birth_rate, loglik, iterations,
   converged.
 
+The data writers format each column of a chunk of rows with one ``repr``
+of its list and write the file chunk by chunk. The bytes are those that
+``csv.writer`` and ``json.dumps(indent=2)`` write.
+
 Readers report malformed rows with their line numbers. The pairs, window
 and segment readers parse the whole file in C (``np.loadtxt``) and check
 the columns as arrays; their line-by-line loop runs only on a file that
@@ -22,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +43,51 @@ SEGMENTS_HEADER = ["kind", "length"]
 SURVIVAL_HEADER = ["t", "survival", "variance", "lower", "upper"]
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write a header line and then the rows; floats are written as repr."""
+# Rows built and written at a time, so that no writer holds a whole file's
+# text.
+WRITE_CHUNK_ROWS = 8192
+
+# A cell of these types is its repr, except None, which is empty.
+_REPR_TYPES = {float, int, type(None)}
+# csv.writer's QUOTE_MINIMAL quotes a cell that holds any of these.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    text = str(value)
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_cells(values: list) -> list[str]:
+    """The cells of a nonempty list; a list of floats, ints and None takes
+    one repr."""
+    if {*map(type, values)} <= _REPR_TYPES:
+        return repr(values)[1:-1].replace("None", "").split(", ")
+    return [_csv_cell(v) for v in values]
+
+
+def _csv_lines(columns: list[list[str]]) -> str:
+    lines = map(",".join, zip(*columns))
+    if len(columns) == 1:
+        lines = (line or '""' for line in lines)
+    return "\r\n".join(lines) + "\r\n"
+
+
+def write_csv(path, header: list[str], columns) -> None:
+    """Write the header line and then the rows of ``columns``, sequences of
+    equal length, WRITE_CHUNK_ROWS rows at a time. The bytes are those
+    csv.writer writes: strings quoted as QUOTE_MINIMAL quotes them, None
+    empty, other values as ``str``, and ``\\r\\n`` after every line."""
+    n = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_lines([[_csv_cell(name)] for name in header]))
+        for start in range(0, n, WRITE_CHUNK_ROWS):
+            stop = start + WRITE_CHUNK_ROWS
+            fh.write(_csv_lines([_csv_cells(list(col[start:stop])) for col in columns]))
 
 
 # Printable ASCII and the newline. Outside it the C parse and the row loop
@@ -86,8 +130,8 @@ def _known_kinds(kind: np.ndarray, kinds: tuple):
 
 
 def write_pairs_csv(path, pairs: Pairs) -> None:
-    cols = pairs.r.tolist(), pairs.s.tolist(), pairs.censored.astype(int).tolist()
-    write_csv(path, PAIRS_HEADER, zip(*cols))
+    cols = [pairs.r.tolist(), pairs.s.tolist(), pairs.censored.astype(int).tolist()]
+    write_csv(path, PAIRS_HEADER, cols)
 
 
 def _pair_row(row):
@@ -115,7 +159,7 @@ def read_pairs_csv(path) -> Pairs:
 
 
 def write_window_csv(path, obs: WindowRecords) -> None:
-    write_csv(path, WINDOW_HEADER, zip(obs.kind.tolist(), obs.value.tolist()))
+    write_csv(path, WINDOW_HEADER, [obs.kind.tolist(), obs.value.tolist()])
 
 
 def _window_row(row):
@@ -140,7 +184,7 @@ def read_window_csv(path) -> WindowRecords:
 
 
 def write_segments_csv(path, segments: Segments) -> None:
-    write_csv(path, SEGMENTS_HEADER, zip(segments.kind.tolist(), segments.length.tolist()))
+    write_csv(path, SEGMENTS_HEADER, [segments.kind.tolist(), segments.length.tolist()])
 
 
 def _segment_row(row):
@@ -218,12 +262,32 @@ def _survival_columns(est: StepSurvival, band: BootstrapBand | None) -> list:
 def write_step_survival_csv(path, est: StepSurvival, band: BootstrapBand | None = None) -> None:
     cols = _survival_columns(est, band)
     blank = [None] * len(cols[0])
-    write_csv(path, SURVIVAL_HEADER, zip(*(blank if col is None else col for col in cols)))
+    write_csv(path, SURVIVAL_HEADER, [blank if col is None else col for col in cols])
+
+
+def _write_json_list(fh, values: list | None) -> None:
+    """Write a list of floats and None, or None, as json.dumps(indent=2)
+    writes it as the value of a top-level key."""
+    if not values:
+        fh.write("null" if values is None else "[]")
+        return
+    for start in range(0, len(values), WRITE_CHUNK_ROWS):
+        text = repr(values[start:start + WRITE_CHUNK_ROWS])[1:-1].replace("None", "null")
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        fh.write(("," if start else "[") + "\n    " + text.replace(", ", ",\n    "))
+    fh.write("\n  ]")
 
 
 def write_step_survival_json(path, est: StepSurvival, band: BootstrapBand | None = None) -> None:
-    payload = dict(zip(SURVIVAL_HEADER, _survival_columns(est, band)))
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    """Write the SURVIVAL_HEADER columns as json.dumps(indent=2) writes a
+    dict of them, with ``null`` for an absent column."""
+    with open(path, "w") as fh:
+        opening = "{"
+        for name, col in zip(SURVIVAL_HEADER, _survival_columns(est, band)):
+            fh.write(f'{opening}\n  "{name}": ')
+            _write_json_list(fh, col)
+            opening = ","
+        fh.write("\n}\n")
 
 
 def _survival_row(row):

@@ -17,6 +17,7 @@ discrete distributions given by atoms and masses. Spec strings of the form
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,14 @@ from .errors import DistributionSpecError
 
 # Survival mass allowed beyond the upper truncation point of the support.
 TAIL_MASS = 1e-12
+
+
+@functools.cache
+def _scipy_special():
+    """scipy.special, imported on first use: importing gapest loads no scipy."""
+    from scipy import special
+
+    return special
 
 
 @dataclass(frozen=True)
@@ -272,11 +281,10 @@ class Weibull(GapDistribution):
     def integrated_survival(self, t):
         # Substituting v = (u/scale)^shape turns the tail integral into an
         # upper incomplete gamma with parameter 1/shape.
-        from scipy import special
-
         k = self.shape
         z = (max(t, 0.0) / self.scale) ** k
-        return (self.scale / k) * math.gamma(1.0 / k) * float(special.gammaincc(1.0 / k, z))
+        tail = _scipy_special().gammaincc(1.0 / k, z)
+        return (self.scale / k) * math.gamma(1.0 / k) * float(tail)
 
     def integrability_diagnostic(self):
         # E(1/X) = Gamma(1 - 1/shape) / scale, finite only for shape > 1.
@@ -299,9 +307,7 @@ class Weibull(GapDistribution):
         return self._gamma_inverse(1.0 / self.shape, rng.uniform(size=n))
 
     def _gamma_inverse(self, a, u):
-        from scipy import special
-
-        return self.scale * special.gammaincinv(a, u) ** (1.0 / self.shape)
+        return self.scale * _scipy_special().gammaincinv(a, u) ** (1.0 / self.shape)
 
     def spec(self):
         return f"weibull:{self.shape:g}:{self.scale:g}"

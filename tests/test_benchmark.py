@@ -100,6 +100,22 @@ class TestMcCompare:
         (dict(check_time=math.nan), "check_time must be finite and positive, got nan"),
         (dict(check_time=math.inf), "check_time must be finite and positive, got inf"),
         (dict(check_time=0.0), "check_time must be finite and positive, got 0.0"),
+        (dict(scheme="window", window_length=math.nan),
+         "window_length must be finite and positive, got nan"),
+        (dict(scheme="window", window_length=math.inf),
+         "window_length must be finite and positive, got inf"),
+        (dict(scheme="window", window_length=-1.0),
+         "window_length must be finite and positive, got -1.0"),
+        (dict(scheme="segments", window_length=math.nan, birth_rate=2.0),
+         "window_length must be finite and positive, got nan"),
+        (dict(scheme="segments", window_length=math.inf, birth_rate=2.0),
+         "window_length must be finite and positive, got inf"),
+        (dict(scheme="segments", window_length=3.0, birth_rate=math.nan),
+         "birth_rate must be finite and positive, got nan"),
+        (dict(scheme="segments", window_length=3.0, birth_rate=math.inf),
+         "birth_rate must be finite and positive, got inf"),
+        (dict(scheme="segments", window_length=3.0, birth_rate=0.0),
+         "birth_rate must be finite and positive, got 0.0"),
     ])
     def test_config_rejected(self, kw, match):
         with pytest.raises(EstimationError, match=match):

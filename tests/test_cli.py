@@ -310,6 +310,8 @@ def test_bad_seed_is_usage_error_naming_the_flag(tmp_path, capsys, argv, seed):
 
 COMPARE = ("bench", "compare", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "20",
            "--reps", "2")
+SEGMENT_COMPARE = ("bench", "compare", "--scheme", "segments", "--dist", "exp:1", "--n", "5",
+                   "--reps", "2")
 
 
 @pytest.mark.parametrize("data,argv,code,message", [
@@ -322,6 +324,10 @@ COMPARE = ("bench", "compare", "--scheme", "equilibrium", "--dist", "exp:1", "--
      2, "usage error: check_time must be finite and positive, got nan"),
     (None, (*COMPARE, "--check-time", "inf"),
      2, "usage error: check_time must be finite and positive, got inf"),
+    (None, (*SEGMENT_COMPARE, "--window", "3", "--rate", "nan"),
+     2, "usage error: birth_rate must be finite and positive, got nan"),
+    (None, (*SEGMENT_COMPARE, "--window", "inf", "--rate", "2"),
+     2, "usage error: window_length must be finite and positive, got inf"),
     (None, COMPARE, 1, "verdicts failed: mse_identity"),
 ])
 def test_error_paths_exit_with_their_message(tmp_path, capsys, monkeypatch, data, argv, code,
@@ -378,6 +384,15 @@ class TestBench:
         lines = out.read_text().splitlines()
         assert lines[0] == "dist,estimator,n,sqrt_n_sup_error"
         assert len(lines) == 17
+
+    def test_tails_quotes_a_spec_with_commas(self, tmp_path):
+        out = tmp_path / "tails.csv"
+        assert run("bench", "tails", "--dist-infinite", "exp:1",
+                   "--dist-finite", "atoms:0.5=0.5,2.5=0.5", "--eps", "0.1",
+                   "--n", "20", "--reps", "1", "--out", str(out)) == 0
+        lines = out.read_bytes().split(b"\r\n")
+        assert lines[-1] == b"" and len(lines) == 18
+        assert sum(line.startswith(b'"atoms:0.5=0.5,2.5=0.5",') for line in lines) == 8
 
     def test_tails_json_matches_the_report(self, tmp_path):
         out = tmp_path / "tails.json"

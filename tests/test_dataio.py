@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -266,12 +267,16 @@ class TestCParseMatchesRowLoop:
                 assert_reads_as_by_loop(fmt, path)
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    @given(data=st.data())
-    def test_written_files_never_enter_the_row_loop(self, tmp_path_factory, fmt, data):
+    @given(data=st.data(), chunk=st.integers(1, 8))
+    def test_written_files_never_enter_the_row_loop(self, tmp_path_factory, fmt, data, chunk):
+        # sizes on both sides of one, two and three chunks
         write, read, _, _, container, cells = FORMATS[fmt]
-        records = container(*zip(*data.draw(st.lists(cells, min_size=1, max_size=20))))
+        rows = data.draw(st.lists(cells, min_size=1, max_size=3 * chunk + 1))
+        records = container(*zip(*rows))
         path = tmp_path_factory.mktemp("io") / "records.csv"
-        write(path, records)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "WRITE_CHUNK_ROWS", chunk)
+            write(path, records)
         with pytest.MonkeyPatch.context() as patch:
             for name in ("_pair_row", "_window_row", "_segment_row"):
                 patch.setattr(dataio, name, entered_row_loop)
@@ -296,6 +301,125 @@ class TestCParseMatchesRowLoop:
 
 def entered_row_loop(row):
     raise AssertionError(f"the row loop parsed {row}")
+
+
+def write_csv_by_writer(path, header, rows):
+    """The reference CSV writer: csv.writer, one cell at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def pairs_by_writer(path, pairs):
+    cols = pairs.r.tolist(), pairs.s.tolist(), pairs.censored.astype(int).tolist()
+    write_csv_by_writer(path, dataio.PAIRS_HEADER, zip(*cols))
+
+
+def window_by_writer(path, obs):
+    write_csv_by_writer(path, dataio.WINDOW_HEADER, zip(obs.kind.tolist(), obs.value.tolist()))
+
+
+def segments_by_writer(path, segs):
+    write_csv_by_writer(path, dataio.SEGMENTS_HEADER, zip(segs.kind.tolist(), segs.length.tolist()))
+
+
+def survival_csv_by_writer(path, est, band=None):
+    cols = dataio._survival_columns(est, band)
+    blank = [None] * len(cols[0])
+    write_csv_by_writer(path, dataio.SURVIVAL_HEADER,
+                        zip(*(blank if col is None else col for col in cols)))
+
+
+def survival_json_by_dumps(path, est, band=None):
+    payload = dict(zip(dataio.SURVIVAL_HEADER, dataio._survival_columns(est, band)))
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+REFERENCE_WRITERS = {"pairs": pairs_by_writer, "window": window_by_writer,
+                     "segments": segments_by_writer}
+SURVIVAL_WRITERS = [
+    (dataio.write_step_survival_csv, survival_csv_by_writer),
+    (dataio.write_step_survival_json, survival_json_by_dumps),
+]
+
+HARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+               1e300, 1e16, 1e-5]
+FLOAT_CELLS = st.one_of(st.none(), st.sampled_from(HARD_FLOATS), st.floats())
+TEXT_CELLS = st.text(st.one_of(st.sampled_from(',"\r\n '),
+                               st.characters(blacklist_categories=("Cs",))), max_size=5)
+CELLS = {
+    "float": FLOAT_CELLS,
+    "int": st.integers(),
+    "text": TEXT_CELLS,
+    "mixed": st.one_of(FLOAT_CELLS, st.integers(), st.booleans(), TEXT_CELLS,
+                       st.floats().map(np.float64)),
+}
+
+
+def assert_writes_as_reference(folder, chunk, write, reference):
+    """``write``, with WRITE_CHUNK_ROWS set to ``chunk``, writes the bytes
+    that ``reference`` writes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "WRITE_CHUNK_ROWS", chunk)
+        write(folder / "got")
+    reference(folder / "want")
+    assert (folder / "got").read_bytes() == (folder / "want").read_bytes()
+
+
+class TestWritersMatchReferences:
+    """Every writer writes the bytes of csv.writer or json.dumps(indent=2),
+    at every size around the chunk boundaries."""
+
+    @given(data=st.data(), chunk=st.integers(1, 4))
+    def test_write_csv(self, tmp_path_factory, data, chunk):
+        kinds = data.draw(st.lists(st.sampled_from(list(CELLS)), max_size=4))
+        n = data.draw(st.integers(0, 3 * chunk + 1)) if kinds else 0
+        header = data.draw(st.lists(TEXT_CELLS, min_size=len(kinds), max_size=len(kinds)))
+        columns = [data.draw(st.lists(CELLS[k], min_size=n, max_size=n)) for k in kinds]
+        assert_writes_as_reference(
+            tmp_path_factory.mktemp("io"), chunk,
+            lambda path: dataio.write_csv(path, header, columns),
+            lambda path: write_csv_by_writer(path, header, zip(*columns)),
+        )
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @given(data=st.data(), chunk=st.integers(1, 4))
+    def test_data_files(self, tmp_path_factory, fmt, data, chunk):
+        write, _, header, _, container, cells = FORMATS[fmt]
+        rows = data.draw(st.lists(cells, max_size=3 * chunk + 1))
+        records = container(*(list(zip(*rows)) or [()] * len(header)))
+        assert_writes_as_reference(
+            tmp_path_factory.mktemp("io"), chunk,
+            lambda path: write(path, records),
+            lambda path: REFERENCE_WRITERS[fmt](path, records),
+        )
+
+    @pytest.mark.parametrize("write, reference", SURVIVAL_WRITERS)
+    @given(data=st.data(), chunk=st.integers(1, 4))
+    def test_survival_columns(self, tmp_path_factory, write, reference, data, chunk):
+        n = data.draw(st.integers(0, 3 * chunk + 1))
+        column = st.lists(FLOAT_CELLS, min_size=n, max_size=n)
+        cols = [data.draw(column), data.draw(column)]
+        cols += [data.draw(st.none() | column) for _ in range(3)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_survival_columns", lambda est, band: cols)
+            assert_writes_as_reference(
+                tmp_path_factory.mktemp("io"), chunk,
+                lambda path: write(path, None), lambda path: reference(path, None),
+            )
+
+    @pytest.mark.parametrize("write, reference", SURVIVAL_WRITERS)
+    @pytest.mark.parametrize("chunk", [1, 7, 8192])
+    @pytest.mark.parametrize("with_band", [False, True])
+    def test_survival_estimates(self, tmp_path, write, reference, chunk, with_band):
+        pairs = sample_equilibrium(Exponential(1.0), 60, seed=9)
+        est = greenwood_variance(kaplan_meier(pairs.q, pairs.censored, pairs.r))
+        band = bootstrap_band(pairs, "winter_foldes", B=20, seed=1) if with_band else None
+        assert_writes_as_reference(
+            tmp_path, chunk, lambda path: write(path, est, band),
+            lambda path: reference(path, est, band),
+        )
 
 
 class TestStepSurvivalFiles:
@@ -324,6 +448,26 @@ class TestStepSurvivalFiles:
         assert lines[1].endswith(",,,")
         data = dataio.read_step_survival_csv(path)
         assert data["variance"] == [None, None]
+
+    @given(data=st.data(), chunk=st.integers(1, 4))
+    def test_files_read_back_bitwise_across_chunks(self, tmp_path_factory, data, chunk):
+        n = data.draw(st.integers(0, 3 * chunk + 1))
+        column = st.lists(FINITE, min_size=n, max_size=n)
+        cols = [data.draw(column), data.draw(column)]
+        cols += [data.draw(st.none() | st.lists(FINITE | st.none(), min_size=n, max_size=n)),
+                 *(data.draw(st.none() | column) for _ in range(2))]
+        folder = tmp_path_factory.mktemp("io")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_survival_columns", lambda est, band: cols)
+            patch.setattr(dataio, "WRITE_CHUNK_ROWS", chunk)
+            dataio.write_step_survival_csv(folder / "est.csv", None)
+            dataio.write_step_survival_json(folder / "est.json", None)
+        from_csv = dataio.read_step_survival_csv(folder / "est.csv")
+        from_json = json.loads((folder / "est.json").read_text())
+        for name, col in zip(dataio.SURVIVAL_HEADER, cols):
+            # repr tells -0.0 from 0.0 and round-trips every float
+            assert repr(from_csv[name]) == repr([None] * n if col is None else col)
+            assert repr(from_json[name]) == repr(col)
 
     def test_json_mirror(self, tmp_path):
         est = greenwood_variance(kaplan_meier([1.0, 2.0, 3.0], [False, True, False]))
