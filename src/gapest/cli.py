@@ -141,6 +141,13 @@ def cmd_simulate(args) -> int:
         "n": args.n,
         "seed": args.seed,
     }
+    needed = {"window": ("window",), "segments": ("window", "rate")}.get(args.scheme, ())
+    if any(getattr(args, flag) is None for flag in needed):
+        flags = " and ".join(f"--{flag}" for flag in needed)
+        return _usage(f"simulate --scheme {args.scheme} requires {flags}")
+    for flag in needed:
+        if not 0.0 < getattr(args, flag) < math.inf:
+            return _usage(f"--{flag} must be finite and positive, got {getattr(args, flag)}")
     if args.scheme == "equilibrium":
         pairs = sampling.sample_equilibrium(args.dist, args.n, args.seed)
         if args.censor is not None:
@@ -148,16 +155,12 @@ def cmd_simulate(args) -> int:
             meta["censor"] = args.censor.spec()
         dataio.write_pairs_csv(args.out, pairs)
     elif args.scheme == "window":
-        if not args.window:
-            return _usage("simulate --scheme window requires --window")
         records, _ = sampling.sample_pooled_windows(
             args.dist, 0.0, args.window, args.n, args.seed
         )
         dataio.write_window_csv(args.out, records)
         meta["window"] = args.window
     else:
-        if not args.window or not args.rate:
-            return _usage("simulate --scheme segments requires --window and --rate")
         segments, _ = sampling.sample_pooled_segments(
             args.rate, args.dist, 0.0, args.window, args.n, args.seed
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -377,13 +378,14 @@ def bootstrap_band(
     data first, so input it rejects fails at once with its own message.
 
     Observation units are resampled with replacement B times. Replicate b
-    draws from the stream derived from (seed, b, retry); a draw with no
-    event is redrawn with the next retry, up to BOOTSTRAP_MAX_RETRIES
-    times, and ``failures`` counts the redraws. The draws' unit counts
-    weight the estimator's pooled rows, and each chunk of replicates (sized
-    by BOOTSTRAP_CHUNK_BYTES) is fitted in one array pass over the event
-    times of the whole data. A replicate's factor is exactly 1 where it has
-    no event, so each equals the estimator run on its resample, bitwise.
+    draws from the stream derived from (seed, b, retry), all B retry-0
+    streams in one batch; a draw with no event is redrawn with the next
+    retry, up to BOOTSTRAP_MAX_RETRIES times, and ``failures`` counts the
+    redraws. A chunk of replicates (sized by BOOTSTRAP_CHUNK_BYTES) is one
+    index matrix, counted by one ``bincount`` into weights of the pooled
+    rows and fitted in one array pass over the event times of the whole
+    data. A factor 1 - d/max(Y, 1) is exactly 1 where d = 0, so each
+    replicate equals the estimator run on its resample, bitwise.
 
     The band is evaluated on ``grid`` if given, otherwise on the pooled
     jump times of all replicates (subsampled to BOOTSTRAP_MAX_GRID
@@ -414,28 +416,30 @@ def bootstrap_band(
     survival[0] = 1.0
     jumped = np.zeros(event_times.size, dtype=bool)
     chunk = max(1, min(B, BOOTSTRAP_CHUNK_BYTES // (8 * n)))
-    draws = np.empty((chunk, n), dtype=np.int64)
+    streams = derived_rngs(seed, [(b, 0) for b in range(B)])
     failures = 0
     for lo in range(0, B, chunk):
-        hi = min(lo + chunk, B)
-        for i, first in enumerate(derived_rngs(seed, [(b, 0) for b in range(lo, hi)])):
-            for retry in range(BOOTSTRAP_MAX_RETRIES):
-                idx = (derived_rng(seed, lo + i, retry) if retry else first).integers(0, n, size=n)
-                if has_event[idx].any():
+        m = min(chunk, B - lo)
+        idx = np.array([rng.integers(0, n, size=n) for rng in islice(streams, m)])
+        for i in np.flatnonzero(~has_event[idx].any(axis=1)):
+            for retry in range(1, BOOTSTRAP_MAX_RETRIES):
+                idx[i] = derived_rng(seed, lo + i, retry).integers(0, n, size=n)
+                if has_event[idx[i]].any():
                     break
             else:
                 raise EstimationError(
                     f"no event in {BOOTSTRAP_MAX_RETRIES} consecutive resamples"
                 )
             failures += retry
-            draws[i] = np.bincount(idx, minlength=n)
-        d, y = counts(draws[: hi - lo, rows.unit] * rows.weights)
+        idx += n * np.arange(m)[:, None]
+        draws = np.bincount(idx.ravel(), minlength=m * n).reshape(m, n)
+        d, y = counts(draws[:, rows.unit] * rows.weights)
         jumped |= (d > 0).any(axis=0)
         if estimator == "cox_vardi":
             surv = _mass_survival(event_times, d)
         else:
-            surv = np.cumprod(np.where(d > 0, 1.0 - d / np.maximum(y, 1), 1.0), axis=1)
-        survival[1:, lo:hi] = surv.T
+            surv = np.cumprod(1.0 - d / np.maximum(y, 1), axis=1)
+        survival[1:, lo:lo + m] = surv.T
 
     if grid is None:
         pooled = event_times[jumped]

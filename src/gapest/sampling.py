@@ -263,8 +263,8 @@ def sample_pooled_segments(
     and all windows are classified in one array pass.
     """
     w = window_length_checked(t2 - t1)
-    if birth_rate <= 0:
-        raise ValueError(f"birth_rate must be positive, got {birth_rate}")
+    if not 0.0 < birth_rate < math.inf:
+        raise ValueError(f"birth_rate must be finite and positive, got {birth_rate}")
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     lmax = float(dist.ppf(SEGMENT_TRUNCATION_QUANTILE))
@@ -272,10 +272,12 @@ def sample_pooled_segments(
     births, lifetimes = [], []
     for rng in derived_rngs(seed, np.arange(n_windows)[:, None]):
         count = rng.poisson(birth_rate * span)
-        births.append(np.sort(rng.uniform(-lmax, w, size=count)))
+        births.append(rng.random(count))
+        births[-1].sort()
         lifetimes.append(dist.sample(rng, count))
     window = np.repeat(np.arange(n_windows), [b.size for b in births])
-    b, x = np.concatenate(births), np.concatenate(lifetimes)
+    # rng.uniform(-lmax, w)'s map of the sorted uniforms, monotone, so the births sort too
+    b, x = -lmax + (w - -lmax) * np.concatenate(births), np.concatenate(lifetimes)
     d = b + x
     # 0 pc, 1 px, 2 rc, 3 rx: born before the window start (residual),
     # dying after its end (censored). A pc length is the lifetime itself.

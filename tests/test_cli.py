@@ -254,14 +254,10 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
 
 @pytest.mark.parametrize("data,argv", [
     (None, ("simulate", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "0")),
-    (None, ("simulate", "--scheme", "window", "--dist", "exp:1", "--n", "5", "--window", "-1")),
-    (None, ("simulate", "--scheme", "segments", "--dist", "exp:1", "--n", "5",
-            "--window", "2", "--rate", "-1")),
     (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "-1")),
     ("kind,length\npc,1.0\npx,5\n", ("estimate", "--estimator", "palmer_cox", "--window", "3")),
     (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "atoms=0.75,1.25")),
     (SEGMENTS, ("estimate", "--estimator", "em", "--window", "1", "--grid", "width=0.5")),
-    (None, ("simulate", "--scheme", "window", "--dist", "exp:1", "--n", "5", "--window", "nan")),
     (None, (*TAILS, "--eps", "0.1", "--n", "0")),
     (None, (*TAILS, "--eps", "0.1", "--reps", "0")),
     ("r,s,censored\n0,0,0\n", ("estimate", "--estimator", "wf")),
@@ -273,7 +269,6 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
                                       "--grid", "width=0.5")),
     ("kind,length\npc,1.0\nrx,1.0\n", ("estimate", "--estimator", "em", "--window", "3",
                                       "--grid", "atoms=1.0,4.0")),
-    (None, ("simulate", "--scheme", "window", "--dist", "exp:1", "--n", "5", "--window", "inf")),
     (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "nan")),
     (SEGMENTS, ("estimate", "--estimator", "em", "--window", "inf", "--grid", "width=0.5")),
     ("kind,length\npc,0.75\npc,1.3\n", ("estimate", "--estimator", "em", "--window", "2",
@@ -312,11 +307,23 @@ COMPARE = ("bench", "compare", "--scheme", "equilibrium", "--dist", "exp:1", "--
            "--reps", "2")
 SEGMENT_COMPARE = ("bench", "compare", "--scheme", "segments", "--dist", "exp:1", "--n", "5",
                    "--reps", "2")
+WINDOW_SIMULATE = ("simulate", "--scheme", "window", "--dist", "exp:1", "--n", "5")
+SEGMENT_SIMULATE = ("simulate", "--scheme", "segments", "--dist", "exp:1", "--n", "3")
 
 
 @pytest.mark.parametrize("data,argv,code,message", [
     (None, ("simulate", "--scheme", "segments", "--dist", "exp:1", "--n", "5", "--window", "2"),
      2, "usage error: simulate --scheme segments requires --window and --rate"),
+    (None, WINDOW_SIMULATE, 2, "usage error: simulate --scheme window requires --window"),
+    *((None, (*WINDOW_SIMULATE, "--window", w), 2,
+       f"usage error: --window must be finite and positive, got {w}")
+      for w in ("0.0", "-1.0", "nan", "inf")),
+    *((None, (*SEGMENT_SIMULATE, "--window", w, "--rate", "2"), 2,
+       f"usage error: --window must be finite and positive, got {w}")
+      for w in ("-1.0", "nan", "inf")),
+    *((None, (*SEGMENT_SIMULATE, "--window", "3", "--rate", r), 2,
+       f"usage error: --rate must be finite and positive, got {r}")
+      for r in ("0.0", "-1.0", "nan", "inf")),
     (SEGMENTS, ("estimate", "--estimator", "palmer_cox"),
      2, "usage error: estimator palmer_cox requires --window"),
     (None, ("estimate", "--estimator", "wf", "--in", "missing.csv"), 1, "error: cannot read"),

@@ -640,6 +640,18 @@ class TestBootstrapBand:
         monkeypatch.setattr("gapest.product_limit.BOOTSTRAP_CHUNK_BYTES", 8 * 15 * 7)
         assert_same_band(bootstrap_band(pairs, "winter_foldes", B=100, seed=7), want)
 
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(0, 14), st.data())
+    def test_equals_the_loop_reference_at_every_chunk_size(self, B, seed, event, data):
+        # one event among 15 pairs: about a third of the draws have none, so
+        # redraws land mid-chunk and in the last, partial chunk
+        chunk = data.draw(st.integers(1, B + 1))
+        pairs = sample_equilibrium(EXP1, 15, seed=4)
+        pairs = Pairs(pairs.r, pairs.s, np.arange(15) != event)
+        want = band_by_loop(pairs, "winter_foldes", B, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("gapest.product_limit.BOOTSTRAP_CHUNK_BYTES", 8 * 15 * chunk)
+            assert_same_band(bootstrap_band(pairs, "winter_foldes", B, seed), want)
+
     def test_gives_up_after_the_retry_cap(self, monkeypatch):
         # one event among 15 pairs: a single try per replicate soon draws none
         monkeypatch.setattr("gapest.product_limit.BOOTSTRAP_MAX_RETRIES", 1)

@@ -386,8 +386,10 @@ class TestSegmentSampling:
     def test_determinism_and_preconditions(self):
         same(*(sample_pooled_segments(2.0, EXP1, 0.0, 3.0, 5, seed=36)[0] for _ in range(2)))
         for sampler in (sample_segment_replicates, sample_pooled_segments):
-            with pytest.raises(ValueError):
-                sampler(0.0, EXP1, 0.0, 3.0, 1, seed=1)
+            for rate in (0.0, -1.0, math.nan, math.inf):
+                message = f"birth_rate must be finite and positive, got {rate}"
+                with pytest.raises(ValueError, match=message):
+                    sampler(rate, EXP1, 0.0, 3.0, 1, seed=1)
             with pytest.raises(ValueError):
                 sampler(1.0, EXP1, 3.0, 3.0, 1, seed=1)
             with pytest.raises(ValueError):
