@@ -12,9 +12,10 @@ Three ways of observing a stationary renewal process are supported:
   proper/residual x complete/censored.
 
 Observations come back as column containers: ``Pairs``, ``WindowRecords``
-and ``Segments``. All generators are pure functions of (inputs, seed);
-replicate k of a multi-window run uses the derived stream
-``derived_rng(seed, k)``.
+and ``Segments``. All generators are pure functions of (inputs, seed).
+Window k of a window run uses the derived stream ``derived_rng(seed, k)``.
+The segment sampler is exact, with no truncation quantile, and draws all
+windows from ``derived_rng(seed)``: window k depends on n_windows too.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ import numpy as np
 from .distributions import GapDistribution
 from .errors import EstimationError
 from .seeding import derived_rng, derived_rngs
-
-# Births earlier than this quantile of the lifetime law cannot reach the
-# window except with probability below the Monte Carlo test tolerances.
-SEGMENT_TRUNCATION_QUANTILE = 1.0 - 1e-9
 
 _GAP_CHUNK = 8  # gaps drawn per batch while filling a window
 
@@ -245,7 +242,9 @@ def _split(pooled, ends: np.ndarray) -> list:
 def sample_segment_replicates(
     birth_rate: float, dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> list[Segments]:
-    """Independent segment windows; window k uses derived_rng(seed, k)."""
+    """Independent segment windows: ``sample_pooled_segments`` split per
+    window. Exact, from the one stream derived_rng(seed), so window k
+    depends on n_windows too."""
     return _split(*sample_pooled_segments(birth_rate, dist, t1, t2, n_windows, seed))
 
 
@@ -253,36 +252,35 @@ def sample_pooled_segments(
     birth_rate: float, dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> tuple[Segments, np.ndarray]:
     """Observed lifetime intersections with [t1, t2], for n_windows
-    independent windows, in one container in window order, with the end
-    row of each window. Window k uses derived_rng(seed, k).
-
-    Births form a Poisson process of the given rate; the simulation covers
-    births back to t1 - L where L is the SEGMENT_TRUNCATION_QUANTILE point
-    of the lifetime law, so earlier births are observable only with
-    negligible probability. Each window's segments are in birth order,
-    and all windows are classified in one array pass.
+    independent windows, in one container in window order (and each window
+    in birth order), with the end row of each window. The law is exact, with
+    no truncation quantile: of the births at the given Poisson rate, those alive
+    at t1 are Poisson(rate * mu) equilibrium pairs (a length-biased lifetime
+    split at a uniform age; Cox 1962), and those inside are Poisson(rate * w)
+    at uniform positions. In array passes over all windows, the one stream
+    derived_rng(seed) draws both counts, lifetimes and ages, then positions
+    and lifetimes. So window k depends on n_windows too.
     """
     w = window_length_checked(t2 - t1)
     if not 0.0 < birth_rate < math.inf:
         raise ValueError(f"birth_rate must be finite and positive, got {birth_rate}")
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    lmax = float(dist.ppf(SEGMENT_TRUNCATION_QUANTILE))
-    span = w + lmax
-    births, lifetimes = [], []
-    for rng in derived_rngs(seed, np.arange(n_windows)[:, None]):
-        count = rng.poisson(birth_rate * span)
-        births.append(rng.random(count))
-        births[-1].sort()
-        lifetimes.append(dist.sample(rng, count))
-    window = np.repeat(np.arange(n_windows), [b.size for b in births])
-    # rng.uniform(-lmax, w)'s map of the sorted uniforms, monotone, so the births sort too
-    b, x = -lmax + (w - -lmax) * np.concatenate(births), np.concatenate(lifetimes)
+    rng = derived_rng(seed)
+    alive, born = rng.poisson(birth_rate * np.array([dist.mean(), w]), size=(n_windows, 2)).T
+    q = dist.sample_length_biased(rng, alive.sum())
+    age = rng.uniform(size=q.size) * q
+    position = rng.uniform(0.0, w, size=born.sum())
+    # Birth times b relative to t1 and lifetimes x of both groups, in birth order.
+    window = np.repeat(np.tile(np.arange(n_windows), 2), np.append(alive, born))
+    b, x = np.append(-age, position), np.append(q, dist.sample(rng, position.size))
+    order = np.lexsort((b, window))
+    window, b, x = window[order], b[order], x[order]
     d = b + x
     # 0 pc, 1 px, 2 rc, 3 rx: born before the window start (residual),
     # dying after its end (censored). A pc length is the lifetime itself.
     code = 2 * (b < 0.0) + (d > w)
     length = np.where(code == 0, x, np.minimum(d, w) - np.maximum(b, 0.0))
-    keep = (d > 0.0) & (b < w) & (length > 0.0)
+    keep = length > 0.0
     ends = np.cumsum(np.bincount(window[keep], minlength=n_windows))
     return Segments(np.array(SEGMENT_KINDS)[code[keep]], length[keep]), ends

@@ -74,6 +74,22 @@ class TestSimulate:
         assert meta["window"] == 2.0
         assert dataio.read_segments_csv(sout)
 
+    def test_segments_round_trip(self, tmp_path):
+        # two runs with one seed write the same bytes, and the file reads
+        # back as exactly what the pooled sampler returns
+        files = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in files:
+            assert run("simulate", "--scheme", "segments", "--dist", "weibull:0.7:1.3",
+                       "--n", "50", "--window", "2.5", "--rate", "3", "--seed", "17",
+                       "--out", str(out)) == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
+        back = dataio.read_segments_csv(files[0])
+        want, _ = gapest.sample_pooled_segments(
+            3.0, gapest.parse_distribution("weibull:0.7:1.3"), 0.0, 2.5, 50, 17)
+        assert back.kind.tolist() == want.kind.tolist()
+        assert back.length.tobytes() == want.length.tobytes()
+        back.check_window(2.5)
+
     def test_censoring_flag(self, tmp_path):
         out = simulate_pairs(tmp_path, extra=("--censor", "exp:1"))
         pairs = dataio.read_pairs_csv(out)

@@ -27,10 +27,14 @@ from gapest import (
     sample_window_replicates,
 )
 
-from gapest.sampling import SEGMENT_TRUNCATION_QUANTILE, sample_pooled_segments
+from gapest.sampling import sample_pooled_segments
 from gapest.seeding import derived_rng
 
 EXP1 = Exponential(1.0)
+
+# The per-birth reference simulates births back to this quantile of the
+# lifetime law; earlier births reach the window with probability below 1e-9.
+LOOP_TRUNCATION_QUANTILE = 1.0 - 1e-9
 
 
 def same(a, b):
@@ -79,9 +83,10 @@ def windows_by_loop(dist, w, rng):
 
 
 def segments_by_loop(birth_rate, dist, w, rng):
-    """One window of segments, classified one birth at a time: the
-    reference for the vectorized classification in the segment sampler."""
-    lmax = float(dist.ppf(SEGMENT_TRUNCATION_QUANTILE))
+    """One window of segments, classified one birth at a time from births
+    simulated back to the LOOP_TRUNCATION_QUANTILE point of the lifetime
+    law: the reference for the law of the exact segment sampler."""
+    lmax = float(dist.ppf(LOOP_TRUNCATION_QUANTILE))
     span = w + lmax
     count = rng.poisson(birth_rate * span)
     births = np.sort(rng.uniform(-lmax, w, size=count))
@@ -395,21 +400,50 @@ class TestSegmentSampling:
             with pytest.raises(ValueError):
                 sampler(1.0, EXP1, 0.0, 3.0, 0, seed=1)
 
+    # The sampler against the per-birth loop, in law. Seeds, laws and sizes
+    # were fixed before the first run. Each check is at level 1e-3.
+    LAW_LEVEL = 1e-3
+
+    @pytest.mark.parametrize("law, seed", [
+        ("exp:1", 601), ("weibull:0.7:1.3", 602), ("uniform:0.2:1.5", 603),
+    ])
+    def test_law_matches_the_per_birth_loop(self, law, seed):
+        dist, w, n = parse_distribution(law), 3.0, 2_000
+        got, _ = sample_pooled_segments(2.0, dist, 0.0, w, n, seed)
+        ref = Segments.concat([segments_by_loop(2.0, dist, w, derived_rng(seed + 1000, k))
+                               for k in range(n)])
+        # rx needs a lifetime above w = 3, which uniform:0.2:1.5 never has:
+        # that cell is empty by construction on both sides and is dropped.
+        kinds = [k for k in ("pc", "px", "rc", "rx") if (ref.kind == k).any()]
+        assert set(got.kind) <= set(kinds)
+        if law == "uniform:0.2:1.5":
+            assert kinds == ["pc", "px", "rc"]
+        table = [[int((segs.kind == k).sum()) for k in kinds] for segs in (got, ref)]
+        assert stats.chi2_contingency(table).pvalue > self.LAW_LEVEL
+        for k in kinds:
+            a, b = got.length[got.kind == k], ref.length[ref.kind == k]
+            assert stats.ks_2samp(a, b).pvalue > self.LAW_LEVEL, k
+
     @given(
         st.integers(0, 2**32), LAWS, st.floats(0.1, 5.0), st.floats(-2.0, 2.0),
         st.floats(0.05, 6.0), st.integers(1, 6),
     )
-    def test_equals_the_per_birth_loop(self, seed, law, rate, t1, width, n_windows):
+    def test_pooled_output_properties(self, seed, law, rate, t1, width, n_windows):
         dist = parse_distribution(law)
         t2 = t1 + width
-        w = t2 - t1  # the window length the sampler sees
-        got = sample_segment_replicates(rate, dist, t1, t2, n_windows, seed)
-        assert len(got) == n_windows
-        for k, segs in enumerate(got):
-            same(segs, segments_by_loop(rate, dist, w, derived_rng(seed, k)))
         pooled, ends = sample_pooled_segments(rate, dist, t1, t2, n_windows, seed)
+        pooled.check_window(t2 - t1)
+        rx = pooled.length[pooled.kind == "rx"]
+        assert rx.tobytes() == np.full(rx.size, t2 - t1).tobytes()
+        assert ends.size == n_windows and ends[-1] == len(pooled)
+        assert np.all(np.diff(ends, prepend=0) >= 0)
+        got = sample_segment_replicates(rate, dist, t1, t2, n_windows, seed)
+        assert [len(segs) for segs in got] == np.diff(ends, prepend=0).tolist()
+        for segs in got:
+            residual = np.isin(segs.kind, ["rc", "rx"])
+            assert not np.any(residual[1:] & ~residual[:-1])  # residual rows first
         same(pooled, Segments.concat(got))
-        assert ends.tolist() == np.cumsum([len(segs) for segs in got]).tolist()
+        same(pooled, sample_pooled_segments(rate, dist, t1, t2, n_windows, seed)[0])
 
 
 class TestRenewalPath:
