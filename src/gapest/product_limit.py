@@ -387,14 +387,19 @@ def bootstrap_band(
     data. A factor 1 - d/max(Y, 1) is exactly 1 where d = 0, so each
     replicate equals the estimator run on its resample, bitwise.
 
-    The band is evaluated on ``grid`` if given, otherwise on the pooled
-    jump times of all replicates (subsampled to BOOTSTRAP_MAX_GRID
-    quantile-spaced points when larger).
+    The band is evaluated on ``grid`` if given (its points must be
+    finite), otherwise on the pooled jump times of all replicates
+    (subsampled to BOOTSTRAP_MAX_GRID quantile-spaced points when larger).
     """
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    if grid is not None:
+        grid = np.array(grid, dtype=float, ndmin=1)
+        bad = np.flatnonzero(~np.isfinite(grid))
+        if bad.size:
+            raise ValueError(f"grid point {bad[0]} is not finite: {grid[bad[0]]}")
     row = next((r for r in ESTIMATORS.values() if r.bootstrap_name == estimator), None)
     if row is None:
         raise EstimationError(f"unknown bootstrap estimator {estimator!r}")
@@ -442,12 +447,9 @@ def bootstrap_band(
         survival[1:, lo:lo + m] = surv.T
 
     if grid is None:
-        pooled = event_times[jumped]
-        if pooled.size > BOOTSTRAP_MAX_GRID:
-            qs = np.linspace(0.0, 1.0, BOOTSTRAP_MAX_GRID)
-            pooled = np.unique(np.quantile(pooled, qs))
-        grid = pooled
-    grid = np.array(grid, dtype=float, ndmin=1)
+        grid = event_times[jumped]
+        if grid.size > BOOTSTRAP_MAX_GRID:
+            grid = np.unique(np.quantile(grid, np.linspace(0.0, 1.0, BOOTSTRAP_MAX_GRID)))
 
     values = survival[np.searchsorted(event_times, grid, side="right")]
     alpha = 1.0 - level

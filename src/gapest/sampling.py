@@ -13,9 +13,9 @@ Three ways of observing a stationary renewal process are supported:
 
 Observations come back as column containers: ``Pairs``, ``WindowRecords``
 and ``Segments``. All generators are pure functions of (inputs, seed).
-Window k of a window run uses the derived stream ``derived_rng(seed, k)``.
-The segment sampler is exact, with no truncation quantile, and draws all
-windows from ``derived_rng(seed)``: window k depends on n_windows too.
+The window and segment samplers draw all windows of a call from the one
+stream ``derived_rng(seed)``, so window k depends on n_windows too: a
+prefix of windows is not a smaller call. Both are exact in law.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import numpy as np
 
 from .distributions import GapDistribution
 from .errors import EstimationError
-from .seeding import derived_rng, derived_rngs
+from .seeding import derived_rng
 
-_GAP_CHUNK = 8  # gaps drawn per batch while filling a window
+_GAP_CHUNK = 8  # gaps drawn per round for each window still being filled
 
 # The kind codes of window records and segments, as written in the CSVs.
 WINDOW_KINDS = ("complete", "censored", "forward", "empty")
@@ -187,7 +187,7 @@ def apply_right_censoring(pairs: Pairs, cens_dist: GapDistribution, seed: int) -
 def sample_window_replicates(
     dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> list[WindowRecords]:
-    """Independent window realizations; window k uses derived_rng(seed, k)."""
+    """Independent window realizations: ``sample_pooled_windows`` split per window."""
     return _split(*sample_pooled_windows(dist, t1, t2, n_windows, seed))
 
 
@@ -200,28 +200,26 @@ def sample_pooled_windows(
     A window whose first renewal lands inside it gives a forward-recurrence
     record, the complete gaps and one trailing censored gap; otherwise it
     gives a single empty-window record. Only the length t2 - t1 matters.
-    Window k draws its first renewal and then its gaps, _GAP_CHUNK at a
-    time, from derived_rng(seed, k).
+    The one stream derived_rng(seed) draws every window's first renewal,
+    then in rounds a matrix of _GAP_CHUNK gaps for each window still inside,
+    until none is. So window k depends on n_windows too.
     """
     w = window_length_checked(t2 - t1)
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
-    first = np.empty((n_windows, 1 + _GAP_CHUNK))  # v, then the first chunk
-    for row, rng in zip(first, derived_rngs(seed, np.arange(n_windows)[:, None])):
-        row[0] = dist.sample_equilibrium_recurrence(rng, 1)[0]
-        row[1:] = dist.sample(rng, _GAP_CHUNK)
-    times = np.cumsum(first, axis=1)  # sequential sums, as a running position adds
-    # A window still inside after its first chunk takes its stream again,
-    # repeats the draws above and draws on, a chunk at a time.
-    longer = np.flatnonzero(times[:, -1] <= w)
-    draws, times = list(first), list(times)
-    for k, rng in zip(longer, derived_rngs(seed, longer[:, None])):
-        path = np.append(dist.sample_equilibrium_recurrence(rng, 1), dist.sample(rng, _GAP_CHUNK))
-        while np.cumsum(path)[-1] <= w:
-            path = np.append(path, dist.sample(rng, _GAP_CHUNK))
-        draws[k], times[k] = path, np.cumsum(path)
-    window = np.repeat(np.arange(n_windows), [d.size for d in draws])
-    value, time = np.concatenate(draws), np.concatenate(times)
+    rng = derived_rng(seed)
+    v = dist.sample_equilibrium_recurrence(rng, n_windows)
+    rounds = [(np.arange(n_windows), v, v)]  # (window, value, time) of each draw
+    live, pos = np.flatnonzero(v <= w), v[v <= w]
+    while live.size:  # a chunk of gaps for every window still inside
+        gaps = dist.sample(rng, live.size * _GAP_CHUNK).reshape(-1, _GAP_CHUNK)
+        times = np.cumsum(np.column_stack([pos, gaps]), axis=1)[:, 1:]  # sequential sums
+        rounds.append((np.repeat(live, _GAP_CHUNK), gaps.ravel(), times.ravel()))
+        inside = times[:, -1] <= w
+        live, pos = live[inside], times[inside, -1]
+    window, value, time = map(np.concatenate, zip(*rounds))
+    order = np.argsort(window, kind="stable")  # each window's draws in round order
+    window, value, time = window[order], value[order], time[order]
     # A window's first entry v gives a forward record, or an empty one past w.
     # Gaps ending inside are complete, the one across w is censored, the rest go.
     head = np.append(True, window[1:] != window[:-1])

@@ -9,9 +9,9 @@ seeded with ``s`` always uses ``derived_rng(s, i)`` regardless of how the
 replicates are scheduled. ``derived_rngs(seed, paths)`` yields the same
 streams, derived in a batch: SeedSequence's mixing runs once over all the
 paths as uint32 columns, and each PCG64 state is set on one reused
-generator, which is therefore valid only until the next one is taken. The
-exact segment sampler (no truncation quantile) draws all windows of a call
-from ``derived_rng(seed)``, so its window k depends on the window count.
+generator, which is therefore valid only until the next one is taken; only
+``bootstrap_band`` uses it. The window and segment samplers draw all windows
+of a call from ``derived_rng(seed)``, so their window k depends on n_windows.
 """
 
 from __future__ import annotations

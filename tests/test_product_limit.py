@@ -693,6 +693,10 @@ class TestBootstrapBand:
             bootstrap_band(pairs, "winter_foldes", B=5, seed=1, level=1.5)
         with pytest.raises(EstimationError):
             bootstrap_band(pairs, "nonsense", B=2, seed=1)
+        for grid, message in (([math.nan, 0.5, math.inf, -1], "0 is not finite: nan"),
+                              ([0.5, math.inf], "1 is not finite: inf")):
+            with pytest.raises(ValueError, match=f"grid point {message}"):
+                bootstrap_band(pairs, "winter_foldes", B=5, seed=1, grid=grid)
         segs = sample_segment_replicates(3.0, EXP1, 0.0, 2.0, 1, seed=8)[0]
         with pytest.raises(EstimationError, match="window_length"):
             bootstrap_band(segs, "palmer_cox", B=2, seed=1)
