@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .distributions import normalised, step_at
 from .errors import EstimationError
 from .sampling import WINDOW_KINDS, Pairs, Segments, WindowRecords, _check_kinds
-from .seeding import derived_rng, derived_rngs
+from .seeding import derived_rng
 
 BOOTSTRAP_MAX_RETRIES = 100
 BOOTSTRAP_MAX_GRID = 4096
@@ -360,6 +359,17 @@ def _mass_survival(atoms, counts):
     return np.where(np.logical_or.accumulate(counts > 0, axis=1), tails, 1.0)
 
 
+def _sorted_quantile(values, q):
+    """``np.quantile(values, q, axis=1)`` for rows already sorted, bitwise:
+    numpy's linear-method lerp of the order statistics around (B - 1) q."""
+    last = values.shape[1] - 1
+    v = last * q
+    j = int(v)
+    g = v - j
+    a, b = values[:, j], values[:, min(j + 1, last)]
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
 def bootstrap_band(
     data,
     estimator: str,
@@ -377,22 +387,26 @@ def bootstrap_band(
     is joined with ``concat`` first. The estimator is fitted to the whole
     data first, so input it rejects fails at once with its own message.
 
-    Observation units are resampled with replacement B times. Replicate b
-    draws from the stream derived from (seed, b, retry), all B retry-0
-    streams in one batch; a draw with no event is redrawn with the next
-    retry, up to BOOTSTRAP_MAX_RETRIES times, and ``failures`` counts the
-    redraws. A chunk of replicates (sized by BOOTSTRAP_CHUNK_BYTES) is one
-    index matrix, counted by one ``bincount`` into weights of the pooled
-    rows and fitted in one array pass over the event times of the whole
-    data. A factor 1 - d/max(Y, 1) is exactly 1 where d = 0, so each
-    replicate equals the estimator run on its resample, bitwise.
+    Observation units are resampled with replacement B times. Retry 0 of
+    replicate b is row b of one (B, n) matrix of uniforms u from the stream
+    derived from (seed, 0, 0), drawn a chunk of rows at a time, and its
+    indices are floor(u n); a draw with no event is redrawn from the stream
+    (seed, b, retry), retry = 1, 2, ..., up to BOOTSTRAP_MAX_RETRIES times,
+    and ``failures`` counts the redraws. A chunk of replicates (sized by
+    BOOTSTRAP_CHUNK_BYTES) is one index matrix, counted by one ``bincount``
+    into weights of the pooled rows and fitted in one array pass over the
+    event times of the whole data. A factor 1 - d/max(Y, 1) is exactly 1
+    where d = 0, so each replicate equals the estimator run on its
+    resample, bitwise.
 
     The band is evaluated on ``grid`` if given (its points must be
     finite), otherwise on the pooled jump times of all replicates
     (subsampled to BOOTSTRAP_MAX_GRID quantile-spaced points when larger).
+    Its bounds are ``np.quantile``'s default quantiles of the replicates,
+    read from the sorted replicates at each grid point.
     """
-    if B < 1:
-        raise ValueError(f"B must be >= 1, got {B}")
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
+        raise ValueError(f"B must be an integer >= 1, got {B!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     if grid is not None:
@@ -421,14 +435,16 @@ def bootstrap_band(
     survival[0] = 1.0
     jumped = np.zeros(event_times.size, dtype=bool)
     chunk = max(1, min(B, BOOTSTRAP_CHUNK_BYTES // (8 * n)))
-    streams = derived_rngs(seed, [(b, 0) for b in range(B)])
+    rng = derived_rng(seed, 0, 0)
     failures = 0
     for lo in range(0, B, chunk):
         m = min(chunk, B - lo)
-        idx = np.array([rng.integers(0, n, size=n) for rng in islice(streams, m)])
+        # One 64-bit output per index, so the rows do not depend on the chunk
+        # size; u <= 1 - 2**-53 keeps u * n below n for any n < 2**53.
+        idx = (rng.random((m, n)) * n).astype(np.intp)
         for i in np.flatnonzero(~has_event[idx].any(axis=1)):
             for retry in range(1, BOOTSTRAP_MAX_RETRIES):
-                idx[i] = derived_rng(seed, lo + i, retry).integers(0, n, size=n)
+                idx[i] = (derived_rng(seed, lo + i, retry).random(n) * n).astype(np.intp)
                 if has_event[idx[i]].any():
                     break
             else:
@@ -452,10 +468,9 @@ def bootstrap_band(
             grid = np.unique(np.quantile(grid, np.linspace(0.0, 1.0, BOOTSTRAP_MAX_GRID)))
 
     values = survival[np.searchsorted(event_times, grid, side="right")]
+    values.sort(axis=1)
     alpha = 1.0 - level
-    lower, upper = np.quantile(
-        values, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1, overwrite_input=True
-    )
+    lower, upper = (_sorted_quantile(values, q) for q in (alpha / 2.0, 1.0 - alpha / 2.0))
     return BootstrapBand(
         times=grid, lower=lower, upper=upper, level=level, n_resamples=B, failures=failures
     )

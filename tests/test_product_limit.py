@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from gapest import (
     palmer_cox,
     parse_distribution,
     sample_equilibrium,
+    sample_pooled_windows,
     sample_segment_replicates,
     sample_window_replicates,
     winter_foldes,
     window_product_limit,
 )
 from gapest.product_limit import BOOTSTRAP_MAX_RETRIES, ESTIMATORS, BootstrapBand, step_at
-from gapest.sampling import SEGMENT_KINDS, WINDOW_KINDS
+from gapest.sampling import SEGMENT_KINDS, WINDOW_KINDS, sample_pooled_segments
 from gapest.seeding import derived_rng
 
 EXP1 = Exponential(1.0)
@@ -454,6 +456,20 @@ class TestGreenwood:
             greenwood_variance(est)
 
 
+def resample_indices(seed, n, b, retry):
+    """The unit indices of retry ``retry`` of replicate ``b`` of a band over n
+    units: floor(u n) for uniforms u from row b of the band's one (B, n)
+    matrix on stream (seed, 0, 0) at retry 0, else from stream (seed, b,
+    retry). A double takes one 64-bit PCG64 output, so row b starts b n
+    outputs into the stream."""
+    if retry == 0:
+        rng = derived_rng(seed, 0, 0)
+        rng.bit_generator.advance(b * n)
+    else:
+        rng = derived_rng(seed, b, retry)
+    return (rng.random(n) * n).astype(np.intp)
+
+
 def band_by_loop(data, estimator, B, seed, level=0.95, grid=None, window_length=None):
     """The reference band: one fit per resample, redrawing a resample the
     estimator rejects, and the band read from each fit's step function."""
@@ -463,7 +479,7 @@ def band_by_loop(data, estimator, B, seed, level=0.95, grid=None, window_length=
     failures = 0
     for b in range(B):
         for retry in range(BOOTSTRAP_MAX_RETRIES):
-            idx = derived_rng(seed, b, retry).integers(0, n, size=n)
+            idx = resample_indices(seed, n, b, retry)
             try:
                 est = row.fit(data[idx], window_length, None)
                 break
@@ -530,8 +546,7 @@ class TestBootstrapBand:
         pairs = sample_equilibrium(EXP1, 60, seed=5)
         grid = np.array([0.5, 1.0, 1.5])
         band = bootstrap_band(pairs, "winter_foldes", B=1, seed=42, grid=grid)
-        idx = derived_rng(42, 0, 0).integers(0, len(pairs), size=len(pairs))
-        ref = winter_foldes(pairs[idx])
+        ref = winter_foldes(pairs[resample_indices(42, len(pairs), 0, 0)])
         assert np.array_equal(band.lower, band.upper)
         assert np.allclose(band.lower, ref.survival_at(grid))
 
@@ -665,11 +680,44 @@ class TestBootstrapBand:
         pairs = sample_equilibrium(EXP1, 80, seed=6)
         band = bootstrap_band(pairs, "winter_foldes", B=20, seed=9)
         jumps = np.unique(np.concatenate([
-            winter_foldes(pairs[derived_rng(9, b, 0).integers(0, 80, size=80)]).jump_times
+            winter_foldes(pairs[resample_indices(9, 80, b, 0)]).jump_times
             for b in range(20)
         ]))
         want = np.unique(np.quantile(jumps, np.linspace(0, 1, 16)))
         assert band.times.tobytes() == want.tobytes()
+
+    def test_empty_grid_gives_an_empty_band(self):
+        pairs = sample_equilibrium(EXP1, 30, seed=2)
+        for estimator in ("winter_foldes", "cox_vardi"):
+            band = bootstrap_band(pairs, estimator, B=25, seed=3, grid=[])
+            assert band.times.shape == band.lower.shape == band.upper.shape == (0,)
+            assert_same_band(band, band_by_loop(pairs, estimator, B=25, seed=3, grid=[]))
+
+    def test_resamples_share_no_stream_with_the_window_sampler(self, monkeypatch):
+        # the same seed given to a sampler and to a band must not resample
+        # with the uniforms that drew the data
+        streams = {"sampler": set(), "band": set()}
+
+        def recording(side):
+            def wrapped(seed, *path):
+                rng = derived_rng(seed, *path)
+                state = rng.bit_generator.state["state"]
+                streams[side].add((state["state"], state["inc"]))
+                return rng
+            return wrapped
+
+        monkeypatch.setattr("gapest.sampling.derived_rng", recording("sampler"))
+        monkeypatch.setattr("gapest.product_limit.derived_rng", recording("band"))
+        records, _ = sample_pooled_windows(parse_distribution("weibull:2:1"), 0.0, 3.0, 40, 5)
+        # two complete gaps among 41 records: most draws have no event and
+        # are redrawn, so retry streams are taken too
+        sparse = WindowRecords(
+            ["complete", "complete"] + ["censored"] * 39, [0.5, 1.0] + [1.0] * 39
+        )
+        for data in (records, sparse):
+            bootstrap_band(data, "window_pl", B=30, seed=5, window_length=3.0)
+        assert len(streams["sampler"]) == 1 and len(streams["band"]) > 1
+        assert streams["sampler"].isdisjoint(streams["band"])
 
     def test_invalid_input_fails_before_drawing(self):
         # one px length above the window: palmer_cox rejects the whole data
@@ -687,8 +735,12 @@ class TestBootstrapBand:
 
     def test_bad_args(self):
         pairs = sample_equilibrium(EXP1, 10, seed=1)
-        with pytest.raises(ValueError):
-            bootstrap_band(pairs, "winter_foldes", B=0, seed=1)
+        # before the fit: cox_vardi would reject the censored pair
+        censored = Pairs([0.5, 1.0], [1.0, 1.0], [True, False])
+        for B in (0, -3, 2.5, 3.0, True, np.float64(4.0), "5", None):
+            message = re.escape(f"B must be an integer >= 1, got {B!r}")
+            with pytest.raises(ValueError, match=message):
+                bootstrap_band(censored, "cox_vardi", B=B, seed=1)
         with pytest.raises(ValueError):
             bootstrap_band(pairs, "winter_foldes", B=5, seed=1, level=1.5)
         with pytest.raises(EstimationError):
@@ -700,6 +752,17 @@ class TestBootstrapBand:
         segs = sample_segment_replicates(3.0, EXP1, 0.0, 2.0, 1, seed=8)[0]
         with pytest.raises(EstimationError, match="window_length"):
             bootstrap_band(segs, "palmer_cox", B=2, seed=1)
+
+
+def test_callers_reject_a_negative_seed():
+    pairs = Pairs([0.5, 1.0], [0.5, 0.25], [False, False])
+    for call in (
+        lambda: bootstrap_band(pairs, "cox_vardi", B=5, seed=-1),
+        lambda: sample_pooled_windows(Exponential(1.0), 0.0, 2.0, 3, seed=-1),
+        lambda: sample_pooled_segments(1.0, Exponential(1.0), 0.0, 2.0, 3, seed=-1),
+    ):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            call()
 
 
 class TestConsistencySanity:
