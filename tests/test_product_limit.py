@@ -32,7 +32,7 @@ from gapest import (
     window_product_limit,
 )
 from gapest.product_limit import BOOTSTRAP_MAX_RETRIES, ESTIMATORS, BootstrapBand, step_at
-from gapest.sampling import SEGMENT_KINDS, WINDOW_KINDS, sample_pooled_segments
+from gapest.sampling import SEGMENT_KINDS, WINDOW_KINDS
 from gapest.seeding import derived_rng
 
 EXP1 = Exponential(1.0)
@@ -752,17 +752,6 @@ class TestBootstrapBand:
         segs = sample_segment_replicates(3.0, EXP1, 0.0, 2.0, 1, seed=8)[0]
         with pytest.raises(EstimationError, match="window_length"):
             bootstrap_band(segs, "palmer_cox", B=2, seed=1)
-
-
-def test_callers_reject_a_negative_seed():
-    pairs = Pairs([0.5, 1.0], [0.5, 0.25], [False, False])
-    for call in (
-        lambda: bootstrap_band(pairs, "cox_vardi", B=5, seed=-1),
-        lambda: sample_pooled_windows(Exponential(1.0), 0.0, 2.0, 3, seed=-1),
-        lambda: sample_pooled_segments(1.0, Exponential(1.0), 0.0, 2.0, 3, seed=-1),
-    ):
-        with pytest.raises(ValueError, match="expected non-negative integer"):
-            call()
 
 
 class TestConsistencySanity:

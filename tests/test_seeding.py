@@ -1,5 +1,8 @@
-"""Batched stream derivation: ``derived_rngs`` yields exactly the streams of
-``derived_rng``, so it pins numpy's SeedSequence and PCG64 seeding."""
+"""Stream derivation: ``derived_rng(seed, *path)`` is the stream numpy's
+SeedSequence spawn tree gives that path, so a replicate's stream does not
+depend on how the replicates are scheduled."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -8,22 +11,29 @@ from hypothesis import strategies as st
 
 from gapest import Exponential, Pairs, bootstrap_band, sample_pooled_windows
 from gapest.sampling import sample_pooled_segments
-from gapest.seeding import derived_rng, derived_rngs
+from gapest.seeding import child_seed, derived_rng
 
 SEEDS = st.one_of(
     st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1, 2**128, 2**160 + 3]),
     st.integers(0, 2**64),
     st.integers(2**128, 2**200),
 )
-KEYS = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+def spawned(seed, path):
+    """The stream reached by spawning children down ``path`` from ``seed``."""
+    ss = np.random.SeedSequence(seed)
+    for key in path:
+        ss = ss.spawn(key + 1)[key]
+    return np.random.default_rng(ss)
 
 
 @given(SEEDS, st.integers(1, 3).flatmap(
-    lambda m: st.lists(st.lists(KEYS, min_size=m, max_size=m), min_size=1, max_size=6)
+    lambda m: st.lists(st.lists(st.integers(0, 4), min_size=m, max_size=m), min_size=1, max_size=6)
 ))
 def test_each_stream_equals_derived_rng(seed, paths):
-    for path, rng in zip(paths, derived_rngs(seed, paths), strict=True):
-        ref = derived_rng(seed, *path)
+    for path in paths:
+        rng, ref = spawned(seed, path), derived_rng(seed, *path)
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.integers(0, 2**62, size=3).tolist() == ref.integers(0, 2**62, size=3).tolist()
         assert rng.random(3).tolist() == ref.random(3).tolist()
@@ -31,27 +41,40 @@ def test_each_stream_equals_derived_rng(seed, paths):
 
 def test_unkeyed_streams_equal_derived_rng():
     for seed in (0, 7, 2**32, 2**130):
-        (rng,) = derived_rngs(seed, np.empty((1, 0), dtype=int))
-        assert rng.bit_generator.state == derived_rng(seed).bit_generator.state
+        assert derived_rng(seed).bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
-def test_one_generator_reseeded_in_turn():
-    rngs = list(derived_rngs(5, [[0], [1], [2]]))
-    assert rngs[0] is rngs[1] is rngs[2]
+def test_distinct_paths_give_distinct_streams():
+    paths = [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (0, 0, 0)]
+    states = [derived_rng(9, *p).bit_generator.state["state"]["state"] for p in paths]
+    assert len(set(states)) == len(paths)
 
 
 @pytest.mark.parametrize("seed,paths", [(-1, [[0]]), (3, [[0], [-2]]), (-(2**40), [[1, 2]])])
 def test_negative_seed_or_key_fails_like_seedsequence(seed, paths):
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        next(derived_rngs(seed, paths))
+        np.random.SeedSequence(seed, spawn_key=paths[-1])
     with pytest.raises(ValueError, match="expected non-negative integer"):
         derived_rng(seed, *paths[-1])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        child_seed(seed, *paths[-1])
 
 
 @pytest.mark.parametrize("key", [2**32, 2**40, 2**64])
-def test_key_of_two_words_is_rejected_by_name(key):
-    with pytest.raises(ValueError, match=f"spawn key {key} is not below 2\\*\\*32"):
-        next(derived_rngs(1, [[0, 0], [3, key]]))
+def test_key_of_two_words_is_the_path_of_its_words(key):
+    words = [(key >> s) & (2**32 - 1) for s in range(0, key.bit_length(), 32)]
+    assert len(words) > 1
+    state = derived_rng(1, 3, key).bit_generator.state
+    assert state == derived_rng(1, 3, *words).bit_generator.state
+    assert state != derived_rng(1, 3, words[0]).bit_generator.state
+
+
+def test_child_seeds_are_reproducible_and_distinct():
+    paths = list(itertools.product(range(20), range(10)))
+    seeds = [child_seed(11, *p) for p in paths]
+    assert seeds == [child_seed(11, *p) for p in paths]
+    assert all(0 <= s < 2**63 - 1 for s in seeds)
+    assert len(set(seeds)) == len(paths)
 
 
 def test_callers_reject_a_negative_seed():
