@@ -20,12 +20,12 @@ from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
+from . import npmle
 from .distributions import GapDistribution, parse_distribution
 from .errors import EstimationError
-from .npmle import bin_width_checked
 from .product_limit import ESTIMATORS, StepSurvival
 from .sampling import sample_equilibrium, sample_pooled_segments, sample_pooled_windows
-from .seeding import child_seed
+from .seeding import child_seed, is_integer
 
 MSE_IDENTITY_TOL = 1e-10
 MC_GRID_SIZE = 40  # evenly spaced cdf points between the 5% and 95% quantiles
@@ -63,9 +63,13 @@ class McConfig:
         for name in needed:
             if getattr(self, name) is None:
                 raise EstimationError(f"scheme {self.scheme!r} needs {name}")
+        for name in ("seed", "n", "replicates"):
+            if not is_integer(getattr(self, name)):
+                raise EstimationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            setattr(self, name, int(getattr(self, name)))  # numpy integers echo as JSON ints
         if self.n < 1 or self.replicates < 1:
             raise EstimationError("n and replicates must be >= 1")
-        bin_width_checked(self.bin_width)
+        npmle.bin_width_checked(self.bin_width)
         for name in (*needed, "check_time"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -105,6 +109,7 @@ class McReport:
     true_cdf: np.ndarray
     summaries: dict[str, EstimatorSummary]
     verdicts: dict[str, bool] = field(default_factory=dict)
+    em_fits: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -125,6 +130,7 @@ class McReport:
                 for name, s in self.summaries.items()
             },
             "verdicts": self.verdicts,
+            "em_fits": self.em_fits,
         }
 
     def csv_rows(self) -> list[tuple]:
@@ -149,27 +155,54 @@ def _simulate(config: McConfig, dist: GapDistribution, rep: int):
 
 
 def mc_compare(config: McConfig) -> McReport:
-    """Run the replicated comparison described by ``config``."""
+    """Run the replicated comparison described by ``config``.
+
+    A replicate is reduced as soon as it is sampled, to each estimator's
+    cdf on the grid or, for ``em``, to ``npmle.em_problem``. The EM problems
+    that share a grid are fitted in one ``npmle.laslett_em_many`` batch, so
+    a fit can differ from a lone ``laslett_em`` fit in the low bits; a
+    config always gives the same report. ``em_fits`` has the fits' steps
+    (min, median, max), how many were certified and the largest gap."""
     dist = parse_distribution(config.dist_spec)
     base = np.linspace(dist.ppf(0.05), dist.ppf(0.95), MC_GRID_SIZE)
     grid = np.unique(np.append(base, config.check_time))
     true_cdf = np.asarray(dist.cdf(grid), dtype=float)
+    curves = {tag: [] for tag in config.estimators}
+    tails = dict.fromkeys(config.estimators, 0)
+    batches = {}  # grid bytes -> (grid, [(replicate, n)], [problem])
 
-    def one_replicate(rep: int):
+    def record(tag, est):
+        curves[tag].append(est.cdf_at(grid))
+        tails[tag] += int(np.sum(grid > est.jump_times[-1]))
+
+    def reduce_replicate(rep: int):
         data = _simulate(config, dist, rep)
-        curves = {}
-        tails = {}
         for tag in config.estimators:
-            est = ESTIMATORS[tag].fit(data, config.window_length, config.bin_width)
-            curves[tag] = est.cdf_at(grid)
-            tails[tag] = int(np.sum(grid > est.jump_times[-1]))
-        return curves, tails
+            if tag != "em":
+                record(tag, ESTIMATORS[tag].fit(data, config.window_length, config.bin_width))
+                continue
+            atoms, problem = npmle.em_problem(data, config.window_length, config.bin_width)
+            batch = batches.setdefault(atoms.tobytes(), (atoms, [], []))
+            batch[1].append((rep, len(data)))
+            batch[2].append(problem)
 
-    results = [one_replicate(rep) for rep in range(config.replicates)]
+    for rep in range(config.replicates):
+        reduce_replicate(rep)
+    fits = {}
+    for atoms, keys, problems in batches.values():
+        fits.update(zip(keys, npmle.laslett_em_many(problems, config.window_length, atoms)))
+    for (_, n), fit in sorted(fits.items()):
+        record("em", StepSurvival.from_masses(fit.distribution.atoms, fit.distribution.masses, n))
+    steps = [fit.iterations for fit in fits.values()]
+    em_fits = {
+        "iterations_min": min(steps), "iterations_median": float(np.median(steps)),
+        "iterations_max": max(steps), "certified": sum(f.converged for f in fits.values()),
+        "max_gradient_gap": max(f.gradient_gap for f in fits.values()),
+    } if fits else {}
 
     summaries = {}
     for tag in config.estimators:
-        stack = np.vstack([curves[tag] for curves, _ in results])
+        stack = np.vstack(curves[tag])
         mean_hat = stack.mean(axis=0)
         bias = mean_hat - true_cdf
         variance = np.mean((stack - mean_hat) ** 2, axis=0)
@@ -179,7 +212,7 @@ def mc_compare(config: McConfig) -> McReport:
             bias=bias,
             variance=variance,
             mse=mse,
-            beyond_tail=int(sum(tails[tag] for _, tails in results)),
+            beyond_tail=tails[tag],
         )
 
     verdicts = {
@@ -201,6 +234,7 @@ def mc_compare(config: McConfig) -> McReport:
         true_cdf=true_cdf,
         summaries=summaries,
         verdicts=verdicts,
+        em_fits=em_fits,
     )
 
 

@@ -35,6 +35,7 @@ from .distributions import DiscreteDistribution, atom_lookup, normalised
 from .errors import EstimationError
 from .product_limit import StepSurvival
 from .sampling import SEGMENT_KINDS, Pairs, Segments, _check_kinds, window_length_checked
+from .seeding import is_integer
 
 EM_DEFAULT_TOL = 1e-8
 EM_DEFAULT_MAX_ITER = 20_000
@@ -246,6 +247,15 @@ def _distinct_rows(segments: Segments) -> tuple[Segments, np.ndarray]:
     return Segments(kinds[code[starts]], length[starts]), np.diff(np.append(starts, code.size))
 
 
+def em_problem(segments: Segments, window_length: float, bin_width: float):
+    """The default grid of ``segments`` binned to ``bin_width``, and the
+    (distinct rows, counts) problem of the binned data: what the ``em``
+    estimator hands ``laslett_em_many``."""
+    segments.check_window(window_length)
+    binned = bin_segments(segments, bin_width)
+    return default_grid(binned, window_length, bin_width), _distinct_rows(binned)
+
+
 def laslett_em(
     segments: Segments,
     window_length: float,
@@ -253,18 +263,35 @@ def laslett_em(
     max_iter: int = EM_DEFAULT_MAX_ITER,
     tol: float = EM_DEFAULT_TOL,
 ) -> EmResult:
-    """EM for the segment NPMLE on a fixed atom grid, accelerated and certified.
+    """The segment NPMLE of ``segments`` on a fixed atom grid:
+    ``laslett_em_many`` on a batch of one."""
+    return laslett_em_many([_distinct_rows(segments)], window_length, grid, max_iter, tol)[0]
 
-    Works in the window-biased parameterization q_j ~ p_j (w + a_j), under
-    which the observations are iid draws from a mixture with kernel
+
+# Extrapolated points may hold nan or inf; every use of one checks K q > 0 first.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def laslett_em_many(
+    problems,
+    window_length: float,
+    grid,
+    max_iter: int = EM_DEFAULT_MAX_ITER,
+    tol: float = EM_DEFAULT_TOL,
+) -> list[EmResult]:
+    """EM for the segment NPMLE on a fixed atom grid, accelerated and
+    certified, run on every problem at once; one ``EmResult`` per problem.
+
+    A problem is the distinct (kind, length) rows of one segment sample
+    with the count of each, as ``em_problem`` returns it. The fit works in
+    the window-biased parameterization q_j ~ p_j (w + a_j), under which the
+    observations are iid draws from a mixture with kernel
     K_ij = W_ij / (w + a_j) (W from ``_atom_weights``) and the marginal log
-    likelihood is l(q) = sum_i c_i log (K q)_i. The segments are first
-    collapsed to their distinct (kind, length) rows with counts c, so one
-    EM step costs O(distinct rows x atoms), not O(segments x atoms).
+    likelihood is l(q) = sum_i c_i log (K q)_i over the distinct rows with
+    counts c, so one EM step costs O(distinct rows x atoms), not
+    O(segments x atoms).
 
     Stop rule. The EM map is q -> q D(q), where D(q) = K^T (c / K q) / n is
     also Lindsay's gradient: q maximizes l over the grid exactly when
-    max_j D_j <= 1, and l(optimum) - l(q) <= n log(max_j D_j). The fit
+    max_j D_j <= 1, and l(optimum) - l(q) <= n log(max_j D_j). A fit
     stops once the gap max_j D_j - 1 is at most ``tol``; ``converged``
     says that it did, and ``gradient_gap`` is the gap of the returned
     masses either way. It also stops, after taking the gap, when an
@@ -284,80 +311,108 @@ def laslett_em(
     accepted point is at least as likely as the one before, and the trace
     (l of the start and of each accepted point) is nondecreasing up to
     float slack. ``iterations`` counts the accepted steps, the length of
-    the trace less one, and ``max_iter`` bounds it. A step costs three
-    evaluations of the EM map, with the gap at its start, and one more
-    per retry.
+    the trace less one, and ``max_iter``, an integer >= 1, bounds it. A
+    step costs three evaluations of the EM map, with the gap at its start,
+    and one more per retry.
+
+    Batch. The kernels are stacked as (problems, most rows, atoms), padded
+    with zero rows of count 0 whose (K q)_i reads 1, so each product is one
+    ``np.matmul``. Each fit keeps its own alpha, retries, stall flag, steps
+    and trace, and leaves the stack when it stops. In a batch of more than
+    one, padding can change BLAS blocking and so a fit's low bits; each fit
+    is still certified, and the same inputs always give the same numbers.
 
     The fitted birth intensity is n / (w + mu_hat), the value that matches
     the expected number of observable lifetimes to the observed count.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not is_integer(max_iter) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    window_length_checked(window_length)
-    if not segments:
-        raise EstimationError("need at least one segment")
+    w = float(window_length_checked(window_length))
     atoms = np.unique(np.asarray(grid, dtype=float))
     if atoms.size == 0 or not np.all((atoms > 0.0) & (atoms < math.inf)):
         raise EstimationError("grid atoms must be finite and positive")
+    if any(counts.size == 0 for _, counts in problems):
+        raise EstimationError("need at least one segment")
+    kernels = [_possible_weights(rows, atoms, w) / (w + atoms) for rows, _ in problems]
+    fits, height = len(kernels), max((k.shape[0] for k in kernels), default=0)
+    K, c = np.zeros((fits, height, atoms.size)), np.zeros((fits, height))
+    pad = np.ones((fits, height))
+    for i, (k, (_, counts)) in enumerate(zip(kernels, problems)):
+        K[i, : len(k)], c[i, : len(k)], pad[i, : len(k)] = k, counts, 0.0
+    n = c.sum(axis=1)
 
-    distinct, counts = _distinct_rows(segments)
-    w = float(window_length)
-    kernel = _possible_weights(distinct, atoms, w) / (w + atoms)
-    n = len(segments)
+    def kmul(x):
+        return np.matmul(K, x[..., None])[..., 0]
+
+    def dot(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
     def em_map(q, kq):
         """F(q) and the gradient D(q), given K q > 0."""
-        d = kernel.T @ (counts / kq) / n
+        d = np.matmul(K.transpose(0, 2, 1), (c / kq)[..., None])[..., 0] / n[:, None]
         return normalised(q * d), d
 
-    def rise(q_to, q_from, kq_from) -> float:
-        """l(q_to) - l(q_from), from K (q_to - q_from): accurate down to
-        rises far below the rounding error of l itself. The last term
-        corrects for the rounding of the two totals away from 1."""
+    def rise(q_to, q_from, kq_from, live):
+        """l(q_to) - l(q_from) of the fits indexed by ``live`` (nan elsewhere),
+        from K (q_to - q_from): accurate down to rises far below the
+        rounding error of l itself. The last term corrects for the rounding
+        of the two totals away from 1."""
         step = q_to - q_from
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = float(counts @ np.log1p(kernel @ step / kq_from))
-        return gain - n * math.log1p(math.fsum(step) / math.fsum(q_from))
+        gain = dot(c, np.log1p(kmul(step) / kq_from))
+        out = np.full(len(step), np.nan)
+        for i in live:
+            total = math.fsum(step[i].tolist()) / math.fsum(q_from[i].tolist())
+            out[i] = gain[i] - n[i] * math.log1p(total)
+        return out
 
-    q = normalised(w + atoms)  # uniform masses p
-    kq = kernel @ q
-    trace = [float(counts @ np.log(kq))]
-    stalled = False
-    while True:
+    q = np.tile(normalised(w + atoms), (fits, 1))  # uniform masses p
+    kq = kmul(q) + pad
+    traces = [[ll] for ll in dot(c, np.log(kq)).tolist()]
+    ids = np.arange(fits)  # the problem each row of the stack fits
+    results = [None] * fits
+    stalled = np.zeros(fits, dtype=bool)
+    for steps in range(max_iter + 1):  # every fit has stopped by the last pass
         q1, d = em_map(q, kq)
-        gap = max(float(d.max()) - 1.0, 0.0)
-        if gap <= tol or stalled or len(trace) > max_iter:
-            break
-        q2, _ = em_map(q1, kernel @ q1)
-        q_new, kq_new = q2, kernel @ q2
+        gap = np.maximum(d.max(axis=1) - 1.0, 0.0)
+        done = (gap <= tol) | stalled | (steps == max_iter)
+        for j in done.nonzero()[0]:
+            fitted = DiscreteDistribution(atoms, normalised(q[j] / (w + atoms)))
+            results[ids[j]] = EmResult(
+                distribution=fitted,
+                birth_rate=float(n[j]) / (w + fitted.mean()),
+                loglik_trace=np.asarray(traces[ids[j]]),
+                converged=bool(gap[j] <= tol),
+                gradient_gap=float(gap[j]),
+            )
+        if done.all():
+            return results
+        if done.any():
+            ids, K, c, pad, n, q, kq, q1 = (x[~done] for x in (ids, K, c, pad, n, q, kq, q1))
+        q2, _ = em_map(q1, kmul(q1) + pad)
+        kq2 = kmul(q2) + pad
+        q_new, kq_new = q2, kq2
         r, v = q1 - q, q2 - 2.0 * q1 + q
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            alpha = min(-float(np.linalg.norm(r) / np.linalg.norm(v)), -1.0)
+        alpha = np.minimum(-(np.sqrt(dot(r, r)) / np.sqrt(dot(v, v))), -1.0)[:, None]
+        trying = np.ones(len(ids), dtype=bool)
         for _ in range(SQUAREM_TRIES):
-            with np.errstate(over="ignore", invalid="ignore"):
-                qx = normalised(np.maximum(q - 2.0 * alpha * r + alpha * alpha * v, 0.0))
-            kqx = kernel @ qx
-            if np.all(kqx > 0.0):  # false for nan too
-                qs, _ = em_map(qx, kqx)
-                kqs = kernel @ qs
-                if np.all(kqs > 0.0) and rise(qs, q2, kq_new) >= 0.0:
-                    q_new, kq_new = qs, kqs
-                    break
+            # Every fit is tried, and only the ones still trying can accept.
+            qx = normalised(np.maximum(q - 2.0 * alpha * r + alpha * alpha * v, 0.0))
+            kqx = kmul(qx) + pad
+            qs, _ = em_map(qx, kqx)
+            kqs = kmul(qs) + pad
+            ok = trying & (kqx > 0.0).all(axis=1) & (kqs > 0.0).all(axis=1)  # false for nan
+            ok &= rise(qs, q2, kq2, ok.nonzero()[0]) >= 0.0
+            q_new, kq_new = np.where(ok[:, None], qs, q_new), np.where(ok[:, None], kqs, kq_new)
+            trying &= ~ok
+            if not trying.any():
+                break
             alpha = (alpha - 1.0) / 2.0
-        stalled = not rise(q_new, q, kq) > 0.0
+        stalled = ~(rise(q_new, q, kq, range(len(ids))) > 0.0)
         q, kq = q_new, kq_new
-        trace.append(float(counts @ np.log(kq)))
-
-    fitted = DiscreteDistribution(atoms, normalised(q / (w + atoms)))
-    return EmResult(
-        distribution=fitted,
-        birth_rate=n / (w + fitted.mean()),
-        loglik_trace=np.asarray(trace),
-        converged=gap <= tol,
-        gradient_gap=gap,
-    )
+        for i, ll in zip(ids.tolist(), dot(c, np.log(kq)).tolist()):
+            traces[i].append(ll)
 
 
 def gof_discrepancy(a, b) -> float:

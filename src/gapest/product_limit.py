@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import normalised, step_at
 from .errors import EstimationError
 from .sampling import WINDOW_KINDS, Pairs, Segments, WindowRecords, _check_kinds
-from .seeding import derived_rng
+from .seeding import derived_rng, is_integer
 
 BOOTSTRAP_MAX_RETRIES = 100
 BOOTSTRAP_MAX_GRID = 4096
@@ -330,10 +330,8 @@ def _fit_cox_vardi(data, window_length, bin_width) -> StepSurvival:
 def _fit_laslett_em(data, window_length, bin_width) -> StepSurvival:
     from . import npmle
 
-    data.check_window(window_length)
-    binned = npmle.bin_segments(data, bin_width)
-    grid = npmle.default_grid(binned, window_length, bin_width)
-    dist = npmle.laslett_em(binned, window_length, grid).distribution
+    grid, problem = npmle.em_problem(data, window_length, bin_width)
+    dist = npmle.laslett_em_many([problem], window_length, grid)[0].distribution
     return StepSurvival.from_masses(dist.atoms, dist.masses, len(data))
 
 
@@ -405,7 +403,7 @@ def bootstrap_band(
     Its bounds are ``np.quantile``'s default quantiles of the replicates,
     read from the sorted replicates at each grid point.
     """
-    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 1:
+    if not is_integer(B) or B < 1:
         raise ValueError(f"B must be an integer >= 1, got {B!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")

@@ -20,8 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 
+def is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
-    """PCG64 generator for the substream identified by ``(seed, *path)``."""
+    """PCG64 generator for the substream identified by ``(seed, *path)``,
+    all integers: a float or a bool is a ValueError, never truncated."""
+    bad = [x for x in (seed, *path) if not is_integer(x)]
+    if bad:
+        raise ValueError(f"seed and path elements must be integers, got {bad[0]!r}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(ss)
 

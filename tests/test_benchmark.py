@@ -1,5 +1,6 @@
 """Monte Carlo comparison harness and the near-zero error demonstration."""
 
+import json
 import math
 
 import numpy as np
@@ -14,13 +15,21 @@ from gapest import (
     mc_compare,
     tail_failure_demo,
 )
-from gapest.benchmark import TailReport, TailRow
+from gapest import npmle
+from gapest.benchmark import TailReport, TailRow, _simulate
 
 
 def small_config(**kw):
     base = dict(dist_spec="exp:1", scheme="equilibrium", n=200, replicates=30, seed=4)
     base.update(kw)
     return McConfig(**base)
+
+
+def segments_config(**kw):
+    base = dict(scheme="segments", n=15, replicates=8, window_length=2.0, birth_rate=3.0,
+                bin_width=0.25)
+    base.update(kw)
+    return small_config(**base)
 
 
 class TestMcCompare:
@@ -79,6 +88,52 @@ class TestMcCompare:
         for s in report.summaries.values():
             assert np.all(np.isfinite(s.mse))
 
+    def test_numpy_integer_sizes_and_seed_run_like_ints(self):
+        a = mc_compare(small_config(n=np.int64(50), replicates=np.int32(3), seed=np.uint16(4)))
+        b = mc_compare(small_config(n=50, replicates=3, seed=4))
+        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+    def test_em_fits_are_reported(self):
+        config = segments_config(replicates=6)
+        report = mc_compare(config)
+        fits = report.em_fits
+        assert set(fits) == {
+            "iterations_min", "iterations_median", "iterations_max", "certified", "max_gradient_gap"
+        }
+        assert 1 <= fits["iterations_min"] <= fits["iterations_median"] <= fits["iterations_max"]
+        assert fits["certified"] == 6
+        assert 0.0 <= fits["max_gradient_gap"] <= 1e-8
+        payload = report.to_json_dict()
+        assert payload["em_fits"] == fits
+        assert payload == mc_compare(config).to_json_dict()
+        assert mc_compare(small_config()).em_fits == {}
+
+    def test_em_fits_run_in_one_batch_per_grid(self, monkeypatch):
+        calls = []
+
+        def spy(problems, window_length, grid, *args):
+            calls.append((len(problems), np.asarray(grid).tobytes()))
+            return fit_many(problems, window_length, grid, *args)
+
+        fit_many = npmle.laslett_em_many
+        monkeypatch.setattr(npmle, "laslett_em_many", spy)
+        config = segments_config(n=3, replicates=12)  # few windows: the grids differ
+        mc_compare(config)
+        grids = {npmle.em_problem(
+            _simulate(config, Exponential(1.0), rep), 2.0, 0.25)[0].tobytes() for rep in range(12)}
+        assert len(grids) > 1
+        assert sum(size for size, _ in calls) == 12
+        assert sorted(grid for _, grid in calls) == sorted(grids)
+
+    def test_em_summary_does_not_depend_on_the_other_estimators(self):
+        alone = mc_compare(segments_config(estimators=("em",)))
+        both = mc_compare(segments_config(estimators=("palmer_cox", "em")))
+        a, b = alone.summaries["em"], both.summaries["em"]
+        for field in ("bias", "variance", "mse"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.beyond_tail == b.beyond_tail
+        assert alone.em_fits == both.em_fits
+
     def test_estimator_scheme_mismatch(self):
         with pytest.raises(EstimationError):
             small_config(estimators=("wpl",))
@@ -97,6 +152,15 @@ class TestMcCompare:
         (dict(scheme="segments", window_length=3.0), "needs birth_rate"),
         (dict(n=0), "n and replicates must be >= 1"),
         (dict(replicates=0), "n and replicates must be >= 1"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=True), "seed must be an integer, got True"),
+        (dict(seed=np.float64(4.0)), "seed must be an integer, got np.float64"),
+        (dict(n=2.5), "n must be an integer, got 2.5"),
+        (dict(n=200.0), "n must be an integer, got 200.0"),
+        (dict(n=True), "n must be an integer, got True"),
+        (dict(replicates=True), "replicates must be an integer, got True"),
+        (dict(replicates=3.0), "replicates must be an integer, got 3.0"),
+        (dict(replicates=None), "replicates must be an integer, got None"),
         (dict(check_time=math.nan), "check_time must be finite and positive, got nan"),
         (dict(check_time=math.inf), "check_time must be finite and positive, got inf"),
         (dict(check_time=0.0), "check_time must be finite and positive, got 0.0"),

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -37,7 +37,13 @@ from gapest import (
     segment_marginal_loglik,
     winter_foldes,
 )
-from gapest.npmle import EM_DEFAULT_TOL, _atom_weights
+from gapest.npmle import (
+    EM_DEFAULT_MAX_ITER,
+    EM_DEFAULT_TOL,
+    _atom_weights,
+    _distinct_rows,
+    laslett_em_many,
+)
 from gapest.seeding import child_seed, derived_rng
 
 from npmle_oracle import npmle_oracle
@@ -128,6 +134,26 @@ def textbook_em(segs, w, atoms, tol, max_steps=200_000):
         p = post.mean(axis=0) / (w + atoms)
         p /= p.sum()
     raise AssertionError(f"textbook EM not certified after {max_steps} steps")
+
+
+# Binned segments whose fit takes over a hundred SQUAREM steps (w = 3), and
+# their default grid, which every subset of their rows can share.
+SLOW = bin_segments(
+    Segments.concat(sample_segment_replicates(2.0, EXP1, 0.0, 3.0, 100, seed=31)), 0.1
+)
+SLOW_GRID = default_grid(SLOW, 3.0, 0.1)
+
+
+@st.composite
+def batches(draw):
+    """The slow segments plus subsets of 1 to 60 of their rows, with the
+    slow fit at any position in the batch."""
+    subsets = draw(st.lists(
+        st.lists(st.integers(0, len(SLOW) - 1), min_size=1, max_size=60), min_size=1, max_size=4
+    ))
+    batch = [SLOW[np.array(rows)] for rows in subsets]
+    batch.insert(draw(st.integers(0, len(batch))), SLOW)
+    return batch
 
 
 @st.composite
@@ -468,6 +494,23 @@ class TestLaslettEm:
             ll_ref = segment_marginal_loglik(ref, segs, w)
             assert abs(ll_em - ll_ref) <= len(segs) * EM_DEFAULT_TOL
 
+    @pytest.mark.parametrize(
+        "max_iter", [0, -3, 2.5, 3.0, math.inf, True, np.float64(4.0), "5", None]
+    )
+    def test_max_iter_must_be_an_integer_of_at_least_one(self, max_iter):
+        segs = segments((PC, 1.0))
+        for call in (
+            lambda: laslett_em(segs, 1.0, [1.0], max_iter=max_iter),
+            lambda: laslett_em_many([_distinct_rows(segs)], 1.0, [1.0], max_iter=max_iter),
+        ):
+            with pytest.raises(ValueError, match="max_iter must be an integer >= 1, got"):
+                call()
+
+    @pytest.mark.parametrize("max_iter", [1, np.int64(2), np.uint8(7)])
+    def test_numpy_integer_max_iter_is_accepted(self, max_iter):
+        res = laslett_em(SLOW, 3.0, SLOW_GRID, max_iter=max_iter)
+        assert res.iterations == max_iter
+
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
@@ -488,6 +531,10 @@ class TestLaslettEm:
         for max_iter in range(1, 61):
             res = laslett_em(segs, 3.0, grid, max_iter=max_iter, tol=1e-300)
             assert res.iterations == res.loglik_trace.size - 1 <= max_iter
+        problems = [_distinct_rows(s) for s in (SLOW[:40], SLOW, SLOW[::3])]
+        for max_iter in (1, 2, 7, 60):
+            for res in laslett_em_many(problems, 3.0, SLOW_GRID, max_iter=max_iter, tol=1e-300):
+                assert res.iterations == res.loglik_trace.size - 1 <= max_iter
 
     def test_duplicate_rows_fit_like_their_counts(self):
         # the fit sees only distinct rows and their counts, so the order of
@@ -525,6 +572,49 @@ class TestLaslettEm:
         assert set(payload) == {
             "atoms", "masses", "birth_rate", "loglik", "iterations", "converged", "gradient_gap"
         }
+
+
+class TestLaslettEmMany:
+    @settings(max_examples=12)
+    @given(batches())
+    def test_batched_fits_are_certified_and_reproducible(self, batch):
+        problems = [_distinct_rows(segs) for segs in batch]
+        fits = laslett_em_many(problems, 3.0, SLOW_GRID)
+        again = laslett_em_many(problems, 3.0, SLOW_GRID)
+        for segs, problem, fit, rerun in zip(batch, problems, fits, again):
+            assert fit.converged and fit.gradient_gap <= EM_DEFAULT_TOL
+            assert fit.iterations <= EM_DEFAULT_MAX_ITER
+            trace = fit.loglik_trace
+            assert np.all(np.diff(trace) >= -1e-12 * np.maximum(np.abs(trace[:-1]), 1.0))
+            # both fits are certified, so both are within n log(1 + tol) of the optimum
+            solo = laslett_em(segs, 3.0, SLOW_GRID)
+            assert abs(trace[-1] - solo.loglik_trace[-1]) <= len(segs) * math.log1p(EM_DEFAULT_TOL)
+            alone = laslett_em_many([problem], 3.0, SLOW_GRID)[0]
+            for a, b in ((fit, rerun), (solo, alone)):
+                assert np.array_equal(a.distribution.masses, b.distribution.masses)
+                assert np.array_equal(a.loglik_trace, b.loglik_trace)
+                assert (a.birth_rate, a.gradient_gap) == (b.birth_rate, b.gradient_gap)
+
+    def test_equal_size_problems_fit_as_they_do_alone(self):
+        # The same rows with other counts need no padding, so each product of
+        # a fit in the stack is the one it gets alone, and so is the fit.
+        rows, counts = _distinct_rows(SLOW)
+        rng = derived_rng(40)
+        problems = [(rows, rng.integers(1, 6, counts.size)) for _ in range(6)]
+        fits = laslett_em_many(problems, 3.0, SLOW_GRID)
+        assert len({fit.iterations for fit in fits}) > 1
+        for fit, problem in zip(fits, problems):
+            alone = laslett_em_many([problem], 3.0, SLOW_GRID)[0]
+            assert np.array_equal(fit.loglik_trace, alone.loglik_trace)
+            assert np.array_equal(fit.distribution.masses, alone.distribution.masses)
+
+    def test_an_empty_batch_gives_no_fits(self):
+        assert laslett_em_many([], 3.0, SLOW_GRID) == []
+
+    def test_every_problem_needs_a_segment(self):
+        problems = [_distinct_rows(SLOW), _distinct_rows(SLOW[:0])]
+        with pytest.raises(EstimationError, match="need at least one segment"):
+            laslett_em_many(problems, 3.0, SLOW_GRID)
 
 
 class TestOracle:

@@ -3,6 +3,7 @@ SeedSequence spawn tree gives that path, so a replicate's stream does not
 depend on how the replicates are scheduled."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,29 @@ def test_negative_seed_or_key_fails_like_seedsequence(seed, paths):
         derived_rng(seed, *paths[-1])
     with pytest.raises(ValueError, match="expected non-negative integer"):
         child_seed(seed, *paths[-1])
+
+
+@pytest.mark.parametrize("seed,path,bad", [
+    (1.5, (), "1.5"),
+    (1.0, (), "1.0"),
+    (True, (), "True"),
+    (np.float64(2.0), (), "np.float64(2.0)"),
+    ("3", (), "'3'"),
+    (None, (), "None"),
+    (1, (0.5,), "0.5"),
+    (1, (2, False), "False"),
+    (1, (np.bool_(True),), "np.True_"),
+])
+def test_a_seed_or_key_that_is_not_an_integer_is_rejected(seed, path, bad):
+    with pytest.raises(ValueError, match=f"must be integers, got {re.escape(bad)}$"):
+        derived_rng(seed, *path)
+    with pytest.raises(ValueError, match="must be integers"):
+        child_seed(seed, *path)
+
+
+def test_numpy_integer_seeds_and_keys_are_their_values():
+    state = derived_rng(5, 2, 7).bit_generator.state
+    assert derived_rng(np.int64(5), np.uint32(2), np.int8(7)).bit_generator.state == state
 
 
 @pytest.mark.parametrize("key", [2**32, 2**40, 2**64])
