@@ -42,6 +42,9 @@ EM_DEFAULT_MAX_ITER = 20_000
 # Extrapolations a SQUAREM step tries, each halfway back towards the plain
 # EM point, before it keeps that point.
 SQUAREM_TRIES = 3
+# Bytes of the (fits x rows x atoms) kernel stack that laslett_em_many
+# steps at once; the loop's other temporaries are a few times this.
+EM_CHUNK_BYTES = 2**20
 
 
 @dataclass
@@ -268,8 +271,6 @@ def laslett_em(
     return laslett_em_many([_distinct_rows(segments)], window_length, grid, max_iter, tol)[0]
 
 
-# Extrapolated points may hold nan or inf; every use of one checks K q > 0 first.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def laslett_em_many(
     problems,
     window_length: float,
@@ -315,12 +316,15 @@ def laslett_em_many(
     step costs three evaluations of the EM map, with the gap at its start,
     and one more per retry.
 
-    Batch. The kernels are stacked as (problems, most rows, atoms), padded
-    with zero rows of count 0 whose (K q)_i reads 1, so each product is one
-    ``np.matmul``. Each fit keeps its own alpha, retries, stall flag, steps
-    and trace, and leaves the stack when it stops. In a batch of more than
-    one, padding can change BLAS blocking and so a fit's low bits; each fit
-    is still certified, and the same inputs always give the same numbers.
+    Batch. The problems are fitted in consecutive chunks of as many as fit
+    EM_CHUNK_BYTES of kernel at the batch's most rows, so memory does not
+    grow with the batch. A chunk's kernels are stacked as (problems, most
+    rows, atoms), padded with zero rows of count 0 whose (K q)_i reads 1,
+    so each product is one ``np.matmul``. Each fit keeps its own alpha,
+    retries, stall flag, steps and trace, and leaves the stack when it
+    stops. In a chunk of more than one, padding can change BLAS blocking
+    and so a fit's low bits; each fit is still certified, and the same
+    inputs always give the same numbers.
 
     The fitted birth intensity is n / (w + mu_hat), the value that matches
     the expected number of observable lifetimes to the observed count.
@@ -335,12 +339,25 @@ def laslett_em_many(
         raise EstimationError("grid atoms must be finite and positive")
     if any(counts.size == 0 for _, counts in problems):
         raise EstimationError("need at least one segment")
-    kernels = [_possible_weights(rows, atoms, w) / (w + atoms) for rows, _ in problems]
-    fits, height = len(kernels), max((k.shape[0] for k in kernels), default=0)
+    most = max((len(rows) for rows, _ in problems), default=1)
+    chunk = max(1, EM_CHUNK_BYTES // (8 * most * atoms.size))
+    return [
+        fit
+        for lo in range(0, len(problems), chunk)
+        for fit in _squarem_stack(problems[lo : lo + chunk], w, atoms, max_iter, tol)
+    ]
+
+
+# Extrapolated points may hold nan or inf; every use of one checks K q > 0 first.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _squarem_stack(problems, w: float, atoms: np.ndarray, max_iter: int, tol: float):
+    """The SQUAREM loop of ``laslett_em_many`` on one stack of problems."""
+    fits, height = len(problems), max(len(rows) for rows, _ in problems)
     K, c = np.zeros((fits, height, atoms.size)), np.zeros((fits, height))
     pad = np.ones((fits, height))
-    for i, (k, (_, counts)) in enumerate(zip(kernels, problems)):
-        K[i, : len(k)], c[i, : len(k)], pad[i, : len(k)] = k, counts, 0.0
+    for i, (rows, counts) in enumerate(problems):
+        K[i, : len(rows)] = _possible_weights(rows, atoms, w) / (w + atoms)
+        c[i, : len(rows)], pad[i, : len(rows)] = counts, 0.0
     n = c.sum(axis=1)
 
     def kmul(x):

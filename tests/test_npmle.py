@@ -35,6 +35,7 @@ from gapest import (
     sample_segment_replicates,
     segment_loglik,
     segment_marginal_loglik,
+    npmle,
     winter_foldes,
 )
 from gapest.npmle import (
@@ -536,6 +537,27 @@ class TestLaslettEm:
             for res in laslett_em_many(problems, 3.0, SLOW_GRID, max_iter=max_iter, tol=1e-300):
                 assert res.iterations == res.loglik_trace.size - 1 <= max_iter
 
+    def test_a_small_fit_is_the_recorded_one(self):
+        # Recorded from the one-fit loop that preceded laslett_em_many: the
+        # arithmetic of a fit on its own (products, norms, sums) must not
+        # drift, not even in the last bit.
+        rows = [(PC, 0.25, 9), (PC, 0.75, 4), (PX, 0.25, 11), (PX, 0.75, 3), (PX, 1.25, 2),
+                (RC, 0.25, 15), (RC, 0.75, 3), (RC, 1.25, 2), (RX, 1.25, 6)]
+        segs = segments(*[(kind, length) for kind, length, count in rows for _ in range(count)])
+        res = laslett_em(segs, 1.5, [0.25, 0.75, 1.25, 1.75, 2.25, 2.75])
+        assert res.distribution.masses.tolist() == [
+            0.2529255381472151, 0.36536634767501774, 9.295881089193323e-14,
+            0.11809532573965982, 0.1279200344910436, 0.13569275394697086,
+        ]
+        assert res.loglik_trace.tolist() == [
+            -99.5472643423127, -96.27926402933262, -95.7930062132249, -95.67777142703,
+            -95.67041537792663, -95.66749139945004, -95.66444998979756, -95.66373569819862,
+            -95.663325351583, -95.66330646044844, -95.66329212534906, -95.66329207661617,
+            -95.66329203713605, -95.66329203665656, -95.66329203627382, -95.66329203626785,
+            -95.66329203626461, -95.66329203626287,
+        ]
+        assert (res.birth_rate, res.gradient_gap) == (20.333483050113138, 3.010547144910447e-09)
+
     def test_duplicate_rows_fit_like_their_counts(self):
         # the fit sees only distinct rows and their counts, so the order of
         # the segments does not matter
@@ -581,7 +603,7 @@ class TestLaslettEmMany:
         problems = [_distinct_rows(segs) for segs in batch]
         fits = laslett_em_many(problems, 3.0, SLOW_GRID)
         again = laslett_em_many(problems, 3.0, SLOW_GRID)
-        for segs, problem, fit, rerun in zip(batch, problems, fits, again):
+        for segs, fit, rerun in zip(batch, fits, again):
             assert fit.converged and fit.gradient_gap <= EM_DEFAULT_TOL
             assert fit.iterations <= EM_DEFAULT_MAX_ITER
             trace = fit.loglik_trace
@@ -589,11 +611,9 @@ class TestLaslettEmMany:
             # both fits are certified, so both are within n log(1 + tol) of the optimum
             solo = laslett_em(segs, 3.0, SLOW_GRID)
             assert abs(trace[-1] - solo.loglik_trace[-1]) <= len(segs) * math.log1p(EM_DEFAULT_TOL)
-            alone = laslett_em_many([problem], 3.0, SLOW_GRID)[0]
-            for a, b in ((fit, rerun), (solo, alone)):
-                assert np.array_equal(a.distribution.masses, b.distribution.masses)
-                assert np.array_equal(a.loglik_trace, b.loglik_trace)
-                assert (a.birth_rate, a.gradient_gap) == (b.birth_rate, b.gradient_gap)
+            assert np.array_equal(fit.distribution.masses, rerun.distribution.masses)
+            assert np.array_equal(fit.loglik_trace, rerun.loglik_trace)
+            assert (fit.birth_rate, fit.gradient_gap) == (rerun.birth_rate, rerun.gradient_gap)
 
     def test_equal_size_problems_fit_as_they_do_alone(self):
         # The same rows with other counts need no padding, so each product of
@@ -607,6 +627,31 @@ class TestLaslettEmMany:
             alone = laslett_em_many([problem], 3.0, SLOW_GRID)[0]
             assert np.array_equal(fit.loglik_trace, alone.loglik_trace)
             assert np.array_equal(fit.distribution.masses, alone.distribution.masses)
+
+    def test_a_batch_is_fitted_in_chunks_of_bounded_bytes(self, monkeypatch):
+        # The stack holds at most EM_CHUNK_BYTES of kernel at the batch's
+        # most rows, so its size does not grow with the batch; a fit is the
+        # fit of its chunk.
+        problems = [_distinct_rows(s) for s in (SLOW, SLOW[:40], SLOW[::3], SLOW[1::2], SLOW[:70])]
+        most = max(len(rows) for rows, _ in problems)
+        monkeypatch.setattr(npmle, "EM_CHUNK_BYTES", 2 * 8 * most * SLOW_GRID.size + 7)
+        sizes, stack = [], npmle._squarem_stack
+
+        def spy(chunk, *args):
+            sizes.append(len(chunk))
+            return stack(chunk, *args)
+
+        monkeypatch.setattr(npmle, "_squarem_stack", spy)
+        fits = laslett_em_many(problems, 3.0, SLOW_GRID)
+        assert sizes == [2, 2, 1]
+        chunked = [
+            fit
+            for lo in (0, 2, 4)
+            for fit in stack(problems[lo : lo + 2], 3.0, SLOW_GRID, EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL)
+        ]
+        for fit, ref in zip(fits, chunked, strict=True):
+            assert np.array_equal(fit.loglik_trace, ref.loglik_trace)
+            assert np.array_equal(fit.distribution.masses, ref.distribution.masses)
 
     def test_an_empty_batch_gives_no_fits(self):
         assert laslett_em_many([], 3.0, SLOW_GRID) == []
