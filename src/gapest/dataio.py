@@ -64,9 +64,13 @@ def _csv_cell(value) -> str:
 
 def _csv_cells(values: list) -> list[str]:
     """The cells of a nonempty list; a list of floats, ints and None takes
-    one repr."""
-    if {*map(type, values)} <= _REPR_TYPES:
+    one repr, and a list of strings none of which needs quotes is its own
+    cells."""
+    types = {*map(type, values)}
+    if types <= _REPR_TYPES:
         return repr(values)[1:-1].replace("None", "").split(", ")
+    if types == {str} and not _NEEDS_QUOTES.search("".join(values)):
+        return values
     return [_csv_cell(v) for v in values]
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .distributions import DiscreteDistribution, atom_lookup, normalised
 from .errors import EstimationError
 from .product_limit import StepSurvival
-from .sampling import SEGMENT_KINDS, Pairs, Segments, _check_kinds, window_length_checked
+from .sampling import SEGMENT_KINDS, Pairs, Segments, _kind_codes, window_length_checked
 from .seeding import is_integer
 
 EM_DEFAULT_TOL = 1e-8
@@ -233,15 +233,10 @@ def default_grid(segments: Segments, window_length: float, bin_width: float) -> 
 
 
 def _distinct_rows(segments: Segments) -> tuple[Segments, np.ndarray]:
-    """The distinct (kind, length) rows of ``segments`` and the count of each.
-
-    The kinds are sorted through integer codes (SEGMENT_KINDS is in
-    alphabetical order), which costs a small fraction of sorting the
-    strings themselves.
-    """
-    _check_kinds(segments.kind, SEGMENT_KINDS, "segment")
+    """The distinct (kind, length) rows of ``segments`` and the count of each,
+    by kind code (the index in SEGMENT_KINDS), then length."""
     kinds = np.asarray(SEGMENT_KINDS)
-    code = np.searchsorted(kinds, segments.kind)
+    code = _kind_codes(segments.kind, SEGMENT_KINDS, "segment")
     order = np.lexsort((segments.length, code))
     code, length = code[order], segments.length[order]
     first = np.ones(code.size, dtype=bool)
@@ -253,10 +248,21 @@ def _distinct_rows(segments: Segments) -> tuple[Segments, np.ndarray]:
 def em_problem(segments: Segments, window_length: float, bin_width: float):
     """The default grid of ``segments`` binned to ``bin_width``, and the
     (distinct rows, counts) problem of the binned data: what the ``em``
-    estimator hands ``laslett_em_many``."""
-    segments.check_window(window_length)
+    estimator hands ``laslett_em_many``.
+
+    A binned length is the grid atom (k + 1/2) h of its bin k, so each
+    segment's row is the integer key (kind code) x (grid size) + k, read
+    back from the midpoint, and one ``bincount`` of the keys gives the
+    distinct rows in increasing key order: ``_distinct_rows`` of the binned
+    data, bitwise. Lengths are positive (``Segments.check_window``), so no
+    bin is negative."""
+    code = segments.check_window(window_length)
     binned = bin_segments(segments, bin_width)
-    return default_grid(binned, window_length, bin_width), _distinct_rows(binned)
+    grid = default_grid(binned, window_length, bin_width)
+    counts = np.bincount(code * grid.size + (binned.length / bin_width).astype(np.intp))
+    key = np.flatnonzero(counts)
+    rows = Segments(np.asarray(SEGMENT_KINDS)[key // grid.size], grid[key % grid.size])
+    return grid, (rows, counts[key])
 
 
 def laslett_em(

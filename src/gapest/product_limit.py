@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import normalised, step_at
 from .errors import EstimationError
-from .sampling import WINDOW_KINDS, Pairs, Segments, WindowRecords, _check_kinds
+from .sampling import SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords, _kind_codes
 from .seeding import derived_rng, is_integer
 
 BOOTSTRAP_MAX_RETRIES = 100
@@ -97,14 +97,19 @@ def _counter(times, censored, entry):
     """Distinct event times T of weighted rows, and a function that maps
     weights -- one per row, or a (c, rows) matrix of c weight vectors -- to
     the weighted event counts D and risk counts Y at T, with the leading
-    shape of the weights. Y(t) = w{entry < t} - w{exit < t}."""
-    by_entry, by_exit = np.argsort(entry), np.argsort(times)
+    shape of the weights. Y(t) = w{entry < t} - w{exit < t}. Without late
+    entry (every entry 0, below every event time) w{entry < t} is the
+    weights' total, and the entries are neither sorted nor summed."""
+    by_exit = np.argsort(times)
     exits, is_event = times[by_exit], ~censored[by_exit]
     ev, t = by_exit[is_event], exits[is_event]
     starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
     event_times = t[starts]
-    entered = np.searchsorted(entry[by_entry], event_times, side="left")
     exited = np.searchsorted(exits, event_times, side="left")
+    late = entry.any()
+    if late:
+        by_entry = np.argsort(entry)
+        entered = np.searchsorted(entry[by_entry], event_times, side="left")
 
     def below(w, order, pos):
         # cum[..., k] is the weight of the first k rows in ``order``
@@ -114,7 +119,8 @@ def _counter(times, censored, entry):
 
     def counts(w):
         d = np.add.reduceat(w[..., ev], starts, axis=-1)
-        return d, below(w, by_entry, entered) - below(w, by_exit, exited)
+        at_risk = below(w, by_entry, entered) if late else w.sum(axis=-1, keepdims=True)
+        return d, at_risk - below(w, by_exit, exited)
 
     return event_times, counts
 
@@ -209,8 +215,9 @@ def winter_foldes(pairs: Pairs) -> StepSurvival:
 
 
 def _window_rows(obs: WindowRecords) -> _Pooled:
-    complete = obs.kind == "complete"
-    unit = np.flatnonzero(complete | ((obs.kind == "censored") & ~(obs.value <= 0)))
+    code = _kind_codes(obs.kind, WINDOW_KINDS, "record")
+    complete = code == 0  # ``code`` indexes WINDOW_KINDS: 0 complete, 1 censored
+    unit = np.flatnonzero(complete | ((code == 1) & ~(obs.value <= 0)))
     ones = np.ones(unit.size, dtype=np.int64)
     return _Pooled(obs.value[unit], ~complete[unit], np.zeros(unit.size), ones, unit)
 
@@ -222,19 +229,16 @@ def window_product_limit(obs: WindowRecords) -> StepSurvival:
     observations; forward-recurrence and empty-window records are ignored.
     Kind codes outside WINDOW_KINDS are rejected.
     """
-    _check_kinds(obs.kind, WINDOW_KINDS, "record")
     rows = _window_rows(obs)
     if rows.censored.all():
         raise EstimationError("no complete gaps among the observations")
     return kaplan_meier(*rows[:4])
 
 
-def _segment_rows(segments: Segments) -> _Pooled:
-    pc = segments.kind == "pc"
-    unit = np.flatnonzero(pc | (segments.kind == "px") | (segments.kind == "rc"))
-    return _Pooled(
-        segments.length[unit], ~pc[unit], np.zeros(unit.size), np.where(pc[unit], 2, 1), unit
-    )
+def _segment_rows(segments: Segments, code: np.ndarray) -> _Pooled:
+    unit = np.flatnonzero(code < 3)  # pc, px and rc: ``code`` indexes SEGMENT_KINDS
+    pc = code[unit] == 0
+    return _Pooled(segments.length[unit], ~pc, np.zeros(unit.size), np.where(pc, 2, 1), unit)
 
 
 def palmer_cox(segments: Segments, window_length: float) -> StepSurvival:
@@ -255,8 +259,7 @@ def palmer_cox(segments: Segments, window_length: float) -> StepSurvival:
     as malformed input, and so is a window length that is not finite and
     positive (``Segments.check_window``).
     """
-    segments.check_window(window_length)
-    rows = _segment_rows(segments)
+    rows = _segment_rows(segments, segments.check_window(window_length))
     if rows.times.size == 0:
         raise EstimationError("no usable segments after discarding doubly censored ones")
     return kaplan_meier(*rows[:4])
@@ -342,7 +345,8 @@ ESTIMATORS = {
     "cv": Estimator("equilibrium", "cox_vardi", _fit_cox_vardi, _pair_rows),
     "wpl": Estimator("window", "window_pl", lambda d, w, h: window_product_limit(d), _window_rows),
     "palmer_cox": Estimator(
-        "segments", "palmer_cox", lambda d, w, h: palmer_cox(d, w), _segment_rows
+        "segments", "palmer_cox", lambda d, w, h: palmer_cox(d, w),
+        lambda d: _segment_rows(d, _kind_codes(d.kind, SEGMENT_KINDS, "segment")),
     ),
     "em": Estimator("segments", None, _fit_laslett_em, None),
 }

@@ -44,13 +44,18 @@ def window_length_checked(w: float) -> float:
     return w
 
 
-def _check_kinds(kind: np.ndarray, codes: tuple, what: str) -> None:
-    """Reject kind codes outside ``codes``. Containers do not check their
-    codes on construction, which every ``records[idx]`` runs."""
-    unknown = ~np.isin(kind, codes)
+def _kind_codes(kind: np.ndarray, codes: tuple, what: str) -> np.ndarray:
+    """The index in ``codes`` of each kind, once kinds outside ``codes`` are
+    rejected. Containers do not check their codes on construction, which
+    every ``records[idx]`` runs."""
+    order = np.argsort(codes)
+    table = np.asarray(codes)[order]
+    pos = np.searchsorted(table, kind).clip(max=len(codes) - 1)
+    unknown = table[pos] != kind
     if unknown.any():
         k = int(np.argmax(unknown))
         raise EstimationError(f"{what} {k} has unknown kind {str(kind[k])!r}")
+    return order[pos]
 
 
 class _Columns:
@@ -136,24 +141,28 @@ class Segments(_Columns):
     length: np.ndarray
     DTYPES: ClassVar[tuple] = (str, float)
 
-    def check_window(self, w: float) -> None:
-        """Reject kind codes outside SEGMENT_KINDS and lengths the window
-        geometry cannot produce: non-finite lengths, ``pc``, ``px`` and
-        ``rc`` lengths above w, and ``rx`` lengths other than w. An ``rx``
-        length is computed as t2 - t1, so it may differ from w by rounding:
-        1e-12 relative is allowed. The window itself must be finite and
+    def check_window(self, w: float) -> np.ndarray:
+        """The index of each kind in SEGMENT_KINDS, once kind codes outside
+        it and lengths the window geometry cannot produce are rejected:
+        lengths that are not finite and positive, ``pc``, ``px`` and ``rc``
+        lengths above w, and ``rx`` lengths other than w. An ``rx`` length
+        is computed as t2 - t1, so it may differ from w by rounding: 1e-12
+        relative is allowed. The window itself must be finite and
         positive."""
         window_length_checked(w)
-        _check_kinds(self.kind, SEGMENT_KINDS, "segment")
-        rx = self.kind == "rx"
+        code = _kind_codes(self.kind, SEGMENT_KINDS, "segment")
+        rx = code == 3  # SEGMENT_KINDS.index("rx")
         fits = np.where(rx, np.abs(self.length - w) <= 1e-12 * w, self.length <= w)
-        bad = ~(fits & np.isfinite(self.length))
+        bad = ~(fits & (self.length > 0.0))  # also true where the length is nan or inf
         if bad.any():
             k = int(np.argmax(bad))
             broken = f"{'must equal' if rx[k] else 'exceeds'} the window {w}"
             if not np.isfinite(self.length[k]):
                 broken = "is not finite"
+            elif self.length[k] <= 0.0:
+                broken = "is not positive"
             raise EstimationError(f"segment {k} ({self.kind[k]} {self.length[k]}) {broken}")
+        return code
 
 
 def sample_equilibrium(dist: GapDistribution, n: int, seed: int) -> Pairs:
@@ -257,7 +266,8 @@ def sample_pooled_segments(
     split at a uniform age; Cox 1962), and those inside are Poisson(rate * w)
     at uniform positions. In array passes over all windows, the one stream
     derived_rng(seed) draws both counts, lifetimes and ages, then positions
-    and lifetimes. So window k depends on n_windows too.
+    and lifetimes, so window k depends on n_windows too. One stable sort of
+    each (group, window) block puts the births in order.
     """
     w = window_length_checked(t2 - t1)
     if not 0.0 < birth_rate < math.inf:
@@ -269,11 +279,20 @@ def sample_pooled_segments(
     q = dist.sample_length_biased(rng, alive.sum())
     age = rng.uniform(size=q.size) * q
     position = rng.uniform(0.0, w, size=born.sum())
-    # Birth times b relative to t1 and lifetimes x of both groups, in birth order.
-    window = np.repeat(np.tile(np.arange(n_windows), 2), np.append(alive, born))
+    # Birth times b relative to t1 and lifetimes x, in (group, window) blocks;
+    # each block's b, nan-padded, is a matrix row. Its alive row, then its born
+    # row, give np.lexsort((b, window)) of a window, as alive b <= 0 <= born b.
     b, x = np.append(-age, position), np.append(q, dist.sample(rng, position.size))
-    order = np.lexsort((b, window))
-    window, b, x = window[order], b[order], x[order]
+    count = np.append(alive, born)
+    start = np.cumsum(count) - count
+    width = count.max()
+    keys = np.full(count.size * width, np.nan)
+    keys[np.arange(b.size) + np.repeat(np.arange(count.size) * width - start, count)] = b
+    col = np.argsort(keys.reshape(count.size, width), axis=1, kind="stable")
+    first = (start[:, None] + col).reshape(2, n_windows, width).transpose(1, 0, 2)
+    real = (np.arange(width) < count[:, None]).reshape(2, n_windows, width).transpose(1, 0, 2)
+    order = first[real]
+    window, b, x = np.repeat(np.arange(n_windows), alive + born), b[order], x[order]
     d = b + x
     # 0 pc, 1 px, 2 rc, 3 rx: born before the window start (residual),
     # dying after its end (censored). A pc length is the lifetime itself.

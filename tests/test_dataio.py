@@ -395,6 +395,19 @@ class TestWritersMatchReferences:
             lambda path: REFERENCE_WRITERS[fmt](path, records),
         )
 
+    @pytest.mark.parametrize("fmt", ["window", "segments"])
+    @pytest.mark.parametrize("odd", ["a,b", 'say "x"', "two\nlines", ""])
+    def test_code_built_kinds_are_quoted_as_the_writer_quotes_them(self, tmp_path, fmt, odd):
+        # containers built in code do not check their kinds
+        write, _, _, _, container, _ = FORMATS[fmt]
+        kinds = (WINDOW_KINDS if fmt == "window" else SEGMENT_KINDS)[:3]
+        records = container([*kinds, odd, *kinds], [1.0] * 7)
+        for chunk in (1, 3, 4, 8):
+            assert_writes_as_reference(
+                tmp_path, chunk, lambda path: write(path, records),
+                lambda path: REFERENCE_WRITERS[fmt](path, records),
+            )
+
     @pytest.mark.parametrize("write, reference", SURVIVAL_WRITERS)
     @given(data=st.data(), chunk=st.integers(1, 4))
     def test_survival_columns(self, tmp_path_factory, write, reference, data, chunk):

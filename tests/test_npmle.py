@@ -359,6 +359,23 @@ class TestMarginalLoglik:
 
 
 class TestBinning:
+    @given(st.data())
+    def test_em_problem_equals_binning_then_distinct_rows(self, data):
+        # lengths on the bin edges k h, at w and anywhere in (0, w]; rx at w
+        h = data.draw(st.sampled_from([0.1, 0.25, 0.3, 1.0 / 3.0, 0.7]))
+        w = data.draw(st.sampled_from([0.3, 1.0, 2.9, 3.0]))
+        edge = st.integers(1, max(1, int(w / h))).map(lambda k: min(k * h, w))
+        length = st.one_of(edge, st.just(w), st.floats(1e-9, w))
+        row = st.one_of(st.tuples(st.sampled_from([PC, PX, RC]), length), st.just((RX, w)))
+        segs = segments(*data.draw(st.lists(row, min_size=1, max_size=40)))
+        grid, (rows, counts) = npmle.em_problem(segs, w, h)
+        binned = bin_segments(segs, h)
+        want_rows, want_counts = _distinct_rows(binned)
+        assert grid.tobytes() == default_grid(binned, w, h).tobytes()
+        assert rows.kind.tolist() == want_rows.kind.tolist()
+        assert rows.length.tobytes() == want_rows.length.tobytes()
+        assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()
+
     def test_same_bin(self):
         out = bin_segments(segments((PC, 0.24), (PX, 0.26)), 0.5)
         assert out.length.tolist() == [0.25, 0.25]

@@ -238,6 +238,26 @@ class TestKaplanMeier:
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
             assert (got.n_input, got.tail_censored) == (want.n_input, want.tail_censored)
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 8).map(lambda k: k / 4.0), st.booleans(), st.integers(0, 4)),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda rows: any(not c and k > 0 for _, c, k in rows))
+    )
+    def test_counts_without_entry_equal_a_loop_over_the_event_times(self, rows):
+        # the quarter grid ties events with events and with censorings
+        times, censored, weights = (np.array(col) for col in zip(*rows))
+        event_times = sorted({t for t, c, k in rows if not c and k > 0})
+        d = [sum(k for s, c, k in rows if s == t and not c) for t in event_times]
+        y = [sum(k for s, _, k in rows if s >= t) for t in event_times]
+        survival = np.cumprod(1.0 - np.array(d) / np.array(y))
+        for entry in (None, np.zeros(times.size)):
+            got = kaplan_meier(times, censored, entry, weights)
+            assert got.jump_times.tolist() == event_times
+            assert got.event_counts.tolist() == d and got.risk_counts.tolist() == y
+            assert got.survival_values.tobytes() == survival.tobytes()
+
     def test_weights_must_be_nonnegative_integers(self):
         with pytest.raises(EstimationError, match="integers"):
             kaplan_meier([1.0, 2.0], weights=[1.0, 2.0])
@@ -296,6 +316,15 @@ def test_unknown_kind_codes_rejected(tag):
     )
     with pytest.raises(EstimationError, match="unknown kind"):
         row.fit(data, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("tag", ["palmer_cox", "em"])
+@pytest.mark.parametrize("kind, length", [("px", -1.0), ("rc", 0.0), ("pc", 0.0)])
+def test_segment_lengths_must_be_positive(tag, kind, length):
+    segs = Segments(["pc", kind, "pc", "px"], [0.625, length, 1.125, 0.3])
+    message = re.escape(f"segment 1 ({kind} {length}) is not positive")
+    with pytest.raises(EstimationError, match=message):
+        ESTIMATORS[tag].fit(segs, 3.0, 0.25)
 
 
 def _pair_with_r(x):

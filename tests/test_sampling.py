@@ -110,6 +110,26 @@ def segments_by_loop(birth_rate, dist, w, rng):
     return Segments([k for k, _ in out], [x for _, x in out])
 
 
+def segments_by_lexsort(birth_rate, dist, t1, t2, n_windows, seed):
+    """The draws of ``sample_pooled_segments``, put in window and birth
+    order by one np.lexsort: the reference for its order."""
+    w = t2 - t1
+    rng = derived_rng(seed)
+    alive, born = rng.poisson(birth_rate * np.array([dist.mean(), w]), size=(n_windows, 2)).T
+    q = dist.sample_length_biased(rng, alive.sum())
+    age = rng.uniform(size=q.size) * q
+    position = rng.uniform(0.0, w, size=born.sum())
+    window = np.repeat(np.tile(np.arange(n_windows), 2), np.append(alive, born))
+    b, x = np.append(-age, position), np.append(q, dist.sample(rng, position.size))
+    order = np.lexsort((b, window))
+    window, b, x = window[order], b[order], x[order]
+    code = 2 * (b < 0.0) + (b + x > w)
+    length = np.where(code == 0, x, np.minimum(b + x, w) - np.maximum(b, 0.0))
+    keep = length > 0.0
+    ends = np.cumsum(np.bincount(window[keep], minlength=n_windows))
+    return Segments(np.array(["pc", "px", "rc", "rx"])[code[keep]], length[keep]), ends
+
+
 def censor_by_loop(pairs, cuts):
     """Right censoring one pair at a time: the reference for
     ``apply_right_censoring``."""
@@ -455,6 +475,18 @@ class TestSegmentSampling:
         for k in kinds:
             a, b = got.length[got.kind == k], ref.length[ref.kind == k]
             assert stats.ks_2samp(a, b).pvalue > self.LAW_LEVEL, k
+
+    @given(
+        st.integers(0, 2**32), LAWS, st.floats(0.01, 5.0), st.floats(0.05, 6.0),
+        st.integers(1, 30),
+    )
+    def test_order_equals_one_lexsort_of_the_draws(self, seed, law, rate, width, n_windows):
+        # at low rates most windows have no births in one group or both
+        dist = parse_distribution(law)
+        got, ends = sample_pooled_segments(rate, dist, 1.0, 1.0 + width, n_windows, seed)
+        want, want_ends = segments_by_lexsort(rate, dist, 1.0, 1.0 + width, n_windows, seed)
+        same(got, want)
+        assert ends.tolist() == want_ends.tolist()
 
     @given(
         st.integers(0, 2**32), LAWS, st.floats(0.1, 5.0), st.floats(-2.0, 2.0),
