@@ -186,9 +186,9 @@ def _snap_complete_lengths(segments: sampling.Segments, atoms) -> sampling.Segme
     rejects the lengths left outside every cell."""
     mirrored = np.pad(atoms, 1, mode="reflect", reflect_type="odd")
     k = np.searchsorted((mirrored[1:] + mirrored[:-1]) / 2, segments.length) - 1
-    snap = (segments.kind == "pc") & (k >= 0) & (k < atoms.size)
+    snap = (segments.code == 0) & (k >= 0) & (k < atoms.size)  # pc: SEGMENT_KINDS[0]
     nearest = atoms[np.clip(k, 0, atoms.size - 1)]
-    return sampling.Segments(segments.kind, np.where(snap, nearest, segments.length))
+    return sampling.Segments(segments.code, np.where(snap, nearest, segments.length))
 
 
 def cmd_estimate(args) -> int:

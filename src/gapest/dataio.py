@@ -35,7 +35,7 @@ from .distributions import step_at
 from .errors import DataFormatError
 from .npmle import EmResult
 from .product_limit import BootstrapBand, StepSurvival
-from .sampling import SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords
+from .sampling import SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords, _kind_codes
 
 PAIRS_HEADER = ["r", "s", "censored"]
 WINDOW_HEADER = ["kind", "value"]
@@ -120,17 +120,9 @@ def _nonnegative(x: np.ndarray) -> bool:
 
 
 def _kind_table(kinds: tuple) -> np.dtype:
-    """A text field one character wider than the longest code, so that a
-    longer cell is cut to a width no code has, then a float field."""
+    """A text field one character wider than the longest kind name, so that
+    a longer cell is cut to a width no name has, then a float field."""
     return np.dtype([("kind", f"<U{max(map(len, kinds)) + 1}"), ("value", float)])
-
-
-def _known_kinds(kind: np.ndarray, kinds: tuple):
-    """``kind`` as np.asarray(kind.tolist(), dtype=str) would give it, or
-    None if a code is not in ``kinds``."""
-    if not np.isin(kind, kinds).all():
-        return None
-    return kind.astype(f"<U{np.char.str_len(kind).max()}")
 
 
 def write_pairs_csv(path, pairs: Pairs) -> None:
@@ -176,8 +168,8 @@ def _window_row(row):
 
 
 def _window_columns(kind, value):
-    kind = _known_kinds(kind, WINDOW_KINDS)
-    return [kind, value] if kind is not None and _nonnegative(value) else None
+    code = _kind_codes(kind, WINDOW_KINDS)
+    return [code, value] if (code >= 0).all() and _nonnegative(value) else None
 
 
 _WINDOW_TABLE = _kind_table(WINDOW_KINDS), _window_columns
@@ -201,9 +193,9 @@ def _segment_row(row):
 
 
 def _segment_columns(kind, length):
-    kind = _known_kinds(kind, SEGMENT_KINDS)
+    code = _kind_codes(kind, SEGMENT_KINDS)
     positive = bool(((0 < length) & (length < math.inf)).all())
-    return [kind, length] if kind is not None and positive else None
+    return [code, length] if (code >= 0).all() and positive else None
 
 
 _SEGMENTS_TABLE = _kind_table(SEGMENT_KINDS), _segment_columns

@@ -34,7 +34,7 @@ import numpy as np
 from .distributions import DiscreteDistribution, atom_lookup, normalised
 from .errors import EstimationError
 from .product_limit import StepSurvival
-from .sampling import SEGMENT_KINDS, Pairs, Segments, _kind_codes, window_length_checked
+from .sampling import Pairs, Segments, window_length_checked
 from .seeding import is_integer
 
 EM_DEFAULT_TOL = 1e-8
@@ -140,7 +140,7 @@ def segment_loglik(
     numer = _atom_weights(segments, dist.atoms, window_length) @ dist.masses
     if np.any(numer <= 0.0):
         return -math.inf
-    m_res = int(np.count_nonzero((segments.kind == "rc") | (segments.kind == "rx")))
+    m_res = int(np.count_nonzero(segments.code >= 2))  # rc and rx: codes 2 and 3
     total = float(np.sum(np.log(numer))) - m_res * math.log(mu)
     if include_poisson_factor:
         if birth_rate is None or birth_rate <= 0:
@@ -159,10 +159,10 @@ def _atom_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray
     censored ``px`` and ``rc``, and (a - w)+ for the doubly censored ``rx``.
     A row may be all zero; ``_possible_weights`` rejects those.
     """
-    kinds, lengths = segments.kind, segments.length
+    code, lengths = segments.code, segments.length  # code indexes SEGMENT_KINDS
     rows = (atoms > lengths[:, None]).astype(float)
-    rows[kinds == "rx"] = np.maximum(atoms - w, 0.0)
-    pc = np.nonzero(kinds == "pc")[0]
+    rows[code == 3] = np.maximum(atoms - w, 0.0)  # rx
+    pc = np.nonzero(code == 0)[0]
     rows[pc] = 0.0
     rows[pc, _match_atoms(lengths[pc], atoms)] = 1.0
     return rows
@@ -216,7 +216,7 @@ def bin_segments(segments: Segments, bin_width: float) -> Segments:
     """
     bin_width_checked(bin_width)
     mids = (np.ceil(segments.length / bin_width) - 1 + 0.5) * bin_width
-    return Segments(segments.kind, mids)
+    return Segments(segments.code, mids)
 
 
 def default_grid(segments: Segments, window_length: float, bin_width: float) -> np.ndarray:
@@ -235,14 +235,12 @@ def default_grid(segments: Segments, window_length: float, bin_width: float) -> 
 def _distinct_rows(segments: Segments) -> tuple[Segments, np.ndarray]:
     """The distinct (kind, length) rows of ``segments`` and the count of each,
     by kind code (the index in SEGMENT_KINDS), then length."""
-    kinds = np.asarray(SEGMENT_KINDS)
-    code = _kind_codes(segments.kind, SEGMENT_KINDS, "segment")
-    order = np.lexsort((segments.length, code))
-    code, length = code[order], segments.length[order]
+    order = np.lexsort((segments.length, segments.code))
+    code, length = segments.code[order], segments.length[order]
     first = np.ones(code.size, dtype=bool)
     first[1:] = (code[1:] != code[:-1]) | (length[1:] != length[:-1])
     starts = np.flatnonzero(first)
-    return Segments(kinds[code[starts]], length[starts]), np.diff(np.append(starts, code.size))
+    return Segments(code[starts], length[starts]), np.diff(np.append(starts, code.size))
 
 
 def em_problem(segments: Segments, window_length: float, bin_width: float):
@@ -256,12 +254,12 @@ def em_problem(segments: Segments, window_length: float, bin_width: float):
     distinct rows in increasing key order: ``_distinct_rows`` of the binned
     data, bitwise. Lengths are positive (``Segments.check_window``), so no
     bin is negative."""
-    code = segments.check_window(window_length)
-    binned = bin_segments(segments, bin_width)
+    binned = bin_segments(segments.check_window(window_length), bin_width)
     grid = default_grid(binned, window_length, bin_width)
+    code = segments.code.astype(np.intp)  # int8 codes times the grid size stay int8
     counts = np.bincount(code * grid.size + (binned.length / bin_width).astype(np.intp))
     key = np.flatnonzero(counts)
-    rows = Segments(np.asarray(SEGMENT_KINDS)[key // grid.size], grid[key % grid.size])
+    rows = Segments(key // grid.size, grid[key % grid.size])
     return grid, (rows, counts[key])
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import normalised, step_at
 from .errors import EstimationError
-from .sampling import SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords, _kind_codes
+from .sampling import Pairs, Segments, WindowRecords
 from .seeding import derived_rng, is_integer
 
 BOOTSTRAP_MAX_RETRIES = 100
@@ -215,9 +215,8 @@ def winter_foldes(pairs: Pairs) -> StepSurvival:
 
 
 def _window_rows(obs: WindowRecords) -> _Pooled:
-    code = _kind_codes(obs.kind, WINDOW_KINDS, "record")
-    complete = code == 0  # ``code`` indexes WINDOW_KINDS: 0 complete, 1 censored
-    unit = np.flatnonzero(complete | ((code == 1) & ~(obs.value <= 0)))
+    complete = obs.code == 0  # ``code`` indexes WINDOW_KINDS: 0 complete, 1 censored
+    unit = np.flatnonzero(complete | ((obs.code == 1) & ~(obs.value <= 0)))
     ones = np.ones(unit.size, dtype=np.int64)
     return _Pooled(obs.value[unit], ~complete[unit], np.zeros(unit.size), ones, unit)
 
@@ -227,7 +226,6 @@ def window_product_limit(obs: WindowRecords) -> StepSurvival:
 
     Uses complete gaps as events and the trailing censored gaps as censored
     observations; forward-recurrence and empty-window records are ignored.
-    Kind codes outside WINDOW_KINDS are rejected.
     """
     rows = _window_rows(obs)
     if rows.censored.all():
@@ -235,9 +233,9 @@ def window_product_limit(obs: WindowRecords) -> StepSurvival:
     return kaplan_meier(*rows[:4])
 
 
-def _segment_rows(segments: Segments, code: np.ndarray) -> _Pooled:
-    unit = np.flatnonzero(code < 3)  # pc, px and rc: ``code`` indexes SEGMENT_KINDS
-    pc = code[unit] == 0
+def _segment_rows(segments: Segments) -> _Pooled:
+    unit = np.flatnonzero(segments.code < 3)  # pc, px and rc: ``code`` indexes SEGMENT_KINDS
+    pc = segments.code[unit] == 0
     return _Pooled(segments.length[unit], ~pc, np.zeros(unit.size), np.where(pc, 2, 1), unit)
 
 
@@ -255,11 +253,11 @@ def palmer_cox(segments: Segments, window_length: float) -> StepSurvival:
     sample is therefore invariant under time reversal, which just swaps the
     two singly censored kinds.
 
-    Kind codes and lengths the window geometry cannot produce are rejected
-    as malformed input, and so is a window length that is not finite and
-    positive (``Segments.check_window``).
+    Lengths the window geometry cannot produce are rejected as malformed
+    input, and so is a window length that is not finite and positive
+    (``Segments.check_window``).
     """
-    rows = _segment_rows(segments, segments.check_window(window_length))
+    rows = _segment_rows(segments.check_window(window_length))
     if rows.times.size == 0:
         raise EstimationError("no usable segments after discarding doubly censored ones")
     return kaplan_meier(*rows[:4])
@@ -344,10 +342,7 @@ ESTIMATORS = {
     "wf": Estimator("equilibrium", "winter_foldes", lambda d, w, h: winter_foldes(d), _pair_rows),
     "cv": Estimator("equilibrium", "cox_vardi", _fit_cox_vardi, _pair_rows),
     "wpl": Estimator("window", "window_pl", lambda d, w, h: window_product_limit(d), _window_rows),
-    "palmer_cox": Estimator(
-        "segments", "palmer_cox", lambda d, w, h: palmer_cox(d, w),
-        lambda d: _segment_rows(d, _kind_codes(d.kind, SEGMENT_KINDS, "segment")),
-    ),
+    "palmer_cox": Estimator("segments", "palmer_cox", lambda d, w, h: palmer_cox(d, w), _segment_rows),
     "em": Estimator("segments", None, _fit_laslett_em, None),
 }
 

@@ -44,18 +44,12 @@ def window_length_checked(w: float) -> float:
     return w
 
 
-def _kind_codes(kind: np.ndarray, codes: tuple, what: str) -> np.ndarray:
-    """The index in ``codes`` of each kind, once kinds outside ``codes`` are
-    rejected. Containers do not check their codes on construction, which
-    every ``records[idx]`` runs."""
-    order = np.argsort(codes)
-    table = np.asarray(codes)[order]
-    pos = np.searchsorted(table, kind).clip(max=len(codes) - 1)
-    unknown = table[pos] != kind
-    if unknown.any():
-        k = int(np.argmax(unknown))
-        raise EstimationError(f"{what} {k} has unknown kind {str(kind[k])!r}")
-    return order[pos]
+def _kind_codes(kind: np.ndarray, kinds: tuple) -> np.ndarray:
+    """The index in ``kinds`` of each kind name, or -1 for a name not in it."""
+    order = np.argsort(kinds)
+    table = np.asarray(kinds)[order]
+    pos = np.searchsorted(table, kind).clip(max=len(kinds) - 1)
+    return np.where(table[pos] == kind, order[pos], -1)
 
 
 class _Columns:
@@ -66,6 +60,7 @@ class _Columns:
     one-row item of the same class whose fields are Python scalars; a slice
     or an index array gives a container. Iterating yields the one-row
     items, and ``concat`` joins containers and one-row items in order.
+    Building one converts the fields to DTYPES and checks any kind codes.
     """
 
     __slots__ = ()
@@ -122,36 +117,55 @@ class Pairs(_Columns):
         return self.r + self.s
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class WindowRecords(_Columns):
-    """Records from watching a renewal process in windows: one kind code
-    from WINDOW_KINDS and one value per record."""
+class _KindColumns(_Columns):
+    """A ``code`` column, each row's kind as its int8 index in KINDS, and a
+    float column. Built from kind names or codes, it rejects unknown names
+    and codes out of range then, once, so it only ever holds known kinds."""
 
-    kind: np.ndarray
+    __slots__ = ()
+    DTYPES: ClassVar[tuple] = (np.int8, float)
+    KINDS, ROW = (), ""  # the kind names, and what a row is called in errors
+
+    def __post_init__(self):
+        kind = np.asarray(self.code)
+        code = kind if kind.dtype.kind in "iu" else _kind_codes(kind.astype(str), self.KINDS)
+        bad = np.flatnonzero((code < 0) | (code >= len(self.KINDS)))
+        if bad.size:
+            raise EstimationError(f"{self.ROW} {bad[0]} has unknown kind {kind.flat[bad[0]].item()!r}")
+        object.__setattr__(self, "code", code)
+        _Columns.__post_init__(self)
+
+    @property
+    def kind(self):
+        """The kind name of each row: an array, or a str on a one-row item."""
+        return (self.KINDS if isinstance(self.code, int) else np.asarray(self.KINDS))[self.code]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class WindowRecords(_KindColumns):
+    """Records of renewals watched in windows: a kind code and a value each."""
+
+    code: np.ndarray
     value: np.ndarray
-    DTYPES: ClassVar[tuple] = (str, float)
+    KINDS, ROW = WINDOW_KINDS, "record"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Segments(_Columns):
-    """Observed intersections of lifetimes with a window: one kind code
-    from SEGMENT_KINDS and one length per segment."""
+class Segments(_KindColumns):
+    """Lifetimes seen through a window: a kind code and a length each."""
 
-    kind: np.ndarray
+    code: np.ndarray
     length: np.ndarray
-    DTYPES: ClassVar[tuple] = (str, float)
+    KINDS, ROW = SEGMENT_KINDS, "segment"
 
-    def check_window(self, w: float) -> np.ndarray:
-        """The index of each kind in SEGMENT_KINDS, once kind codes outside
-        it and lengths the window geometry cannot produce are rejected:
+    def check_window(self, w: float) -> Segments:
+        """The segments, once lengths the window cannot produce are rejected:
         lengths that are not finite and positive, ``pc``, ``px`` and ``rc``
-        lengths above w, and ``rx`` lengths other than w. An ``rx`` length
-        is computed as t2 - t1, so it may differ from w by rounding: 1e-12
-        relative is allowed. The window itself must be finite and
-        positive."""
+        lengths above w, and ``rx`` lengths other than w (up to 1e-12
+        relative, as an ``rx`` length is computed as t2 - t1). The window
+        itself must be finite and positive."""
         window_length_checked(w)
-        code = _kind_codes(self.kind, SEGMENT_KINDS, "segment")
-        rx = code == 3  # SEGMENT_KINDS.index("rx")
+        rx = self.code == 3  # SEGMENT_KINDS.index("rx")
         fits = np.where(rx, np.abs(self.length - w) <= 1e-12 * w, self.length <= w)
         bad = ~(fits & (self.length > 0.0))  # also true where the length is nan or inf
         if bad.any():
@@ -162,7 +176,7 @@ class Segments(_Columns):
             elif self.length[k] <= 0.0:
                 broken = "is not positive"
             raise EstimationError(f"segment {k} ({self.kind[k]} {self.length[k]}) {broken}")
-        return code
+        return self
 
 
 def sample_equilibrium(dist: GapDistribution, n: int, seed: int) -> Pairs:
@@ -238,7 +252,7 @@ def sample_pooled_windows(
     code = 2 * head + ~inside  # index into WINDOW_KINDS
     value = np.where(inside, value, np.where(head, w, w - before))
     ends = np.cumsum(np.bincount(window[keep], minlength=n_windows))
-    return WindowRecords(np.array(WINDOW_KINDS)[code[keep]], value[keep]), ends
+    return WindowRecords(code[keep], value[keep]), ends
 
 
 def _split(pooled, ends: np.ndarray) -> list:
@@ -300,4 +314,4 @@ def sample_pooled_segments(
     length = np.where(code == 0, x, np.minimum(d, w) - np.maximum(b, 0.0))
     keep = length > 0.0
     ends = np.cumsum(np.bincount(window[keep], minlength=n_windows))
-    return Segments(np.array(SEGMENT_KINDS)[code[keep]], length[keep]), ends
+    return Segments(code[keep], length[keep]), ends

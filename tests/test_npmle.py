@@ -258,6 +258,22 @@ class TestCoxVardiFromPairs:
 class TestSegmentLoglik:
     DIST = DiscreteDistribution([1.0, 3.0], [0.5, 0.5])  # mean 2
 
+    # 257 would wrap to the valid code 1 as int8: codes are checked before the cast
+    @pytest.mark.parametrize("kind", [
+        ["pc", "zz", "PX"], [0, 4, 1], [0, -1, 1], np.array([0, 257, 1]),
+        np.array([0, 4, 1], dtype=np.uint8),
+    ])
+    def test_unknown_kinds_never_reach_an_evaluator(self, kind):
+        # these evaluators used to score an unknown kind as a censored one
+        dist = DiscreteDistribution.from_weights([0.5, 1.5, 3.5], [1, 1, 1])
+        for evaluate in (
+            lambda segs: segment_loglik(dist, None, segs, 3.0),
+            lambda segs: segment_marginal_loglik(dist, segs, 3.0),
+            lambda segs: bin_segments(segs, 0.5),
+        ):
+            with pytest.raises(EstimationError, match="segment 1 has unknown kind"):
+                evaluate(Segments(kind, [0.5, 1.0, 1.0]))
+
     def test_hand_contributions(self):
         assert segment_loglik(self.DIST, None, segments((RC, 2.0)), 5.0) == pytest.approx(
             math.log(0.25)
@@ -359,11 +375,16 @@ class TestMarginalLoglik:
 
 
 class TestBinning:
-    @given(st.data())
-    def test_em_problem_equals_binning_then_distinct_rows(self, data):
+    @pytest.mark.parametrize("widths, windows", [
+        ([0.1, 0.25, 0.3, 1.0 / 3.0, 0.7], [0.3, 1.0, 2.9, 3.0]),
+        # over 127 atoms, so that (kind code) x (grid size) overflows int8
+        ([0.01, 0.02], [2.9, 3.0]),
+    ], ids=["few_atoms", "over_127_atoms"])
+    @given(data=st.data())
+    def test_em_problem_equals_binning_then_distinct_rows(self, widths, windows, data):
         # lengths on the bin edges k h, at w and anywhere in (0, w]; rx at w
-        h = data.draw(st.sampled_from([0.1, 0.25, 0.3, 1.0 / 3.0, 0.7]))
-        w = data.draw(st.sampled_from([0.3, 1.0, 2.9, 3.0]))
+        h = data.draw(st.sampled_from(widths))
+        w = data.draw(st.sampled_from(windows))
         edge = st.integers(1, max(1, int(w / h))).map(lambda k: min(k * h, w))
         length = st.one_of(edge, st.just(w), st.floats(1e-9, w))
         row = st.one_of(st.tuples(st.sampled_from([PC, PX, RC]), length), st.just((RX, w)))
@@ -372,6 +393,8 @@ class TestBinning:
         binned = bin_segments(segs, h)
         want_rows, want_counts = _distinct_rows(binned)
         assert grid.tobytes() == default_grid(binned, w, h).tobytes()
+        assert grid.size > 127 or h >= 0.1
+        assert rows.code.tobytes() == want_rows.code.tobytes()
         assert rows.kind.tolist() == want_rows.kind.tolist()
         assert rows.length.tobytes() == want_rows.length.tobytes()
         assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()

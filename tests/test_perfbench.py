@@ -65,3 +65,20 @@ def test_every_gapest_name_the_benchmark_uses_resolves(source):
                 importlib.import_module(f"{value.__name__}.{part}")
             value = getattr(value, part)
         assert callable(value) or not is_called, name
+
+
+def test_em_hook_counts_the_distinct_rows_of_a_fit():
+    # the hook reads (s.kind, s.length) from the segments' one-row items
+    from collections import Counter
+
+    from gapest import npmle
+
+    reps = gapest.sample_segment_replicates(2.0, gapest.Exponential(1.0), 0.0, 3.0, 20, seed=3)
+    segs = npmle.bin_segments(gapest.Segments.concat(reps), 0.25)
+    grid = npmle.default_grid(segs, 3.0, 0.25)
+    result = npmle.laslett_em(segs, 3.0, grid)
+    counts = Counter()
+    load("tracing")._laslett_em(counts, (segs, 3.0, grid), {}, result)
+    assert counts["npmle.laslett_em.rows"] == len(segs)
+    assert counts["npmle.laslett_em.distinct_rows"] == len(npmle._distinct_rows(segs)[0])
+    assert counts["npmle.laslett_em.distinct_rows"] < len(segs)

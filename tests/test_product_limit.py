@@ -308,13 +308,14 @@ class TestWindowProductLimit:
 
 @pytest.mark.parametrize("tag", ["wpl", "palmer_cox", "em"])
 def test_unknown_kind_codes_rejected(tag):
+    # the container rejects the kind when it is built, before any fit
     row = ESTIMATORS[tag]
-    data = (
-        WindowRecords(["bogus", "complete"], [1.0, 1.0])
-        if row.scheme == "window"
-        else Segments(["pc", "zz", "pc"], [1.0, 1.0, 0.5])
-    )
     with pytest.raises(EstimationError, match="unknown kind"):
+        data = (
+            WindowRecords(["bogus", "complete"], [1.0, 1.0])
+            if row.scheme == "window"
+            else Segments(["pc", "zz", "pc"], [1.0, 1.0, 0.5])
+        )
         row.fit(data, 2.0, 0.5)
 
 

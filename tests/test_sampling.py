@@ -523,3 +523,43 @@ def test_window_length_must_be_finite(t2):
         sample_pooled_segments(1.0, EXP1, 0.0, t2, 3, seed=1)
     with pytest.raises(ValueError, match="finite and positive"):
         Segments(["pc"], [1.0]).check_window(t2)
+
+
+class TestKindCodes:
+    """WindowRecords and Segments store each kind as its int8 index in
+    KINDS, checked once when the container is built."""
+
+    @given(data=st.data())
+    def test_kinds_round_trip_through_items_and_concat(self, data):
+        container = data.draw(st.sampled_from([WindowRecords, Segments]))
+        names = container.KINDS
+        codes = data.draw(st.lists(st.integers(0, len(names) - 1), max_size=12))
+        want = [names[c] for c in codes]
+        given_as = data.draw(st.sampled_from(["names", "int8", "int64", "uint8", "list"]))
+        kind = {"names": want, "list": codes}.get(given_as)
+        if kind is None:
+            kind = np.array(codes, dtype=given_as)
+        records = container(kind, np.arange(len(codes)) + 0.5)
+        assert records.code.dtype == np.int8 and records.code.tolist() == codes
+        assert records.kind.tolist() == want
+        items = [records[i] for i in range(len(records))]
+        assert [item.kind for item in items] == want
+        assert all(type(item.kind) is str for item in items)
+        assert [item.kind for item in records] == want
+        for parts in (items, list(records), [records[:1], *items[1:]]):
+            same(container.concat(parts), records)
+        if codes:
+            idx = data.draw(st.lists(st.integers(0, len(codes) - 1), max_size=8))
+            assert records[np.array(idx, dtype=np.intp)].kind.tolist() == [want[i] for i in idx]
+
+    @pytest.mark.parametrize("container, kind, message", [
+        (Segments, ["pc", "zz", "PX"], "segment 1 has unknown kind 'zz'"),
+        (Segments, [0, 4, 1], "segment 1 has unknown kind 4"),
+        (Segments, np.array([0, 257, 1]), "segment 1 has unknown kind 257"),
+        (WindowRecords, ["complete", "empty", "Empty"], "record 2 has unknown kind 'Empty'"),
+        (WindowRecords, np.array([0, -1, 3], dtype=np.int8), "record 1 has unknown kind -1"),
+        (WindowRecords, [0.0, 1.0, 2.0], "record 0 has unknown kind 0.0"),
+    ])
+    def test_unknown_kinds_fail_when_built(self, container, kind, message):
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            container(kind, [1.0, 1.0, 1.0])
