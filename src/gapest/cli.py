@@ -323,6 +323,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'input too large'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,14 +11,14 @@ Everything is plain decimal text. Formats:
 * EM results: JSON with atoms, masses, birth_rate, loglik, iterations,
   converged.
 
-The data writers format each column of a chunk of rows with one ``repr``
-of its list and write the file chunk by chunk. The bytes are those that
-``csv.writer`` and ``json.dumps(indent=2)`` write.
+The data writers make Python values of one chunk of rows at a time and
+format each column of it with one ``repr`` of its list. The bytes are
+those that ``csv.writer`` and ``json.dumps(indent=2)`` write.
 
 Readers report malformed rows with their line numbers. The pairs, window
-and segment readers parse the whole file in C (``np.loadtxt``) and check
-the columns as arrays; their line-by-line loop runs only on a file that
-fails this, to word the error.
+and segment readers check the file's bytes in blocks, then ``np.loadtxt``
+reads it and the columns are checked as arrays; their line-by-line loop
+runs only on a file that fails this, to word the error.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ SEGMENTS_HEADER = ["kind", "length"]
 SURVIVAL_HEADER = ["t", "survival", "variance", "lower", "upper"]
 
 
-# Rows built and written at a time, so that no writer holds a whole file's
-# text.
+# Rows made Python values and written at a time, so that no writer holds a
+# whole file's text or a Python object per row.
 WRITE_CHUNK_ROWS = 8192
+_READ_BLOCK = 1 << 20  # bytes of a file checked at a time by the readers
 
 # A cell of these types is its repr, except None, which is empty.
 _REPR_TYPES = {float, int, type(None)}
@@ -81,38 +82,58 @@ def _csv_lines(columns: list[list[str]]) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+def _values(part) -> list:
+    """A slice of a column, or a kind container's names, as Python values."""
+    part = getattr(part, "kind", part)
+    return part.tolist() if isinstance(part, np.ndarray) else list(part)
+
+
 def write_csv(path, header: list[str], columns) -> None:
-    """Write the header line and then the rows of ``columns``, sequences of
-    equal length, WRITE_CHUNK_ROWS rows at a time. The bytes are those
+    """Write the header line and then the rows of ``columns``, lists or
+    arrays of equal length (a kind container stands for its kind names),
+    made Python values WRITE_CHUNK_ROWS rows at a time. The bytes are those
     csv.writer writes: strings quoted as QUOTE_MINIMAL quotes them, None
-    empty, other values as ``str``, and ``\\r\\n`` after every line."""
+    and masked entries empty, other values as ``str``, and ``\\r\\n``
+    after every line."""
     n = len(columns[0]) if columns else 0
     with open(path, "w", newline="") as fh:
         fh.write(_csv_lines([[_csv_cell(name)] for name in header]))
         for start in range(0, n, WRITE_CHUNK_ROWS):
             stop = start + WRITE_CHUNK_ROWS
-            fh.write(_csv_lines([_csv_cells(list(col[start:stop])) for col in columns]))
+            fh.write(_csv_lines([_csv_cells(_values(col[start:stop])) for col in columns]))
 
 
-# Printable ASCII and the newline. Outside it the C parse and the row loop
+# Printable ASCII and the line ends. Outside it the C parse and the row loop
 # part ways: float() reads non-ASCII digits that numpy rejects, numpy reads
 # \x1f as a blank where float() fails, and numpy text fields drop a
-# trailing NUL. So text with any other character goes to the row loop.
-_PLAIN = bytes(range(0x20, 0x7F)) + b"\n"
+# trailing NUL. So a file with any other byte goes to the row loop. Both
+# read the file as text, so \r\n and a lone \r end a line as \n does.
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\n\r"
 
 
-def _parse_in_c(text: str, lines: list[str], dtype, columns):
-    """The columns of the data ``lines`` parsed by np.loadtxt, or None where
-    the row loop must run: on other than plain text, no data rows (where
-    loadtxt would warn), a ValueError or a failed check. Like the loop,
-    loadtxt skips empty lines."""
-    if not any(lines) or not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
-        return None
-    try:
-        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+def _parse_in_c(path: Path, header: list[str], dtype, columns):
+    """The columns of the file's data rows as np.loadtxt reads them from the
+    file, or None where the row loop must run: on other than plain bytes
+    (checked a block at a time), a header line other than ``header``, no
+    data rows (where loadtxt would warn), a ValueError or a failed check."""
+    with open(path, "rb") as fh:
+        block = fh.read(_READ_BLOCK)
+        head = re.match(rb"[^\r\n]*", block)[0]
+        data, rows = block[len(head):], False
+        while block:
+            if block.translate(None, _PLAIN):
+                return None
+            rows = rows or bool(data.strip(b"\r\n"))
+            block = data = fh.read(_READ_BLOCK)
+    if not rows or [c.strip() for c in head.decode().split(",")] != header:
+        return None  # a quoted header cell fails too: no name holds a quote
+    try:  # like the loop, loadtxt skips empty lines
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                           ndmin=1, encoding="ascii")
     except ValueError:
         return None
-    return columns(*(np.ascontiguousarray(table[name]) for name in table.dtype.names))
+    fields = [table[name] for name in table.dtype.names]  # text is only compared, not copied
+    return columns(*(f if f.dtype.kind == "U" else np.ascontiguousarray(f) for f in fields))
 
 
 def _nonnegative(x: np.ndarray) -> bool:
@@ -126,8 +147,7 @@ def _kind_table(kinds: tuple) -> np.dtype:
 
 
 def write_pairs_csv(path, pairs: Pairs) -> None:
-    cols = [pairs.r.tolist(), pairs.s.tolist(), pairs.censored.astype(int).tolist()]
-    write_csv(path, PAIRS_HEADER, cols)
+    write_csv(path, PAIRS_HEADER, [pairs.r, pairs.s, pairs.censored.view(np.uint8)])
 
 
 def _pair_row(row):
@@ -140,8 +160,9 @@ def _pair_row(row):
 
 
 def _pair_columns(r, s, flag):
-    if _nonnegative(r) and _nonnegative(s) and np.isin(flag, ("0", "1")).all():
-        return [r, s, flag == "1"]
+    censored = flag == "1"
+    if _nonnegative(r) and _nonnegative(s) and (censored | (flag == "0")).all():
+        return [r, s, censored]
     return None
 
 
@@ -155,7 +176,7 @@ def read_pairs_csv(path) -> Pairs:
 
 
 def write_window_csv(path, obs: WindowRecords) -> None:
-    write_csv(path, WINDOW_HEADER, [obs.kind.tolist(), obs.value.tolist()])
+    write_csv(path, WINDOW_HEADER, [obs, obs.value])
 
 
 def _window_row(row):
@@ -180,7 +201,7 @@ def read_window_csv(path) -> WindowRecords:
 
 
 def write_segments_csv(path, segments: Segments) -> None:
-    write_csv(path, SEGMENTS_HEADER, [segments.kind.tolist(), segments.length.tolist()])
+    write_csv(path, SEGMENTS_HEADER, [segments, segments.length])
 
 
 def _segment_row(row):
@@ -216,17 +237,15 @@ def _read_columns(path, header: list[str], parse, table=None) -> list:
     ``parse``. The row loop runs only where that fails, to word the error."""
     path = Path(path)
     try:
+        cols = None if table is None else _parse_in_c(path, header, *table)
+        if cols is not None:
+            return cols
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
-    lines = text.splitlines()
-    rows = csv.reader(lines)
+    rows = csv.reader(text.splitlines())
     if [c.strip() for c in next(rows, [])] != header:
         raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
-    if table is not None:
-        cols = _parse_in_c(text, lines[1:], *table)
-        if cols is not None:
-            return cols
     parsed = []
     for row in rows:
         if not row:
@@ -241,34 +260,34 @@ def _read_columns(path, header: list[str], parse, table=None) -> list:
 
 
 def _survival_columns(est: StepSurvival, band: BootstrapBand | None) -> list:
-    """The SURVIVAL_HEADER columns as lists: None for an absent column and
-    for an undefined variance."""
+    """The SURVIVAL_HEADER columns as float arrays, None for an absent
+    column; an undefined variance is masked, so its tolist() gives None."""
     times = est.jump_times
     if band is not None:
         times = np.union1d(times, band.times)
     variance = None
     if est.variance_values is not None:
         variance = step_at(est.jump_times, est.variance_values, times, np.nan)
-        variance = np.where(np.isnan(variance), None, variance).tolist()
-    lower = band.lower_at(times).tolist() if band is not None else None
-    upper = band.upper_at(times).tolist() if band is not None else None
-    return [times.tolist(), est.survival_at(times).tolist(), variance, lower, upper]
+        variance = np.ma.masked_where(np.isnan(variance), variance, copy=False)
+    lower = band.lower_at(times) if band is not None else None
+    upper = band.upper_at(times) if band is not None else None
+    return [times, est.survival_at(times), variance, lower, upper]
 
 
 def write_step_survival_csv(path, est: StepSurvival, band: BootstrapBand | None = None) -> None:
     cols = _survival_columns(est, band)
-    blank = [None] * len(cols[0])
+    blank = np.broadcast_to(None, len(cols[0]))  # one None, seen len(cols[0]) times
     write_csv(path, SURVIVAL_HEADER, [blank if col is None else col for col in cols])
 
 
-def _write_json_list(fh, values: list | None) -> None:
-    """Write a list of floats and None, or None, as json.dumps(indent=2)
-    writes it as the value of a top-level key."""
-    if not values:
+def _write_json_list(fh, values) -> None:
+    """Write a list or array of floats and None (see write_csv), or None, as
+    json.dumps(indent=2) writes its list as the value of a top-level key."""
+    if values is None or len(values) == 0:
         fh.write("null" if values is None else "[]")
         return
     for start in range(0, len(values), WRITE_CHUNK_ROWS):
-        text = repr(values[start:start + WRITE_CHUNK_ROWS])[1:-1].replace("None", "null")
+        text = repr(_values(values[start:start + WRITE_CHUNK_ROWS]))[1:-1].replace("None", "null")
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
         fh.write(("," if start else "[") + "\n    " + text.replace(", ", ",\n    "))
     fh.write("\n  ]")

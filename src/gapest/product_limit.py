@@ -174,8 +174,10 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
         raise ValueError(f"time <= entry time at index {bad[0]}")
 
     live = weights > 0
-    times, censored, entry_times = times[live], censored[live], entry_times[live]
-    weights = weights[live].astype(np.int64, copy=False)
+    if not live.all():  # drop zero-weight rows; with none, copy nothing
+        times, censored, entry_times = times[live], censored[live], entry_times[live]
+        weights = weights[live]
+    weights = weights.astype(np.int64, copy=False)
     if censored.all():
         raise EstimationError("all observations are censored")
 

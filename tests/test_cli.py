@@ -304,6 +304,22 @@ def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("", "input too large"),
+    ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB for an array"),
+])
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, message, shown):
+    # as `simulate --scheme window --window 1e12` runs out of memory; nothing
+    # large is allocated here
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(gapest.cli.sampling, "sample_pooled_windows", exhausted)
+    assert run(*WINDOW_SIMULATE, "--window", "1e12", "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {shown}\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "5"),
     ("estimate", "--estimator", "wf", "--in", "in.csv"),

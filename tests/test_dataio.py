@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -218,6 +219,12 @@ HARD_TOKENS = [
     " complete", "complete ", "completeX", "pcX", "censored", "empty", "rx", "0", "1",
     "01", "-1", "0.5", "5e-324", '"1\n"', '"x\ny"',
 ]
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+BLANK_LINES = st.sampled_from(["", " ", "\t", "  ", ","])
+# One byte outside ASCII, or a character whose UTF-8 bytes are: some end a
+# line for str.splitlines(), and a lone 0xff or 0x80 is not UTF-8.
+NON_ASCII = st.sampled_from([b"\xff", b"\x80", "\xe9".encode(), "\x85".encode(),
+                             "\u2028".encode(), "\u0968".encode()])
 EDITS = st.lists(
     st.tuples(
         st.sampled_from(["cell", "line", "comma"]),
@@ -253,6 +260,46 @@ class TestCParseMatchesRowLoop:
         path = tmp_path_factory.mktemp("io") / "records.csv"
         path.write_bytes((newline.join(lines) + newline * end).encode())
         assert_reads_as_by_loop(fmt, path)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @given(data=st.data(), blanks=st.lists(st.tuples(st.integers(0, 99), BLANK_LINES), max_size=3),
+           final=st.booleans(), odd=st.none() | st.tuples(st.integers(0, 999), NON_ASCII))
+    def test_line_ends_blank_lines_and_a_non_ascii_byte(
+        self, tmp_path_factory, fmt, data, blanks, final, odd
+    ):
+        # The byte check lets \r through to loadtxt, which reads the file in
+        # text mode; the loop reads it as text too.
+        header, cells = FORMATS[fmt][2], FORMATS[fmt][5]
+        lines = [",".join(header)] + [",".join(row) for row in data.draw(st.lists(cells, max_size=6))]
+        for at, blank in blanks:
+            lines.insert(at % (len(lines) + 1), blank)
+        ends = data.draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+        ends[-1] *= final
+        raw = "".join(line + end for line, end in zip(lines, ends)).encode()
+        if odd is not None:
+            at = odd[0] % (len(raw) + 1)
+            raw = raw[:at] + odd[1] + raw[at:]
+        path = tmp_path_factory.mktemp("io") / "records.csv"
+        path.write_bytes(raw)
+        assert_reads_as_by_loop(fmt, path)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_plain_files_with_any_line_end_never_enter_the_row_loop(self, tmp_path, fmt, end):
+        # a blank line after the header and no final line end, too
+        write, read, _, _, container, _ = FORMATS[fmt]
+        rows = {"pairs": [(0.5, 2.0, True), (1.5, 0.25, False)],
+                "window": [("complete", 0.5), ("empty", 3.0)],
+                "segments": [("pc", 0.5), ("rx", 3.0)]}[fmt]
+        records = container(*zip(*rows))
+        path = tmp_path / "records.csv"
+        write(path, records)
+        head, *body = path.read_text().split("\n")[:-1]
+        path.write_text(end.join([head, "", *body]), newline="")
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_pair_row", "_window_row", "_segment_row"):
+                patch.setattr(dataio, name, entered_row_loop)
+            identical(read(path), records)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_every_hard_token_in_every_place(self, tmp_path, fmt):
@@ -326,15 +373,30 @@ def segments_by_writer(path, segs):
     write_csv_by_writer(path, dataio.SEGMENTS_HEADER, zip(segs.kind.tolist(), segs.length.tolist()))
 
 
+def survival_lists(est, band):
+    """The columns of ``_survival_columns`` as whole lists: each array by
+    tolist(), and None for an undefined (nan) variance. Lists, as a test
+    may patch in, are kept as they are."""
+    def whole(col):
+        if not isinstance(col, np.ndarray):
+            return col
+        values = np.ma.getdata(col).tolist()
+        if np.ma.isMaskedArray(col):  # the variance, undefined where nan
+            values = [None if math.isnan(v) else v for v in values]
+        return values
+
+    return [whole(col) for col in dataio._survival_columns(est, band)]
+
+
 def survival_csv_by_writer(path, est, band=None):
-    cols = dataio._survival_columns(est, band)
+    cols = survival_lists(est, band)
     blank = [None] * len(cols[0])
     write_csv_by_writer(path, dataio.SURVIVAL_HEADER,
                         zip(*(blank if col is None else col for col in cols)))
 
 
 def survival_json_by_dumps(path, est, band=None):
-    payload = dict(zip(dataio.SURVIVAL_HEADER, dataio._survival_columns(est, band)))
+    payload = dict(zip(dataio.SURVIVAL_HEADER, survival_lists(est, band)))
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -502,3 +564,42 @@ class TestEmResultJson:
         }
         assert payload["masses"] == [1.0]
         assert payload["converged"] is True
+
+
+def traced(func):
+    """What ``func`` returns, and the peak of traced allocations while it
+    runs, in bytes."""
+    tracemalloc.start()
+    try:
+        return func(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """The readers and writers hold a chunk of Python values at a time, not
+    a whole file's text or a Python object per row."""
+
+    def test_read_pairs_peaks_near_the_columns_it_returns(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        dataio.write_pairs_csv(path, sample_equilibrium(Exponential(1.0), 100_000, seed=5))
+        pairs, peak = traced(lambda: dataio.read_pairs_csv(path))
+        assert len(pairs) == 100_000
+        assert peak < 2 * sum(col.nbytes for col in pairs._columns()) + 2 * 2**20
+
+    @pytest.mark.parametrize("write", ["pairs", "survival_csv", "survival_json"])
+    def test_writers_peak_the_same_at_eight_times_the_rows(self, tmp_path, write):
+        def peak(n):
+            rng = np.random.default_rng(n)
+            if write == "pairs":
+                pairs = Pairs(rng.random(n), rng.random(n), rng.random(n) < 0.3)
+                return traced(lambda: dataio.write_pairs_csv(tmp_path / "out", pairs))[1]
+            est = greenwood_variance(kaplan_meier(rng.random(n) + 0.5, rng.random(n) < 0.3))
+            # The columns are built first: the bound is on the writing.
+            cols = dataio._survival_columns(est, None)
+            writer = getattr(dataio, "write_step_survival_" + write.split("_")[1])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dataio, "_survival_columns", lambda est, band: cols)
+                return traced(lambda: writer(tmp_path / "out", est))[1]
+
+        assert abs(peak(160_000) - peak(20_000)) <= 2**20

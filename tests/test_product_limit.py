@@ -258,6 +258,25 @@ class TestKaplanMeier:
             assert got.event_counts.tolist() == d and got.risk_counts.tolist() == y
             assert got.survival_values.tobytes() == survival.tobytes()
 
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.01, 10.0), st.booleans(), st.floats(0.0, 0.99),
+                      st.integers(0, 3)),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda rows: any(not c and k > 0 for _, c, _, k in rows))
+    )
+    def test_zero_weight_rows_equal_dropping_them(self, rows):
+        times, censored, frac, weights = (np.array(col) for col in zip(*rows))
+        kept = weights > 0
+        for entry in (None, frac * times):
+            got = kaplan_meier(times, censored, entry, weights)
+            want = kaplan_meier(times[kept], censored[kept],
+                                None if entry is None else entry[kept], weights[kept])
+            for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert (got.n_input, got.tail_censored) == (want.n_input, want.tail_censored)
+
     def test_weights_must_be_nonnegative_integers(self):
         with pytest.raises(EstimationError, match="integers"):
             kaplan_meier([1.0, 2.0], weights=[1.0, 2.0])
