@@ -60,8 +60,9 @@ _DIVERGENT = IntegrabilityReport(finite=False, value=math.inf)
 def step_at(times, values, t, before):
     """Right-continuous step function at t: ``before`` left of times[0] and
     ``values[i]`` on [times[i], times[i+1]). A scalar t gives a float."""
-    idx = np.searchsorted(times, t, side="right")
-    out = np.concatenate(([before], values))[idx]
+    idx = np.searchsorted(times, t, side="right") - 1  # no copy of the table
+    out = np.asarray(values[idx] if len(values) else np.empty(np.shape(t)))
+    np.copyto(out, before, where=idx < 0)
     return out if out.ndim else float(out)
 
 

@@ -94,35 +94,36 @@ class _Pooled(NamedTuple):
 
 
 def _counter(times, censored, entry):
-    """Distinct event times T of weighted rows, and a function that maps
-    weights -- one per row, or a (c, rows) matrix of c weight vectors -- to
-    the weighted event counts D and risk counts Y at T, with the leading
-    shape of the weights. Y(t) = w{entry < t} - w{exit < t}. Without late
-    entry (every entry 0, below every event time) w{entry < t} is the
-    weights' total, and the entries are neither sorted nor summed."""
-    by_exit = np.argsort(times)
-    exits, is_event = times[by_exit], ~censored[by_exit]
-    ev, t = by_exit[is_event], exits[is_event]
+    """Distinct event times T of weighted rows, the rows' exit order (events
+    first at a tie), and a function that maps weights in that order along
+    axis 0 -- a vector, or a (rows, c) matrix -- to the event counts D and
+    risk counts Y at T. The events at T[k] are the rows exited[k]:last[k],
+    so one cumsum gives D = cum[last] - cum[exited] and Y = w{entry < T} -
+    cum[exited]; w{entry < T} is the weights' total without late entry."""
+    order = np.argsort(times)
+    exits = times[order]
+    if np.any(exits[1:] == exits[:-1]):  # events first at a tie; exits stay as they are
+        order = order[np.lexsort((censored[order], exits))]
+    ev = np.flatnonzero(~censored[order])
+    t = exits[ev]
     starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
-    event_times = t[starts]
-    exited = np.searchsorted(exits, event_times, side="left")
-    late = entry.any()
-    if late:
-        by_entry = np.argsort(entry)
-        entered = np.searchsorted(entry[by_entry], event_times, side="left")
-
-    def below(w, order, pos):
-        # cum[..., k] is the weight of the first k rows in ``order``
-        cum = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,), dtype=w.dtype)
-        np.cumsum(w[..., order], axis=-1, out=cum[..., 1:])
-        return cum[..., pos]
+    event_times, exited = t[starts], ev[starts]
+    last = ev[np.r_[starts[1:], ev.size] - 1] + 1
+    if late := entry.any():
+        by_entry = np.argsort(entry[order])
+        # an event row enters before it exits, so some entry is below each T[k]
+        entered = np.searchsorted(entry[order][by_entry], event_times) - 1
 
     def counts(w):
-        d = np.add.reduceat(w[..., ev], starts, axis=-1)
-        at_risk = below(w, by_entry, entered) if late else w.sum(axis=-1, keepdims=True)
-        return d, at_risk - below(w, by_exit, exited)
+        # w{entry < T} first, so its temporaries are gone before cum is made
+        at_risk = np.cumsum(w[by_entry], axis=0)[entered] if late else w.sum(axis=0)
+        cum = np.zeros((w.shape[0] + 1,) + w.shape[1:], dtype=w.dtype)
+        np.cumsum(w, axis=0, out=cum[1:])
+        before, d = cum[exited], cum[last]
+        d -= before
+        return d, np.subtract(at_risk, before, out=before)
 
-    return event_times, counts
+    return event_times, order, counts
 
 
 def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSurvival:
@@ -181,8 +182,8 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
     if censored.all():
         raise EstimationError("all observations are censored")
 
-    event_times, counts = _counter(times, censored, entry_times)
-    d, y = counts(weights)
+    event_times, order, counts = _counter(times, censored, entry_times)
+    d, y = counts(weights[order])
     survival = np.cumprod(1.0 - d / y)
 
     at_max = times == times.max()
@@ -350,12 +351,12 @@ ESTIMATORS = {
 
 
 def _mass_survival(atoms, counts):
-    """Survival rows of ``cox_vardi``'s masses count/atom, one row per row of
+    """Survival columns of ``cox_vardi``'s masses count/atom, one per column of
     counts. Masses and tails are running sums, which the zero counts of
-    undrawn atoms leave unchanged, so a row equals the fit on its resample
-    bitwise; before its first drawn atom a row is 1."""
-    tails = _tail_sums(normalised(counts / atoms))
-    return np.where(np.logical_or.accumulate(counts > 0, axis=1), tails, 1.0)
+    undrawn atoms leave unchanged, so a column equals the fit on its
+    resample bitwise; before its first drawn atom a column is 1."""
+    tails = _tail_sums(normalised((counts / atoms[:, None]).T)).T
+    return np.where(np.logical_or.accumulate(counts > 0, axis=0), tails, 1.0)
 
 
 def _sorted_quantile(values, q):
@@ -392,17 +393,18 @@ def bootstrap_band(
     indices are floor(u n); a draw with no event is redrawn from the stream
     (seed, b, retry), retry = 1, 2, ..., up to BOOTSTRAP_MAX_RETRIES times,
     and ``failures`` counts the redraws. A chunk of replicates (sized by
-    BOOTSTRAP_CHUNK_BYTES) is one index matrix, counted by one ``bincount``
-    into weights of the pooled rows and fitted in one array pass over the
-    event times of the whole data. A factor 1 - d/max(Y, 1) is exactly 1
-    where d = 0, so each replicate equals the estimator run on its
-    resample, bitwise.
+    BOOTSTRAP_CHUNK_BYTES) is one index matrix; one ``bincount`` of its
+    units' slots (their rows' places in ``_counter``'s exit order) gives a
+    (rows, replicates) weight matrix, counted by one ``cumsum`` at the event
+    times of the whole data. A factor 1 - d/max(Y, 1) is exactly 1 where
+    d = 0, so each replicate equals the estimator run on its resample, bitwise.
 
     The band is evaluated on ``grid`` if given (its points must be
     finite), otherwise on the pooled jump times of all replicates
     (subsampled to BOOTSTRAP_MAX_GRID quantile-spaced points when larger).
     Its bounds are ``np.quantile``'s default quantiles of the replicates,
-    read from the sorted replicates at each grid point.
+    read from the sorted replicates at each grid point (in place when the
+    grid is every event time).
     """
     if not is_integer(B) or B < 1:
         raise ValueError(f"B must be an integer >= 1, got {B!r}")
@@ -425,13 +427,21 @@ def bootstrap_band(
     row.fit(data, window_length, None)  # rejects invalid input before any draw
     rows = row.rows(data)
     n = len(data)
-    event_times, counts = _counter(rows.times, rows.censored, rows.entry)
-    has_event = np.zeros(n, dtype=bool)
-    has_event[rows.unit[~rows.censored]] = True
+    event_times, order, counts = _counter(rows.times, rows.censored, rows.entry)
+    slot = np.full(n, order.size)  # units without a row share a spare last slot
+    slot[rows.unit[order]] = np.arange(order.size)
+    weights = rows.weights[order, None] if rows.weights.max() > 1 else None
 
-    # survival[0] is the value before the first event time.
+    def tally(idx):
+        # one bincount of slot * m + replicate: each column's rows in exit order
+        m = len(idx)
+        keys = (slot * m)[idx]
+        keys += np.arange(m)[:, None]
+        w = np.bincount(keys.ravel(), minlength=(order.size + 1) * m).reshape(-1, m)[:-1]
+        return counts(w if weights is None else w * weights)
+
     survival = np.empty((event_times.size + 1, B))
-    survival[0] = 1.0
+    survival[0] = 1.0  # the value before the first event time
     jumped = np.zeros(event_times.size, dtype=bool)
     chunk = max(1, min(B, BOOTSTRAP_CHUNK_BYTES // (8 * n)))
     rng = derived_rng(seed, 0, 0)
@@ -441,32 +451,31 @@ def bootstrap_band(
         # One 64-bit output per index, so the rows do not depend on the chunk
         # size; u <= 1 - 2**-53 keeps u * n below n for any n < 2**53.
         idx = (rng.random((m, n)) * n).astype(np.intp)
-        for i in np.flatnonzero(~has_event[idx].any(axis=1)):
+        d, y = tally(idx)
+        redraw = np.flatnonzero(~d.any(axis=0))  # replicates with no event
+        for i in redraw:
             for retry in range(1, BOOTSTRAP_MAX_RETRIES):
                 idx[i] = (derived_rng(seed, lo + i, retry).random(n) * n).astype(np.intp)
-                if has_event[idx[i]].any():
+                if tally(idx[i, None])[0].any():
                     break
             else:
-                raise EstimationError(
-                    f"no event in {BOOTSTRAP_MAX_RETRIES} consecutive resamples"
-                )
+                raise EstimationError(f"no event in {BOOTSTRAP_MAX_RETRIES} consecutive resamples")
             failures += retry
-        idx += n * np.arange(m)[:, None]
-        draws = np.bincount(idx.ravel(), minlength=m * n).reshape(m, n)
-        d, y = counts(draws[:, rows.unit] * rows.weights)
-        jumped |= (d > 0).any(axis=0)
+        if redraw.size:
+            d, y = tally(idx)
+        jumped |= d.any(axis=1)
         if estimator == "cox_vardi":
-            surv = _mass_survival(event_times, d)
+            survival[1:, lo:lo + m] = _mass_survival(event_times, d)
         else:
-            surv = np.cumprod(1.0 - d / np.maximum(y, 1), axis=1)
-        survival[1:, lo:lo + m] = surv.T
+            np.cumprod(1.0 - d / np.maximum(y, 1), axis=0, out=survival[1:, lo:lo + m])
 
     if grid is None:
         grid = event_times[jumped]
         if grid.size > BOOTSTRAP_MAX_GRID:
             grid = np.unique(np.quantile(grid, np.linspace(0.0, 1.0, BOOTSTRAP_MAX_GRID)))
 
-    values = survival[np.searchsorted(event_times, grid, side="right")]
+    at = np.searchsorted(event_times, grid, side="right")
+    values = survival[1:] if np.array_equal(at, np.arange(1, len(survival))) else survival[at]
     values.sort(axis=1)
     alpha = 1.0 - level
     lower, upper = (_sorted_quantile(values, q) for q in (alpha / 2.0, 1.0 - alpha / 2.0))

@@ -80,6 +80,28 @@ class TestStepAt:
         assert step_at(np.array([1.0]), np.array([0.5]), 0.5, 1.0) == 1.0
         assert math.isnan(step_at(np.array([1.0]), np.array([0.5]), 0.5, np.nan))
 
+    @given(st.data())
+    def test_equals_the_table_with_the_before_value_prepended(self, data):
+        # the lookup into concatenate(([before], values)), which copies the
+        # table on every call, bitwise; t before, on and after the jumps
+        quarters = st.integers(0, 40).map(lambda k: k / 4.0)
+        times = np.array(sorted(data.draw(st.lists(quarters, max_size=25))))
+        values = np.array(data.draw(st.lists(
+            st.floats(allow_infinity=False), min_size=times.size, max_size=times.size
+        )), dtype=float)
+        before = data.draw(st.sampled_from([1.0, 0.0, np.nan]))
+        pick = st.sampled_from(times.tolist()) if times.size else quarters
+        t = np.array(data.draw(st.lists(st.one_of(pick, st.floats(-1.0, 11.0)), max_size=12)))
+        table = np.concatenate(([before], values))
+        for query in (t, t.reshape(-1, 1)):
+            got = step_at(times, values, query, before)
+            want = table[np.searchsorted(times, query, side="right")]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for scalar in t.tolist():
+            got = step_at(times, values, scalar, before)
+            want = table[np.searchsorted(times, scalar, side="right")]
+            assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+
 
 class TestFromMasses:
     def test_cox_vardi_survival_ends_at_exact_zero(self):
@@ -257,6 +279,33 @@ class TestKaplanMeier:
             assert got.jump_times.tolist() == event_times
             assert got.event_counts.tolist() == d and got.risk_counts.tolist() == y
             assert got.survival_values.tobytes() == survival.tobytes()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(1, 12).map(lambda k: k / 4.0), st.floats(0.01, 10.0)),
+                st.booleans(),
+                st.integers(0, 3),
+                st.integers(0, 4),
+            ),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda rows: any(not c and k > 0 for _, c, _, k in rows))
+    )
+    def test_counts_with_entry_equal_a_loop_over_the_event_times(self, rows):
+        # quarter times tie events with events, with censorings and with
+        # entries (entry = time * j / 4); float times take the untied sort
+        times, censored, quarter, weights = (np.array(col) for col in zip(*rows))
+        entry = times * quarter / 4.0
+        event_times = sorted({t for t, c, k in zip(times, censored, weights) if not c and k > 0})
+        d = np.array([weights[(times == t) & ~censored].sum() for t in event_times])
+        y = np.array([weights[(entry < t) & (t <= times)].sum() for t in event_times])
+        got = kaplan_meier(times, censored, entry, weights)
+        assert got.jump_times.tobytes() == np.array(event_times).tobytes()
+        assert got.event_counts.dtype == got.risk_counts.dtype == np.int64
+        assert got.event_counts.tobytes() == d.astype(np.int64).tobytes()
+        assert got.risk_counts.tobytes() == y.astype(np.int64).tobytes()
+        assert got.survival_values.tobytes() == np.cumprod(1.0 - d / y).tobytes()
 
     @given(
         st.lists(
@@ -519,10 +568,14 @@ def resample_indices(seed, n, b, retry):
     return (rng.random(n) * n).astype(np.intp)
 
 
+def band_row(estimator):
+    return next(r for r in ESTIMATORS.values() if r.bootstrap_name == estimator)
+
+
 def band_by_loop(data, estimator, B, seed, level=0.95, grid=None, window_length=None):
     """The reference band: one fit per resample, redrawing a resample the
     estimator rejects, and the band read from each fit's step function."""
-    row = next(r for r in ESTIMATORS.values() if r.bootstrap_name == estimator)
+    row = band_row(estimator)
     n = len(data)
     curves = []
     failures = 0
@@ -715,6 +768,73 @@ class TestBootstrapBand:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("gapest.product_limit.BOOTSTRAP_CHUNK_BYTES", 8 * 15 * chunk)
             assert_same_band(bootstrap_band(pairs, "winter_foldes", B, seed), want)
+
+    @pytest.mark.parametrize("estimator", ["winter_foldes", "window_pl", "palmer_cox"])
+    def test_censored_exits_tied_with_events_equal_the_loop_reference(self, estimator):
+        # every event time is also a censored exit, and the window and
+        # segment data hold units that give no row (forward, empty, rx)
+        times = [0.5, 0.5, 1.0, 1.0, 1.0, 1.5, 1.5, 2.0, 2.5, 2.5]
+        censored = [False, True, False, True, False, True, False, True, False, True]
+        if estimator == "winter_foldes":
+            data = Pairs([t / 2.0 for t in times], [t / 2.0 for t in times], censored)
+        elif estimator == "window_pl":
+            kinds = ["censored" if c else "complete" for c in censored]
+            data = WindowRecords(kinds + ["forward", "empty"], times + [1.0, 3.0])
+        else:
+            kinds = ["px" if k % 4 == 1 else "rc" if c else "pc" for k, c in enumerate(censored)]
+            data = Segments(kinds + ["rx"], times + [3.0])
+        rows = band_row(estimator).rows(data)
+        events = set(rows.times[~rows.censored].tolist())
+        assert events <= set(rows.times[rows.censored].tolist())
+        for grid in (None, [0.0, 0.5, 0.75, 1.0, 2.5, 3.0]):
+            got = bootstrap_band(data, estimator, B=150, seed=11, grid=grid, window_length=3.0)
+            want = band_by_loop(data, estimator, B=150, seed=11, grid=grid, window_length=3.0)
+            assert_same_band(got, want)
+
+    @pytest.mark.parametrize("estimator", BAND_ESTIMATORS)
+    def test_default_grid_of_every_event_time_equals_the_loop_reference(self, estimator):
+        # with every event time jumped the band sorts its survival rows in place
+        dist, w = parse_distribution("weibull:2:1"), 3.0
+        if estimator in ("winter_foldes", "cox_vardi"):
+            data = sample_equilibrium(dist, 40, seed=3)
+        elif estimator == "window_pl":
+            data = WindowRecords.concat(sample_window_replicates(dist, 0.0, w, 10, seed=3))
+        else:
+            data = Segments.concat(sample_segment_replicates(2.0, dist, 0.0, w, 6, seed=3))
+        full = band_row(estimator).fit(data, w, None)
+        got = bootstrap_band(data, estimator, B=300, seed=5, window_length=w)
+        assert got.times.tobytes() == full.jump_times.tobytes()
+        assert_same_band(got, band_by_loop(data, estimator, B=300, seed=5, window_length=w))
+
+    @pytest.mark.parametrize("estimator", ["winter_foldes", "window_pl", "palmer_cox"])
+    def test_grids_as_long_as_the_event_times_equal_the_loop_reference(self, estimator):
+        # three event times: 0.5, 1.0 and 2.0
+        if estimator == "winter_foldes":
+            data = Pairs([0.25, 0.5, 1.0, 0.5], [0.25, 0.5, 1.0, 1.0], [False, False, False, True])
+        elif estimator == "window_pl":
+            data = WindowRecords(["complete", "complete", "complete", "censored", "forward"],
+                                 [0.5, 1.0, 2.0, 1.5, 1.0])
+        else:
+            data = Segments(["pc", "pc", "pc", "px", "rx"], [0.5, 1.0, 2.0, 1.5, 3.0])
+        for grid in ([0.0, 0.0, 1.0], [0.5, 0.5, 2.0], [0.5, 1.0, 2.0], [2.0, 1.0, 0.5],
+                     [0.5, 1.0, 1.0], [0.5, 1.5, 2.0], [0.5, 1.0, 2.0, 2.0]):
+            got = bootstrap_band(data, estimator, B=40, seed=2, grid=grid, window_length=3.0)
+            want = band_by_loop(data, estimator, B=40, seed=2, grid=grid, window_length=3.0)
+            assert_same_band(got, want)
+
+    @pytest.mark.parametrize("estimator", ["window_pl", "palmer_cox"])
+    def test_redraws_of_units_without_rows_match_the_loop_reference(self, estimator):
+        # one event among 13 units, most of which give no row: about a third
+        # of the draws have no event
+        if estimator == "window_pl":
+            data = WindowRecords(["complete"] + ["forward", "empty", "censored"] * 4,
+                                 [0.5] + [1.0, 3.0, 1.5] * 4)
+        else:
+            data = Segments(["pc"] + ["rx", "rx", "px"] * 4, [0.5] + [3.0, 3.0, 1.5] * 4)
+        got = bootstrap_band(data, estimator, B=100, seed=8, window_length=3.0)
+        want = band_by_loop(data, estimator, B=100, seed=8, window_length=3.0)
+        assert got.failures > 20
+        assert_same_band(got, want)
 
     def test_gives_up_after_the_retry_cap(self, monkeypatch):
         # one event among 15 pairs: a single try per replicate soon draws none
