@@ -169,30 +169,27 @@ def mc_compare(config: McConfig) -> McReport:
     true_cdf = np.asarray(dist.cdf(grid), dtype=float)
     curves = {tag: [] for tag in config.estimators}
     tails = dict.fromkeys(config.estimators, 0)
-    batches = {}  # grid bytes -> (grid, [(replicate, n)], [problem])
+    batches = {}  # grid bytes -> (grid, [replicate], [problem])
 
     def record(tag, est):
         curves[tag].append(est.cdf_at(grid))
         tails[tag] += int(np.sum(grid > est.jump_times[-1]))
 
-    def reduce_replicate(rep: int):
+    for rep in range(config.replicates):
         data = _simulate(config, dist, rep)
         for tag in config.estimators:
             if tag != "em":
-                record(tag, ESTIMATORS[tag].fit(data, config.window_length, config.bin_width))
+                record(tag, ESTIMATORS[tag].fit(data, config.window_length))
                 continue
             atoms, problem = npmle.em_problem(data, config.window_length, config.bin_width)
             batch = batches.setdefault(atoms.tobytes(), (atoms, [], []))
-            batch[1].append((rep, len(data)))
+            batch[1].append(rep)
             batch[2].append(problem)
-
-    for rep in range(config.replicates):
-        reduce_replicate(rep)
     fits = {}
-    for atoms, keys, problems in batches.values():
-        fits.update(zip(keys, npmle.laslett_em_many(problems, config.window_length, atoms)))
-    for (_, n), fit in sorted(fits.items()):
-        record("em", StepSurvival.from_masses(fit.distribution.atoms, fit.distribution.masses, n))
+    for atoms, reps, problems in batches.values():
+        fits.update(zip(reps, npmle.laslett_em_many(problems, config.window_length, atoms)))
+    for _, fit in sorted(fits.items()):
+        record("em", StepSurvival.from_masses(fit.distribution.atoms, fit.distribution.masses))
     steps = [fit.iterations for fit in fits.values()]
     em_fits = {
         "iterations_min": min(steps), "iterations_median": float(np.median(steps)),
@@ -305,7 +302,7 @@ def tail_failure_demo(
             for rep in range(replicates):
                 pairs = sample_equilibrium(dist, nn, child_seed(seed, di, nn, rep))
                 for tag in sups:
-                    est = ESTIMATORS[tag].fit(pairs, None, None)
+                    est = ESTIMATORS[tag].fit(pairs, None)
                     sups[tag].append(sup_cdf_error(est, dist, eps))
             for tag in ("wf", "cv"):
                 rows.append(

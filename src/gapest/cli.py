@@ -7,6 +7,10 @@ Subcommands:
 * ``bench compare`` / ``bench tails``  Monte Carlo studies;
 * ``diagnose``  run the inverse-moment diagnostic on a distribution.
 
+No EM numerics live here: ``estimate em`` builds its problem from
+``--grid`` (a bin width or atoms) with ``npmle.em_problem`` and fits it
+with ``npmle.laslett_em_many``.
+
 Every command is deterministic given its flags; all randomness flows from
 ``--seed`` (default 1, not entropy). Exit codes: 0 success, 1 runtime or
 data error (one ``error:`` line) or failed bench verdict, 2 usage error.
@@ -45,18 +49,19 @@ def _seed_arg(text: str) -> int:
 
 
 def _grid_arg(text: str):
+    """The ``grid`` of ``npmle.em_problem``: a bin width or an atom array."""
     key, _, value = text.partition("=")
     try:
         if key == "width":
             width = float(value)
             if not 0 < width < math.inf:
                 raise ValueError("width must be positive and finite")
-            return ("width", width)
+            return width
         if key == "atoms":
             atoms = np.array([float(v) for v in value.split(",")], dtype=float)
             if atoms.size == 0 or not np.all((atoms > 0) & (atoms < math.inf)):
                 raise ValueError("atoms must be positive and finite")
-            return ("atoms", atoms)
+            return atoms
         raise ValueError("expected width=<h> or atoms=<a1,a2,...>")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid grid spec {text!r}: {exc}") from None
@@ -172,23 +177,17 @@ def cmd_simulate(args) -> int:
 
 
 def _window_from_sidecar(infile: str) -> float | None:
+    """The numeric ``window`` of ``<infile>.meta.json``, or None without one."""
+    path = str(infile) + ".meta.json"
     try:
-        with open(str(infile) + ".meta.json") as fh:
-            return json.load(fh).get("window")
+        with open(path) as fh:
+            meta = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-
-
-def _snap_complete_lengths(segments: sampling.Segments, atoms) -> sampling.Segments:
-    """Move each proper complete length onto the atom whose cell (lo, hi]
-    holds it. Cells end halfway between neighbouring atoms and half a
-    spacing past the end atoms, so a one-atom cell is empty; ``laslett_em``
-    rejects the lengths left outside every cell."""
-    mirrored = np.pad(atoms, 1, mode="reflect", reflect_type="odd")
-    k = np.searchsorted((mirrored[1:] + mirrored[:-1]) / 2, segments.length) - 1
-    snap = (segments.code == 0) & (k >= 0) & (k < atoms.size)  # pc: SEGMENT_KINDS[0]
-    nearest = atoms[np.clip(k, 0, atoms.size - 1)]
-    return sampling.Segments(segments.code, np.where(snap, nearest, segments.length))
+    window = meta.get("window") if isinstance(meta, dict) else None
+    if window is None or type(window) in (int, float):  # not bool, a subclass of int
+        return window
+    raise ValueError(f"{path}: the window must be a number, got {json.dumps(window)}")
 
 
 def cmd_estimate(args) -> int:
@@ -220,19 +219,12 @@ def cmd_estimate(args) -> int:
         data = dataio.read_segments_csv(args.infile)
 
     if args.estimator == "em":
-        data.check_window(window)
-        mode, value = args.grid
-        if mode == "width":
-            segments = npmle.bin_segments(data, value)
-            grid = npmle.default_grid(segments, window, value)
-        else:
-            grid = np.unique(value)
-            segments = _snap_complete_lengths(data, grid)
-        result = npmle.laslett_em(segments, window, grid, max_iter=args.max_iter, tol=args.tol)
+        grid, problem = npmle.em_problem(data, window, args.grid)
+        result = npmle.laslett_em_many([problem], window, grid, args.max_iter, args.tol)[0]
         dataio.write_em_result_json(args.out, result)
         return 0
 
-    est = row.fit(data, window, None)
+    est = row.fit(data, window)
     if est.event_counts is not None:
         est = product_limit.greenwood_variance(est)
     band = None

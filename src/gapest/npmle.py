@@ -20,8 +20,10 @@ optional Poisson factor for the observed count;
 obtained by profiling the birth intensity out of the full segment
 likelihood, which is the objective the EM ascends.
 
-Binning segment lengths onto a midpoint grid before running the EM
-regularizes the estimator (``bin_segments``, ``default_grid``).
+Every segment EM problem (atoms, distinct rows, counts) is built by
+``em_problem``: binning the lengths onto a midpoint grid regularizes the
+estimator (``bin_segments``, ``default_grid``), and given atoms take the
+complete lengths snapped onto them.
 """
 
 from __future__ import annotations
@@ -105,16 +107,6 @@ def cox_vardi_from_pairs(pairs: Pairs) -> DiscreteDistribution:
     return cox_vardi(pairs.q)
 
 
-def _match_atoms(lengths: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    idx, hit = atom_lookup(atoms, lengths)
-    if not hit.all():
-        raise EstimationError(
-            f"atom grid does not cover the complete length {lengths[~hit][0]}; "
-            "bin the data first"
-        )
-    return idx
-
-
 def segment_loglik(
     dist: DiscreteDistribution,
     birth_rate: float | None,
@@ -143,8 +135,8 @@ def segment_loglik(
     m_res = int(np.count_nonzero(segments.code >= 2))  # rc and rx: codes 2 and 3
     total = float(np.sum(np.log(numer))) - m_res * math.log(mu)
     if include_poisson_factor:
-        if birth_rate is None or birth_rate <= 0:
-            raise ValueError("a positive birth_rate is required for the Poisson factor")
+        if birth_rate is None or not 0.0 < birth_rate < math.inf:
+            raise ValueError(f"birth_rate must be finite and positive, got {birth_rate}")
         n = len(segments)
         mean = birth_rate * (window_length + mu)
         total += n * math.log(mean) - mean - math.lgamma(n + 1)
@@ -163,8 +155,14 @@ def _atom_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray
     rows = (atoms > lengths[:, None]).astype(float)
     rows[code == 3] = np.maximum(atoms - w, 0.0)  # rx
     pc = np.nonzero(code == 0)[0]
+    idx, hit = atom_lookup(atoms, lengths[pc])
+    if not hit.all():
+        raise EstimationError(
+            f"atom grid does not cover the complete length {lengths[pc][~hit][0]}; "
+            "bin the data first"
+        )
     rows[pc] = 0.0
-    rows[pc, _match_atoms(lengths[pc], atoms)] = 1.0
+    rows[pc, idx] = 1.0
     return rows
 
 
@@ -232,35 +230,39 @@ def default_grid(segments: Segments, window_length: float, bin_width: float) -> 
     return (np.arange(n_bins) + 0.5) * bin_width
 
 
-def _distinct_rows(segments: Segments) -> tuple[Segments, np.ndarray]:
-    """The distinct (kind, length) rows of ``segments`` and the count of each,
-    by kind code (the index in SEGMENT_KINDS), then length."""
-    order = np.lexsort((segments.length, segments.code))
-    code, length = segments.code[order], segments.length[order]
-    first = np.ones(code.size, dtype=bool)
-    first[1:] = (code[1:] != code[:-1]) | (length[1:] != length[:-1])
-    starts = np.flatnonzero(first)
-    return Segments(code[starts], length[starts]), np.diff(np.append(starts, code.size))
-
-
-def em_problem(segments: Segments, window_length: float, bin_width: float):
-    """The default grid of ``segments`` binned to ``bin_width``, and the
-    (distinct rows, counts) problem of the binned data: what the ``em``
-    estimator hands ``laslett_em_many``.
-
-    A binned length is the grid atom (k + 1/2) h of its bin k, so each
-    segment's row is the integer key (kind code) x (grid size) + k, read
-    back from the midpoint, and one ``bincount`` of the keys gives the
-    distinct rows in increasing key order: ``_distinct_rows`` of the binned
-    data, bitwise. Lengths are positive (``Segments.check_window``), so no
-    bin is negative."""
-    binned = bin_segments(segments.check_window(window_length), bin_width)
-    grid = default_grid(binned, window_length, bin_width)
-    code = segments.code.astype(np.intp)  # int8 codes times the grid size stay int8
-    counts = np.bincount(code * grid.size + (binned.length / bin_width).astype(np.intp))
+def _distinct_rows(code: np.ndarray, k: np.ndarray, lengths: np.ndarray):
+    """The distinct (kind code, lengths[k]) rows and the count of each, by
+    code (the index in SEGMENT_KINDS), then k: one ``bincount`` of the keys
+    code x len(lengths) + k. Increasing ``lengths`` give (kind, length) order."""
+    code = code.astype(np.intp)  # int8 codes times the size stay int8
+    counts = np.bincount(code * lengths.size + k)
     key = np.flatnonzero(counts)
-    rows = Segments(key // grid.size, grid[key % grid.size])
-    return grid, (rows, counts[key])
+    return Segments(key // lengths.size, lengths[key % lengths.size]), counts[key]
+
+
+def em_problem(segments: Segments, window_length: float, grid):
+    """The atoms and the (distinct rows, counts) problem of ``segments``
+    that ``laslett_em_many`` fits; every segment EM problem is built here.
+
+    ``grid`` is a bin width h: the lengths are binned (``bin_segments``),
+    the atoms are their ``default_grid``, and a binned length (k + 1/2) h
+    is keyed by its bin k. Or ``grid`` is an array of atoms: each proper
+    complete length moves onto the atom whose cell (lo, hi] holds it, the
+    cells ending halfway between atoms and half a spacing past the end ones
+    (a one-atom cell is empty; ``laslett_em_many`` rejects a length outside
+    every cell), and ``np.unique`` keys the lengths."""
+    code = segments.check_window(window_length).code
+    if np.ndim(grid) == 0:
+        binned = bin_segments(segments, grid)
+        atoms = default_grid(binned, window_length, grid)
+        return atoms, _distinct_rows(code, (binned.length / grid).astype(np.intp), atoms)
+    atoms = np.unique(np.asarray(grid, dtype=float))
+    mirrored = np.pad(atoms, 1, mode="reflect", reflect_type="odd")
+    k = np.searchsorted((mirrored[1:] + mirrored[:-1]) / 2, segments.length) - 1
+    snap = (code == 0) & (k >= 0) & (k < atoms.size)  # pc: SEGMENT_KINDS[0]
+    snapped = np.where(snap, atoms[np.clip(k, 0, atoms.size - 1)], segments.length)
+    lengths, k = np.unique(snapped, return_inverse=True)
+    return atoms, _distinct_rows(code, k, lengths)
 
 
 def laslett_em(
@@ -271,8 +273,10 @@ def laslett_em(
     tol: float = EM_DEFAULT_TOL,
 ) -> EmResult:
     """The segment NPMLE of ``segments`` on a fixed atom grid:
-    ``laslett_em_many`` on a batch of one."""
-    return laslett_em_many([_distinct_rows(segments)], window_length, grid, max_iter, tol)[0]
+    ``laslett_em_many`` on a batch of one, the lengths taken as they are."""
+    lengths, k = np.unique(segments.length, return_inverse=True)
+    problem = _distinct_rows(segments.code, k, lengths)
+    return laslett_em_many([problem], window_length, grid, max_iter, tol)[0]
 
 
 def laslett_em_many(
@@ -443,7 +447,7 @@ def gof_discrepancy(a, b) -> float:
     descriptive statistic for comparing estimators fitted to the same data.
     """
     a, b = (
-        StepSurvival.from_masses(x.atoms, x.masses, 0)
+        StepSurvival.from_masses(x.atoms, x.masses)
         if isinstance(x, DiscreteDistribution)
         else x
         for x in (a, b)

@@ -45,7 +45,6 @@ class StepSurvival:
 
     jump_times: np.ndarray
     survival_values: np.ndarray
-    n_input: int
     variance_values: np.ndarray | None = None
     event_counts: np.ndarray | None = None
     risk_counts: np.ndarray | None = None
@@ -58,13 +57,13 @@ class StepSurvival:
             self.variance_values = np.asarray(self.variance_values, dtype=float)
 
     @classmethod
-    def from_masses(cls, atoms, masses, n_input: int) -> "StepSurvival":
+    def from_masses(cls, atoms, masses) -> "StepSurvival":
         """Survival of a discrete law with ``masses`` at increasing ``atoms``.
 
         The value at atom i is the tail sum of the masses above it, so it
         never goes below zero and ends at exactly 0.
         """
-        return cls(jump_times=atoms, survival_values=_tail_sums(masses), n_input=n_input)
+        return cls(jump_times=atoms, survival_values=_tail_sums(masses))
 
     def survival_at(self, t):
         """Evaluate the step function right-continuously (vectorized)."""
@@ -191,7 +190,6 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
     return StepSurvival(
         jump_times=event_times,
         survival_values=survival,
-        n_input=int(weights.sum()),
         event_counts=d,
         risk_counts=y,
         tail_censored=tail_censored,
@@ -310,43 +308,36 @@ class Estimator:
 
     ``scheme`` names the observation scheme whose records it reads,
     ``bootstrap_name`` is its name in ``bootstrap_band`` (None when it has
-    no band), ``fit(data, window_length, bin_width)`` returns its survival
-    estimate, and ``rows(data)`` gives the pooled rows its band resamples
-    (None when it has no band).
+    no band), ``fit(data, window_length)`` returns its survival estimate
+    (None for ``em``, whose problem ``npmle.em_problem`` builds), and
+    ``rows(data)`` gives the pooled rows its band resamples (None when it
+    has no band).
     """
 
     scheme: str
     bootstrap_name: str | None
-    fit: Callable[..., StepSurvival]
+    fit: Callable[..., StepSurvival] | None
     rows: Callable[..., _Pooled] | None
 
 
 # The fits look the estimators up by name when called, never holding the
 # function objects, so a caller that rebinds a module attribute (a tracer,
 # a test double) is seen on every path.
-def _fit_cox_vardi(data, window_length, bin_width) -> StepSurvival:
+def _fit_cox_vardi(data, window_length) -> StepSurvival:
     from . import npmle
 
     dist = npmle.cox_vardi_from_pairs(data)
-    return StepSurvival.from_masses(dist.atoms, dist.masses, len(data))
-
-
-def _fit_laslett_em(data, window_length, bin_width) -> StepSurvival:
-    from . import npmle
-
-    grid, problem = npmle.em_problem(data, window_length, bin_width)
-    dist = npmle.laslett_em_many([problem], window_length, grid)[0].distribution
-    return StepSurvival.from_masses(dist.atoms, dist.masses, len(data))
+    return StepSurvival.from_masses(dist.atoms, dist.masses)
 
 
 # Keyed by CLI tag; the order within a scheme is the default order of
 # ``McConfig.estimators``.
 ESTIMATORS = {
-    "wf": Estimator("equilibrium", "winter_foldes", lambda d, w, h: winter_foldes(d), _pair_rows),
+    "wf": Estimator("equilibrium", "winter_foldes", lambda d, w: winter_foldes(d), _pair_rows),
     "cv": Estimator("equilibrium", "cox_vardi", _fit_cox_vardi, _pair_rows),
-    "wpl": Estimator("window", "window_pl", lambda d, w, h: window_product_limit(d), _window_rows),
-    "palmer_cox": Estimator("segments", "palmer_cox", lambda d, w, h: palmer_cox(d, w), _segment_rows),
-    "em": Estimator("segments", None, _fit_laslett_em, None),
+    "wpl": Estimator("window", "window_pl", lambda d, w: window_product_limit(d), _window_rows),
+    "palmer_cox": Estimator("segments", "palmer_cox", lambda d, w: palmer_cox(d, w), _segment_rows),
+    "em": Estimator("segments", None, None, None),
 }
 
 
@@ -424,7 +415,7 @@ def bootstrap_band(
         raise EstimationError("no data to resample")
     if isinstance(data, list):
         data = type(data[0]).concat(data)
-    row.fit(data, window_length, None)  # rejects invalid input before any draw
+    row.fit(data, window_length)  # rejects invalid input before any draw
     rows = row.rows(data)
     n = len(data)
     event_times, order, counts = _counter(rows.times, rows.censored, rows.entry)

@@ -59,7 +59,8 @@ class _Columns:
     ``len()`` counts the observations. ``records[i]`` with an int gives a
     one-row item of the same class whose fields are Python scalars; a slice
     or an index array gives a container. Iterating yields the one-row
-    items, and ``concat`` joins containers and one-row items in order.
+    items, through ``__getitem__`` (the sequence protocol), and ``concat``
+    joins containers and one-row items in order.
     Building one converts the fields to DTYPES and checks any kind codes.
     """
 
@@ -80,16 +81,6 @@ class _Columns:
 
     def __getitem__(self, idx):
         return type(self)(*(col[idx] for col in self._columns()))
-
-    def __iter__(self):
-        # The items are built without __init__: the fields come from
-        # tolist() as Python scalars already, and this is five times faster.
-        cls, names = type(self), self.__match_args__
-        for values in zip(*(col.tolist() for col in self._columns())):
-            item = object.__new__(cls)
-            for name, value in zip(names, values):
-                object.__setattr__(item, name, value)
-            yield item
 
     @classmethod
     def concat(cls, parts):

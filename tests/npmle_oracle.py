@@ -4,6 +4,10 @@ reference that the tests hold ``laslett_em`` to on grids of a few atoms.
 It scans the probability simplex over the grid atoms densely and then
 refines the best point in shrinking boxes. Its cost is exponential in the
 number of atoms, so it is capped at ORACLE_MAX_ATOMS.
+
+It also holds step-by-step references for the two steps of
+``npmle.em_problem``: distinct rows by ``np.lexsort``, and the snapping of
+complete lengths onto an atom grid.
 """
 
 import itertools
@@ -97,3 +101,25 @@ def npmle_oracle(segments: Segments, window_length: float, grid) -> DiscreteDist
         best = cand[int(np.argmax(ll))]
 
     return DiscreteDistribution.from_weights(atoms, best)
+
+
+def distinct_rows_by_lexsort(segments: Segments):
+    """The distinct (kind, length) rows of ``segments`` and the count of each,
+    by kind code, then length: sort, and keep the first row of each run."""
+    order = np.lexsort((segments.length, segments.code))
+    code, length = segments.code[order], segments.length[order]
+    first = np.ones(code.size, dtype=bool)
+    first[1:] = (code[1:] != code[:-1]) | (length[1:] != length[:-1])
+    starts = np.flatnonzero(first)
+    return Segments(code[starts], length[starts]), np.diff(np.append(starts, code.size))
+
+
+def snap_complete_lengths(segments: Segments, atoms) -> Segments:
+    """Move each proper complete length onto the atom whose cell (lo, hi]
+    holds it. Cells end halfway between neighbouring atoms and half a
+    spacing past the end atoms; lengths outside every cell stay."""
+    mirrored = np.pad(atoms, 1, mode="reflect", reflect_type="odd")
+    k = np.searchsorted((mirrored[1:] + mirrored[:-1]) / 2, segments.length) - 1
+    snap = (segments.code == 0) & (k >= 0) & (k < atoms.size)
+    nearest = atoms[np.clip(k, 0, atoms.size - 1)]
+    return Segments(segments.code, np.where(snap, nearest, segments.length))

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import gapest
-from gapest import EstimationError, Segments, dataio, laslett_em
+from gapest import EstimationError, Segments, dataio, laslett_em, npmle
 from gapest.cli import main
+from npmle_oracle import snap_complete_lengths
 
 
 def run(*argv):
@@ -142,6 +143,29 @@ class TestEstimate:
         nearest = atoms[np.argmin(np.abs(segs.length[:, None] - atoms), axis=1)]
         snapped = Segments(segs.kind, np.where(segs.kind == "pc", nearest, segs.length))
         assert json.loads(out.read_text()) == laslett_em(snapped, 3.0, atoms).to_json_dict()
+
+    @pytest.mark.parametrize("grid", [
+        "width=0.25",
+        "atoms=" + ",".join(repr(a) for a in np.arange(0.125, 6.0, 0.3).tolist()),
+    ])
+    def test_em_writes_laslett_em_on_the_binned_or_snapped_segments(self, tmp_path, grid):
+        # each grid mode assembled step by step: the binned lengths on their
+        # default grid, or the pc lengths snapped to the atoms; then laslett_em
+        src, out, want = tmp_path / "segments.csv", tmp_path / "em.json", tmp_path / "want.json"
+        assert run("simulate", "--scheme", "segments", "--dist", "weibull:2:1", "--n", "60",
+                   "--window", "3", "--rate", "2", "--seed", "9", "--out", str(src)) == 0
+        assert run("estimate", "--estimator", "em", "--in", str(src), "--out", str(out),
+                   "--grid", grid) == 0
+        segs = dataio.read_segments_csv(src)
+        mode, _, value = grid.partition("=")
+        if mode == "width":
+            segs = npmle.bin_segments(segs, float(value))
+            atoms = npmle.default_grid(segs, 3.0, float(value))
+        else:
+            atoms = np.unique(np.array(value.split(","), dtype=float))
+            segs = snap_complete_lengths(segs, atoms)
+        dataio.write_em_result_json(want, laslett_em(segs, 3.0, atoms))
+        assert out.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(
         "grid",
@@ -291,16 +315,25 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
                                        "--grid", "atoms=0.5,1.0")),
     ("kind,length\npc,1.0\npc,1.01\n", ("estimate", "--estimator", "em", "--window", "2",
                                        "--grid", "atoms=1.0")),
+    # a sidecar window that is not a number; a bool is not one, though True == 1
+    *(((SEGMENTS, json.dumps({"window": window})), ("estimate", "--estimator", tag, *grid))
+      for window in ("abc", [3], True)
+      for tag, grid in (("palmer_cox", ()), ("em", ("--grid", "width=0.5")))),
 ])
 def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
+    # data is the input CSV, or the CSV and its .meta.json sidecar
     argv = (*argv, "--out", str(tmp_path / "out"))
-    if data is not None:
-        (tmp_path / "in.csv").write_text(data)
+    csv, sidecar = data if isinstance(data, tuple) else (data, None)
+    if csv is not None:
+        (tmp_path / "in.csv").write_text(csv)
         argv += ("--in", str(tmp_path / "in.csv"))
+    if sidecar is not None:
+        (tmp_path / "in.csv.meta.json").write_text(sidecar)
     before = sorted(tmp_path.iterdir())
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert sidecar is None or "in.csv.meta.json: the window must be a number" in err
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -47,7 +47,7 @@ from gapest.npmle import (
 )
 from gapest.seeding import child_seed, derived_rng
 
-from npmle_oracle import npmle_oracle
+from npmle_oracle import distinct_rows_by_lexsort, npmle_oracle, snap_complete_lengths
 
 PC, PX, RC, RX = "pc", "px", "rc", "rx"
 
@@ -57,6 +57,20 @@ EXP1 = Exponential(1.0)
 def segments(*rows):
     """Segments from (kind, length) rows."""
     return Segments(*zip(*rows)) if rows else Segments([], [])
+
+
+def problem_of(segs):
+    """The (distinct rows, counts) problem that ``laslett_em`` fits."""
+    lengths, k = np.unique(segs.length, return_inverse=True)
+    return _distinct_rows(segs.code, k, lengths)
+
+
+def assert_same_problem(got, want):
+    (rows, counts), (want_rows, want_counts) = got, want
+    assert rows.code.tobytes() == want_rows.code.tobytes()
+    assert rows.kind.tolist() == want_rows.kind.tolist()
+    assert rows.length.tobytes() == want_rows.length.tobytes()
+    assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()
 
 
 def pairs_of(*rows):
@@ -315,6 +329,12 @@ class TestSegmentLoglik:
         with pytest.raises(ValueError):
             segment_loglik(self.DIST, None, segments((PC, 1.0)), 2.0, include_poisson_factor=True)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_poisson_factor_needs_a_finite_positive_rate(self, rate):
+        # only <= 0 rejected would let nan and inf through to a nan log likelihood
+        with pytest.raises(ValueError, match="birth_rate must be finite and positive, got"):
+            segment_loglik(self.DIST, rate, segments((PC, 1.0)), 2.0, include_poisson_factor=True)
+
     @given(kernel_instances())
     def test_matches_the_per_kind_loop(self, instance):
         dist, segs, w = instance
@@ -389,15 +409,36 @@ class TestBinning:
         length = st.one_of(edge, st.just(w), st.floats(1e-9, w))
         row = st.one_of(st.tuples(st.sampled_from([PC, PX, RC]), length), st.just((RX, w)))
         segs = segments(*data.draw(st.lists(row, min_size=1, max_size=40)))
-        grid, (rows, counts) = npmle.em_problem(segs, w, h)
+        grid, got = npmle.em_problem(segs, w, h)
         binned = bin_segments(segs, h)
-        want_rows, want_counts = _distinct_rows(binned)
         assert grid.tobytes() == default_grid(binned, w, h).tobytes()
         assert grid.size > 127 or h >= 0.1
-        assert rows.code.tobytes() == want_rows.code.tobytes()
-        assert rows.kind.tolist() == want_rows.kind.tolist()
-        assert rows.length.tobytes() == want_rows.length.tobytes()
-        assert counts.dtype == want_counts.dtype and counts.tolist() == want_counts.tolist()
+        assert_same_problem(got, distinct_rows_by_lexsort(binned))
+
+    @given(data=st.data())
+    def test_em_problem_on_atoms_equals_snapping_then_distinct_rows(self, data):
+        # atoms on a lattice or anywhere, lengths on, between and past them
+        w = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+        lattice = st.integers(1, 16).map(lambda k: k * 0.25)
+        atoms = data.draw(st.lists(st.one_of(lattice, st.floats(1e-3, 5.0)), min_size=1,
+                                   max_size=12))
+        length = st.one_of(lattice.map(lambda a: min(a, w)), st.floats(1e-9, w))
+        row = st.one_of(st.tuples(st.sampled_from([PC, PX, RC]), length), st.just((RX, w)))
+        segs = segments(*data.draw(st.lists(row, min_size=1, max_size=40)))
+        grid, got = npmle.em_problem(segs, w, atoms)
+        want_grid = np.unique(atoms)
+        assert grid.tobytes() == want_grid.tobytes()
+        assert_same_problem(got, distinct_rows_by_lexsort(snap_complete_lengths(segs, want_grid)))
+
+    @given(st.lists(
+        st.tuples(st.sampled_from([PC, PX, RC, RX]),
+                  st.one_of(st.sampled_from([0.25, 0.5, 1.0, 3.0]), st.floats(1e-9, 3.0))),
+        max_size=60,
+    ))
+    def test_distinct_rows_equal_the_lexsort_reference(self, rows):
+        # runs of equal lengths within and across kinds, in any order
+        segs = segments(*rows)
+        assert_same_problem(problem_of(segs), distinct_rows_by_lexsort(segs))
 
     def test_same_bin(self):
         out = bin_segments(segments((PC, 0.24), (PX, 0.26)), 0.5)
@@ -542,7 +583,7 @@ class TestLaslettEm:
         segs = segments((PC, 1.0))
         for call in (
             lambda: laslett_em(segs, 1.0, [1.0], max_iter=max_iter),
-            lambda: laslett_em_many([_distinct_rows(segs)], 1.0, [1.0], max_iter=max_iter),
+            lambda: laslett_em_many([problem_of(segs)], 1.0, [1.0], max_iter=max_iter),
         ):
             with pytest.raises(ValueError, match="max_iter must be an integer >= 1, got"):
                 call()
@@ -572,7 +613,7 @@ class TestLaslettEm:
         for max_iter in range(1, 61):
             res = laslett_em(segs, 3.0, grid, max_iter=max_iter, tol=1e-300)
             assert res.iterations == res.loglik_trace.size - 1 <= max_iter
-        problems = [_distinct_rows(s) for s in (SLOW[:40], SLOW, SLOW[::3])]
+        problems = [problem_of(s) for s in (SLOW[:40], SLOW, SLOW[::3])]
         for max_iter in (1, 2, 7, 60):
             for res in laslett_em_many(problems, 3.0, SLOW_GRID, max_iter=max_iter, tol=1e-300):
                 assert res.iterations == res.loglik_trace.size - 1 <= max_iter
@@ -640,7 +681,7 @@ class TestLaslettEmMany:
     @settings(max_examples=12)
     @given(batches())
     def test_batched_fits_are_certified_and_reproducible(self, batch):
-        problems = [_distinct_rows(segs) for segs in batch]
+        problems = [problem_of(segs) for segs in batch]
         fits = laslett_em_many(problems, 3.0, SLOW_GRID)
         again = laslett_em_many(problems, 3.0, SLOW_GRID)
         for segs, fit, rerun in zip(batch, fits, again):
@@ -658,7 +699,7 @@ class TestLaslettEmMany:
     def test_equal_size_problems_fit_as_they_do_alone(self):
         # The same rows with other counts need no padding, so each product of
         # a fit in the stack is the one it gets alone, and so is the fit.
-        rows, counts = _distinct_rows(SLOW)
+        rows, counts = problem_of(SLOW)
         rng = derived_rng(40)
         problems = [(rows, rng.integers(1, 6, counts.size)) for _ in range(6)]
         fits = laslett_em_many(problems, 3.0, SLOW_GRID)
@@ -672,7 +713,7 @@ class TestLaslettEmMany:
         # The stack holds at most EM_CHUNK_BYTES of kernel at the batch's
         # most rows, so its size does not grow with the batch; a fit is the
         # fit of its chunk.
-        problems = [_distinct_rows(s) for s in (SLOW, SLOW[:40], SLOW[::3], SLOW[1::2], SLOW[:70])]
+        problems = [problem_of(s) for s in (SLOW, SLOW[:40], SLOW[::3], SLOW[1::2], SLOW[:70])]
         most = max(len(rows) for rows, _ in problems)
         monkeypatch.setattr(npmle, "EM_CHUNK_BYTES", 2 * 8 * most * SLOW_GRID.size + 7)
         sizes, stack = [], npmle._squarem_stack
@@ -697,7 +738,7 @@ class TestLaslettEmMany:
         assert laslett_em_many([], 3.0, SLOW_GRID) == []
 
     def test_every_problem_needs_a_segment(self):
-        problems = [_distinct_rows(SLOW), _distinct_rows(SLOW[:0])]
+        problems = [problem_of(SLOW), problem_of(SLOW[:0])]
         with pytest.raises(EstimationError, match="need at least one segment"):
             laslett_em_many(problems, 3.0, SLOW_GRID)
 

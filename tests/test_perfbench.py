@@ -6,9 +6,11 @@ any other test.
 """
 
 import ast
+import copy
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 
@@ -74,11 +77,33 @@ def test_em_hook_counts_the_distinct_rows_of_a_fit():
     from gapest import npmle
 
     reps = gapest.sample_segment_replicates(2.0, gapest.Exponential(1.0), 0.0, 3.0, 20, seed=3)
-    segs = npmle.bin_segments(gapest.Segments.concat(reps), 0.25)
+    raw = gapest.Segments.concat(reps)
+    segs = npmle.bin_segments(raw, 0.25)
     grid = npmle.default_grid(segs, 3.0, 0.25)
     result = npmle.laslett_em(segs, 3.0, grid)
     counts = Counter()
     load("tracing")._laslett_em(counts, (segs, 3.0, grid), {}, result)
     assert counts["npmle.laslett_em.rows"] == len(segs)
-    assert counts["npmle.laslett_em.distinct_rows"] == len(npmle._distinct_rows(segs)[0])
+    rows, _ = npmle.em_problem(raw, 3.0, 0.25)[1]
+    assert counts["npmle.laslett_em.distinct_rows"] == len(rows)
     assert counts["npmle.laslett_em.distinct_rows"] < len(segs)
+
+
+# Each workload at a few seconds' worth of its sizes: every step runs and every check passes.
+SMOKE_SIZES = {
+    "cli-files": {"pairs": 2_000, "windows": 200},
+    "bootstrap-bands": {"B": 40},
+    "mc-segments-em": {"studies": 2, "replicates": 3, "windows": 40},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_SIZES))
+def test_every_workload_runs_and_passes_its_checks_at_reduced_sizes(name, tmp_path):
+    workload = copy.copy(load("workloads").WORKLOADS[name])
+    workload.sizes = {**workload.sizes, **SMOKE_SIZES[name]}
+    inputs = workload.prepare(1, tmp_path / name)
+    outs = [step() for step in workload.steps(inputs)]
+    assert len(workload.digest(inputs, outs)) == 64
+    outcome = workload.check(inputs, outs)
+    assert outcome.checks and all(outcome.checks.values()), outcome.checks
+    assert outcome.units > 1

@@ -31,6 +31,7 @@ from gapest import (
     winter_foldes,
     window_product_limit,
 )
+from gapest import npmle
 from gapest.product_limit import BOOTSTRAP_MAX_RETRIES, ESTIMATORS, BootstrapBand, step_at
 from gapest.sampling import SEGMENT_KINDS, WINDOW_KINDS
 from gapest.seeding import derived_rng
@@ -107,16 +108,15 @@ class TestFromMasses:
     def test_cox_vardi_survival_ends_at_exact_zero(self):
         pairs = sample_equilibrium(parse_distribution("weibull:2:1"), 500, seed=1)
         dist = cox_vardi_from_pairs(pairs)
-        est = StepSurvival.from_masses(dist.atoms, dist.masses, len(pairs))
+        est = StepSurvival.from_masses(dist.atoms, dist.masses)
         assert est.survival_values[-1] == 0.0
         assert np.all(est.survival_values >= 0.0)
         assert np.all(np.diff(est.survival_values) <= 0.0)
         assert np.allclose(est.survival_values, 1.0 - np.cumsum(dist.masses), rtol=0, atol=1e-12)
 
     def test_tail_sums_by_hand(self):
-        est = StepSurvival.from_masses([1.0, 2.0, 4.0], [0.5, 0.25, 0.25], 3)
+        est = StepSurvival.from_masses([1.0, 2.0, 4.0], [0.5, 0.25, 0.25])
         assert est.survival_values.tolist() == [0.5, 0.25, 0.0]
-        assert est.n_input == 3
 
 
 class TestRiskSet:
@@ -258,7 +258,7 @@ class TestKaplanMeier:
             )
             for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-            assert (got.n_input, got.tail_censored) == (want.n_input, want.tail_censored)
+            assert got.tail_censored == want.tail_censored
 
     @given(
         st.lists(
@@ -324,7 +324,7 @@ class TestKaplanMeier:
                                 None if entry is None else entry[kept], weights[kept])
             for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-            assert (got.n_input, got.tail_censored) == (want.n_input, want.tail_censored)
+            assert got.tail_censored == want.tail_censored
 
     def test_weights_must_be_nonnegative_integers(self):
         with pytest.raises(EstimationError, match="integers"):
@@ -376,7 +376,8 @@ class TestWindowProductLimit:
 
 @pytest.mark.parametrize("tag", ["wpl", "palmer_cox", "em"])
 def test_unknown_kind_codes_rejected(tag):
-    # the container rejects the kind when it is built, before any fit
+    # the container rejects the kind when it is built, before any fit; the
+    # em row has no fit, and npmle.em_problem builds its problem
     row = ESTIMATORS[tag]
     with pytest.raises(EstimationError, match="unknown kind"):
         data = (
@@ -384,7 +385,7 @@ def test_unknown_kind_codes_rejected(tag):
             if row.scheme == "window"
             else Segments(["pc", "zz", "pc"], [1.0, 1.0, 0.5])
         )
-        row.fit(data, 2.0, 0.5)
+        npmle.em_problem(data, 2.0, 0.5) if tag == "em" else row.fit(data, 2.0)
 
 
 @pytest.mark.parametrize("tag", ["palmer_cox", "em"])
@@ -393,7 +394,7 @@ def test_segment_lengths_must_be_positive(tag, kind, length):
     segs = Segments(["pc", kind, "pc", "px"], [0.625, length, 1.125, 0.3])
     message = re.escape(f"segment 1 ({kind} {length}) is not positive")
     with pytest.raises(EstimationError, match=message):
-        ESTIMATORS[tag].fit(segs, 3.0, 0.25)
+        npmle.em_problem(segs, 3.0, 0.25) if tag == "em" else ESTIMATORS[tag].fit(segs, 3.0)
 
 
 def _pair_with_r(x):
@@ -411,7 +412,7 @@ def _pair_with_r(x):
      "at index 0 is not finite"),
     (lambda x: palmer_cox(Segments(["pc", "px"], [0.5, x]), 3.0), "segment 1 .* is not finite"),
     (lambda x: palmer_cox(Segments(["pc", "rx"], [0.5, x]), 3.0), "segment 1 .* is not finite"),
-    (lambda x: ESTIMATORS["em"].fit(Segments(["pc", "rc"], [0.5, x]), 3.0, 0.25),
+    (lambda x: npmle.em_problem(Segments(["pc", "rc"], [0.5, x]), 3.0, 0.25),
      "segment 1 .* is not finite"),
     (lambda x: cox_vardi([x, 1.0]), "observation 0 is not finite"),
 ], ids=["km_time", "km_entry", "winter_foldes", "window_pl", "bootstrap", "palmer_cox_px",
@@ -425,7 +426,7 @@ def test_non_finite_observations_rejected(call, match, x):
     (lambda: kaplan_meier([1.0, 2.0], censored=[False]), "censored flags must match"),
     (lambda: kaplan_meier([1.0, 2.0], entry_times=[0.0]), "entry times must match"),
     (lambda: kaplan_meier([1.0, 2.0], entry_times=[-0.5, 0.0]), "entry times must be nonnegative"),
-    (lambda: greenwood_variance(StepSurvival.from_masses([1.0], [1.0], 1)),
+    (lambda: greenwood_variance(StepSurvival.from_masses([1.0], [1.0])),
      "event and risk counts are required"),
     (lambda: bootstrap_band(Pairs([], [], []), "winter_foldes", B=5, seed=1),
      "no data to resample"),
@@ -442,7 +443,6 @@ class TestPalmerCox:
         # doubled events {1, 1} against censored {2, 1.5}: risk 4, two events
         assert np.allclose(est.jump_times, [1.0])
         assert np.allclose(est.survival_values, [0.5])
-        assert est.n_input == 4
 
     def test_only_doubly_censored_fails(self):
         with pytest.raises(EstimationError):
@@ -499,7 +499,7 @@ class TestPalmerCox:
         want = kaplan_meier(times, censored)
         for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
-        assert (got.n_input, got.tail_censored) == (want.n_input, want.tail_censored)
+        assert got.tail_censored == want.tail_censored
 
     @given(st.data())
     def test_time_reversal_invariance(self, data):
@@ -533,7 +533,6 @@ class TestGreenwood:
         empty = StepSurvival(
             jump_times=np.array([]),
             survival_values=np.array([]),
-            n_input=3,
             event_counts=np.array([], dtype=int),
             risk_counts=np.array([], dtype=int),
         )
@@ -583,7 +582,7 @@ def band_by_loop(data, estimator, B, seed, level=0.95, grid=None, window_length=
         for retry in range(BOOTSTRAP_MAX_RETRIES):
             idx = resample_indices(seed, n, b, retry)
             try:
-                est = row.fit(data[idx], window_length, None)
+                est = row.fit(data[idx], window_length)
                 break
             except EstimationError:
                 continue
@@ -801,7 +800,7 @@ class TestBootstrapBand:
             data = WindowRecords.concat(sample_window_replicates(dist, 0.0, w, 10, seed=3))
         else:
             data = Segments.concat(sample_segment_replicates(2.0, dist, 0.0, w, 6, seed=3))
-        full = band_row(estimator).fit(data, w, None)
+        full = band_row(estimator).fit(data, w)
         got = bootstrap_band(data, estimator, B=300, seed=5, window_length=w)
         assert got.times.tobytes() == full.jump_times.tobytes()
         assert_same_band(got, band_by_loop(data, estimator, B=300, seed=5, window_length=w))
