@@ -11,9 +11,9 @@ Everything is plain decimal text. Formats:
 * EM results: JSON with atoms, masses, birth_rate, loglik, iterations,
   converged.
 
-The data writers make Python values of one chunk of rows at a time and
-format each column of it with one ``repr`` of its list. The bytes are
-those that ``csv.writer`` and ``json.dumps(indent=2)`` write.
+The writers format a chunk of rows at a time into numpy byte arrays, floats
+as ``repr`` prints them (``_float_cells``), in the bytes that ``csv.writer``
+and ``json.dumps(indent=2)`` write.
 
 Readers report malformed rows with their line numbers. The pairs, window
 and segment readers check the file's bytes in blocks, then ``np.loadtxt``
@@ -24,6 +24,7 @@ runs only on a file that fails this, to word the error.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import re
@@ -35,7 +36,9 @@ from .distributions import step_at
 from .errors import DataFormatError
 from .npmle import EmResult
 from .product_limit import BootstrapBand, StepSurvival
-from .sampling import SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords, _kind_codes
+from .sampling import (
+    SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords, _kind_codes, _KindColumns,
+)
 
 PAIRS_HEADER = ["r", "s", "censored"]
 WINDOW_HEADER = ["kind", "value"]
@@ -43,64 +46,158 @@ SEGMENTS_HEADER = ["kind", "length"]
 SURVIVAL_HEADER = ["t", "survival", "variance", "lower", "upper"]
 
 
-# Rows made Python values and written at a time, so that no writer holds a
-# whole file's text or a Python object per row.
+# Rows formatted and written at a time, so that no writer holds a whole
+# file's text.
 WRITE_CHUNK_ROWS = 8192
 _READ_BLOCK = 1 << 20  # bytes of a file checked at a time by the readers
 
-# A cell of these types is its repr, except None, which is empty.
-_REPR_TYPES = {float, int, type(None)}
 # csv.writer's QUOTE_MINIMAL quotes a cell that holds any of these.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    text = str(value)
-    if _NEEDS_QUOTES.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
-def _csv_cells(values: list) -> list[str]:
-    """The cells of a nonempty list; a list of floats, ints and None takes
-    one repr, and a list of strings none of which needs quotes is its own
-    cells."""
-    types = {*map(type, values)}
-    if types <= _REPR_TYPES:
-        return repr(values)[1:-1].replace("None", "").split(", ")
-    if types == {str} and not _NEEDS_QUOTES.search("".join(values)):
-        return values
-    return [_csv_cell(v) for v in values]
+# Floats print as repr prints them: Java's DoubleToDecimal (R. Giulietti, "The Schubfach way to
+# render doubles", 2020), names kept, run on a whole array at once in uint64 arithmetic.
 
 
-def _csv_lines(columns: list[list[str]]) -> str:
-    lines = map(",".join, zip(*columns))
-    if len(columns) == 1:
-        lines = (line or '""' for line in lines)
-    return "\r\n".join(lines) + "\r\n"
+@functools.cache
+def _g_table() -> np.ndarray:
+    """Column k + 324: g = floor(10**-k 2**(125 - floor(-k log2 10))) + 1, low 63 bits and rest."""
+    e = [(k, 125 - (-k * 913124641741 >> 38)) for k in range(-324, 293)]
+    g = [(10 ** max(-k, 0) << max(e, 0)) // (10 ** max(k, 0) << max(-e, 0)) + 1 for k, e in e]
+    return np.array([[v & (2**63 - 1) for v in g], [v >> 63 for v in g]], dtype=np.uint64)
 
 
-def _values(part) -> list:
-    """A slice of a column, or a kind container's names, as Python values."""
-    part = getattr(part, "kind", part)
-    return part.tolist() if isinstance(part, np.ndarray) else list(part)
+def _rop(g0, g1, cp):
+    """g * cp / 2**127 for g = g1 * 2**63 + g0, rounded to odd as rop rounds it."""
+    words, b_lo, b_hi = [], cp & 0xFFFFFFFF, cp >> 32
+    for a_lo, a_hi in (g0 & 0xFFFFFFFF, g0 >> 32), (g1 & 0xFFFFFFFF, g1 >> 32):
+        lo, m1, m2, hi = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi  # the high and low
+        mid = (lo >> 32) + (m1 & 0xFFFFFFFF) + (m2 & 0xFFFFFFFF)  # 64-bit words of g0 or g1 * cp
+        words += [hi + (m1 >> 32) + (m2 >> 32) + (mid >> 32), (mid << 32) | (lo & 0xFFFFFFFF)]
+    x1, _, y1, y0 = words
+    z = (y0 >> 1) + x1
+    return (y1 + (z >> 63)) | (z << 1 != 0)
+
+
+def _shortest(bits: np.ndarray) -> tuple:
+    """(f, k): f * 10**k, f of 16 or 17 digits, is repr's decimal of each positive normal double."""
+    exponent, t = (bits >> 52).astype(np.int64), bits & (2**52 - 1)
+    c, q = t | 2**52, exponent - 1075  # the double is c * 2**q
+    lopsided = (t == 0) & (exponent > 1)  # the double below is nearer than the one above
+    k = (q * 661971961083 - lopsided * 274743187321) >> 41
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
+    g0, g1 = _g_table()[:, k + 324]
+    vb, vbl, vbr = (_rop(g0, g1, cb << h) for cb in (4 * c, 4 * c - 2 + lopsided, 4 * c + 2))
+    vbl, vbr = vbl + (c & 1), vbr - (c & 1)  # an odd c leaves the ends of its interval out
+    s, sp10 = vb >> 2, (vb >> 2) // 10 * 10
+    upin, wpin = vbl <= sp10 << 2, (sp10 + 10) << 2 <= vbr
+    uin, win = vbl <= s << 2, (s + 1) << 2 <= vbr
+    nearer = vb + (s & 1) <= (2 * s + 1) << 1  # s is nearer than s + 1, or as near and even
+    f = np.where(uin & (~win | nearer), s, s + 1)
+    return np.where(upin != wpin, np.where(upin, sp10, sp10 + 10), f), k
+
+
+# 0..9999 as four ASCII digits in a little-endian word, and their count up to the last nonzero.
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1)
+_DIGITS4 = _DIGITS4.view("<u4").ravel()
+_SIGNIFICANT4 = 4 - sum(np.arange(10000) % 10**j == 0 for j in range(1, 5))
+# From a source row "-.0" and 17 digits, row p + 3 of _BODIES gathers a fixed form with the point
+# at p, 0.00ddd or ddd.ddd, row 20 an exponent's d.ddd, and rows 21 to 41 the same after a "-".
+_BODIES = [[2, 1, *[2] * -p, *range(3, 20)] if p <= 0 else [*range(3, 3 + p), 1, *range(3 + p, 20)]
+           for p in range(-3, 17)] + [[3, 1, *range(4, 20)]]
+_BODIES = np.array([([0] * m + row + [2] * 7)[:24] for m in (0, 1) for row in _BODIES])
+_exponents = functools.cache(lambda: _text_cells(["", *(f"e{e:+03}" for e in range(-324, 309))]))
+
+
+def _float_cells(x: np.ndarray, text=repr) -> list:
+    """Each double of a float or masked array as repr prints it, in two parts for _join: number and
+    exponent. Subnormals, nan and inf take text(value), masked entries text(None), one at a time."""
+    masked, x = np.ma.getmaskarray(x), np.ascontiguousarray(np.ma.getdata(x), dtype=float)
+    minus, magnitude = (x.view(np.uint64) >> 63).astype(np.intp), x.view(np.uint64) & (2**63 - 1)
+    normal = (magnitude >> 52) - 1 < 2046
+    f, k = _shortest(np.where(normal, magnitude, 1 << 62))  # 2.0 in place of the others
+    f, point = np.where(f < 10**16, f * 10, f), k + 17 - (f < 10**16)  # 0.ddd * 10**point
+    src = np.empty((len(x), 5), dtype="<u4")
+    src[:, 0] = np.where(magnitude == 0, 0, f // 10**16 << 24) + 0x30302E2D  # "-.0" and a digit
+    n = np.ones(len(x), dtype=np.intp)  # significant digits
+    for i in range(4):  # the other 16 digits, four at a time
+        word = f // 10 ** (12 - 4 * i) % 10**4
+        src[:, 1 + i] = _DIGITS4[word]
+        n = np.where(word != 0, 1 + 4 * i + _SIGNIFICANT4[word], n)
+    fixed = (-3 <= point) & (point <= 16)
+    size = np.where(point > 0, np.maximum(n, point + 1) + 1, 2 - point + n)
+    size, tail = minus + np.where(fixed, size, n + (n > 1)), np.where(fixed, 0, point + 324)
+    odd = np.flatnonzero(masked | ~normal & (magnitude != 0))
+    if odd.size:
+        values = [None if m else v for v, m in zip(x[odd].tolist(), masked[odd])]
+        odd_cells, size[odd] = _text_cells([*map(text, values)])
+        tail[odd] = 0
+    at = _BODIES[:, :size.max(initial=0)].take(np.where(fixed, point + 3, 20) + 21 * minus, axis=0)
+    body = src.view(np.uint8).take(at + np.arange(0, 20 * len(x), 20)[:, None])
+    if odd.size:
+        body[odd, :odd_cells.shape[1]] = odd_cells
+    return [(body, size), tuple(cells[tail] for cells in _exponents())]  # none, or e-324 .. e+308
+
+
+def _text_cells(texts) -> tuple:
+    """Strings as (chars, lengths): a uint8 matrix of their UTF-8 bytes and their lengths."""
+    data = [t.encode() for t in texts]
+    chars = np.array(data, dtype=bytes)  # padded with NULs, so a trailing NUL is kept
+    return chars.view(np.uint8).reshape(len(data), -1), np.array([*map(len, data)], dtype=np.intp)
+
+
+_named_cells = functools.cache(_text_cells)  # of a tuple of names
+
+
+def _cells(part, text) -> list:
+    """A slice of a column as parts for _join: floats as repr prints them,
+    kinds and uint8 flags by their names, other values as text(value)."""
+    if isinstance(part, np.ndarray) and part.dtype == float:
+        return _float_cells(part, text)
+    if isinstance(part, _KindColumns):
+        return [tuple(cells[part.code] for cells in _named_cells(part.KINDS))]
+    if isinstance(part, np.ndarray) and part.dtype == np.uint8:
+        return [tuple(cells[part] for cells in _named_cells(tuple(map(str, range(256)))))]
+    return [_text_cells([*map(text, part.tolist() if isinstance(part, np.ndarray) else part)])]
+
+
+def _join(parts: list, rows: int) -> np.ndarray:
+    """The bytes of ``rows`` rows, each the concatenation of its cell of
+    every part: a (chars, lengths) pair, or bytes that every row holds."""
+    chars, keep = [], []
+    for part in parts:
+        if isinstance(part, bytes):
+            part = np.frombuffer(part, np.uint8)[None], np.full(rows, len(part))
+        width = part[1].max(initial=0)
+        chars.append(np.broadcast_to(part[0][:, :width], (rows, width)))
+        keep.append(np.arange(width) < part[1][:, None])
+    return np.hstack(chars).ravel()[np.hstack(keep).ravel()]
 
 
 def write_csv(path, header: list[str], columns) -> None:
-    """Write the header line and then the rows of ``columns``, lists or
-    arrays of equal length (a kind container stands for its kind names),
-    made Python values WRITE_CHUNK_ROWS rows at a time. The bytes are those
-    csv.writer writes: strings quoted as QUOTE_MINIMAL quotes them, None
-    and masked entries empty, other values as ``str``, and ``\\r\\n``
-    after every line."""
-    n = len(columns[0]) if columns else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(_csv_lines([[_csv_cell(name)] for name in header]))
-        for start in range(0, n, WRITE_CHUNK_ROWS):
-            stop = start + WRITE_CHUNK_ROWS
-            fh.write(_csv_lines([_csv_cells(_values(col[start:stop])) for col in columns]))
+    """Write the header line and the rows of ``columns``, arrays or lists of
+    equal length (a kind container stands for its names, None for empty
+    cells), WRITE_CHUNK_ROWS rows at a time, in the bytes of csv.writer:
+    floats as repr prints them, None and masked entries empty."""
+    sizes = [len(col) for col in columns if col is not None]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"columns differ in length: {sizes}")
+    text = _csv_cell if len(columns) != 1 else lambda v: _csv_cell(v) or '""'  # a lone empty cell
+
+    def lines(parts, rows):
+        cells = [[text(None).encode()] if part is None else _cells(part, text) for part in parts]
+        return _join([part for cell in cells for part in (b",", *cell)][1:] + [b"\r\n"], rows)
+
+    with open(path, "wb") as fh:
+        fh.write(lines([[name] for name in header], 1))
+        for start in range(0, sizes[0] if sizes else 0, WRITE_CHUNK_ROWS):
+            parts = [col if col is None else col[start:start + WRITE_CHUNK_ROWS] for col in columns]
+            fh.write(lines(parts, min(WRITE_CHUNK_ROWS, sizes[0] - start)))
 
 
 # Printable ASCII and the line ends. Outside it the C parse and the row loop
@@ -261,7 +358,7 @@ def _read_columns(path, header: list[str], parse, table=None) -> list:
 
 def _survival_columns(est: StepSurvival, band: BootstrapBand | None) -> list:
     """The SURVIVAL_HEADER columns as float arrays, None for an absent
-    column; an undefined variance is masked, so its tolist() gives None."""
+    column; an undefined variance is masked, so it is written empty or null."""
     times = est.jump_times
     if band is not None:
         times = np.union1d(times, band.times)
@@ -275,34 +372,31 @@ def _survival_columns(est: StepSurvival, band: BootstrapBand | None) -> list:
 
 
 def write_step_survival_csv(path, est: StepSurvival, band: BootstrapBand | None = None) -> None:
-    cols = _survival_columns(est, band)
-    blank = np.broadcast_to(None, len(cols[0]))  # one None, seen len(cols[0]) times
-    write_csv(path, SURVIVAL_HEADER, [blank if col is None else col for col in cols])
+    write_csv(path, SURVIVAL_HEADER, _survival_columns(est, band))
 
 
 def _write_json_list(fh, values) -> None:
-    """Write a list or array of floats and None (see write_csv), or None, as
-    json.dumps(indent=2) writes its list as the value of a top-level key."""
+    """Write a float array, a list of floats and None, or None, as
+    json.dumps(indent=2) writes it as the value of a top-level key."""
     if values is None or len(values) == 0:
-        fh.write("null" if values is None else "[]")
+        fh.write(b"null" if values is None else b"[]")
         return
     for start in range(0, len(values), WRITE_CHUNK_ROWS):
-        text = repr(_values(values[start:start + WRITE_CHUNK_ROWS]))[1:-1].replace("None", "null")
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        fh.write(("," if start else "[") + "\n    " + text.replace(", ", ",\n    "))
-    fh.write("\n  ]")
+        part = values[start:start + WRITE_CHUNK_ROWS]
+        text = _join([b",\n    ", *_cells(part, json.dumps)], len(part))
+        fh.write(b"[" if start == 0 else b",")
+        fh.write(text[1:])
+    fh.write(b"\n  ]")
 
 
 def write_step_survival_json(path, est: StepSurvival, band: BootstrapBand | None = None) -> None:
     """Write the SURVIVAL_HEADER columns as json.dumps(indent=2) writes a
     dict of them, with ``null`` for an absent column."""
-    with open(path, "w") as fh:
-        opening = "{"
-        for name, col in zip(SURVIVAL_HEADER, _survival_columns(est, band)):
-            fh.write(f'{opening}\n  "{name}": ')
+    with open(path, "wb") as fh:
+        for i, (name, col) in enumerate(zip(SURVIVAL_HEADER, _survival_columns(est, band))):
+            fh.write(f'{"," if i else "{"}\n  "{name}": '.encode())
             _write_json_list(fh, col)
-            opening = ","
-        fh.write("\n}\n")
+        fh.write(b"\n}\n")
 
 
 def _survival_row(row):

@@ -240,6 +240,13 @@ def _distinct_rows(code: np.ndarray, k: np.ndarray, lengths: np.ndarray):
     return Segments(key // lengths.size, lengths[key % lengths.size]), counts[key]
 
 
+def _grid_atoms(grid) -> np.ndarray:
+    atoms = np.unique(np.asarray(grid, dtype=float))
+    if atoms.size == 0 or not np.all((atoms > 0.0) & (atoms < math.inf)):
+        raise EstimationError("grid atoms must be finite and positive")
+    return atoms
+
+
 def em_problem(segments: Segments, window_length: float, grid):
     """The atoms and the (distinct rows, counts) problem of ``segments``
     that ``laslett_em_many`` fits; every segment EM problem is built here.
@@ -256,7 +263,7 @@ def em_problem(segments: Segments, window_length: float, grid):
         binned = bin_segments(segments, grid)
         atoms = default_grid(binned, window_length, grid)
         return atoms, _distinct_rows(code, (binned.length / grid).astype(np.intp), atoms)
-    atoms = np.unique(np.asarray(grid, dtype=float))
+    atoms = _grid_atoms(grid)
     mirrored = np.pad(atoms, 1, mode="reflect", reflect_type="odd")
     k = np.searchsorted((mirrored[1:] + mirrored[:-1]) / 2, segments.length) - 1
     snap = (code == 0) & (k >= 0) & (k < atoms.size)  # pc: SEGMENT_KINDS[0]
@@ -342,9 +349,7 @@ def laslett_em_many(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     w = float(window_length_checked(window_length))
-    atoms = np.unique(np.asarray(grid, dtype=float))
-    if atoms.size == 0 or not np.all((atoms > 0.0) & (atoms < math.inf)):
-        raise EstimationError("grid atoms must be finite and positive")
+    atoms = _grid_atoms(grid)
     if any(counts.size == 0 for _, counts in problems):
         raise EstimationError("need at least one segment")
     most = max((len(rows) for rows, _ in problems), default=1)

@@ -375,14 +375,14 @@ def segments_by_writer(path, segs):
 
 def survival_lists(est, band):
     """The columns of ``_survival_columns`` as whole lists: each array by
-    tolist(), and None for an undefined (nan) variance. Lists, as a test
-    may patch in, are kept as they are."""
+    tolist(), and None for a masked entry. Lists, as a test may patch in,
+    are kept as they are."""
     def whole(col):
         if not isinstance(col, np.ndarray):
             return col
         values = np.ma.getdata(col).tolist()
-        if np.ma.isMaskedArray(col):  # the variance, undefined where nan
-            values = [None if math.isnan(v) else v for v in values]
+        if np.ma.isMaskedArray(col):  # the variance, masked where undefined
+            values = [None if m else v for v, m in zip(values, np.ma.getmaskarray(col).tolist())]
         return values
 
     return [whole(col) for col in dataio._survival_columns(est, band)]
@@ -421,6 +421,27 @@ CELLS = {
 }
 
 
+def draw_column(data, kind, n):
+    """A column of n rows, a list of CELLS[kind] or a float64, masked
+    float64 or uint8 array, and the Python values csv.writer and json.dumps
+    are given for it."""
+    if kind in CELLS:
+        values = data.draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+        return values, values
+    if kind == "flags":
+        values = data.draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
+        return np.array(values, dtype=np.uint8), values
+    floats = st.one_of(st.sampled_from(HARD_FLOATS), st.floats())
+    values = data.draw(st.lists(floats, min_size=n, max_size=n))
+    if kind == "float array":
+        return np.array(values, dtype=float), values
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.ma.masked_array(values, mask), [None if m else v for v, m in zip(values, mask)]
+
+
+COLUMN_KINDS = [*CELLS, "float array", "masked floats", "flags"]
+
+
 def assert_writes_as_reference(folder, chunk, write, reference):
     """``write``, with WRITE_CHUNK_ROWS set to ``chunk``, writes the bytes
     that ``reference`` writes."""
@@ -437,15 +458,24 @@ class TestWritersMatchReferences:
 
     @given(data=st.data(), chunk=st.integers(1, 4))
     def test_write_csv(self, tmp_path_factory, data, chunk):
-        kinds = data.draw(st.lists(st.sampled_from(list(CELLS)), max_size=4))
+        kinds = data.draw(st.lists(st.sampled_from(COLUMN_KINDS), max_size=4))
         n = data.draw(st.integers(0, 3 * chunk + 1)) if kinds else 0
         header = data.draw(st.lists(TEXT_CELLS, min_size=len(kinds), max_size=len(kinds)))
-        columns = [data.draw(st.lists(CELLS[k], min_size=n, max_size=n)) for k in kinds]
+        drawn = [draw_column(data, kind, n) for kind in kinds]
+        columns, values = [column for column, _ in drawn], [values for _, values in drawn]
         assert_writes_as_reference(
             tmp_path_factory.mktemp("io"), chunk,
             lambda path: dataio.write_csv(path, header, columns),
-            lambda path: write_csv_by_writer(path, header, zip(*columns)),
+            lambda path: write_csv_by_writer(path, header, zip(*values)),
         )
+
+    @pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]], [np.zeros(3), None, np.zeros(2)]])
+    def test_columns_of_unequal_length_are_refused(self, tmp_path, columns):
+        path = tmp_path / "out.csv"
+        sizes = [len(col) for col in columns if col is not None]
+        with pytest.raises(ValueError, match=re.escape(f"columns differ in length: {sizes}")):
+            dataio.write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+        assert not path.exists()
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @given(data=st.data(), chunk=st.integers(1, 4))
@@ -473,9 +503,13 @@ class TestWritersMatchReferences:
     @given(data=st.data(), chunk=st.integers(1, 4))
     def test_survival_columns(self, tmp_path_factory, write, reference, data, chunk):
         n = data.draw(st.integers(0, 3 * chunk + 1))
-        column = st.lists(FLOAT_CELLS, min_size=n, max_size=n)
-        cols = [data.draw(column), data.draw(column)]
-        cols += [data.draw(st.none() | column) for _ in range(3)]
+
+        def column():  # a list of floats and None, or a float or masked array
+            kind = data.draw(st.sampled_from(["float", "float array", "masked floats"]))
+            return draw_column(data, kind, n)[0]
+
+        cols = [column(), column()]
+        cols += [column() if data.draw(st.booleans()) else None for _ in range(3)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dataio, "_survival_columns", lambda est, band: cols)
             assert_writes_as_reference(
@@ -494,6 +528,40 @@ class TestWritersMatchReferences:
             tmp_path, chunk, lambda path: write(path, est, band),
             lambda path: reference(path, est, band),
         )
+
+
+def float_boundaries() -> np.ndarray:
+    """Doubles at the edges of the formatter's cases, with both signs."""
+    x = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 2.0**53 - 1, 2.0**53 + 1,
+         9999999999999998.0, 1e16, 1e-5, 1e-4, 0.1, 1 / 3]
+    x += [2.0**e for e in range(-1074, 1024)]
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    x = np.concatenate([x, tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                        np.nextafter(2.2250738585072014e-308, [0, 1])])
+    return np.concatenate([x, -x])
+
+
+class TestFloatCells:
+    """_float_cells prints every double as repr does, bit for bit."""
+
+    @staticmethod
+    def assert_prints_as_repr(x, text=repr):
+        lines = dataio._join([*dataio._float_cells(x, text), b"\n"], len(x)).tobytes()
+        assert lines.decode().splitlines() == [text(v) for v in x.tolist()]
+
+    @given(st.lists(st.floats(), max_size=40))
+    def test_any_float(self, values):
+        self.assert_prints_as_repr(np.array(values, dtype=float))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2020).integers(0, 2**64, 10**5, dtype=np.uint64)
+        self.assert_prints_as_repr(bits.view(np.float64))
+
+    def test_boundaries(self):
+        self.assert_prints_as_repr(float_boundaries())
+
+    def test_non_finite_values_take_the_given_text(self):
+        self.assert_prints_as_repr(np.array([math.nan, 1.5, math.inf, -math.inf, -0.0]), json.dumps)
 
 
 class TestStepSurvivalFiles:

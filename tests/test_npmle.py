@@ -482,10 +482,18 @@ class TestBinning:
     (lambda x: default_grid(segments((PC, 0.5)), 2.0, x), "bin_width must be finite and positive"),
     (lambda x: default_grid(segments((PC, 0.5)), x, 0.5), "window length must be finite"),
     (lambda x: laslett_em(segments((PC, 0.5)), 2.0, [0.5, x]), "grid atoms must be finite"),
-], ids=["bin_segments", "default_grid_width", "default_grid_window", "laslett_em_grid"])
+    (lambda x: npmle.em_problem(segments((PC, 0.5)), 2.0, np.array([0.5, x])), "grid atoms must be finite"),
+], ids=["bin_segments", "default_grid_width", "default_grid_window", "laslett_em_grid",
+        "em_problem_atoms"])
 def test_em_inputs_must_be_finite(call, match, x):
     with pytest.raises(EstimationError, match=match):
         call(x)
+
+
+@pytest.mark.parametrize("atoms", [[], [0.0, 1.0], [-1.0, 2.0]])
+def test_em_problem_rejects_bad_atoms_before_snapping(atoms):
+    with pytest.raises(EstimationError, match="^grid atoms must be finite and positive$"):
+        npmle.em_problem(segments((PC, 0.5), (RX, 2.0)), 2.0, np.array(atoms))
 
 
 class TestLaslettEm:
