@@ -8,95 +8,69 @@ maximum likelihood estimators, including Greenwood and bootstrap
 uncertainty and a Monte Carlo comparison harness.
 """
 
-from .benchmark import McConfig, McReport, mc_compare, tail_failure_demo
-from .distributions import (
-    DiscreteDistribution,
-    Exponential,
-    GapDistribution,
-    IntegrabilityReport,
-    UniformInterval,
-    Weibull,
-    parse_distribution,
-)
-from .errors import DataFormatError, DistributionSpecError, EstimationError, GapestError
-from .npmle import (
-    EmResult,
-    bin_segments,
-    cox_vardi,
-    cox_vardi_from_pairs,
-    default_grid,
-    gof_discrepancy,
-    laslett_em,
-    segment_loglik,
-    segment_marginal_loglik,
-)
-from .product_limit import (
-    BootstrapBand,
-    StepSurvival,
-    bootstrap_band,
-    greenwood_variance,
-    kaplan_meier,
-    palmer_cox,
-    window_product_limit,
-    winter_foldes,
-)
-from .sampling import (
-    Pairs,
-    Segments,
-    WindowRecords,
-    apply_right_censoring,
-    sample_equilibrium,
-    sample_pooled_segments,
-    sample_pooled_windows,
-    sample_segment_replicates,
-    sample_window_replicates,
-)
-from .seeding import child_seed, derived_rng
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BootstrapBand",
-    "DataFormatError",
-    "DiscreteDistribution",
-    "DistributionSpecError",
-    "EmResult",
-    "EstimationError",
-    "Exponential",
-    "GapDistribution",
-    "GapestError",
-    "IntegrabilityReport",
-    "McConfig",
-    "McReport",
-    "Pairs",
-    "Segments",
-    "StepSurvival",
-    "UniformInterval",
-    "Weibull",
-    "WindowRecords",
-    "apply_right_censoring",
-    "bin_segments",
-    "bootstrap_band",
-    "child_seed",
-    "cox_vardi",
-    "cox_vardi_from_pairs",
-    "default_grid",
-    "derived_rng",
-    "gof_discrepancy",
-    "greenwood_variance",
-    "kaplan_meier",
-    "laslett_em",
-    "mc_compare",
-    "palmer_cox",
-    "parse_distribution",
-    "sample_equilibrium",
-    "sample_pooled_segments",
-    "sample_pooled_windows",
-    "sample_segment_replicates",
-    "sample_window_replicates",
-    "segment_loglik",
-    "segment_marginal_loglik",
-    "tail_failure_demo",
-    "winter_foldes",
-    "window_product_limit",
-]
+# Each public name and the submodule that defines it. ``import gapest``
+# loads no submodule: a name is looked up in its submodule each time it is
+# read (PEP 562), so ``gapest.X`` is always the submodule's current attribute.
+_MODULE = {
+    "BootstrapBand": "product_limit",
+    "DataFormatError": "errors",
+    "DiscreteDistribution": "distributions",
+    "DistributionSpecError": "errors",
+    "EmResult": "npmle",
+    "EstimationError": "errors",
+    "Exponential": "distributions",
+    "GapDistribution": "distributions",
+    "GapestError": "errors",
+    "IntegrabilityReport": "distributions",
+    "McConfig": "benchmark",
+    "McReport": "benchmark",
+    "Pairs": "sampling",
+    "Segments": "sampling",
+    "StepSurvival": "product_limit",
+    "UniformInterval": "distributions",
+    "Weibull": "distributions",
+    "WindowRecords": "sampling",
+    "apply_right_censoring": "sampling",
+    "bin_segments": "npmle",
+    "bootstrap_band": "product_limit",
+    "child_seed": "seeding",
+    "cox_vardi": "npmle",
+    "cox_vardi_from_pairs": "npmle",
+    "default_grid": "npmle",
+    "derived_rng": "seeding",
+    "gof_discrepancy": "npmle",
+    "greenwood_variance": "product_limit",
+    "kaplan_meier": "product_limit",
+    "laslett_em": "npmle",
+    "mc_compare": "benchmark",
+    "palmer_cox": "product_limit",
+    "parse_distribution": "distributions",
+    "sample_equilibrium": "sampling",
+    "sample_pooled_segments": "sampling",
+    "sample_pooled_windows": "sampling",
+    "sample_segment_replicates": "sampling",
+    "sample_window_replicates": "sampling",
+    "segment_loglik": "npmle",
+    "segment_marginal_loglik": "npmle",
+    "tail_failure_demo": "benchmark",
+    "winter_foldes": "product_limit",
+    "window_product_limit": "product_limit",
+}
+__all__ = list(_MODULE)
+
+
+def __getattr__(name):
+    if name in _MODULE.values():  # a submodule not yet imported
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE[name]}", __name__), name)
+
+
+def __dir__():  # as if every submodule and name were imported
+    own = {"_MODULE", "import_module", "__dir__", "__getattr__"}
+    return sorted({*globals(), *_MODULE.values(), *__all__} - own)

@@ -61,7 +61,8 @@ def _csv_cell(value) -> str:
 
 
 # Floats print as repr prints them: Java's DoubleToDecimal (R. Giulietti, "The Schubfach way to
-# render doubles", 2020), names kept, run on a whole array at once in uint64 arithmetic.
+# render doubles", 2020), names kept, run on a whole array at once in uint64 arithmetic, with one
+# product per double where Java forms three.
 
 
 @functools.cache
@@ -72,34 +73,50 @@ def _g_table() -> np.ndarray:
     return np.array([[v & (2**63 - 1) for v in g], [v >> 63 for v in g]], dtype=np.uint64)
 
 
-def _rop(g0, g1, cp):
-    """g * cp / 2**127 for g = g1 * 2**63 + g0, rounded to odd as rop rounds it."""
-    words, b_lo, b_hi = [], cp & 0xFFFFFFFF, cp >> 32
-    for a_lo, a_hi in (g0 & 0xFFFFFFFF, g0 >> 32), (g1 & 0xFFFFFFFF, g1 >> 32):
-        lo, m1, m2, hi = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi  # the high and low
-        mid = (lo >> 32) + (m1 & 0xFFFFFFFF) + (m2 & 0xFFFFFFFF)  # 64-bit words of g0 or g1 * cp
-        words += [hi + (m1 >> 32) + (m2 >> 32) + (mid >> 32), (mid << 32) | (lo & 0xFFFFFFFF)]
-    x1, _, y1, y0 = words
-    z = (y0 >> 1) + x1
-    return (y1 + (z >> 63)) | (z << 1 != 0)
+def _product(a, b_lo, b_hi) -> tuple:
+    """The high and low 64-bit words of a * b, a < 2**63 and b = b_hi * 2**32 + b_lo < 2**60."""
+    a_lo, a_hi = a & 0xFFFFFFFF, a >> 32
+    lo, m, hi = a_lo * b_lo, a_lo * b_hi + a_hi * b_lo, a_hi * b_hi  # m < 2**64: no overflow
+    return hi + (m >> 32) + ((lo >> 32) + (m & 0xFFFFFFFF) >> 32), lo + (m << 32)
 
 
-def _shortest(bits: np.ndarray) -> tuple:
-    """(f, k): f * 10**k, f of 16 or 17 digits, is repr's decimal of each positive normal double."""
+def _scaled(bits: np.ndarray) -> tuple:
+    """(vbl, vb, vbr, c, k) of each positive normal double c * 2**q: g * cp / 2**127, rounded to odd
+    as Java's rop rounds it, for cp = cbl << h, cb << h and cbr << h, from one product g * cp."""
     exponent, t = (bits >> 52).astype(np.int64), bits & (2**52 - 1)
     c, q = t | 2**52, exponent - 1075  # the double is c * 2**q
     lopsided = (t == 0) & (exponent > 1)  # the double below is nearer than the one above
     k = (q * 661971961083 - lopsided * 274743187321) >> 41
     h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)
-    g0, g1 = _g_table()[:, k + 324]
-    vb, vbl, vbr = (_rop(g0, g1, cb << h) for cb in (4 * c, 4 * c - 2 + lopsided, 4 * c + 2))
+    g0, g1 = _g_table().take(k + 324, axis=1)  # g = g1 * 2**63 + g0
+    cp = 4 * c << h
+    (x1, x0), (y1, y0) = (_product(g, cp & 0xFFFFFFFF, cp >> 32) for g in (g0, g1))
+    # cbr << h is cp + (2 << h) and cbl << h is cp - (2 << h), or cp - (1 << h) on a lopsided
+    # binade, so the ends' g0 * cp and g1 * cp differ by g0 << s and g1 << s: carried exactly.
+    s = h + 1 - lopsided
+    dx, dy = g0 << s, g1 << s
+    lower = x1 - (g0 >> 64 - s) - (x0 < dx), y1 - (g1 >> 64 - s) - (y0 < dy), y0 - dy
+    s = h + 1
+    dx, dy = g0 << s, g1 << s
+    upper = x1 + (g0 >> 64 - s) + (x0 + dx < dx), y1 + (g1 >> 64 - s) + (y0 + dy < dy), y0 + dy
+    rounded = []
+    for hx, hy, ly in lower, (x1, y1, y0), upper:  # high words of g0 * cp, g1 * cp; low of g1 * cp
+        z = (ly >> 1) + hx
+        rounded.append((hy + (z >> 63)) | (z << 1 != 0))
+    return (*rounded, c, k)
+
+
+def _shortest(bits: np.ndarray) -> tuple:
+    """(f, k): f * 10**k, f of 16 or 17 digits, is repr's decimal of each positive normal double."""
+    vbl, vb, vbr, c, k = _scaled(bits)
     vbl, vbr = vbl + (c & 1), vbr - (c & 1)  # an odd c leaves the ends of its interval out
     s, sp10 = vb >> 2, (vb >> 2) // 10 * 10
     upin, wpin = vbl <= sp10 << 2, (sp10 + 10) << 2 <= vbr
     uin, win = vbl <= s << 2, (s + 1) << 2 <= vbr
     nearer = vb + (s & 1) <= (2 * s + 1) << 1  # s is nearer than s + 1, or as near and even
     f = np.where(uin & (~win | nearer), s, s + 1)
-    return np.where(upin != wpin, np.where(upin, sp10, sp10 + 10), f), k
+    f = np.where(upin != wpin, np.where(upin, sp10, sp10 + 10), f)
+    return f.view(np.int64), k  # signed, so that its digits index tables without a cast
 
 
 # 0..9999 as four ASCII digits in a little-endian word, and their count up to the last nonzero.
@@ -111,22 +128,23 @@ _SIGNIFICANT4 = 4 - sum(np.arange(10000) % 10**j == 0 for j in range(1, 5))
 _BODIES = [[2, 1, *[2] * -p, *range(3, 20)] if p <= 0 else [*range(3, 3 + p), 1, *range(3 + p, 20)]
            for p in range(-3, 17)] + [[3, 1, *range(4, 20)]]
 _BODIES = np.array([([0] * m + row + [2] * 7)[:24] for m in (0, 1) for row in _BODIES])
-_exponents = functools.cache(lambda: _text_cells(["", *(f"e{e:+03}" for e in range(-324, 309))]))
 
 
 def _float_cells(x: np.ndarray, text=repr) -> list:
-    """Each double of a float or masked array as repr prints it, in two parts for _join: number and
-    exponent. Subnormals, nan and inf take text(value), masked entries text(None), one at a time."""
+    """Each double of a float or masked array as repr prints it, in parts for _join: the number, and
+    its exponent (none, or e-324 .. e+308) if any value needs one. Subnormals, nan and inf take
+    text(value), masked entries text(None), one at a time."""
     masked, x = np.ma.getmaskarray(x), np.ascontiguousarray(np.ma.getdata(x), dtype=float)
     minus, magnitude = (x.view(np.uint64) >> 63).astype(np.intp), x.view(np.uint64) & (2**63 - 1)
     normal = (magnitude >> 52) - 1 < 2046
     f, k = _shortest(np.where(normal, magnitude, 1 << 62))  # 2.0 in place of the others
     f, point = np.where(f < 10**16, f * 10, f), k + 17 - (f < 10**16)  # 0.ddd * 10**point
     src = np.empty((len(x), 5), dtype="<u4")
-    src[:, 0] = np.where(magnitude == 0, 0, f // 10**16 << 24) + 0x30302E2D  # "-.0" and a digit
+    head = f // 10**16
+    src[:, 0] = np.where(magnitude == 0, 0, head << 24) + 0x30302E2D  # "-.0" and a digit
     n = np.ones(len(x), dtype=np.intp)  # significant digits
-    for i in range(4):  # the other 16 digits, four at a time
-        word = f // 10 ** (12 - 4 * i) % 10**4
+    for i in range(4):  # the other 16 digits, four at a time, by // alone: numpy's % is slower
+        word, head = f // 10 ** (12 - 4 * i) - head * 10**4, f // 10 ** (12 - 4 * i)
         src[:, 1 + i] = _DIGITS4[word]
         n = np.where(word != 0, 1 + 4 * i + _SIGNIFICANT4[word], n)
     fixed = (-3 <= point) & (point <= 16)
@@ -137,11 +155,16 @@ def _float_cells(x: np.ndarray, text=repr) -> list:
         values = [None if m else v for v, m in zip(x[odd].tolist(), masked[odd])]
         odd_cells, size[odd] = _text_cells([*map(text, values)])
         tail[odd] = 0
-    at = _BODIES[:, :size.max(initial=0)].take(np.where(fixed, point + 3, 20) + 21 * minus, axis=0)
-    body = src.view(np.uint8).take(at + np.arange(0, 20 * len(x), 20)[:, None])
+    form = np.where(fixed, point + 3, 20) + 21 * minus  # its row of _BODIES
+    chars, body = src.view(np.uint8), np.empty((len(x), size.max(initial=0)), np.uint8)
+    for row in np.flatnonzero(np.bincount(form)):  # one column gather per form the chunk holds
+        at, cols = np.flatnonzero(form == row), _BODIES[row, :body.shape[1]]
+        body[at, :cols.size] = chars.take(at, axis=0)[:, cols]
     if odd.size:
         body[odd, :odd_cells.shape[1]] = odd_cells
-    return [(body, size), tuple(cells[tail] for cells in _exponents())]  # none, or e-324 .. e+308
+    if not tail.any():
+        return [(body, size)]
+    return [(body, size), tuple(cells.take(tail, axis=0) for cells in _EXPONENTS)]
 
 
 def _text_cells(texts) -> tuple:
@@ -152,6 +175,9 @@ def _text_cells(texts) -> tuple:
 
 
 _named_cells = functools.cache(_text_cells)  # of a tuple of names
+# e-324 .. e+308 after "", made at import as the tables above are: made at the first write that
+# needs an exponent, it stayed among that write's freed arrays, and cli-files' peak RSS rose 3 MB.
+_EXPONENTS = _text_cells(["", *(f"e{e:+03}" for e in range(-324, 309))])
 
 
 def _cells(part, text) -> list:
@@ -160,23 +186,27 @@ def _cells(part, text) -> list:
     if isinstance(part, np.ndarray) and part.dtype == float:
         return _float_cells(part, text)
     if isinstance(part, _KindColumns):
-        return [tuple(cells[part.code] for cells in _named_cells(part.KINDS))]
+        return [tuple(cells.take(part.code, axis=0) for cells in _named_cells(part.KINDS))]
     if isinstance(part, np.ndarray) and part.dtype == np.uint8:
-        return [tuple(cells[part] for cells in _named_cells(tuple(map(str, range(256)))))]
+        names = _named_cells(tuple(map(str, range(256))))
+        return [tuple(cells.take(part, axis=0) for cells in names)]
     return [_text_cells([*map(text, part.tolist() if isinstance(part, np.ndarray) else part)])]
 
 
 def _join(parts: list, rows: int) -> np.ndarray:
     """The bytes of ``rows`` rows, each the concatenation of its cell of
-    every part: a (chars, lengths) pair, or bytes that every row holds."""
-    chars, keep = [], []
-    for part in parts:
+    every part: a (chars, lengths) pair, or bytes that every row holds.
+    The parts fill one byte matrix and its keep mask, compressed once."""
+    ends = np.cumsum([len(p) if isinstance(p, bytes) else p[1].max(initial=0) for p in parts])
+    chars, keep = np.empty((rows, ends[-1]), np.uint8), np.empty((rows, ends[-1]), bool)
+    for part, end, width in zip(parts, ends, np.diff(ends, prepend=0)):
+        at = slice(end - width, end)
         if isinstance(part, bytes):
-            part = np.frombuffer(part, np.uint8)[None], np.full(rows, len(part))
-        width = part[1].max(initial=0)
-        chars.append(np.broadcast_to(part[0][:, :width], (rows, width)))
-        keep.append(np.arange(width) < part[1][:, None])
-    return np.hstack(chars).ravel()[np.hstack(keep).ravel()]
+            chars[:, at], keep[:, at] = np.frombuffer(part, np.uint8), True
+        else:
+            chars[:, at] = part[0][:, :width]
+            keep[:, at] = (np.arange(width) < np.arange(width + 1)[:, None]).take(part[1], axis=0)
+    return chars.ravel()[keep.ravel()]
 
 
 def write_csv(path, header: list[str], columns) -> None:
@@ -358,17 +388,19 @@ def _read_columns(path, header: list[str], parse, table=None) -> list:
 
 def _survival_columns(est: StepSurvival, band: BootstrapBand | None) -> list:
     """The SURVIVAL_HEADER columns as float arrays, None for an absent
-    column; an undefined variance is masked, so it is written empty or null."""
-    times = est.jump_times
+    column; an undefined variance is masked, so it is written empty or null.
+    Without a band the estimate's own steps are the rows: its jump times
+    strictly increase, so a lookup at them would give the same values."""
+    times, survival, variance = est.jump_times, est.survival_values, est.variance_values
+    lower = upper = None
     if band is not None:
         times = np.union1d(times, band.times)
-    variance = None
-    if est.variance_values is not None:
-        variance = step_at(est.jump_times, est.variance_values, times, np.nan)
+        survival, lower, upper = est.survival_at(times), band.lower_at(times), band.upper_at(times)
+        if variance is not None:
+            variance = step_at(est.jump_times, variance, times, np.nan)
+    if variance is not None:
         variance = np.ma.masked_where(np.isnan(variance), variance, copy=False)
-    lower = band.lower_at(times) if band is not None else None
-    upper = band.upper_at(times) if band is not None else None
-    return [times, est.survival_at(times), variance, lower, upper]
+    return [times, survival, variance, lower, upper]
 
 
 def write_step_survival_csv(path, est: StepSurvival, band: BootstrapBand | None = None) -> None:

@@ -129,7 +129,7 @@ def segment_loglik(
     """
     window_length_checked(window_length)
     mu = dist.mean()
-    numer = _atom_weights(segments, dist.atoms, window_length) @ dist.masses
+    numer = _atom_weights(segments.check_window(), dist.atoms, window_length) @ dist.masses
     if np.any(numer <= 0.0):
         return -math.inf
     m_res = int(np.count_nonzero(segments.code >= 2))  # rc and rx: codes 2 and 3
@@ -192,7 +192,7 @@ def segment_marginal_loglik(
     numerators minus n log(w + mu). This is the objective the EM ascends.
     """
     window_length_checked(window_length)
-    weights = _possible_weights(segments, dist.atoms, window_length)
+    weights = _possible_weights(segments.check_window(), dist.atoms, window_length)
     numer = weights @ dist.masses
     if np.any(numer <= 0.0):
         return -math.inf
@@ -280,8 +280,9 @@ def laslett_em(
     tol: float = EM_DEFAULT_TOL,
 ) -> EmResult:
     """The segment NPMLE of ``segments`` on a fixed atom grid:
-    ``laslett_em_many`` on a batch of one, the lengths taken as they are."""
-    lengths, k = np.unique(segments.length, return_inverse=True)
+    ``laslett_em_many`` on a batch of one, the lengths taken as they are
+    once they are checked to be finite and positive."""
+    lengths, k = np.unique(segments.check_window().length, return_inverse=True)
     problem = _distinct_rows(segments.code, k, lengths)
     return laslett_em_many([problem], window_length, grid, max_iter, tol)[0]
 

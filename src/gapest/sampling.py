@@ -149,15 +149,19 @@ class Segments(_KindColumns):
     length: np.ndarray
     KINDS, ROW = SEGMENT_KINDS, "segment"
 
-    def check_window(self, w: float) -> Segments:
+    def check_window(self, w: float | None = None) -> Segments:
         """The segments, once lengths the window cannot produce are rejected:
         lengths that are not finite and positive, ``pc``, ``px`` and ``rc``
         lengths above w, and ``rx`` lengths other than w (up to 1e-12
         relative, as an ``rx`` length is computed as t2 - t1). The window
-        itself must be finite and positive."""
-        window_length_checked(w)
+        itself must be finite and positive. With no window, only the
+        lengths are checked to be finite and positive."""
         rx = self.code == 3  # SEGMENT_KINDS.index("rx")
-        fits = np.where(rx, np.abs(self.length - w) <= 1e-12 * w, self.length <= w)
+        if w is None:
+            fits = self.length < math.inf
+        else:
+            window_length_checked(w)
+            fits = np.where(rx, np.abs(self.length - w) <= 1e-12 * w, self.length <= w)
         bad = ~(fits & (self.length > 0.0))  # also true where the length is nan or inf
         if bad.any():
             k = int(np.argmax(bad))

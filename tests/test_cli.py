@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file round trips."""
 
+import ast
 import json
 import os
 import subprocess
@@ -511,3 +512,25 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_a_submodule_when_one_of_its_names_is_first_read():
+    code = ("import sys, gapest; gapest.parse_distribution('weibull:2:1'); "
+            "print(sorted(m for m in sys.modules if m.startswith('gapest')))")
+    src = str(Path(gapest.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    loaded = set(ast.literal_eval(out.stdout))
+    assert "gapest.distributions" in loaded
+    assert not loaded & {"gapest.npmle", "gapest.benchmark", "gapest.product_limit"}
+
+
+def test_package_names_read_their_submodule_at_each_access(monkeypatch):
+    # not cached: a patched submodule attribute is what the package gives
+    assert gapest.kaplan_meier is gapest.product_limit.kaplan_meier
+    monkeypatch.setattr(gapest.product_limit, "kaplan_meier", len)
+    assert gapest.kaplan_meier is len
+    assert {*gapest.__all__, "npmle", "sampling", "__version__"} <= set(dir(gapest))
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        gapest.nothing

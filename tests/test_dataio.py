@@ -1,11 +1,13 @@
 """On-disk formats: round trips and malformed-input reporting."""
 
 import csv
+import functools
 import json
 import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +22,21 @@ from gapest import (
     Pairs,
     Segments,
     WindowRecords,
+    apply_right_censoring,
     bootstrap_band,
     greenwood_variance,
     kaplan_meier,
     laslett_em,
+    palmer_cox,
     sample_equilibrium,
+    sample_pooled_segments,
+    sample_pooled_windows,
+    window_product_limit,
+    winter_foldes,
 )
 from gapest import dataio
+from gapest.distributions import step_at
+from gapest.product_limit import ESTIMATORS
 from gapest.sampling import SEGMENT_KINDS, WINDOW_KINDS
 
 from test_sampling import same
@@ -562,6 +572,120 @@ class TestFloatCells:
 
     def test_non_finite_values_take_the_given_text(self):
         self.assert_prints_as_repr(np.array([math.nan, 1.5, math.inf, -math.inf, -0.0]), json.dumps)
+
+
+def rop_oracle(g: int, cp: int) -> int:
+    """Schubfach's rop in Python integers, as Java computes it: g * cp / 2**127
+    for g = g1 * 2**63 + g0, from the high words of g0 * cp and g1 * cp and
+    the low word of g1 * cp, rounded to odd when any bit below is set."""
+    g1, g0 = divmod(g, 2**63)
+    z = (g1 * cp >> 1) + (g0 * cp >> 64)
+    return z >> 63 | (z % 2**63 != 0)
+
+
+@functools.cache
+def g_exact(k: int) -> int:
+    """floor(10**-k 2**(125 - floor(-k log2 10))) + 1, from exact fractions."""
+    floor_log2 = (10**-k).bit_length() - 1 if k <= 0 else -(10**k - 1).bit_length()
+    return math.floor(Fraction(10) ** -k * Fraction(2) ** (125 - floor_log2)) + 1
+
+
+def scaled_oracle(bits: int) -> tuple:
+    """(vbl, vb, vbr) of the positive normal double with these bits: one rop
+    each of cbl << h, cb << h and cbr << h, as Java's DoubleToDecimal has it."""
+    exponent, t = bits >> 52, bits & (2**52 - 1)
+    c, q, lopsided = t | 2**52, exponent - 1075, int(t == 0 and exponent > 1)
+    k = (q * 661971961083 - lopsided * 274743187321) >> 41
+    h = q + (-k * 913124641741 >> 38) + 2
+    return tuple(rop_oracle(g_exact(k), cb << h) for cb in (4 * c - 2 + lopsided, 4 * c, 4 * c + 2))
+
+
+class TestScaledProducts:
+    """_scaled forms one product per double and derives the interval ends
+    from it; each of vbl, vb and vbr must be the rop of its own product."""
+
+    @staticmethod
+    def assert_matches_oracle(bits: np.ndarray):
+        got = zip(*(v.tolist() for v in dataio._scaled(bits)[:3]))
+        assert list(got) == [scaled_oracle(b) for b in bits.tolist()]
+
+    def test_random_normal_doubles(self):
+        x = np.abs(np.random.default_rng(26).standard_normal(10**5))
+        self.assert_matches_oracle(x[x > 0].view(np.uint64))
+
+    def test_first_second_and_last_double_of_every_binade(self):
+        # the first double of every binade but the lowest is lopsided
+        starts = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+        self.assert_matches_oracle(np.concatenate([starts, starts + 1, starts + (2**52 - 1)]))
+
+    def test_doubles_whose_interval_ends_are_exact_decimals(self):
+        # c with 4c - 2 or 4c + 2 a multiple of 5**k: there the ends' products are whole, and a
+        # carry out of a low word decides the rounded result
+        rng, bits = np.random.default_rng(5), []
+        for exponent in range(1, 2047):
+            m = 5 ** (((exponent - 1075) * 661971961083) >> 41)
+            if 1 < m <= 2**50:
+                for end in (-2, 2):
+                    c0 = -end * pow(4, -1, m) % m
+                    js = rng.integers(-(-(2**52 - c0) // m), (2**53 - c0) // m, 20).tolist()
+                    bits += [exponent << 52 | c0 + j * m - 2**52 for j in js]
+        self.assert_matches_oracle(np.array(bits, dtype=np.uint64))
+
+
+def random_part(data, rows):
+    """A _join part and the bytes each row takes from it: constant bytes,
+    text cells as _text_cells makes them (inner and trailing NULs kept), or
+    a random byte matrix wider than its longest cell."""
+    kind = data.draw(st.sampled_from(["bytes", "text", "matrix"]))
+    if kind == "bytes":
+        const = data.draw(st.binary(max_size=4))
+        return const, [const] * rows
+    if kind == "text":
+        cell = st.text(st.sampled_from(["a", ",", "\0", "\u00e9"]), max_size=4)
+        texts = data.draw(st.lists(cell, min_size=rows, max_size=rows))
+        return dataio._text_cells(texts), [t.encode() for t in texts]
+    width = data.draw(st.integers(0, 6))
+    chars = np.frombuffer(data.draw(st.binary(min_size=rows * width, max_size=rows * width)),
+                          np.uint8).reshape(rows, width)
+    lengths = np.array(data.draw(st.lists(st.integers(0, width), min_size=rows, max_size=rows)),
+                       dtype=np.intp)
+    return (chars, lengths), [row[:n].tobytes() for row, n in zip(chars, lengths)]
+
+
+class TestJoin:
+    @given(data=st.data(), rows=st.integers(1, 6), n_parts=st.integers(1, 6))
+    def test_each_row_is_its_pieces_joined(self, data, rows, n_parts):
+        parts, pieces = zip(*(random_part(data, rows) for _ in range(n_parts)))
+        want = b"".join(b"".join(row) for row in zip(*pieces))
+        assert dataio._join(list(parts), rows).tobytes() == want
+
+
+def lookup_columns(est):
+    """The survival columns as a step lookup at the estimate's own jump times gives them."""
+    t = est.jump_times
+    variance = None if est.variance_values is None else step_at(t, est.variance_values, t, np.nan)
+    return [t, est.survival_at(t), variance]
+
+
+@pytest.mark.parametrize("fit", [
+    lambda p: greenwood_variance(kaplan_meier(p.q, p.censored, p.r)),
+    lambda p: greenwood_variance(winter_foldes(p)),
+    lambda p: ESTIMATORS["cv"].fit(Pairs(p.r, p.s, np.zeros(len(p), bool)), None),
+    lambda p: window_product_limit(sample_pooled_windows(Exponential(1.0), 0.0, 3.0, 80, 4)[0]),
+    lambda p: palmer_cox(sample_pooled_segments(2.0, Exponential(1.0), 0.0, 3.0, 40, 4)[0], 3.0),
+], ids=["kaplan_meier", "winter_foldes", "cox_vardi", "window_pl", "palmer_cox"])
+def test_survival_columns_without_a_band_are_the_lookups(fit):
+    pairs = apply_right_censoring(sample_equilibrium(Exponential(1.0), 300, seed=8),
+                                  Exponential(0.5), 9)
+    est = fit(pairs)
+    assert np.all(np.diff(est.jump_times) > 0)
+    cols = dataio._survival_columns(est, None)
+    for got, want in zip(cols, lookup_columns(est)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.ma.getdata(got).tobytes() == want.tobytes()
+            assert np.array_equal(np.ma.getmaskarray(got), np.isnan(want))
+    assert cols[3:] == [None, None]
 
 
 class TestStepSurvivalFiles:

@@ -12,6 +12,7 @@ one-parameter instances:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +495,24 @@ def test_em_inputs_must_be_finite(call, match, x):
 def test_em_problem_rejects_bad_atoms_before_snapping(atoms):
     with pytest.raises(EstimationError, match="^grid atoms must be finite and positive$"):
         npmle.em_problem(segments((PC, 0.5), (RX, 2.0)), 2.0, np.array(atoms))
+
+
+@pytest.mark.parametrize("call", [
+    lambda segs: laslett_em(segs, 2.0, [1.0, 3.0]),
+    lambda segs: segment_loglik(DiscreteDistribution([1.0, 3.0], [0.5, 0.5]), None, segs, 2.0),
+    lambda segs: segment_marginal_loglik(DiscreteDistribution([1.0, 3.0], [0.5, 0.5]), segs, 2.0),
+], ids=["laslett_em", "segment_loglik", "segment_marginal_loglik"])
+@pytest.mark.parametrize("lengths,message", [
+    ([1.0, math.nan, -5.0], "segment 1 (rx nan) is not finite"),
+    ([1.0, 2.0, -5.0], "segment 2 (rx -5.0) is not positive"),
+    ([1.0, math.inf, 2.0], "segment 1 (rx inf) is not finite"),
+    ([0.0, 2.0, 2.0], "segment 0 (pc 0.0) is not positive"),
+])
+def test_segment_fits_reject_lengths_that_are_not_finite_and_positive(call, lengths, message):
+    # the first row is the reproducer that laslett_em once fitted, converged, with masses
+    # [0.4545, 0.5455]; the window rules are left to em_problem and palmer_cox
+    with pytest.raises(EstimationError, match=re.escape(message)):
+        call(Segments(["pc", "rx", "rx"], lengths))
 
 
 class TestLaslettEm:
