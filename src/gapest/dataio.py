@@ -17,8 +17,8 @@ and ``json.dumps(indent=2)`` write.
 
 Readers report malformed rows with their line numbers. The pairs, window
 and segment readers check the file's bytes in blocks, then ``np.loadtxt``
-reads it and the columns are checked as arrays; their line-by-line loop
-runs only on a file that fails this, to word the error.
+reads it into the container, which checks every value; their line-by-line
+loop runs only on a file that fails this, to word the error.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ from .distributions import step_at
 from .errors import DataFormatError
 from .npmle import EmResult
 from .product_limit import BootstrapBand, StepSurvival
-from .sampling import (
-    SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords, _kind_codes, _KindColumns,
-)
+from .sampling import SEGMENT_KINDS, WINDOW_KINDS, Pairs, Segments, WindowRecords, _KindColumns
 
 PAIRS_HEADER = ["r", "s", "censored"]
 WINDOW_HEADER = ["kind", "value"]
@@ -238,11 +236,11 @@ def write_csv(path, header: list[str], columns) -> None:
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\n\r"
 
 
-def _parse_in_c(path: Path, header: list[str], dtype, columns):
-    """The columns of the file's data rows as np.loadtxt reads them from the
-    file, or None where the row loop must run: on other than plain bytes
-    (checked a block at a time), a header line other than ``header``, no
-    data rows (where loadtxt would warn), a ValueError or a failed check."""
+def _parse_in_c(path: Path, header: list[str], dtype, build):
+    """``build`` of the file's data rows as np.loadtxt reads them, or None
+    where the row loop must run: on other than plain bytes (checked a block
+    at a time), a header line other than ``header``, no data rows (where
+    loadtxt would warn), a ValueError, or fields that ``build`` refuses."""
     with open(path, "rb") as fh:
         block = fh.read(_READ_BLOCK)
         head = re.match(rb"[^\r\n]*", block)[0]
@@ -257,14 +255,10 @@ def _parse_in_c(path: Path, header: list[str], dtype, columns):
     try:  # like the loop, loadtxt skips empty lines
         table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
                            ndmin=1, encoding="ascii")
-    except ValueError:
+        fields = [table[name] for name in table.dtype.names]  # text is only compared, not copied
+        return build(*(f if f.dtype.kind == "U" else np.ascontiguousarray(f) for f in fields))
+    except ValueError:  # EstimationError included
         return None
-    fields = [table[name] for name in table.dtype.names]  # text is only compared, not copied
-    return columns(*(f if f.dtype.kind == "U" else np.ascontiguousarray(f) for f in fields))
-
-
-def _nonnegative(x: np.ndarray) -> bool:
-    return bool(((0 <= x) & (x < math.inf)).all())
 
 
 def _kind_table(kinds: tuple) -> np.dtype:
@@ -286,20 +280,18 @@ def _pair_row(row):
     return r, s, flag
 
 
-def _pair_columns(r, s, flag):
+def _pairs(r, s, flag):
     censored = flag == "1"
-    if _nonnegative(r) and _nonnegative(s) and (censored | (flag == "0")).all():
-        return [r, s, censored]
-    return None
+    return Pairs(r, s, censored) if (censored | (flag == "0")).all() else None
 
 
 # The flag is read as text, so that only the cells "0" and "1" skip the row
 # loop: numpy's integer parse reads "२" as 2360 where int() reads 2.
-_PAIRS_TABLE = np.dtype([("r", float), ("s", float), ("censored", "<U2")]), _pair_columns
+_PAIRS_DTYPE = np.dtype([("r", float), ("s", float), ("censored", "<U2")])
 
 
 def read_pairs_csv(path) -> Pairs:
-    return Pairs(*_read_columns(path, PAIRS_HEADER, _pair_row, _PAIRS_TABLE))
+    return _read_columns(path, PAIRS_HEADER, _pair_row, Pairs, _PAIRS_DTYPE, _pairs)
 
 
 def write_window_csv(path, obs: WindowRecords) -> None:
@@ -315,16 +307,8 @@ def _window_row(row):
     return kind, value
 
 
-def _window_columns(kind, value):
-    code = _kind_codes(kind, WINDOW_KINDS)
-    return [code, value] if (code >= 0).all() and _nonnegative(value) else None
-
-
-_WINDOW_TABLE = _kind_table(WINDOW_KINDS), _window_columns
-
-
 def read_window_csv(path) -> WindowRecords:
-    return WindowRecords(*_read_columns(path, WINDOW_HEADER, _window_row, _WINDOW_TABLE))
+    return _read_columns(path, WINDOW_HEADER, _window_row, WindowRecords, _kind_table(WINDOW_KINDS))
 
 
 def write_segments_csv(path, segments: Segments) -> None:
@@ -340,33 +324,24 @@ def _segment_row(row):
     return kind, length
 
 
-def _segment_columns(kind, length):
-    code = _kind_codes(kind, SEGMENT_KINDS)
-    positive = bool(((0 < length) & (length < math.inf)).all())
-    return [code, length] if (code >= 0).all() and positive else None
-
-
-_SEGMENTS_TABLE = _kind_table(SEGMENT_KINDS), _segment_columns
-
-
 def read_segments_csv(path) -> Segments:
-    return Segments(*_read_columns(path, SEGMENTS_HEADER, _segment_row, _SEGMENTS_TABLE))
+    return _read_columns(path, SEGMENTS_HEADER, _segment_row, Segments, _kind_table(SEGMENT_KINDS))
 
 
-def _read_columns(path, header: list[str], parse, table=None) -> list:
-    """The data rows of a CSV file as columns. ``parse`` converts one row
-    and raises ValueError on a bad one; errors carry the number of the file
-    line on which the bad row ends, as a quoted cell may span lines.
-
-    ``table`` is ``(dtype, columns)``: the rows are first parsed in C into
-    the fields of ``dtype``, and ``columns`` turns the fields into the
-    columns the row loop would return, or None if some row would fail
-    ``parse``. The row loop runs only where that fails, to word the error."""
+def _read_columns(path, header: list[str], parse, container, dtype=None, build=None):
+    """``container(*columns)`` of the data rows of a CSV file. ``parse``
+    converts one row and raises ValueError on a bad one; errors carry the
+    number of the file line on which the bad row ends, as a quoted cell may
+    span lines. Given a ``dtype``, the rows are first parsed in C into its
+    fields, and ``build`` (by default ``container``) makes of them what the
+    row loop's columns make, or refuses them (returns None or raises
+    ValueError) where some row would fail ``parse``: only then does the row
+    loop run, to word the error."""
     path = Path(path)
     try:
-        cols = None if table is None else _parse_in_c(path, header, *table)
-        if cols is not None:
-            return cols
+        records = None if dtype is None else _parse_in_c(path, header, dtype, build or container)
+        if records is not None:
+            return records
         text = path.read_text()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
@@ -383,7 +358,7 @@ def _read_columns(path, header: list[str], parse, table=None) -> list:
             parsed.append(parse(row))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{rows.line_num}: {exc}") from None
-    return list(zip(*parsed)) or [()] * len(header)
+    return container(*(list(zip(*parsed)) or [()] * len(header)))
 
 
 def _survival_columns(est: StepSurvival, band: BootstrapBand | None) -> list:
@@ -436,8 +411,8 @@ def _survival_row(row):
 
 
 def read_step_survival_csv(path) -> dict:
-    cols = _read_columns(path, SURVIVAL_HEADER, _survival_row)
-    return {name: list(col) for name, col in zip(SURVIVAL_HEADER, cols)}
+    return _read_columns(path, SURVIVAL_HEADER, _survival_row,
+                         lambda *cols: dict(zip(SURVIVAL_HEADER, map(list, cols))))
 
 
 def write_em_result_json(path, result: EmResult) -> None:

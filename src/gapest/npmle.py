@@ -129,7 +129,7 @@ def segment_loglik(
     """
     window_length_checked(window_length)
     mu = dist.mean()
-    numer = _atom_weights(segments.check_window(), dist.atoms, window_length) @ dist.masses
+    numer = _atom_weights(segments, dist.atoms, window_length) @ dist.masses
     if np.any(numer <= 0.0):
         return -math.inf
     m_res = int(np.count_nonzero(segments.code >= 2))  # rc and rx: codes 2 and 3
@@ -192,17 +192,19 @@ def segment_marginal_loglik(
     numerators minus n log(w + mu). This is the objective the EM ascends.
     """
     window_length_checked(window_length)
-    weights = _possible_weights(segments.check_window(), dist.atoms, window_length)
+    weights = _possible_weights(segments, dist.atoms, window_length)
     numer = weights @ dist.masses
     if np.any(numer <= 0.0):
         return -math.inf
     return float(np.sum(np.log(numer)) - len(segments) * math.log(window_length + dist.mean()))
 
 
-def bin_width_checked(bin_width: float) -> float:
-    """bin_width itself, once checked to be finite and positive."""
+def bin_width_checked(bin_width: float, span: float = 0.0) -> float:
+    """bin_width itself, checked finite and positive, cutting (0, span] into finitely many bins."""
     if not 0.0 < bin_width < math.inf:
         raise EstimationError(f"bin_width must be finite and positive, got {bin_width}")
+    if not float(span) / float(bin_width) < math.inf:
+        raise EstimationError(f"bin_width {bin_width} cuts (0, {span}] into too many bins")
     return bin_width
 
 
@@ -212,7 +214,7 @@ def bin_segments(segments: Segments, bin_width: float) -> Segments:
     Bins are left-open, so a length exactly at k h falls in the bin below.
     Kinds are unchanged.
     """
-    bin_width_checked(bin_width)
+    bin_width_checked(bin_width, np.max(segments.length, initial=0.0))
     mids = (np.ceil(segments.length / bin_width) - 1 + 0.5) * bin_width
     return Segments(segments.code, mids)
 
@@ -226,7 +228,7 @@ def default_grid(segments: Segments, window_length: float, bin_width: float) -> 
     if not segments:
         raise EstimationError("need at least one segment")
     top = float(segments.length.max()) + window_length_checked(window_length)
-    n_bins = max(1, math.ceil(top / bin_width_checked(bin_width)))
+    n_bins = max(1, math.ceil(top / bin_width_checked(bin_width, top)))
     return (np.arange(n_bins) + 0.5) * bin_width
 
 
@@ -281,8 +283,8 @@ def laslett_em(
 ) -> EmResult:
     """The segment NPMLE of ``segments`` on a fixed atom grid:
     ``laslett_em_many`` on a batch of one, the lengths taken as they are
-    once they are checked to be finite and positive."""
-    lengths, k = np.unique(segments.check_window().length, return_inverse=True)
+    (finite and positive, as ``Segments`` holds no others)."""
+    lengths, k = np.unique(segments.length, return_inverse=True)
     problem = _distinct_rows(segments.code, k, lengths)
     return laslett_em_many([problem], window_length, grid, max_iter, tol)[0]
 

@@ -254,9 +254,9 @@ def palmer_cox(segments: Segments, window_length: float) -> StepSurvival:
     sample is therefore invariant under time reversal, which just swaps the
     two singly censored kinds.
 
-    Lengths the window geometry cannot produce are rejected as malformed
-    input, and so is a window length that is not finite and positive
-    (``Segments.check_window``).
+    Lengths that the window cannot produce are rejected as malformed input
+    (``Segments.check_window``, which also needs a finite, positive window
+    length), as are lengths that are not finite and positive (``Segments``).
     """
     rows = _segment_rows(segments.check_window(window_length))
     if rows.times.size == 0:

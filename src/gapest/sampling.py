@@ -21,6 +21,7 @@ prefix of windows is not a smaller call. Both are exact in law.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -31,6 +32,9 @@ from .errors import EstimationError
 from .seeding import derived_rng
 
 _GAP_CHUNK = 8  # gaps drawn per round for each window still being filled
+# The most renewals, n_windows * w / mean, that sample_pooled_windows may expect: 100x the tests'
+# largest use. Past it a call would take gigabytes and minutes, or run until killed, not fail.
+WINDOW_MAX_RENEWALS = 5 * 10**7
 
 # The kind codes of window records and segments, as written in the CSVs.
 WINDOW_KINDS = ("complete", "censored", "forward", "empty")
@@ -61,17 +65,34 @@ class _Columns:
     or an index array gives a container. Iterating yields the one-row
     items, through ``__getitem__`` (the sequence protocol), and ``concat``
     joins containers and one-row items in order.
-    Building one converts the fields to DTYPES and checks any kind codes.
+    Building one converts the fields to DTYPES, of one shape, and holds each
+    to its RULES entry (finite and >= 0, or finite and > 0), so a container
+    never holds a value that its frame cannot produce.
     """
 
     __slots__ = ()
     DTYPES: ClassVar[tuple] = ()
+    RULES: ClassVar[tuple] = ()  # per field: None, or operator.ge or gt, to hold against 0
 
     def __post_init__(self):
-        # __match_args__ is the dataclass's tuple of field names, in order.
-        for name, dtype in zip(self.__match_args__, self.DTYPES):
-            col = np.asarray(getattr(self, name), dtype=dtype)
+        names = self.__match_args__  # the dataclass's field names, in order
+        cols = [np.asarray(getattr(self, n), dtype=d) for n, d in zip(names, self.DTYPES)]
+        if len({col.shape for col in cols}) > 1:
+            sizes = [col.size if col.ndim else "scalar" for col in cols]
+            raise EstimationError(f"columns {', '.join(names)} differ in length: {sizes}")
+        for name, col, rule in zip(names, cols, self.RULES):
             object.__setattr__(self, name, col if col.ndim else col.item())
+            if rule is None:
+                continue
+            lo, hi = col.min(initial=math.inf), col.max(initial=0.0)  # nan if any value is nan
+            if not (rule(lo, 0) and hi < math.inf):  # the first bad row, in its first rule's words
+                k = int(np.argmin(rule(col, 0) & (col < math.inf)))
+                broken = "is not positive" if rule is operator.gt else "is negative"
+                broken = broken if np.isfinite(np.ravel(col)[k]) else "is not finite"
+                raise EstimationError(f"{self._row(k, name)} {broken}")
+
+    def _row(self, k: int, name: str) -> str:
+        return f"{name} {np.ravel(getattr(self, name))[k]} at index {k}"
 
     def _columns(self) -> list:
         return [getattr(self, name) for name in self.__match_args__]
@@ -101,6 +122,7 @@ class Pairs(_Columns):
     s: np.ndarray
     censored: np.ndarray
     DTYPES: ClassVar[tuple] = (float, float, bool)
+    RULES: ClassVar[tuple] = (operator.ge, operator.ge, None)
 
     @property
     def q(self) -> np.ndarray:
@@ -139,6 +161,7 @@ class WindowRecords(_KindColumns):
     code: np.ndarray
     value: np.ndarray
     KINDS, ROW = WINDOW_KINDS, "record"
+    RULES: ClassVar[tuple] = (None, operator.ge)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -148,29 +171,24 @@ class Segments(_KindColumns):
     code: np.ndarray
     length: np.ndarray
     KINDS, ROW = SEGMENT_KINDS, "segment"
+    RULES: ClassVar[tuple] = (None, operator.gt)
 
-    def check_window(self, w: float | None = None) -> Segments:
-        """The segments, once lengths the window cannot produce are rejected:
-        lengths that are not finite and positive, ``pc``, ``px`` and ``rc``
-        lengths above w, and ``rx`` lengths other than w (up to 1e-12
-        relative, as an ``rx`` length is computed as t2 - t1). The window
-        itself must be finite and positive. With no window, only the
-        lengths are checked to be finite and positive."""
+    def _row(self, k: int, name: str = "length") -> str:
+        return f"segment {k} ({np.ravel(self.kind)[k]} {np.ravel(self.length)[k]})"
+
+    def check_window(self, w: float) -> Segments:
+        """The segments, once lengths the window w cannot produce are
+        rejected: ``pc``, ``px`` and ``rc`` lengths above w, and ``rx``
+        lengths other than w (up to 1e-12 relative, as an ``rx`` length is
+        computed as t2 - t1). The window must be finite and positive; the
+        lengths are, as the container holds no others."""
+        window_length_checked(w)
         rx = self.code == 3  # SEGMENT_KINDS.index("rx")
-        if w is None:
-            fits = self.length < math.inf
-        else:
-            window_length_checked(w)
-            fits = np.where(rx, np.abs(self.length - w) <= 1e-12 * w, self.length <= w)
-        bad = ~(fits & (self.length > 0.0))  # also true where the length is nan or inf
+        bad = ~np.where(rx, np.abs(self.length - w) <= 1e-12 * w, self.length <= w)
         if bad.any():
             k = int(np.argmax(bad))
-            broken = f"{'must equal' if rx[k] else 'exceeds'} the window {w}"
-            if not np.isfinite(self.length[k]):
-                broken = "is not finite"
-            elif self.length[k] <= 0.0:
-                broken = "is not positive"
-            raise EstimationError(f"segment {k} ({self.kind[k]} {self.length[k]}) {broken}")
+            broken = "must equal" if rx[k] else "exceeds"
+            raise EstimationError(f"{self._row(k)} {broken} the window {w}")
         return self
 
 
@@ -225,6 +243,9 @@ def sample_pooled_windows(
     w = window_length_checked(t2 - t1)
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
+    if (renewals := n_windows * w / dist.mean()) > WINDOW_MAX_RENEWALS:
+        raise EstimationError(f"window length {w} over {n_windows} windows expects {renewals:.3g} "
+                              f"renewals, more than WINDOW_MAX_RENEWALS = {WINDOW_MAX_RENEWALS}")
     rng = derived_rng(seed)
     v = dist.sample_equilibrium_recurrence(rng, n_windows)
     rounds = [(np.arange(n_windows), v, v)]  # (window, value, time) of each draw

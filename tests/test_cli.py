@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,32 @@ def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, message, 
     monkeypatch.setattr(gapest.cli.sampling, "sample_pooled_windows", exhausted)
     assert run(*WINDOW_SIMULATE, "--window", "1e12", "--out", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: out of memory: {shown}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--estimator", "em", "--window", "2", "--grid", "width=1e-320", "--in", "in.csv"),
+    ("bench", "compare", "--scheme", "segments", "--dist", "exp:1", "--n", "5", "--reps", "2",
+     "--window", "2", "--rate", "2", "--bin-width", "1e-320"),
+])
+def test_too_small_bin_width_is_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    # (0, 2] holds more than 1.8e308 bins of width 1e-320
+    monkeypatch.chdir(tmp_path)
+    Path("in.csv").write_text("kind,length\npc,0.5\nrx,2.0\n")
+    assert run(*argv, "--out", "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bin_width 1e-320 cuts (0, ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+
+def test_oversized_window_is_refused_before_sampling(tmp_path, capsys):
+    # 5 windows of length 1e12 expect 5e12 exp(1) renewals, far past the bound
+    start = time.perf_counter()
+    assert run(*WINDOW_SIMULATE, "--window", "1e12", "--out", str(tmp_path / "out")) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: window length 1000000000000.0 over 5 windows expects 5e+12 ")
+    assert err.count("\n") == 1
     assert not any(tmp_path.iterdir())
 
 

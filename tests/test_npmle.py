@@ -491,6 +491,19 @@ def test_em_inputs_must_be_finite(call, match, x):
         call(x)
 
 
+@pytest.mark.parametrize("call, span", [
+    (lambda h: bin_segments(segments((PC, 0.5), (RX, 2.0)), h), "2.0"),
+    (lambda h: npmle.em_problem(segments((PC, 0.5), (RX, 2.0)), 2.0, h), "2.0"),
+    # the binned lengths fit, but not the window that the grid adds on top
+    (lambda h: default_grid(segments((PC, 1e-10)), 2.0, h), "2.0000000001"),
+])
+def test_a_bin_width_too_small_to_count_its_bins_is_named(call, span):
+    # 2 / 1e-318 overflows to inf: no float counts the bins
+    message = f"bin_width 1e-318 cuts (0, {span}] into too many bins"
+    with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+        call(1e-318)
+
+
 @pytest.mark.parametrize("atoms", [[], [0.0, 1.0], [-1.0, 2.0]])
 def test_em_problem_rejects_bad_atoms_before_snapping(atoms):
     with pytest.raises(EstimationError, match="^grid atoms must be finite and positive$"):

@@ -391,9 +391,10 @@ def test_unknown_kind_codes_rejected(tag):
 @pytest.mark.parametrize("tag", ["palmer_cox", "em"])
 @pytest.mark.parametrize("kind, length", [("px", -1.0), ("rc", 0.0), ("pc", 0.0)])
 def test_segment_lengths_must_be_positive(tag, kind, length):
-    segs = Segments(["pc", kind, "pc", "px"], [0.625, length, 1.125, 0.3])
+    # the container rejects the length when it is built, before any fit
     message = re.escape(f"segment 1 ({kind} {length}) is not positive")
     with pytest.raises(EstimationError, match=message):
+        segs = Segments(["pc", kind, "pc", "px"], [0.625, length, 1.125, 0.3])
         npmle.em_problem(segs, 3.0, 0.25) if tag == "em" else ESTIMATORS[tag].fit(segs, 3.0)
 
 

@@ -5,10 +5,12 @@ Monte Carlo checks run against closed-form or quadrature oracles with
 """
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -27,6 +29,7 @@ from gapest import (
     sample_window_replicates,
 )
 
+from gapest import sampling
 from gapest.sampling import sample_pooled_segments
 from gapest.seeding import derived_rng
 
@@ -563,3 +566,122 @@ class TestKindCodes:
     def test_unknown_kinds_fail_when_built(self, container, kind, message):
         with pytest.raises(EstimationError, match=f"^{message}$"):
             container(kind, [1.0, 1.0, 1.0])
+
+
+# Per container, its float columns and whether each must be > 0 (else >= 0).
+FLOAT_RULES = {Pairs: {"r": False, "s": False}, WindowRecords: {"value": False},
+               Segments: {"length": True}}
+# Every edge of the rules: nan, both infinities, both zeros, subnormals, the
+# smallest normal and values near the largest double, and negatives.
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310,
+               2.2250738585072014e-308, 1e308, 1.7976931348623157e308, -1e308, -1.0, 1.0]
+FLOATS = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(EDGE_FLOATS) | st.floats()
+
+
+def broken_rule(value, positive):
+    """The words of the first rule that ``value`` breaks, or None."""
+    if not math.isfinite(value):
+        return "is not finite"
+    if value < 0.0 or (positive and value == 0.0):
+        return "is not positive" if positive else "is negative"
+    return None
+
+
+def expected_error(container, cols, offset=0):
+    """A regex for the error that building ``container`` from ``cols``
+    raises, with rows numbered from ``offset``, or None if it builds."""
+    names = container.__match_args__
+    if container is not Pairs:
+        unknown = [k for k, v in enumerate(cols[0]) if v not in container.KINDS]
+        if unknown:
+            return f"^{container.ROW} {offset + unknown[0]} has unknown kind "
+    if len({len(col) for col in cols}) > 1:
+        return r"^columns .* differ in length: \["
+    for name, col in zip(names, cols):
+        if name not in FLOAT_RULES[container]:
+            continue
+        for k, value in enumerate(col):
+            broken = broken_rule(value, FLOAT_RULES[container][name])
+            if broken is None:
+                continue
+            if container is Segments:
+                return rf"^segment {offset + k} \({cols[0][k]} \S+\) {broken}$"
+            return rf"^{name} \S+ at index {offset + k} {broken}$"
+    return None
+
+
+def assert_in_range(records):
+    for name, positive in FLOAT_RULES[type(records)].items():
+        col = np.asarray(getattr(records, name))
+        assert np.all(np.isfinite(col))
+        assert np.all(col > 0.0) if positive else np.all(col >= 0.0)
+
+
+class TestValueRules:
+    """Pairs hold r and s finite and >= 0, WindowRecords values finite and
+    >= 0, Segments lengths finite and > 0, all columns of one length: a
+    build, a slice, an item or a concat either holds only such values or
+    fails, naming the first bad row."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_every_build_holds_values_in_range_or_names_the_first_bad_row(self, data):
+        container = data.draw(st.sampled_from([Pairs, WindowRecords, Segments]))
+        n = data.draw(st.integers(0, 6))
+        fields = len(container.__match_args__)
+        sizes = [n] * fields  # now and then, columns of unequal length
+        if data.draw(st.integers(0, 7)) == 0:
+            sizes = data.draw(st.lists(st.integers(0, 6), min_size=fields, max_size=fields))
+        cells = {"censored": st.booleans(), "r": FLOATS, "s": FLOATS, "value": FLOATS,
+                 "length": FLOATS}
+        if container is not Pairs:
+            cells["code"] = st.sampled_from(container.KINDS)
+        cols = [data.draw(st.lists(cells[name], min_size=size, max_size=size))
+                for name, size in zip(container.__match_args__, sizes)]
+        if container is not Pairs and cols[0] and data.draw(st.integers(0, 7)) == 0:
+            cols[0][data.draw(st.integers(0, len(cols[0]) - 1))] = "zz"  # an unknown kind
+        # the same rows after a valid prefix, joined by concat
+        row = {Pairs: (1.0, 2.0, True), WindowRecords: ("empty", 3.0), Segments: ("rx", 3.0)}
+        m = data.draw(st.integers(0, 3))
+        prefix = container(*([value] * m for value in row[container]))
+        raw = SimpleNamespace(**dict(zip(container.__match_args__, cols)))
+        if container is not Pairs:  # concat joins codes, so the raw kinds go in as codes
+            raw.code = np.array([container.KINDS.index(v) if v in container.KINDS else 9
+                                 for v in cols[0]], dtype=np.int8)
+        for build, offset in ((lambda: container(*cols), 0),
+                              (lambda: container.concat([prefix, raw]), len(prefix))):
+            want = expected_error(container, cols, offset)
+            if want is None:
+                records = build()
+                rows = sizes[0] + offset
+                assert len(records) == rows
+                idx = np.array(data.draw(st.lists(st.integers(0, rows - 1), max_size=4))
+                               if rows else [], dtype=np.intp)
+                for part in (records, records[offset:], records[idx], *records):
+                    assert_in_range(part)
+            else:
+                with pytest.raises(EstimationError, match=want):
+                    build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Pairs([1.0, 2.0], [1.0], [False, False]),
+         "columns r, s, censored differ in length: [2, 1, 2]"),
+        (lambda: Segments(["pc", "pc", "px"], [1.0]), "columns code, length differ in length: [3, 1]"),
+        (lambda: WindowRecords(["complete"], [1.0, 2.0, 3.0]),
+         "columns code, value differ in length: [1, 3]"),
+        (lambda: Pairs(1.0, [2.0], False),
+         "columns r, s, censored differ in length: ['scalar', 1, 'scalar']"),
+    ])
+    def test_columns_of_unequal_length_fail_when_built(self, build, message):
+        with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_window_sampler_refuses_more_renewals_than_its_bound(monkeypatch):
+    # exp(1) gaps: 5 windows of length w expect 5 w renewals
+    monkeypatch.setattr(sampling, "WINDOW_MAX_RENEWALS", 10)
+    assert len(sample_pooled_windows(EXP1, 0.0, 2.0, 5, seed=1)[0]) >= 5
+    message = "window length 2.5 over 5 windows expects 12.5 renewals, more than"
+    for sampler in (sample_pooled_windows, sample_window_replicates):
+        with pytest.raises(EstimationError, match=f"^{message}"):
+            sampler(EXP1, 0.0, 2.5, 5, seed=1)
