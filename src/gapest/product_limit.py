@@ -342,12 +342,12 @@ ESTIMATORS = {
 
 
 def _mass_survival(atoms, counts):
-    """Survival columns of ``cox_vardi``'s masses count/atom, one per column of
-    counts. Masses and tails are running sums, which the zero counts of
-    undrawn atoms leave unchanged, so a column equals the fit on its
-    resample bitwise; before its first drawn atom a column is 1."""
-    tails = _tail_sums(normalised((counts / atoms[:, None]).T)).T
-    return np.where(np.logical_or.accumulate(counts > 0, axis=0), tails, 1.0)
+    """Survival rows of ``cox_vardi``'s masses count/atom, one per row of
+    (replicates, atoms) counts. Masses and tails are running sums along a
+    row, which the zero counts of undrawn atoms leave unchanged, so a row
+    equals the fit on its resample bitwise; before its first drawn atom it is 1."""
+    tails = _tail_sums(normalised(counts / atoms))
+    return np.where(np.arange(atoms.size) >= np.argmax(counts > 0, axis=1)[:, None], tails, 1.0)
 
 
 def _sorted_quantile(values, q):
@@ -385,10 +385,11 @@ def bootstrap_band(
     (seed, b, retry), retry = 1, 2, ..., up to BOOTSTRAP_MAX_RETRIES times,
     and ``failures`` counts the redraws. A chunk of replicates (sized by
     BOOTSTRAP_CHUNK_BYTES) is one index matrix; one ``bincount`` of its
-    units' slots (their rows' places in ``_counter``'s exit order) gives a
-    (rows, replicates) weight matrix, counted by one ``cumsum`` at the event
-    times of the whole data. A factor 1 - d/max(Y, 1) is exactly 1 where
-    d = 0, so each replicate equals the estimator run on its resample, bitwise.
+    units' slots gives each replicate's counts in a row. A slot is the place
+    of the unit's row in ``_counter``'s exit order, counted by one ``cumsum``
+    at the event times of the whole data (a factor 1 - d/max(Y, 1) is 1 where
+    d = 0), or for ``cox_vardi``, whose rows are all events entered at 0, its
+    atom (``_mass_survival``). Each replicate equals its resample's fit, bitwise.
 
     The band is evaluated on ``grid`` if given (its points must be
     finite), otherwise on the pooled jump times of all replicates
@@ -418,18 +419,23 @@ def bootstrap_band(
     row.fit(data, window_length)  # rejects invalid input before any draw
     rows = row.rows(data)
     n = len(data)
-    event_times, order, counts = _counter(rows.times, rows.censored, rows.entry)
-    slot = np.full(n, order.size)  # units without a row share a spare last slot
-    slot[rows.unit[order]] = np.arange(order.size)
-    weights = rows.weights[order, None] if rows.weights.max() > 1 else None
+    if mass := estimator == "cox_vardi":  # a row's slot: its atom, or its place in exit order
+        event_times, place = np.unique(rows.times, return_inverse=True)
+    else:
+        event_times, order, counts = _counter(rows.times, rows.censored, rows.entry)
+        place = np.argsort(order)
+        weights = rows.weights[order, None] if rows.weights.max() > 1 else None
+    slots = place.max() + 2  # units without a row share a spare last slot
+    slot = np.full(n, slots - 1)
+    slot[rows.unit] = place
 
     def tally(idx):
-        # one bincount of slot * m + replicate: each column's rows in exit order
+        # one bincount of slot + slots * replicate: replicate-major rows, read as (slots, m)
         m = len(idx)
-        keys = (slot * m)[idx]
-        keys += np.arange(m)[:, None]
-        w = np.bincount(keys.ravel(), minlength=(order.size + 1) * m).reshape(-1, m)[:-1]
-        return counts(w if weights is None else w * weights)
+        keys = slot[idx]
+        keys += slots * np.arange(m)[:, None]
+        w = np.bincount(keys.ravel(), minlength=slots * m).reshape(m, slots).T[:-1]
+        return (w, None) if mass else counts(w if weights is None else w * weights)
 
     survival = np.empty((event_times.size + 1, B))
     survival[0] = 1.0  # the value before the first event time
@@ -455,8 +461,8 @@ def bootstrap_band(
         if redraw.size:
             d, y = tally(idx)
         jumped |= d.any(axis=1)
-        if estimator == "cox_vardi":
-            survival[1:, lo:lo + m] = _mass_survival(event_times, d)
+        if mass:
+            survival[1:, lo:lo + m] = _mass_survival(event_times, d.T).T
         else:
             np.cumprod(1.0 - d / np.maximum(y, 1), axis=0, out=survival[1:, lo:lo + m])
 

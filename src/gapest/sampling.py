@@ -35,6 +35,8 @@ _GAP_CHUNK = 8  # gaps drawn per round for each window still being filled
 # The most renewals, n_windows * w / mean, that sample_pooled_windows may expect: 100x the tests'
 # largest use. Past it a call would take gigabytes and minutes, or run until killed, not fail.
 WINDOW_MAX_RENEWALS = 5 * 10**7
+# The most births, n_windows * rate * (mean + w), that sample_pooled_segments may expect: as above.
+SEGMENT_MAX_BIRTHS = 2 * 10**7
 
 # The kind codes of window records and segments, as written in the CSVs.
 WINDOW_KINDS = ("complete", "censored", "forward", "empty")
@@ -105,12 +107,12 @@ class _Columns:
 
     @classmethod
     def concat(cls, parts):
-        """One container holding the rows of ``parts`` in order."""
-        # hstack, unlike concatenate, also takes the scalar fields of one-row items.
-        return cls(*(
-            np.hstack([getattr(p, name) for p in parts] or [np.empty(0, dtype)])
-            for name, dtype in zip(cls.__match_args__, cls.DTYPES)
-        ))
+        """One container holding the rows of ``parts`` in order, by ``np.hstack`` per field, or by
+        ``np.array`` if all are one-row items (list input; goes with it in ROADMAP item 1)."""
+        cols = [[getattr(p, name) for p in parts] for name in cls.__match_args__]
+        if all(isinstance(x, (int, float)) for x in cols[0]):
+            return cls(*(np.array(col, dtype) for col, dtype in zip(cols, cls.DTYPES)))
+        return cls(*map(np.hstack, cols))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -304,6 +306,9 @@ def sample_pooled_segments(
         raise ValueError(f"birth_rate must be finite and positive, got {birth_rate}")
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
+    if (births := n_windows * birth_rate * (dist.mean() + w)) > SEGMENT_MAX_BIRTHS:
+        raise EstimationError(f"window length {w} over {n_windows} windows expects {births:.3g} "
+                              f"births, more than SEGMENT_MAX_BIRTHS = {SEGMENT_MAX_BIRTHS}")
     rng = derived_rng(seed)
     alive, born = rng.poisson(birth_rate * np.array([dist.mean(), w]), size=(n_windows, 2)).T
     q = dist.sample_length_biased(rng, alive.sum())

@@ -381,6 +381,32 @@ def test_oversized_window_is_refused_before_sampling(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_oversized_segment_window_is_refused_before_sampling(tmp_path, capsys):
+    # 5 windows of length 1e12 at rate 2 expect 1e13 exp(1) births, far past the bound
+    start = time.perf_counter()
+    argv = ("simulate", "--scheme", "segments", "--dist", "exp:1", "--window", "1e12",
+            "--rate", "2", "--n", "5", "--out", str(tmp_path / "out"))
+    assert run(*argv) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: window length 1000000000000.0 over 5 windows expects 1e+13 ")
+    assert "SEGMENT_MAX_BIRTHS" in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_bin_width_making_too_many_atoms_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # (0, 4] holds 4e300 bins of width 1e-300: refused before any is made
+    monkeypatch.chdir(tmp_path)
+    Path("segs.csv").write_text("kind,length\npc,0.5\nrx,2.0\n")
+    argv = ("estimate", "--estimator", "em", "--in", "segs.csv", "--window", "2",
+            "--grid", "width=1e-300", "--out", "out")
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bin_width 1e-300 cuts (0, ") and err.count("\n") == 1
+    assert f"bins, more than EM_MAX_ATOMS = {npmle.EM_MAX_ATOMS}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["segs.csv"]
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "5"),
     ("estimate", "--estimator", "wf", "--in", "in.csv"),

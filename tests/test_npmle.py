@@ -504,6 +504,20 @@ def test_a_bin_width_too_small_to_count_its_bins_is_named(call, span):
         call(1e-318)
 
 
+@pytest.mark.parametrize("call, top", [
+    (lambda h: default_grid(segments((PC, 0.5), (RX, 2.0)), 2.0, h), "4.0"),
+    # the top atom comes from the binned lengths: the bin of 2.0 has midpoint 2 - h/2
+    (lambda h: npmle.em_problem(segments((PC, 0.5), (RX, 2.0)), 2.0, h)[0], "3.875"),
+], ids=["default_grid", "em_problem"])
+def test_a_bin_width_making_more_atoms_than_the_bound_is_named(monkeypatch, call, top):
+    # (0, 4] at widths 0.5 and 0.25: 8 and 16 atoms, against a bound of 8
+    monkeypatch.setattr(npmle, "EM_MAX_ATOMS", 8)
+    assert call(0.5).size == 8
+    message = f"bin_width 0.25 cuts (0, {top}] into 16 bins, more than EM_MAX_ATOMS = 8"
+    with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+        call(0.25)
+
+
 @pytest.mark.parametrize("atoms", [[], [0.0, 1.0], [-1.0, 2.0]])
 def test_em_problem_rejects_bad_atoms_before_snapping(atoms):
     with pytest.raises(EstimationError, match="^grid atoms must be finite and positive$"):

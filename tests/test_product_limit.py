@@ -769,6 +769,21 @@ class TestBootstrapBand:
             patch.setattr("gapest.product_limit.BOOTSTRAP_CHUNK_BYTES", 8 * 15 * chunk)
             assert_same_band(bootstrap_band(pairs, "winter_foldes", B, seed), want)
 
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+    def test_cox_vardi_equals_the_loop_reference_at_every_chunk_size(self, B, seed, data):
+        # q = r + s on a lattice of quarters, with the first pair repeated, so
+        # some atoms hold several units; the grid is given, or the jump times
+        n = data.draw(st.integers(1, 15))
+        r = data.draw(st.lists(LATTICE, min_size=n, max_size=n))
+        s = data.draw(st.lists(st.integers(1, 6).map(lambda k: k / 4.0), min_size=n, max_size=n))
+        pairs = Pairs(r + r[:1], s + s[:1], [False] * (n + 1))
+        grid = data.draw(st.none() | st.lists(st.floats(0.0, 5.0), max_size=6))
+        chunk = data.draw(st.integers(1, B + 1))
+        want = band_by_loop(pairs, "cox_vardi", B, seed, grid=grid)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("gapest.product_limit.BOOTSTRAP_CHUNK_BYTES", 8 * (n + 1) * chunk)
+            assert_same_band(bootstrap_band(pairs, "cox_vardi", B, seed, grid=grid), want)
+
     @pytest.mark.parametrize("estimator", ["winter_foldes", "window_pl", "palmer_cox"])
     def test_censored_exits_tied_with_events_equal_the_loop_reference(self, estimator):
         # every event time is also a censored exit, and the window and

@@ -528,6 +528,38 @@ def test_window_length_must_be_finite(t2):
         Segments(["pc"], [1.0]).check_window(t2)
 
 
+# Valid cells of each field: any float the field's rule admits, -0.0 included.
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+VALID_CELLS = {
+    Pairs: (NONNEGATIVE, NONNEGATIVE, st.booleans()),
+    WindowRecords: (st.integers(0, 3), NONNEGATIVE),
+    Segments: (st.integers(0, 3), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+}
+
+
+@given(data=st.data())
+def test_concat_of_items_and_containers_equals_the_joined_columns(data):
+    # each run of rows goes in as one-row items, a container (maybe empty) or
+    # both mixed; a list of items alone takes the one-array-per-field branch
+    container = data.draw(st.sampled_from(list(VALID_CELLS)))
+    n = data.draw(st.integers(0, 12))
+    cols = [data.draw(st.lists(cell, min_size=n, max_size=n)) for cell in VALID_CELLS[container]]
+    records = container(*cols)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))
+    as_items = data.draw(st.sampled_from(["all", "none", "mixed"]))
+    parts = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        if as_items == "all" or (as_items == "mixed" and data.draw(st.booleans())):
+            parts += [records[i] for i in range(lo, hi)]
+        else:
+            parts.append(records[lo:hi])
+    got = container.concat(parts)
+    for col, want in zip(got._columns(), records._columns()):
+        assert col.dtype == want.dtype and col.tobytes() == want.tobytes()
+    for col, want in zip(container.concat([])._columns(), records[:0]._columns()):
+        assert col.dtype == want.dtype and col.shape == (0,)
+
+
 class TestKindCodes:
     """WindowRecords and Segments store each kind as its int8 index in
     KINDS, checked once when the container is built."""
@@ -685,3 +717,13 @@ def test_window_sampler_refuses_more_renewals_than_its_bound(monkeypatch):
     for sampler in (sample_pooled_windows, sample_window_replicates):
         with pytest.raises(EstimationError, match=f"^{message}"):
             sampler(EXP1, 0.0, 2.5, 5, seed=1)
+
+
+def test_segment_sampler_refuses_more_births_than_its_bound(monkeypatch):
+    # exp(1) lifetimes at rate 2: 5 windows of length w expect 10 (1 + w) births
+    monkeypatch.setattr(sampling, "SEGMENT_MAX_BIRTHS", 30)
+    assert len(sample_pooled_segments(2.0, EXP1, 0.0, 2.0, 5, seed=1)[0]) >= 1
+    message = "window length 2.5 over 5 windows expects 35 births, more than SEGMENT_MAX_BIRTHS = 30"
+    for sampler in (sample_pooled_segments, sample_segment_replicates):
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            sampler(2.0, EXP1, 0.0, 2.5, 5, seed=1)
