@@ -214,10 +214,10 @@ def bin_segments(segments: Segments, bin_width: float) -> Segments:
     """Map every length onto the midpoint of its bin ((k h, (k+1) h] -> (k+0.5) h).
 
     Bins are left-open, so a length exactly at k h falls in the bin below.
-    Kinds are unchanged.
+    Kinds are unchanged. A length so small that length / h underflows to 0 is in bin 0.
     """
     bin_width_checked(bin_width, np.max(segments.length, initial=0.0))
-    mids = (np.ceil(segments.length / bin_width) - 1 + 0.5) * bin_width
+    mids = (np.maximum(np.ceil(segments.length / bin_width) - 1, 0) + 0.5) * bin_width
     return Segments(segments.code, mids)
 
 
@@ -227,13 +227,9 @@ def default_grid(segments: Segments, window_length: float, bin_width: float) -> 
     Extending the atoms one window length past the data leaves room for the
     lifetimes that are longer than anything observable in full. At most EM_MAX_ATOMS bins.
     """
-    return _bin_midpoints(segments.length, window_length, bin_width)
-
-
-def _bin_midpoints(lengths: np.ndarray, window_length: float, bin_width: float) -> np.ndarray:
-    if lengths.size == 0:
+    if not segments:
         raise EstimationError("need at least one segment")
-    top = float(lengths.max()) + window_length_checked(window_length)
+    top = float(segments.length.max()) + window_length_checked(window_length)
     n_bins = max(1, math.ceil(top / bin_width_checked(bin_width, top)))
     if n_bins > EM_MAX_ATOMS:
         raise EstimationError(f"bin_width {bin_width} cuts (0, {top}] into {n_bins:.3g} bins, "
@@ -262,18 +258,18 @@ def em_problem(segments: Segments, window_length: float, grid):
     """The atoms and the (distinct rows, counts) problem of ``segments``
     that ``laslett_em_many`` fits; every segment EM problem is built here.
 
-    ``grid`` is a bin width h: a length is keyed by its bin k = ceil(length
-    / h) - 1, and the atoms are the ``default_grid`` of the bins' midpoints
-    (``bin_segments``). Or ``grid`` is an array of atoms: each proper
+    ``grid`` is a bin width h: the lengths are binned (``bin_segments``),
+    the atoms are their ``default_grid``, and a binned length (k + 1/2) h
+    is keyed by its bin k. Or ``grid`` is an array of atoms: each proper
     complete length moves onto the atom whose cell (lo, hi] holds it, the
     cells ending halfway between atoms and half a spacing past the end ones
     (a one-atom cell is empty; ``laslett_em_many`` rejects a length outside
     every cell), and ``np.unique`` keys the lengths."""
     code = segments.check_window(window_length).code
     if np.ndim(grid) == 0:
-        k = np.ceil(segments.length / bin_width_checked(grid, segments.length.max(initial=0.0))) - 1
-        atoms = _bin_midpoints((k + 0.5) * grid, window_length, grid)
-        return atoms, _distinct_rows(code, k.astype(np.intp), atoms)
+        binned = bin_segments(segments, grid)
+        atoms = default_grid(binned, window_length, grid)
+        return atoms, _distinct_rows(code, (binned.length / grid).astype(np.intp), atoms)
     atoms = _grid_atoms(grid)
     mirrored = np.pad(atoms, 1, mode="reflect", reflect_type="odd")
     k = np.searchsorted((mirrored[1:] + mirrored[:-1]) / 2, segments.length) - 1

@@ -35,7 +35,8 @@ _GAP_CHUNK = 8  # gaps drawn per round for each window still being filled
 # The most renewals, n_windows * w / mean, that sample_pooled_windows may expect: 100x the tests'
 # largest use. Past it a call would take gigabytes and minutes, or run until killed, not fail.
 WINDOW_MAX_RENEWALS = 5 * 10**7
-# The most births, n_windows * rate * (mean + w), that sample_pooled_segments may expect: as above.
+# The most births, n_windows * rate * (mean + w), that sample_pooled_segments may expect: 100x the
+# tests' largest use. Births only: the padded keys grow as n_windows * the most births in a window.
 SEGMENT_MAX_BIRTHS = 2 * 10**7
 
 # The kind codes of window records and segments, as written in the CSVs.

@@ -394,6 +394,17 @@ def test_oversized_segment_window_is_refused_before_sampling(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_em_bins_a_subnormal_length_with_the_other_lengths_of_its_bin(tmp_path):
+    # at width 3, 5e-324 and 1.0 both lie in the first bin (0, 3]
+    for name, length in (("tiny", "5e-324"), ("one", "1.0")):
+        (tmp_path / f"{name}.csv").write_text(f"kind,length\npc,{length}\npx,{length}\nrx,2\n")
+        assert run("estimate", "--estimator", "em", "--in", str(tmp_path / f"{name}.csv"),
+                   "--window", "2", "--grid", "width=3", "--out", str(tmp_path / f"{name}.json")) == 0
+    tiny = json.loads((tmp_path / "tiny.json").read_text())
+    assert tiny == json.loads((tmp_path / "one.json").read_text())
+    assert tiny["atoms"] == [1.5, 4.5]
+
+
 def test_bin_width_making_too_many_atoms_is_one_error_line(tmp_path, capsys, monkeypatch):
     # (0, 4] holds 4e300 bins of width 1e-300: refused before any is made
     monkeypatch.chdir(tmp_path)

@@ -518,6 +518,16 @@ def test_a_bin_width_making_more_atoms_than_the_bound_is_named(monkeypatch, call
         call(0.25)
 
 
+@pytest.mark.parametrize("kind", [PC, PX, RC])
+def test_a_length_whose_ratio_to_the_bin_width_underflows_is_in_the_first_bin(kind):
+    # 5e-324 / 3 is 0.0, so ceil(length / h) - 1 would be bin -1
+    atoms, (rows, counts) = npmle.em_problem(segments((kind, 5e-324)), 2.0, 3.0)
+    assert atoms.tolist() == [1.5, 4.5]
+    assert rows.kind.tolist() == [kind] and rows.length.tolist() == [1.5]
+    assert counts.tolist() == [1]
+    assert bin_segments(segments((kind, 5e-324)), 3.0).length.tolist() == [1.5]
+
+
 @pytest.mark.parametrize("atoms", [[], [0.0, 1.0], [-1.0, 2.0]])
 def test_em_problem_rejects_bad_atoms_before_snapping(atoms):
     with pytest.raises(EstimationError, match="^grid atoms must be finite and positive$"):
