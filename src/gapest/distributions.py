@@ -73,12 +73,14 @@ def atom_lookup(atoms, t):
     return idx, atoms[idx] == t
 
 
-def normalised(weights):
-    """Nonnegative ``weights`` over their total along the last axis: the one
+def normalised(weights, axis=-1):
+    """Nonnegative ``weights`` over their total along ``axis``: the one
     division that makes the masses of a discrete law. The total is the
     running sum, which exact zeros cannot change, so zero weights inserted
     anywhere leave every other mass bitwise the same."""
-    return weights / np.cumsum(weights, axis=-1)[..., -1:]
+    if axis == 0 and weights.ndim == 2 and weights.shape[1] > 1 and weights.flags.c_contiguous:
+        return weights / np.add.reduce(weights, axis=0)  # row by row; one column goes pairwise
+    return weights / np.cumsum(weights, axis=axis).take([-1], axis=axis)
 
 
 class GapDistribution:

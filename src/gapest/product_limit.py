@@ -63,7 +63,7 @@ class StepSurvival:
         The value at atom i is the tail sum of the masses above it, so it
         never goes below zero and ends at exactly 0.
         """
-        return cls(jump_times=atoms, survival_values=_tail_sums(masses))
+        return cls(jump_times=atoms, survival_values=_tail_sums(masses, np.empty(np.shape(masses))))
 
     def survival_at(self, t):
         """Evaluate the step function right-continuously (vectorized)."""
@@ -73,13 +73,12 @@ class StepSurvival:
         return 1.0 - self.survival_at(t)
 
 
-def _tail_sums(masses):
-    """Along the last axis, the sum of the masses after each one, summed
-    from the last mass down, so exact zeros leave every sum unchanged."""
-    masses = np.asarray(masses, dtype=float)
-    tails = np.zeros(masses.shape)
-    tails[..., :-1] = np.cumsum(masses[..., :0:-1], axis=-1)[..., ::-1]
-    return tails
+def _tail_sums(masses, out):
+    """``out``, holding down its first axis the sum of the masses after each
+    one, summed from the last mass down, so exact zeros leave every sum unchanged."""
+    out[-1:] = 0.0
+    np.cumsum(np.asarray(masses, dtype=float)[:0:-1], axis=0, out=out[-2::-1])
+    return out
 
 
 class _Pooled(NamedTuple):
@@ -341,13 +340,13 @@ ESTIMATORS = {
 }
 
 
-def _mass_survival(atoms, counts):
-    """Survival rows of ``cox_vardi``'s masses count/atom, one per row of
-    (replicates, atoms) counts. Masses and tails are running sums along a
-    row, which the zero counts of undrawn atoms leave unchanged, so a row
-    equals the fit on its resample bitwise; before its first drawn atom it is 1."""
-    tails = _tail_sums(normalised(counts / atoms))
-    return np.where(np.arange(atoms.size) >= np.argmax(counts > 0, axis=1)[:, None], tails, 1.0)
+def _mass_survival(atoms, counts, out):
+    """Into ``out``, survival columns of ``cox_vardi``'s masses count/atom, one
+    per column of (atoms, replicates) counts. Masses and tails are running sums
+    down a column, which the zero counts of undrawn atoms leave unchanged, so a
+    column equals the fit on its resample bitwise; before its first drawn atom it is 1."""
+    _tail_sums(normalised(np.divide(counts, atoms[:, None], order="C"), axis=0), out)
+    np.copyto(out, 1.0, where=np.arange(atoms.size)[:, None] < np.argmax(counts > 0, axis=0))
 
 
 def _sorted_quantile(values, q):
@@ -462,7 +461,7 @@ def bootstrap_band(
             d, y = tally(idx)
         jumped |= d.any(axis=1)
         if mass:
-            survival[1:, lo:lo + m] = _mass_survival(event_times, d.T).T
+            _mass_survival(event_times, d, survival[1:, lo:lo + m])
         else:
             np.cumprod(1.0 - d / np.maximum(y, 1), axis=0, out=survival[1:, lo:lo + m])
 

@@ -36,7 +36,7 @@ _GAP_CHUNK = 8  # gaps drawn per round for each window still being filled
 # largest use. Past it a call would take gigabytes and minutes, or run until killed, not fail.
 WINDOW_MAX_RENEWALS = 5 * 10**7
 # The most births, n_windows * rate * (mean + w), that sample_pooled_segments may expect: 100x the
-# tests' largest use. Births only: the padded keys grow as n_windows * the most births in a window.
+# tests' largest use. The sampler's memory is linear in births plus windows.
 SEGMENT_MAX_BIRTHS = 2 * 10**7
 
 # The kind codes of window records and segments, as written in the CSVs.
@@ -288,6 +288,17 @@ def sample_segment_replicates(
     return _split(*sample_pooled_segments(birth_rate, dist, t1, t2, n_windows, seed))
 
 
+def _birth_order(window, b):
+    """``np.lexsort((b, window))`` in O(n + windows) memory: one sort of the distinct keys
+    window * n + rank of b, alike on any kernel. Equal b (-0.0, 0.0 too) rank in draw order."""
+    by_b = np.argsort(b)
+    if (b[by_b[1:]] == b[by_b[:-1]]).any():
+        by_b = np.argsort(b, kind="stable")
+    rank = np.empty_like(by_b)
+    rank[by_b] = np.arange(b.size)
+    return np.argsort(window * b.size + rank)
+
+
 def sample_pooled_segments(
     birth_rate: float, dist: GapDistribution, t1: float, t2: float, n_windows: int, seed: int
 ) -> tuple[Segments, np.ndarray]:
@@ -299,8 +310,7 @@ def sample_pooled_segments(
     split at a uniform age; Cox 1962), and those inside are Poisson(rate * w)
     at uniform positions. In array passes over all windows, the one stream
     derived_rng(seed) draws both counts, lifetimes and ages, then positions
-    and lifetimes, so window k depends on n_windows too. One stable sort of
-    each (group, window) block puts the births in order.
+    and lifetimes, so window k depends on n_windows too.
     """
     w = window_length_checked(t2 - t1)
     if not 0.0 < birth_rate < math.inf:
@@ -315,20 +325,11 @@ def sample_pooled_segments(
     q = dist.sample_length_biased(rng, alive.sum())
     age = rng.uniform(size=q.size) * q
     position = rng.uniform(0.0, w, size=born.sum())
-    # Birth times b relative to t1 and lifetimes x, in (group, window) blocks;
-    # each block's b, nan-padded, is a matrix row. Its alive row, then its born
-    # row, give np.lexsort((b, window)) of a window, as alive b <= 0 <= born b.
+    # Birth times b relative to t1 and lifetimes x, in (group, window) blocks
+    window = np.repeat(np.tile(np.arange(n_windows), 2), np.append(alive, born))
     b, x = np.append(-age, position), np.append(q, dist.sample(rng, position.size))
-    count = np.append(alive, born)
-    start = np.cumsum(count) - count
-    width = count.max()
-    keys = np.full(count.size * width, np.nan)
-    keys[np.arange(b.size) + np.repeat(np.arange(count.size) * width - start, count)] = b
-    col = np.argsort(keys.reshape(count.size, width), axis=1, kind="stable")
-    first = (start[:, None] + col).reshape(2, n_windows, width).transpose(1, 0, 2)
-    real = (np.arange(width) < count[:, None]).reshape(2, n_windows, width).transpose(1, 0, 2)
-    order = first[real]
-    window, b, x = np.repeat(np.arange(n_windows), alive + born), b[order], x[order]
+    order = _birth_order(window, b)
+    window, b, x = window[order], b[order], x[order]
     d = b + x
     # 0 pc, 1 px, 2 rc, 3 rx: born before the window start (residual),
     # dying after its end (censored). A pc length is the lifetime itself.
