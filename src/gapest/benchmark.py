@@ -159,10 +159,9 @@ def mc_compare(config: McConfig) -> McReport:
 
     A replicate is reduced as soon as it is sampled, to each estimator's
     cdf on the grid or, for ``em``, to ``npmle.em_problem``. The EM problems
-    that share a grid are fitted in one ``npmle.laslett_em_many`` batch, so
-    a fit can differ from a lone ``laslett_em`` fit in the low bits; a
-    config always gives the same report. ``em_fits`` has the fits' steps
-    (min, median, max), how many were certified and the largest gap."""
+    that share a grid are fitted in one ``npmle.laslett_em_many`` batch,
+    each fit bitwise its lone fit. ``em_fits`` has the fits' steps (min,
+    median, max), how many were certified and the largest gap."""
     dist = parse_distribution(config.dist_spec)
     base = np.linspace(dist.ppf(0.05), dist.ppf(0.95), MC_GRID_SIZE)
     grid = np.unique(np.append(base, config.check_time))

@@ -73,14 +73,21 @@ def atom_lookup(atoms, t):
     return idx, atoms[idx] == t
 
 
+def total(x, axis=-1):
+    """The running sum of x along ``axis`` at its end, kept as an axis of
+    length 1. Exact zeros inserted anywhere leave it bitwise the same, and
+    no BLAS call makes it, so neither padding nor the thread count can."""
+    sums = np.add.accumulate(x, axis)
+    return sums[..., -1:] if axis == -1 else sums.take([-1], axis)
+
+
 def normalised(weights, axis=-1):
-    """Nonnegative ``weights`` over their total along ``axis``: the one
-    division that makes the masses of a discrete law. The total is the
-    running sum, which exact zeros cannot change, so zero weights inserted
-    anywhere leave every other mass bitwise the same."""
+    """Nonnegative ``weights`` over their ``total`` along ``axis``: the one
+    division that makes the masses of a discrete law, so zero weights
+    inserted anywhere leave every other mass bitwise the same."""
     if axis == 0 and weights.ndim == 2 and weights.shape[1] > 1 and weights.flags.c_contiguous:
         return weights / np.add.reduce(weights, axis=0)  # row by row; one column goes pairwise
-    return weights / np.cumsum(weights, axis=axis).take([-1], axis=axis)
+    return weights / total(weights, axis)
 
 
 class GapDistribution:
@@ -428,7 +435,7 @@ class DiscreteDistribution(GapDistribution):
         return out if out.ndim else float(out)
 
     def mean(self):
-        return float(np.dot(self.atoms, self.masses))
+        return float(total(self.atoms * self.masses)[0])
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
@@ -441,7 +448,7 @@ class DiscreteDistribution(GapDistribution):
         return float(self.atoms[-1])
 
     def integrated_survival(self, t):
-        return float(np.dot(self.masses, np.maximum(self.atoms - t, 0.0)))
+        return float(total(self.masses * np.maximum(self.atoms - t, 0.0))[0])
 
     def hazard(self, t):
         s_left = 1.0 - self.cdf_left(t)
@@ -457,7 +464,7 @@ class DiscreteDistribution(GapDistribution):
         return float(np.sum(terms[live]))
 
     def integrability_diagnostic(self):
-        return IntegrabilityReport(finite=True, value=float(np.dot(self.masses, 1.0 / self.atoms)))
+        return IntegrabilityReport(finite=True, value=float(total(self.masses / self.atoms)[0]))
 
     def sample(self, rng, n):
         return rng.choice(self.atoms, size=n, p=self.masses)

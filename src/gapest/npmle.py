@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, atom_lookup, normalised
+from .distributions import DiscreteDistribution, atom_lookup, normalised, total
 from .errors import EstimationError
 from .product_limit import StepSurvival
 from .sampling import Pairs, Segments, window_length_checked
@@ -44,9 +44,6 @@ EM_DEFAULT_MAX_ITER = 20_000
 # Extrapolations a SQUAREM step tries, each halfway back towards the plain
 # EM point, before it keeps that point.
 SQUAREM_TRIES = 3
-# Bytes of the (fits x rows x atoms) kernel stack that laslett_em_many
-# steps at once; the loop's other temporaries are a few times this.
-EM_CHUNK_BYTES = 2**20
 # The most atoms a bin width may make: 100x the 3 000 of a 155 604-segment fit.
 EM_MAX_ATOMS = 3 * 10**5
 
@@ -122,66 +119,78 @@ def segment_loglik(
     proper complete x contributes log p(x); proper censored c contributes
     log sum_{a > c} p; residual complete x contributes
     log(sum_{a > x} p / mu); residual censored contributes
-    log(sum p (a - w)+ / mu): the ``_atom_weights`` numerators, over mu for
-    the residual kinds. A zero factor yields -inf, not an exception. With
-    ``include_poisson_factor`` the Poisson log probability of the observed
-    segment count, with mean birth_rate * (w + mu), is added.
+    log(sum p (a - w)+ / mu): the numerators ``_log_numerators`` reads off p,
+    over mu for the residual kinds. A zero factor yields -inf, not an
+    exception. With ``include_poisson_factor`` the Poisson log probability
+    of the observed segment count, with mean birth_rate * (w + mu), is added.
 
     Atoms must cover every proper complete length exactly.
     """
-    window_length_checked(window_length)
+    if include_poisson_factor and (birth_rate is None or not 0.0 < birth_rate < math.inf):
+        raise ValueError(f"birth_rate must be finite and positive, got {birth_rate}")
     mu = dist.mean()
-    numer = _atom_weights(segments, dist.atoms, window_length) @ dist.masses
-    if np.any(numer <= 0.0):
-        return -math.inf
     m_res = int(np.count_nonzero(segments.code >= 2))  # rc and rx: codes 2 and 3
-    total = float(np.sum(np.log(numer))) - m_res * math.log(mu)
+    ll = _log_numerators(dist, segments, window_length, possible=False) - m_res * math.log(mu)
     if include_poisson_factor:
-        if birth_rate is None or not 0.0 < birth_rate < math.inf:
-            raise ValueError(f"birth_rate must be finite and positive, got {birth_rate}")
         n = len(segments)
         mean = birth_rate * (window_length + mu)
-        total += n * math.log(mean) - mean - math.lgamma(n + 1)
-    return total
+        ll += n * math.log(mean) - mean - math.lgamma(n + 1)
+    return ll
 
 
-def _atom_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray:
-    """The one map from a segment kind to its likelihood numerator.
-
-    Row i, dotted with the masses, gives the numerator of observation i:
-    a one-hot at the matching atom for ``pc``, 1{a > length} for the singly
-    censored ``px`` and ``rc``, and (a - w)+ for the doubly censored ``rx``.
-    A row may be all zero; ``_possible_weights`` rejects those.
-    """
-    code, lengths = segments.code, segments.length  # code indexes SEGMENT_KINDS
-    rows = (atoms > lengths[:, None]).astype(float)
-    rows[code == 3] = np.maximum(atoms - w, 0.0)  # rx
-    pc = np.nonzero(code == 0)[0]
-    idx, hit = atom_lookup(atoms, lengths[pc])
+def _slots(rows: Segments, atoms: np.ndarray, w: float, possible: bool = True) -> np.ndarray:
+    """The entry of ``_kernel``'s table that holds each row's numerator:
+    a ``pc`` row's atom, the tail above a ``px`` or ``rc`` length, or the
+    ramp sum for ``rx``. A row no distribution on the grid can produce
+    reads 0; with ``possible`` it is an error naming its kind and length."""
+    code, lengths, m = rows.code, rows.length, atoms.size  # code indexes SEGMENT_KINDS
+    slots = m + np.searchsorted(atoms, lengths, side="right")
+    slots[code == 3] = 3 * m  # rx
+    pc = np.flatnonzero(code == 0)
+    slots[pc], hit = atom_lookup(atoms, lengths[pc])
     if not hit.all():
-        raise EstimationError(
-            f"atom grid does not cover the complete length {lengths[pc][~hit][0]}; "
-            "bin the data first"
-        )
-    rows[pc] = 0.0
-    rows[pc, idx] = 1.0
-    return rows
+        raise EstimationError(f"atom grid does not cover the complete length "
+                              f"{lengths[pc][~hit][0]}; bin the data first")
+    dead = np.flatnonzero((slots == 2 * m) | ((code == 3) & (atoms[-1] <= w)))
+    if possible and dead.size:
+        raise EstimationError(f"a {rows.kind[dead[0]]} segment of length {lengths[dead[0]]} has "
+                              "zero probability under every distribution on this grid")
+    return slots
 
 
-def _possible_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray:
-    """``_atom_weights`` without all-zero rows: an observation that no
-    distribution on the grid can produce is an error. The message names the
-    observation by kind and length, since ``laslett_em`` passes its
-    distinct rows, whose order is not that of the data."""
-    rows = _atom_weights(segments, atoms, w)
-    dead = np.nonzero(~rows.any(axis=1))[0]
-    if dead.size:
-        k = int(dead[0])
-        raise EstimationError(
-            f"a {segments.kind[k]} segment of length {segments.length[k]} has zero "
-            "probability under every distribution on this grid"
-        )
-    return rows
+def _kernel(slots: np.ndarray, atoms: np.ndarray, w: float):
+    """K q and K^T v, K_ij = W_ij / (w + a_j) with W the numerators, for
+    (fits, rows) ``slots`` (-1 pads), with no (rows x atoms) matrix. With
+    u = q / (w + a), each fit's table [u, tail sums of u, 0, running sums
+    of (a - w)+ u, 1] holds (K q)_i at row i's slot; K^T v is a
+    ``bincount`` onto the slots and a ``cumsum``. Each fit's sums run in
+    order along its own row: no batch or thread count changes a bit."""
+    m, wa, ramp = atoms.size, w + atoms, np.maximum(atoms - w, 0.0)
+    table = np.zeros((len(slots), 3 * m + 2))
+    table[:, -1] = 1.0
+    u, tails, ramps = table[:, :m], table[:, m : 2 * m][:, ::-1], table[:, 2 * m + 1 : 3 * m + 1]
+    at = slots % table.shape[1] + table.shape[1] * np.arange(len(slots))[:, None]
+
+    def kmul(q):
+        np.divide(q, wa, out=u)
+        np.add.accumulate(u[:, ::-1], 1, out=tails)
+        np.add.accumulate(np.multiply(u, ramp, out=ramps), 1, out=ramps)
+        return table.take(at)
+
+    def ktmul(v):
+        sums = np.bincount(at.ravel(), v.ravel(), table.size).reshape(table.shape)
+        cut = np.add.accumulate(sums[:, m : 2 * m], 1, float)  # bincount of no rows is int
+        return (cut + sums[:, :m] + sums[:, 3 * m, None] * ramp) / wa
+
+    return kmul, ktmul
+
+
+def _log_numerators(dist: DiscreteDistribution, segments: Segments, w: float, possible: bool):
+    """The sum of the segments' log numerators under ``dist``, from K q for
+    q = p (w + a); -inf if one is 0."""
+    slots = _slots(segments, dist.atoms, window_length_checked(w), possible)
+    numer = _kernel(slots[None], dist.atoms, w)[0](dist.masses[None] * (w + dist.atoms))
+    return -math.inf if np.any(numer <= 0.0) else float(np.sum(np.log(numer)))
 
 
 def segment_marginal_loglik(
@@ -193,12 +202,8 @@ def segment_marginal_loglik(
     likelihood leaves, up to data-only constants, the sum of the per-kind
     numerators minus n log(w + mu). This is the objective the EM ascends.
     """
-    window_length_checked(window_length)
-    weights = _possible_weights(segments, dist.atoms, window_length)
-    numer = weights @ dist.masses
-    if np.any(numer <= 0.0):
-        return -math.inf
-    return float(np.sum(np.log(numer)) - len(segments) * math.log(window_length + dist.mean()))
+    ll = _log_numerators(dist, segments, window_length, possible=True)
+    return ll - len(segments) * math.log(window_length + dist.mean())
 
 
 def bin_width_checked(bin_width: float, span: float = 0.0) -> float:
@@ -294,6 +299,8 @@ def laslett_em(
     return laslett_em_many([problem], window_length, grid, max_iter, tol)[0]
 
 
+# Extrapolated points may hold nan or inf; every use of one checks K q > 0 first.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def laslett_em_many(
     problems,
     window_length: float,
@@ -308,10 +315,11 @@ def laslett_em_many(
     with the count of each, as ``em_problem`` returns it. The fit works in
     the window-biased parameterization q_j ~ p_j (w + a_j), under which the
     observations are iid draws from a mixture with kernel
-    K_ij = W_ij / (w + a_j) (W from ``_atom_weights``) and the marginal log
-    likelihood is l(q) = sum_i c_i log (K q)_i over the distinct rows with
-    counts c, so one EM step costs O(distinct rows x atoms), not
-    O(segments x atoms).
+    K_ij = W_ij / (w + a_j) (W the numerators of ``_kernel``) and the
+    marginal log likelihood is l(q) = sum_i c_i log (K q)_i over the
+    distinct rows with counts c. K q and K^T v are interval sums, as in
+    Turnbull's (1976) self-consistency algorithm, so one EM step costs
+    O(distinct rows + atoms).
 
     Stop rule. The EM map is q -> q D(q), where D(q) = K^T (c / K q) / n is
     also Lindsay's gradient: q maximizes l over the grid exactly when
@@ -339,15 +347,13 @@ def laslett_em_many(
     step costs three evaluations of the EM map, with the gap at its start,
     and one more per retry.
 
-    Batch. The problems are fitted in consecutive chunks of as many as fit
-    EM_CHUNK_BYTES of kernel at the batch's most rows, so memory does not
-    grow with the batch. A chunk's kernels are stacked as (problems, most
-    rows, atoms), padded with zero rows of count 0 whose (K q)_i reads 1,
-    so each product is one ``np.matmul``. Each fit keeps its own alpha,
-    retries, stall flag, steps and trace, and leaves the stack when it
-    stops. In a chunk of more than one, padding can change BLAS blocking
-    and so a fit's low bits; each fit is still certified, and the same
-    inputs always give the same numbers.
+    Batch. The problems are fitted together: their rows' slots and counts
+    are stacked as (problems, most rows), padded with rows of count 0 that
+    read 1. Each fit keeps its own alpha, retries, stall flag, steps and
+    trace, and leaves the stack when it stops. Every product and sum of a
+    fit runs in order along its own row of the stack, and padding adds only
+    exact zeros, so a fit in any batch is bitwise its lone fit, whatever
+    the thread count.
 
     The fitted birth intensity is n / (w + mu_hat), the value that matches
     the expected number of observable lifetimes to the observed count.
@@ -360,36 +366,22 @@ def laslett_em_many(
     atoms = _grid_atoms(grid)
     if any(counts.size == 0 for _, counts in problems):
         raise EstimationError("need at least one segment")
-    most = max((len(rows) for rows, _ in problems), default=1)
-    chunk = max(1, EM_CHUNK_BYTES // (8 * most * atoms.size))
-    return [
-        fit
-        for lo in range(0, len(problems), chunk)
-        for fit in _squarem_stack(problems[lo : lo + chunk], w, atoms, max_iter, tol)
-    ]
-
-
-# Extrapolated points may hold nan or inf; every use of one checks K q > 0 first.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _squarem_stack(problems, w: float, atoms: np.ndarray, max_iter: int, tol: float):
-    """The SQUAREM loop of ``laslett_em_many`` on one stack of problems."""
+    if not problems:
+        return []
     fits, height = len(problems), max(len(rows) for rows, _ in problems)
-    K, c = np.zeros((fits, height, atoms.size)), np.zeros((fits, height))
-    pad = np.ones((fits, height))
+    slots, c = np.full((fits, height), -1), np.zeros((fits, height))
     for i, (rows, counts) in enumerate(problems):
-        K[i, : len(rows)] = _possible_weights(rows, atoms, w) / (w + atoms)
-        c[i, : len(rows)], pad[i, : len(rows)] = counts, 0.0
-    n = c.sum(axis=1)
+        slots[i, : len(rows)], c[i, : len(rows)] = _slots(rows, atoms, w), counts
+    n = total(c)[:, 0]
+    cn = c / n[:, None]
+    kmul, ktmul = _kernel(slots, atoms, w)
 
-    def kmul(x):
-        return np.matmul(K, x[..., None])[..., 0]
-
-    def dot(a, b):
-        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    def loglik(kq):
+        return total(c * np.log(kq))[:, 0]
 
     def em_map(q, kq):
         """F(q) and the gradient D(q), given K q > 0."""
-        d = np.matmul(K.transpose(0, 2, 1), (c / kq)[..., None])[..., 0] / n[:, None]
+        d = ktmul(cn / kq)
         return normalised(q * d), d
 
     def rise(q_to, q_from, kq_from, live):
@@ -398,16 +390,15 @@ def _squarem_stack(problems, w: float, atoms: np.ndarray, max_iter: int, tol: fl
         rounding error of l itself. The last term corrects for the rounding
         of the two totals away from 1."""
         step = q_to - q_from
-        gain = dot(c, np.log1p(kmul(step) / kq_from))
+        gain = total(c * np.log1p(kmul(step) / kq_from))[:, 0]
         out = np.full(len(step), np.nan)
-        for i in live:
-            total = math.fsum(step[i].tolist()) / math.fsum(q_from[i].tolist())
-            out[i] = gain[i] - n[i] * math.log1p(total)
+        for i, s, f in zip(live, step[live].tolist(), q_from[live].tolist()):
+            out[i] = gain[i] - n[i] * math.log1p(math.fsum(s) / math.fsum(f))
         return out
 
     q = np.tile(normalised(w + atoms), (fits, 1))  # uniform masses p
-    kq = kmul(q) + pad
-    traces = [[ll] for ll in dot(c, np.log(kq)).tolist()]
+    kq = kmul(q)
+    traces = [[ll] for ll in loglik(kq).tolist()]
     ids = np.arange(fits)  # the problem each row of the stack fits
     results = [None] * fits
     stalled = np.zeros(fits, dtype=bool)
@@ -427,19 +418,20 @@ def _squarem_stack(problems, w: float, atoms: np.ndarray, max_iter: int, tol: fl
         if done.all():
             return results
         if done.any():
-            ids, K, c, pad, n, q, kq, q1 = (x[~done] for x in (ids, K, c, pad, n, q, kq, q1))
-        q2, _ = em_map(q1, kmul(q1) + pad)
-        kq2 = kmul(q2) + pad
+            ids, slots, c, cn, n, q, kq, q1 = (x[~done] for x in (ids, slots, c, cn, n, q, kq, q1))
+            kmul, ktmul = _kernel(slots, atoms, w)
+        q2, _ = em_map(q1, kmul(q1))
+        kq2 = kmul(q2)
         q_new, kq_new = q2, kq2
         r, v = q1 - q, q2 - 2.0 * q1 + q
-        alpha = np.minimum(-(np.sqrt(dot(r, r)) / np.sqrt(dot(v, v))), -1.0)[:, None]
+        alpha = np.minimum(-(np.sqrt(total(r * r)) / np.sqrt(total(v * v))), -1.0)
         trying = np.ones(len(ids), dtype=bool)
         for _ in range(SQUAREM_TRIES):
             # Every fit is tried, and only the ones still trying can accept.
             qx = normalised(np.maximum(q - 2.0 * alpha * r + alpha * alpha * v, 0.0))
-            kqx = kmul(qx) + pad
+            kqx = kmul(qx)
             qs, _ = em_map(qx, kqx)
-            kqs = kmul(qs) + pad
+            kqs = kmul(qs)
             ok = trying & (kqx > 0.0).all(axis=1) & (kqs > 0.0).all(axis=1)  # false for nan
             ok &= rise(qs, q2, kq2, ok.nonzero()[0]) >= 0.0
             q_new, kq_new = np.where(ok[:, None], qs, q_new), np.where(ok[:, None], kqs, kq_new)
@@ -447,9 +439,9 @@ def _squarem_stack(problems, w: float, atoms: np.ndarray, max_iter: int, tol: fl
             if not trying.any():
                 break
             alpha = (alpha - 1.0) / 2.0
-        stalled = ~(rise(q_new, q, kq, range(len(ids))) > 0.0)
+        stalled = ~(rise(q_new, q, kq, np.arange(len(ids))) > 0.0)
         q, kq = q_new, kq_new
-        for i, ll in zip(ids.tolist(), dot(c, np.log(kq)).tolist()):
+        for i, ll in zip(ids.tolist(), loglik(kq).tolist()):
             traces[i].append(ll)
 
 

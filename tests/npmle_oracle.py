@@ -5,9 +5,11 @@ It scans the probability simplex over the grid atoms densely and then
 refines the best point in shrinking boxes. Its cost is exponential in the
 number of atoms, so it is capped at ORACLE_MAX_ATOMS.
 
-It also holds step-by-step references for the two steps of
-``npmle.em_problem``: distinct rows by ``np.lexsort``, and the snapping of
-complete lengths onto an atom grid.
+It also holds the dense (segments x atoms) kernel of the segment
+likelihood numerators, the reference for ``npmle``'s structured one, and
+step-by-step references for the two steps of ``npmle.em_problem``:
+distinct rows by ``np.lexsort``, and the snapping of complete lengths onto
+an atom grid.
 """
 
 import itertools
@@ -16,12 +18,39 @@ import math
 import numpy as np
 
 from gapest import DiscreteDistribution, EstimationError, Segments
-from gapest.npmle import _possible_weights
+from gapest.distributions import atom_lookup
 from gapest.sampling import window_length_checked
 
 ORACLE_MAX_ATOMS = 6
 ORACLE_COARSE_CAP = 600_000  # candidate budget for the dense simplex scan
 ORACLE_REFINE_STEP = 1e-7
+
+
+def atom_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray:
+    """The dense kernel: row i, dotted with the masses, gives the numerator
+    of observation i. A one-hot at the matching atom for ``pc``,
+    1{a > length} for the singly censored ``px`` and ``rc``, and (a - w)+
+    for the doubly censored ``rx``. A row may be all zero."""
+    code, lengths = segments.code, segments.length  # code indexes SEGMENT_KINDS
+    rows = (atoms > lengths[:, None]).astype(float)
+    rows[code == 3] = np.maximum(atoms - w, 0.0)  # rx
+    pc = np.nonzero(code == 0)[0]
+    idx, hit = atom_lookup(atoms, lengths[pc])
+    if not hit.all():
+        raise EstimationError(f"atom grid does not cover the length {lengths[pc][~hit][0]}")
+    rows[pc] = 0.0
+    rows[pc, idx] = 1.0
+    return rows
+
+
+def possible_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray:
+    """``atom_weights``, rejecting an observation that no distribution on
+    the grid can produce (an all-zero row)."""
+    rows = atom_weights(segments, atoms, w)
+    dead = np.nonzero(~rows.any(axis=1))[0]
+    if dead.size:
+        raise EstimationError(f"segment {dead[0]} has zero probability under every distribution")
+    return rows
 
 
 def _simplex_lattice(d: int, divisions: int) -> np.ndarray:
@@ -72,7 +101,7 @@ def npmle_oracle(segments: Segments, window_length: float, grid) -> DiscreteDist
     window_length_checked(window_length)
     if not segments:
         raise EstimationError("need at least one segment")
-    weights = _possible_weights(segments, atoms, window_length)
+    weights = possible_weights(segments, atoms, window_length)
     n = len(segments)
     w = float(window_length)
     if d == 1:

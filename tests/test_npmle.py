@@ -12,7 +12,12 @@ one-parameter instances:
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from gapest import (
     Exponential,
     Pairs,
     Segments,
+    Weibull,
     bin_segments,
     cox_vardi,
     cox_vardi_from_pairs,
@@ -42,13 +48,15 @@ from gapest import (
 from gapest.npmle import (
     EM_DEFAULT_MAX_ITER,
     EM_DEFAULT_TOL,
-    _atom_weights,
     _distinct_rows,
     laslett_em_many,
 )
+from gapest.sampling import sample_pooled_segments
 from gapest.seeding import child_seed, derived_rng
 
-from npmle_oracle import distinct_rows_by_lexsort, npmle_oracle, snap_complete_lengths
+from npmle_oracle import (
+    atom_weights, distinct_rows_by_lexsort, npmle_oracle, snap_complete_lengths,
+)
 
 PC, PX, RC, RX = "pc", "px", "rc", "rx"
 
@@ -108,7 +116,7 @@ def random_em_instance(rng, max_atoms=3, max_segments=8):
 
 def loglik_by_kind(dist, segments, w):
     """Per-segment factors, one kind at a time: the reference for the
-    ``_atom_weights`` kernel behind ``segment_loglik``."""
+    dense kernel behind ``segment_loglik``."""
     atoms, p, mu = dist.atoms, dist.masses, dist.mean()
     total = 0.0
     for kind, length in zip(segments.kind, segments.length):
@@ -129,7 +137,7 @@ def loglik_by_kind(dist, segments, w):
 def lindsay_gap(dist, segs, w):
     """max_j D_j - 1 of the masses of ``dist``, recomputed on every row: the
     certificate ``laslett_em`` reports."""
-    kernel = _atom_weights(segs, dist.atoms, w) / (w + dist.atoms)
+    kernel = atom_weights(segs, dist.atoms, w) / (w + dist.atoms)
     q = dist.masses * (w + dist.atoms)
     q /= q.sum()
     return float(np.max(kernel.T @ (1.0 / (kernel @ q))) / len(segs) - 1.0)
@@ -139,7 +147,7 @@ def textbook_em(segs, w, atoms, tol, max_steps=200_000):
     """Plain EM in the masses p, one E-step row per segment and no
     acceleration, run until its own Lindsay gap is at most ``tol``: the
     reference for ``laslett_em``."""
-    weights = _atom_weights(segs, atoms, w)
+    weights = atom_weights(segs, atoms, w)
     p = np.full(atoms.size, 1.0 / atoms.size)
     for _ in range(max_steps):
         dist = DiscreteDistribution(atoms, p)
@@ -330,6 +338,14 @@ class TestSegmentLoglik:
         with pytest.raises(ValueError):
             segment_loglik(self.DIST, None, segments((PC, 1.0)), 2.0, include_poisson_factor=True)
 
+    @pytest.mark.parametrize("rate", [None, -1.0, math.nan])
+    def test_poisson_factor_checks_the_rate_before_a_zero_factor(self, rate):
+        # a zero numerator used to return -inf before the rate was looked at
+        dist = DiscreteDistribution([1.0, 3.0], [1.0, 0.0])
+        assert segment_loglik(dist, None, segments((PX, 2.0)), 4.0) == -math.inf
+        with pytest.raises(ValueError, match="birth_rate must be finite and positive, got"):
+            segment_loglik(dist, rate, segments((PX, 2.0)), 4.0, include_poisson_factor=True)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_poisson_factor_needs_a_finite_positive_rate(self, rate):
         # only <= 0 rejected would let nan and inf through to a nan log likelihood
@@ -355,7 +371,7 @@ class TestAtomWeights:
     def test_rows_follow_their_kind(self, instance):
         dist, segs, w = instance
         atoms = dist.atoms
-        rows = _atom_weights(segs, atoms, w)
+        rows = atom_weights(segs, atoms, w)
         assert rows.shape == (len(segs), atoms.size)
         for kind, length, row in zip(segs.kind, segs.length, rows):
             if kind == PC:
@@ -369,8 +385,68 @@ class TestAtomWeights:
     def test_impossible_rows_are_kept(self):
         # the kernel leaves all-zero rows in; the EM, the oracle and the
         # marginal likelihood reject them
-        rows = _atom_weights(segments((RX, 1.0), (PX, 2.0)), np.array([0.5, 1.0]), 1.0)
+        rows = atom_weights(segments((RX, 1.0), (PX, 2.0)), np.array([0.5, 1.0]), 1.0)
         assert not rows.any()
+
+
+def dense_logliks(dist, segs, w):
+    """``segment_loglik`` and ``segment_marginal_loglik`` from the dense
+    kernel; the marginal one is None when some row is impossible."""
+    weights = atom_weights(segs, dist.atoms, w)
+    numer, mu = weights @ dist.masses, float(dist.atoms @ dist.masses)
+    if not weights.any(axis=1).all():
+        return -math.inf, None
+    if np.any(numer <= 0.0):
+        return -math.inf, -math.inf
+    logs = float(np.sum(np.log(numer)))
+    m_res = int(np.count_nonzero(segs.code >= 2))
+    return logs - m_res * math.log(mu), logs - len(segs) * math.log(w + mu)
+
+
+def assert_close_logliks(got, want):
+    assert got == want == -math.inf or math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-13)
+
+
+class TestStructuredKernel:
+    """The interval-sum products and both likelihoods against the dense
+    (rows x atoms) reference kernel."""
+
+    @staticmethod
+    def check(segs, w, atoms, q, v, possible):
+        dense = atom_weights(segs, atoms, w) / (w + atoms)
+        kmul, ktmul = npmle._kernel(npmle._slots(segs, atoms, w, possible)[None], atoms, w)
+        np.testing.assert_allclose(kmul(q[None])[0], dense @ q, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ktmul(v[None])[0], dense.T @ v, rtol=1e-13, atol=0)
+
+    @given(em_instances(), st.data())
+    def test_possible_rows(self, instance, data):
+        segs, w, atoms = instance
+        atoms = np.array(atoms)
+        weights = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=atoms.size, max_size=atoms.size)))
+        weights[data.draw(st.integers(0, atoms.size - 1))] += 1.0
+        v = np.array(data.draw(st.lists(
+            st.floats(1e-3, 1e3), min_size=len(segs), max_size=len(segs))))
+        dist = DiscreteDistribution.from_weights(atoms, weights)
+        self.check(segs, w, atoms, dist.masses, v, possible=True)
+        loglik, marginal = dense_logliks(dist, segs, w)
+        assert_close_logliks(segment_loglik(dist, None, segs, w), loglik)
+        assert_close_logliks(segment_marginal_loglik(dist, segs, w), marginal)
+
+    @given(kernel_instances(), st.data())
+    def test_rows_that_may_be_impossible(self, instance, data):
+        # impossible rows read 0; zero masses make more zero numerators
+        dist, segs, w = instance
+        v = np.array(data.draw(st.lists(
+            st.floats(1e-3, 1e3), min_size=len(segs), max_size=len(segs))))
+        self.check(segs, w, dist.atoms, dist.masses, v, possible=False)
+        loglik, marginal = dense_logliks(dist, segs, w)
+        assert_close_logliks(segment_loglik(dist, None, segs, w), loglik)
+        if marginal is None:
+            with pytest.raises(EstimationError, match="zero probability under every distribution"):
+                segment_marginal_loglik(dist, segs, w)
+        else:
+            assert_close_logliks(segment_marginal_loglik(dist, segs, w), marginal)
 
 
 class TestMarginalLoglik:
@@ -594,7 +670,7 @@ class TestLaslettEm:
             assert np.all(np.diff(trace) >= -1e-10)
             # one more E+M step barely moves the masses
             p = res.distribution.masses
-            weights = _atom_weights(segs, res.distribution.atoms, w)
+            weights = atom_weights(segs, res.distribution.atoms, w)
             post = weights * p
             post /= post.sum(axis=1, keepdims=True)
             q = post.sum(axis=0) / len(segs)
@@ -683,25 +759,25 @@ class TestLaslettEm:
                 assert res.iterations == res.loglik_trace.size - 1 <= max_iter
 
     def test_a_small_fit_is_the_recorded_one(self):
-        # Recorded from the one-fit loop that preceded laslett_em_many: the
-        # arithmetic of a fit on its own (products, norms, sums) must not
-        # drift, not even in the last bit.
+        # Recorded from the structured products: the arithmetic of a fit on
+        # its own (products, norms, sums) must not drift, not even in the
+        # last bit.
         rows = [(PC, 0.25, 9), (PC, 0.75, 4), (PX, 0.25, 11), (PX, 0.75, 3), (PX, 1.25, 2),
                 (RC, 0.25, 15), (RC, 0.75, 3), (RC, 1.25, 2), (RX, 1.25, 6)]
         segs = segments(*[(kind, length) for kind, length, count in rows for _ in range(count)])
         res = laslett_em(segs, 1.5, [0.25, 0.75, 1.25, 1.75, 2.25, 2.75])
         assert res.distribution.masses.tolist() == [
-            0.2529255381472151, 0.36536634767501774, 9.295881089193323e-14,
-            0.11809532573965982, 0.1279200344910436, 0.13569275394697086,
+            0.2529255381472152, 0.365366347675018, 9.295879601510875e-14,
+            0.11809532573966329, 0.12792003449103437, 0.13569275394697627,
         ]
         assert res.loglik_trace.tolist() == [
-            -99.5472643423127, -96.27926402933262, -95.7930062132249, -95.67777142703,
-            -95.67041537792663, -95.66749139945004, -95.66444998979756, -95.66373569819862,
-            -95.663325351583, -95.66330646044844, -95.66329212534906, -95.66329207661617,
-            -95.66329203713605, -95.66329203665656, -95.66329203627382, -95.66329203626785,
-            -95.66329203626461, -95.66329203626287,
+            -99.54726434231267, -96.27926402933262, -95.79300621322491, -95.67777142703001,
+            -95.67041537792663, -95.66749139945016, -95.66444998979739, -95.66373569819866,
+            -95.6633253515829, -95.66330646044841, -95.66329212534905, -95.66329207661619,
+            -95.66329203713602, -95.66329203665654, -95.66329203627384, -95.66329203626783,
+            -95.6632920362646, -95.66329203626289,
         ]
-        assert (res.birth_rate, res.gradient_gap) == (20.333483050113138, 3.010547144910447e-09)
+        assert (res.birth_rate, res.gradient_gap) == (20.333483050113138, 3.010547811044262e-09)
 
     def test_duplicate_rows_fit_like_their_counts(self):
         # the fit sees only distinct rows and their counts, so the order of
@@ -753,9 +829,8 @@ class TestLaslettEmMany:
             assert fit.iterations <= EM_DEFAULT_MAX_ITER
             trace = fit.loglik_trace
             assert np.all(np.diff(trace) >= -1e-12 * np.maximum(np.abs(trace[:-1]), 1.0))
-            # both fits are certified, so both are within n log(1 + tol) of the optimum
-            solo = laslett_em(segs, 3.0, SLOW_GRID)
-            assert abs(trace[-1] - solo.loglik_trace[-1]) <= len(segs) * math.log1p(EM_DEFAULT_TOL)
+            # every sum of a fit runs along its own row, so the batch changes no bit
+            assert trace[-1] == laslett_em(segs, 3.0, SLOW_GRID).loglik_trace[-1]
             assert np.array_equal(fit.distribution.masses, rerun.distribution.masses)
             assert np.array_equal(fit.loglik_trace, rerun.loglik_trace)
             assert (fit.birth_rate, fit.gradient_gap) == (rerun.birth_rate, rerun.gradient_gap)
@@ -773,30 +848,54 @@ class TestLaslettEmMany:
             assert np.array_equal(fit.loglik_trace, alone.loglik_trace)
             assert np.array_equal(fit.distribution.masses, alone.distribution.masses)
 
-    def test_a_batch_is_fitted_in_chunks_of_bounded_bytes(self, monkeypatch):
-        # The stack holds at most EM_CHUNK_BYTES of kernel at the batch's
-        # most rows, so its size does not grow with the batch; a fit is the
-        # fit of its chunk.
+    def test_unequal_size_problems_fit_as_they_do_alone(self):
+        # Padding rows add exact zeros to every sum, so a fit in a batch of
+        # problems of any sizes is bitwise the fit it gets alone.
         problems = [problem_of(s) for s in (SLOW, SLOW[:40], SLOW[::3], SLOW[1::2], SLOW[:70])]
-        most = max(len(rows) for rows, _ in problems)
-        monkeypatch.setattr(npmle, "EM_CHUNK_BYTES", 2 * 8 * most * SLOW_GRID.size + 7)
-        sizes, stack = [], npmle._squarem_stack
-
-        def spy(chunk, *args):
-            sizes.append(len(chunk))
-            return stack(chunk, *args)
-
-        monkeypatch.setattr(npmle, "_squarem_stack", spy)
         fits = laslett_em_many(problems, 3.0, SLOW_GRID)
-        assert sizes == [2, 2, 1]
-        chunked = [
-            fit
-            for lo in (0, 2, 4)
-            for fit in stack(problems[lo : lo + 2], 3.0, SLOW_GRID, EM_DEFAULT_MAX_ITER, EM_DEFAULT_TOL)
-        ]
-        for fit, ref in zip(fits, chunked, strict=True):
-            assert np.array_equal(fit.loglik_trace, ref.loglik_trace)
-            assert np.array_equal(fit.distribution.masses, ref.distribution.masses)
+        assert len({len(rows) for rows, _ in problems}) == len(problems)
+        assert len({fit.iterations for fit in fits}) > 1
+        for fit, problem in zip(fits, problems, strict=True):
+            alone = laslett_em_many([problem], 3.0, SLOW_GRID)[0]
+            assert np.array_equal(fit.loglik_trace, alone.loglik_trace)
+            assert np.array_equal(fit.distribution.masses, alone.distribution.masses)
+            assert (fit.birth_rate, fit.gradient_gap) == (alone.birth_rate, alone.gradient_gap)
+
+    def test_a_large_fit_holds_no_rows_by_atoms_matrix(self):
+        # 3 426 distinct rows x 2 904 atoms: the dense kernel alone is 80 MB,
+        # the structured products hold O(rows + atoms).
+        segs, _ = sample_pooled_segments(2.0, Weibull(2.0, 1.0), 0.0, 3.0, 20_000, seed=1)
+        atoms, problem = npmle.em_problem(segs, 3.0, 0.002)
+        assert (len(problem[0]), atoms.size) == (3426, 2904)
+        tracemalloc.start()
+        try:
+            laslett_em_many([problem], 3.0, atoms, max_iter=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_a_fit_is_the_same_bytes_at_any_blas_thread_count(self):
+        # OpenBLAS reads its thread count at import, so each count gets its
+        # own process; they run one after the other.
+        code = (
+            "import hashlib; from gapest import Weibull, npmle; "
+            "from gapest.sampling import sample_pooled_segments; "
+            "segs, _ = sample_pooled_segments(2.0, Weibull(2.0, 1.0), 0.0, 3.0, 5000, seed=1); "
+            "atoms, problem = npmle.em_problem(segs, 3.0, 0.005); "
+            "fit = npmle.laslett_em_many([problem], 3.0, atoms, max_iter=3)[0]; "
+            "print(len(problem[0]), atoms.size, hashlib.sha256("
+            "fit.distribution.masses.tobytes() + fit.loglik_trace.tobytes()).hexdigest())"
+        )
+        src = str(Path(npmle.__file__).parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                       text=True, check=True).stdout.split())
+        assert outs[0][:2] == ["1312", "1171"]
+        assert outs[0] == outs[1]
 
     def test_an_empty_batch_gives_no_fits(self):
         assert laslett_em_many([], 3.0, SLOW_GRID) == []

@@ -1,15 +1,19 @@
 """Stream derivation: ``derived_rng(seed, *path)`` is the stream numpy's
 SeedSequence spawn tree gives that path, so a replicate's stream does not
-depend on how the replicates are scheduled."""
+depend on how the replicates are scheduled. And no BLAS call, whose
+summation order follows the thread count, is left in the package."""
 
+import ast
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gapest
 from gapest import Exponential, Pairs, bootstrap_band, sample_pooled_windows
 from gapest.sampling import sample_pooled_segments
 from gapest.seeding import child_seed, derived_rng
@@ -110,3 +114,38 @@ def test_callers_reject_a_negative_seed():
     ):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             call()
+
+
+BLAS_NAMES = {"matmul", "dot", "inner", "vdot", "tensordot", "linalg"}
+
+
+def blas_uses(source: str):
+    """Line and text of each BLAS-backed numpy name or ``@`` in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            yield node.lineno, f".{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            for alias in node.names:
+                if alias.name in BLAS_NAMES or node.module.startswith("numpy.linalg"):
+                    yield node.lineno, f"from {node.module} import {alias.name}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+
+
+def test_the_scan_sees_each_blas_form():
+    forms = ["np.dot(a, b)", "a.dot(b)", "np.linalg.norm(a)", "a @ b", "a @= b",
+             "from numpy import inner", "from numpy.linalg import solve", "numpy.tensordot(a, b)",
+             "np.vdot(a, b)", "np.matmul(a, b)"]
+    for form in forms:
+        assert list(blas_uses(form)), form
+    assert not list(blas_uses("np.cumsum(a * b)[-1]; from numpy import cumsum"))
+    assert "npmle.py" in {path.name for path in PACKAGE_FILES}
+
+
+PACKAGE_FILES = sorted(Path(gapest.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_the_package_makes_no_blas_call(path):
+    # OpenBLAS picks a product's summation order by its thread count
+    assert list(blas_uses(path.read_text())) == []
