@@ -177,12 +177,12 @@ def cmd_simulate(args) -> int:
 
 
 def _window_from_sidecar(infile: str) -> float | None:
-    """The numeric ``window`` of ``<infile>.meta.json``, or None without one."""
+    """The numeric ``window`` of ``<infile>.meta.json``, or None without a readable one."""
     path = str(infile) + ".meta.json"
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # not UTF-8 JSON: JSONDecodeError, UnicodeDecodeError
         return None
     window = meta.get("window") if isinstance(meta, dict) else None
     if window is None or type(window) in (int, float):  # not bool, a subclass of int

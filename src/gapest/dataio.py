@@ -15,18 +15,16 @@ The writers format a chunk of rows at a time into numpy byte arrays, floats
 as ``repr`` prints them (``_float_cells``), in the bytes that ``csv.writer``
 and ``json.dumps(indent=2)`` write.
 
-Readers report malformed rows with their line numbers. The pairs, window
-and segment readers check the file's bytes in blocks, then ``np.loadtxt``
-reads it into the container, which checks every value; their line-by-line
-loop runs only on a file that fails this, to word the error.
+The pairs, window and segment readers take printable ASCII, line ends and no
+quoting. One ``np.loadtxt`` reads a file into the container, which checks
+every value. An error names its file line: on a failed load, the data lines
+are halved down to the first bad row.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
-import math
 import re
 from pathlib import Path
 
@@ -228,42 +226,14 @@ def write_csv(path, header: list[str], columns) -> None:
             fh.write(lines(parts, min(WRITE_CHUNK_ROWS, sizes[0] - start)))
 
 
-# Printable ASCII and the line ends. Outside it the C parse and the row loop
-# part ways: float() reads non-ASCII digits that numpy rejects, numpy reads
-# \x1f as a blank where float() fails, and numpy text fields drop a
-# trailing NUL. So a file with any other byte goes to the row loop. Both
-# read the file as text, so \r\n and a lone \r end a line as \n does.
+# The bytes a data file may hold: printable ASCII and the line ends. \r\n
+# and a lone \r end a line as \n does.
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\n\r"
 
 
-def _parse_in_c(path: Path, header: list[str], dtype, build):
-    """``build`` of the file's data rows as np.loadtxt reads them, or None
-    where the row loop must run: on other than plain bytes (checked a block
-    at a time), a header line other than ``header``, no data rows (where
-    loadtxt would warn), a ValueError, or fields that ``build`` refuses."""
-    with open(path, "rb") as fh:
-        block = fh.read(_READ_BLOCK)
-        head = re.match(rb"[^\r\n]*", block)[0]
-        data, rows = block[len(head):], False
-        while block:
-            if block.translate(None, _PLAIN):
-                return None
-            rows = rows or bool(data.strip(b"\r\n"))
-            block = data = fh.read(_READ_BLOCK)
-    if not rows or [c.strip() for c in head.decode().split(",")] != header:
-        return None  # a quoted header cell fails too: no name holds a quote
-    try:  # like the loop, loadtxt skips empty lines
-        table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
-                           ndmin=1, encoding="ascii")
-        fields = [table[name] for name in table.dtype.names]  # text is only compared, not copied
-        return build(*(f if f.dtype.kind == "U" else np.ascontiguousarray(f) for f in fields))
-    except ValueError:  # EstimationError included
-        return None
-
-
 def _kind_table(kinds: tuple) -> np.dtype:
-    """A text field one character wider than the longest kind name, so that
-    a longer cell is cut to a width no name has, then a float field."""
+    """A text field one character wider than the longest kind name, so that a longer cell is
+    cut to a width no name has (an error names the cut cell), then a float field."""
     return np.dtype([("kind", f"<U{max(map(len, kinds)) + 1}"), ("value", float)])
 
 
@@ -271,94 +241,91 @@ def write_pairs_csv(path, pairs: Pairs) -> None:
     write_csv(path, PAIRS_HEADER, [pairs.r, pairs.s, pairs.censored.view(np.uint8)])
 
 
-def _pair_row(row):
-    r, s, flag = float(row[0]), float(row[1]), int(row[2])
-    if flag not in (0, 1):
-        raise ValueError(f"censored flag must be 0 or 1, got {row[2]}")
-    if not (0 <= r < math.inf and 0 <= s < math.inf):
-        raise ValueError("r and s must be finite and nonnegative")
-    return r, s, flag
-
-
 def _pairs(r, s, flag):
-    censored = flag == "1"
-    return Pairs(r, s, censored) if (censored | (flag == "0")).all() else None
-
-
-# The flag is read as text, so that only the cells "0" and "1" skip the row
-# loop: numpy's integer parse reads "२" as 2360 where int() reads 2.
-_PAIRS_DTYPE = np.dtype([("r", float), ("s", float), ("censored", "<U2")])
+    bad = np.flatnonzero((flag != 0) & (flag != 1))
+    if bad.size:
+        raise ValueError(f"censored flag {flag[bad[0]]} at index {bad[0]} is not 0 or 1")
+    return Pairs(r, s, flag == 1)
 
 
 def read_pairs_csv(path) -> Pairs:
-    return _read_columns(path, PAIRS_HEADER, _pair_row, Pairs, _PAIRS_DTYPE, _pairs)
+    dtype = np.dtype([("r", float), ("s", float), ("censored", "<i8")])
+    return _read_columns(path, PAIRS_HEADER, dtype, _pairs)
 
 
 def write_window_csv(path, obs: WindowRecords) -> None:
     write_csv(path, WINDOW_HEADER, [obs, obs.value])
 
 
-def _window_row(row):
-    kind, value = row[0], float(row[1])
-    if kind not in WINDOW_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if not 0 <= value < math.inf:
-        raise ValueError("value must be finite and nonnegative")
-    return kind, value
-
-
 def read_window_csv(path) -> WindowRecords:
-    return _read_columns(path, WINDOW_HEADER, _window_row, WindowRecords, _kind_table(WINDOW_KINDS))
+    return _read_columns(path, WINDOW_HEADER, _kind_table(WINDOW_KINDS), WindowRecords)
 
 
 def write_segments_csv(path, segments: Segments) -> None:
     write_csv(path, SEGMENTS_HEADER, [segments, segments.length])
 
 
-def _segment_row(row):
-    kind, length = row[0], float(row[1])
-    if kind not in SEGMENT_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if not 0 < length < math.inf:
-        raise ValueError("length must be finite and positive")
-    return kind, length
-
-
 def read_segments_csv(path) -> Segments:
-    return _read_columns(path, SEGMENTS_HEADER, _segment_row, Segments, _kind_table(SEGMENT_KINDS))
+    return _read_columns(path, SEGMENTS_HEADER, _kind_table(SEGMENT_KINDS), Segments)
 
 
-def _read_columns(path, header: list[str], parse, container, dtype=None, build=None):
-    """``container(*columns)`` of the data rows of a CSV file. ``parse``
-    converts one row and raises ValueError on a bad one; errors carry the
-    number of the file line on which the bad row ends, as a quoted cell may
-    span lines. Given a ``dtype``, the rows are first parsed in C into its
-    fields, and ``build`` (by default ``container``) makes of them what the
-    row loop's columns make, or refuses them (returns None or raises
-    ValueError) where some row would fail ``parse``: only then does the row
-    loop run, to word the error."""
+def _load(lines, dtype, build, skiprows=0):
+    """``build(*fields)`` of the rows np.loadtxt reads into ``dtype`` from a
+    path or a list of lines; an empty list gives empty fields."""
+    table = np.loadtxt(lines, dtype, delimiter=",", comments=None, skiprows=skiprows, ndmin=1,
+                       encoding="ascii") if lines else np.empty(0, dtype)
+    fields = [table[name] for name in dtype.names]  # kinds and flags are only compared
+    return build(*(np.ascontiguousarray(f) if f.dtype == float else f for f in fields))
+
+
+def _load_plain(lines, dtype, build):
+    """_load of data lines (bytes), or a ValueError on a byte other than _PLAIN."""
+    odd = b"".join(lines).translate(None, _PLAIN)
+    if odd:
+        raise ValueError(f"byte {odd[0]:#04x} is not printable ASCII")
+    return _load(lines, dtype, build)
+
+
+def _read_columns(path, header: list[str], dtype, build):
+    """``build(*fields)`` of the data rows of a CSV file, as np.loadtxt reads them into ``dtype``;
+    ``build`` raises ValueError on a bad row. After the header, the bytes are checked a block at
+    a time, and a file of _PLAIN bytes is loaded whole. An error names its file line: with no
+    quoting a row is one nonblank line, and rows fail alone, so the data lines are halved down
+    to the first bad row, one _load_plain of a slice per probe."""
     path = Path(path)
     try:
-        records = None if dtype is None else _parse_in_c(path, header, dtype, build or container)
-        if records is not None:
-            return records
-        text = path.read_text()
+        with open(path, "rb") as fh:
+            block = fh.read(_READ_BLOCK)
+            head = re.match(rb"[^\r\n]*", block)[0]
+            # as latin-1 and stripped of spaces alone, a header with an odd byte is no match
+            if [c.strip(" ") for c in head.decode("latin-1").split(",")] != header:
+                raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
+            data, rows = block[len(head):], False
+            while block and not block.translate(None, _PLAIN):
+                rows = rows or bool(data.strip(b"\r\n"))
+                block = data = fh.read(_READ_BLOCK)
+        try:
+            if not block:  # the whole file is plain
+                return _load(path if rows else [], dtype, build, skiprows=1)
+        except ValueError:  # EstimationError included
+            pass
+        file_lines = path.read_bytes().splitlines()  # as text mode splits: on \n, \r\n and \r
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
-    rows = csv.reader(text.splitlines())
-    if [c.strip() for c in next(rows, [])] != header:
-        raise DataFormatError(f"{path}:1: expected header {','.join(header)}")
-    parsed = []
-    for row in rows:
-        if not row:
-            continue
+    numbers, lines = zip(*[(n, line) for n, line in enumerate(file_lines[1:], 2) if line])
+    lo, hi = 0, len(lines)  # lines[lo:hi] holds the first bad row
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            parsed.append(parse(row))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{rows.line_num}: {exc}") from None
-    return container(*(list(zip(*parsed)) or [()] * len(header)))
+            _load_plain(lines[lo:mid], dtype, build)
+            lo = mid
+        except ValueError:
+            hi = mid
+    try:  # with the rows before it, so that a row index counts as in the whole file
+        _load_plain(lines[:hi], dtype, build)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}:{numbers[lo]}: {exc}") from None
+    raise AssertionError(f"{path}: the file fails to load, but no row of it fails")
 
 
 def _survival_columns(est: StepSurvival, band: BootstrapBand | None) -> list:
@@ -404,15 +371,6 @@ def write_step_survival_json(path, est: StepSurvival, band: BootstrapBand | None
             fh.write(f'{"," if i else "{"}\n  "{name}": '.encode())
             _write_json_list(fh, col)
         fh.write(b"\n}\n")
-
-
-def _survival_row(row):
-    return float(row[0]), float(row[1]), *(float(cell) if cell else None for cell in row[2:])
-
-
-def read_step_survival_csv(path) -> dict:
-    return _read_columns(path, SURVIVAL_HEADER, _survival_row,
-                         lambda *cols: dict(zip(SURVIVAL_HEADER, map(list, cols))))
 
 
 def write_em_result_json(path, result: EmResult) -> None:

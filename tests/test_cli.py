@@ -1,20 +1,27 @@
 """Command-line interface: subcommands, exit codes, file round trips."""
 
 import ast
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gapest
 from gapest import EstimationError, Segments, dataio, laslett_em, npmle
 from gapest.cli import main
 from npmle_oracle import snap_complete_lengths
+from test_dataio import read_step_survival_csv
 
 
 def run(*argv):
@@ -105,7 +112,7 @@ class TestEstimate:
         src.write_text("r,s,censored\n0.4,0.6,0\n1.5,0.5,0\n")
         out = tmp_path / "cv.csv"
         assert run("estimate", "--estimator", "cv", "--in", str(src), "--out", str(out)) == 0
-        data = dataio.read_step_survival_csv(out)
+        data = read_step_survival_csv(out)
         assert data["t"] == [1.0, 2.0]
         assert data["survival"][0] == pytest.approx(1 / 3)
         assert data["survival"][1] == pytest.approx(0.0)
@@ -216,7 +223,7 @@ class TestEstimate:
         est = tmp_path / "wf.csv"
         assert run("estimate", "--estimator", "wf", "--in", str(out), "--out", str(est),
                    "--bootstrap", "15", "--seed", "2") == 0
-        data = dataio.read_step_survival_csv(est)
+        data = read_step_survival_csv(est)
         assert all(v is not None for v in data["lower"])
         assert all(v is not None for v in data["upper"])
 
@@ -337,6 +344,81 @@ def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sidecar is None or "in.csv.meta.json: the window must be a number" in err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("row, shown", [
+    (b"1.0,2.0,\xff", "byte 0xff is not printable ASCII"),
+    ("\u0968,2,0".encode(), "byte 0xe0 is not printable ASCII"),  # a Devanagari 2, float() reads it
+])
+def test_a_byte_outside_ascii_is_one_error_line_naming_its_line(tmp_path, capsys, row, shown):
+    src = tmp_path / "pairs.csv"
+    src.write_bytes(b"r,s,censored\n1.0,2.0,0\n" + row + b"\n0.5,1.0,1\n")
+    out = tmp_path / "wf.csv"
+    assert run("estimate", "--estimator", "wf", "--in", str(src), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {src}:3: {shown}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sidecar", [b'{"window": 2\xff}', b"\xff", b"window = 2", b'{"window": 2'])
+def test_an_unreadable_sidecar_counts_as_absent(tmp_path, capsys, sidecar):
+    # not UTF-8, or not JSON: as if there were no sidecar
+    src = tmp_path / "segments.csv"
+    src.write_text(SEGMENTS)
+    (tmp_path / "segments.csv.meta.json").write_bytes(sidecar)
+    argv = ("estimate", "--estimator", "palmer_cox", "--in", str(src))
+    assert run(*argv, "--out", str(tmp_path / "pc.csv")) == 2
+    assert capsys.readouterr().err == "usage error: estimator palmer_cox requires --window\n"
+    assert run(*argv, "--window", "2", "--out", str(tmp_path / "pc.csv")) == 0
+
+
+# A written data file, and the estimate argv that reads it.
+WRITTEN_INPUTS = {
+    "pairs": (dataio.write_pairs_csv, gapest.sample_equilibrium(gapest.Exponential(1.0), 12, 1),
+              ("--estimator", "wf")),
+    "window": (dataio.write_window_csv,
+               gapest.sample_pooled_windows(gapest.Exponential(1.0), 0.0, 3.0, 6, 1)[0],
+               ("--estimator", "wpl")),
+    "segments": (dataio.write_segments_csv,
+                 gapest.sample_pooled_segments(2.0, gapest.Exponential(1.0), 0.0, 3.0, 4, 1)[0],
+                 ("--estimator", "palmer_cox", "--window", "3")),
+}
+# Bytes written over a stretch of a file, or into it: cells, parts of cells,
+# line ends, and the bytes and cells the readers reject.
+PATCHES = st.lists(st.tuples(
+    st.integers(0, 600), st.integers(0, 6),
+    st.sampled_from([b"", b",", b"\n", b"\r", b"\r\n", b"0", b"1", b"-", b".", b"e", b"x", b" ",
+                     b"nan", b"inf", b"1e308", b"5e-324", b"1_0", b'"', b"\t", b"\x00", b"\xff",
+                     "\u0968".encode(), b"pc", b"rx", b"complete", b"empty"]),
+), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("fmt", WRITTEN_INPUTS)
+@given(patches=PATCHES)
+def test_a_corrupted_input_file_exits_0_or_1_with_one_error_line(tmp_path_factory, fmt, patches):
+    # in process, so that an exception out of main fails the test with its traceback
+    write, records, argv = WRITTEN_INPUTS[fmt]
+    folder = tmp_path_factory.mktemp("in")
+    src = folder / "in.csv"
+    write(src, records)
+    raw = src.read_bytes()
+    for back, width, patch in patches:  # back bytes from the end, and the header less often
+        at = max(len(raw) - back, 0)
+        raw = raw[:at] + patch + raw[at + width:]
+    src.write_bytes(raw)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a line more
+        code = main(["estimate", *argv, "--in", str(src), "--out", str(folder / "out")])
+    assert code in (0, 1)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue())
+    try:
+        getattr(dataio, f"read_{fmt}_csv")(src)
+    except gapest.DataFormatError as exc:  # the file's error, naming its line
+        assert re.match(rf"{re.escape(str(src))}:\d+: ", str(exc))
+        assert err.getvalue() == f"error: {exc}\n"
 
 
 @pytest.mark.parametrize("message, shown", [

@@ -84,10 +84,30 @@ class TestPairsCsv:
             dataio.read_pairs_csv(path)
 
     def test_errors_name_the_file_line_after_a_multiline_cell(self, tmp_path):
-        # the quoted cell on lines 2-3 is one csv record; the bad row is line 4
+        # no quoting: line 2 is a row of one field, not the start of a cell
         path = tmp_path / "bad.csv"
         path.write_text('r,s,censored\n"1\n",2,0\nx,2,0\n')
-        with pytest.raises(DataFormatError, match="bad.csv:4: could not convert"):
+        with pytest.raises(DataFormatError, match="bad.csv:2: the dtype passed requires 3 col"):
+            dataio.read_pairs_csv(path)
+
+    @pytest.mark.parametrize("cell", ["01", "+1", "-0", " 1", "1 "])
+    def test_flags_that_int_reads_as_0_or_1(self, tmp_path, cell):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"r,s,censored\n1.0,2.0,{cell}\n")
+        assert dataio.read_pairs_csv(path).censored.tolist() == [int(cell) == 1]
+
+    @pytest.mark.parametrize("cell, error", [
+        ("\u0968", "byte 0xe0 is not printable ASCII"),  # a Devanagari 2, which float() reads
+        ("1\t", "byte 0x09 is not printable ASCII"),
+        ("\x0c1", "byte 0x0c is not printable ASCII"),
+        ("1\x00", "byte 0x00 is not printable ASCII"),
+        ("1_0", "could not convert string '1_0' to float64"),
+        ('"1"', "could not convert string '\"1\"' to float64"),
+    ])
+    def test_cells_that_float_reads_are_errors_at_their_line(self, tmp_path, cell, error):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"r,s,censored\n1.0,2.0,0\n{cell},2.0,0\n1.0,2.0,0\n".encode())
+        with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}:3: {error}')}"):
             dataio.read_pairs_csv(path)
 
     @given(st.lists(st.tuples(FINITE, FINITE, st.booleans()), min_size=1, max_size=20))
@@ -156,6 +176,37 @@ class TestSegmentsCsv:
         round_trip(tmp_path_factory, dataio.write_segments_csv, dataio.read_segments_csv, segs)
 
 
+def pair_row(row):
+    r, s, flag = float(row[0]), float(row[1]), int(row[2])
+    if flag not in (0, 1):
+        raise ValueError(f"censored flag must be 0 or 1, got {row[2]}")
+    if not (0 <= r < math.inf and 0 <= s < math.inf):
+        raise ValueError("r and s must be finite and nonnegative")
+    return r, s, flag
+
+
+def window_row(row):
+    kind, value = row[0], float(row[1])
+    if kind not in WINDOW_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not 0 <= value < math.inf:
+        raise ValueError("value must be finite and nonnegative")
+    return kind, value
+
+
+def segment_row(row):
+    kind, length = row[0], float(row[1])
+    if kind not in SEGMENT_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if not 0 < length < math.inf:
+        raise ValueError("length must be finite and positive")
+    return kind, length
+
+
+def survival_row(row):
+    return float(row[0]), float(row[1]), *(float(cell) if cell else None for cell in row[2:])
+
+
 def read_by_loop(path, header, parse, container):
     """The reference reader: the csv rows of the file, one ``parse`` call
     per nonblank row, and each error worded with its line number."""
@@ -176,6 +227,12 @@ def read_by_loop(path, header, parse, container):
     return container(*(list(zip(*parsed)) or [()] * len(header)))
 
 
+def read_step_survival_csv(path) -> dict:
+    """The columns of a survival CSV as lists, None for an empty cell."""
+    return read_by_loop(path, dataio.SURVIVAL_HEADER, survival_row,
+                        lambda *cols: dict(zip(dataio.SURVIVAL_HEADER, map(list, cols))))
+
+
 def identical(got, want):
     """Same container type and columns equal bit for bit, dtypes included."""
     assert type(got) is type(want)
@@ -189,37 +246,53 @@ def identical(got, want):
 # the cells of one valid row as the writer prints them.
 FORMATS = {
     "pairs": (
-        dataio.write_pairs_csv, dataio.read_pairs_csv, dataio.PAIRS_HEADER, dataio._pair_row,
-        Pairs, st.tuples(FINITE.map(repr), FINITE.map(repr), st.sampled_from(["0", "1"])),
+        dataio.write_pairs_csv, dataio.read_pairs_csv, dataio.PAIRS_HEADER, pair_row, Pairs,
+        st.tuples(FINITE.map(repr), FINITE.map(repr), st.sampled_from(["0", "1"])),
     ),
     "window": (
-        dataio.write_window_csv, dataio.read_window_csv, dataio.WINDOW_HEADER,
-        dataio._window_row, WindowRecords,
-        st.tuples(st.sampled_from(WINDOW_KINDS), FINITE.map(repr)),
+        dataio.write_window_csv, dataio.read_window_csv, dataio.WINDOW_HEADER, window_row,
+        WindowRecords, st.tuples(st.sampled_from(WINDOW_KINDS), FINITE.map(repr)),
     ),
     "segments": (
         dataio.write_segments_csv, dataio.read_segments_csv, dataio.SEGMENTS_HEADER,
-        dataio._segment_row, Segments,
-        st.tuples(st.sampled_from(SEGMENT_KINDS), POSITIVE.map(repr)),
+        segment_row, Segments, st.tuples(st.sampled_from(SEGMENT_KINDS), POSITIVE.map(repr)),
     ),
 }
 
 
+# A cell that the loop may read and the reader rejects: a byte other than
+# printable ASCII and the line ends, an underscore in a number, or a quote.
+DECIDED = re.compile(rb'[^\x20-\x7e\r\n]|[_"]')
+
+
+def error_line(path, exc) -> int:
+    """The file line that a ``path:line: ...`` error names."""
+    return int(re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))[1])
+
+
 def assert_reads_as_by_loop(fmt, path):
-    """The reader returns what read_by_loop returns, or raises its error."""
+    """Where the reader accepts a file, the loop returns the same columns,
+    bit for bit. Where it rejects one, it raises a DataFormatError naming a
+    file line: the first line that holds a DECIDED cell or that the loop
+    rejects, whichever comes first."""
     _, read, header, parse, container, _ = FORMATS[fmt]
-
-    def outcome(read):
-        try:
-            return read(path)
-        except Exception as exc:  # noqa: BLE001 - the error itself is compared
-            return type(exc), str(exc)
-
-    got, want = outcome(read), outcome(lambda p: read_by_loop(p, header, parse, container))
-    if isinstance(want, tuple):
-        assert got == want
+    try:
+        got = read(path)
+    except DataFormatError as exc:
+        line = error_line(path, exc)
     else:
-        identical(got, want)
+        identical(got, read_by_loop(path, header, parse, container))
+        return
+    lines = path.read_bytes().splitlines()  # on \n, \r and \r\n only, as a bytes method
+    decided = next((n for n, text in enumerate(lines, 1) if DECIDED.search(text)), math.inf)
+    try:
+        read_by_loop(path, header, parse, container)
+    except DataFormatError as exc:  # a line of its own count, which agrees before `decided`
+        assert line == min(decided, error_line(path, exc))
+    except UnicodeDecodeError:  # not UTF-8, so some line is decided
+        assert line <= decided < math.inf
+    else:
+        assert line == decided
 
 # Cells and lines on which np.loadtxt, float() and int() may part ways, and
 # quoted cells that span lines.
@@ -247,8 +320,9 @@ EDITS = st.lists(
 
 
 class TestCParseMatchesRowLoop:
-    """The readers parse in C and fall back to the row loop; either way
-    they return what the loop alone returns, or raise its error."""
+    """The readers' one np.loadtxt parse reads what the row loop reads, bit
+    for bit, and rejects what it rejects at its line, or a DECIDED cell at
+    an earlier one."""
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @given(data=st.data(), edits=EDITS, newline=st.sampled_from(["\n", "\r\n"]),
@@ -273,12 +347,14 @@ class TestCParseMatchesRowLoop:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @given(data=st.data(), blanks=st.lists(st.tuples(st.integers(0, 99), BLANK_LINES), max_size=3),
-           final=st.booleans(), odd=st.none() | st.tuples(st.integers(0, 999), NON_ASCII))
+           final=st.booleans(), odd=st.none() | st.tuples(st.integers(0, 999), NON_ASCII),
+           block=st.integers(16, 64))
     def test_line_ends_blank_lines_and_a_non_ascii_byte(
-        self, tmp_path_factory, fmt, data, blanks, final, odd
+        self, tmp_path_factory, fmt, data, blanks, final, odd, block
     ):
         # The byte check lets \r through to loadtxt, which reads the file in
-        # text mode; the loop reads it as text too.
+        # text mode; the loop reads it as text too. Blocks as short as the
+        # header split a \r\n, and lines, between blocks.
         header, cells = FORMATS[fmt][2], FORMATS[fmt][5]
         lines = [",".join(header)] + [",".join(row) for row in data.draw(st.lists(cells, max_size=6))]
         for at, blank in blanks:
@@ -291,25 +367,9 @@ class TestCParseMatchesRowLoop:
             raw = raw[:at] + odd[1] + raw[at:]
         path = tmp_path_factory.mktemp("io") / "records.csv"
         path.write_bytes(raw)
-        assert_reads_as_by_loop(fmt, path)
-
-    @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-    def test_plain_files_with_any_line_end_never_enter_the_row_loop(self, tmp_path, fmt, end):
-        # a blank line after the header and no final line end, too
-        write, read, _, _, container, _ = FORMATS[fmt]
-        rows = {"pairs": [(0.5, 2.0, True), (1.5, 0.25, False)],
-                "window": [("complete", 0.5), ("empty", 3.0)],
-                "segments": [("pc", 0.5), ("rx", 3.0)]}[fmt]
-        records = container(*zip(*rows))
-        path = tmp_path / "records.csv"
-        write(path, records)
-        head, *body = path.read_text().split("\n")[:-1]
-        path.write_text(end.join([head, "", *body]), newline="")
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("_pair_row", "_window_row", "_segment_row"):
-                patch.setattr(dataio, name, entered_row_loop)
-            identical(read(path), records)
+            patch.setattr(dataio, "_READ_BLOCK", block)
+            assert_reads_as_by_loop(fmt, path)
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_every_hard_token_in_every_place(self, tmp_path, fmt):
@@ -324,22 +384,6 @@ class TestCParseMatchesRowLoop:
                 rows = [header, valid, middle, valid]
                 path.write_text("\n".join(",".join(row) for row in rows) + "\n")
                 assert_reads_as_by_loop(fmt, path)
-
-    @pytest.mark.parametrize("fmt", FORMATS)
-    @given(data=st.data(), chunk=st.integers(1, 8))
-    def test_written_files_never_enter_the_row_loop(self, tmp_path_factory, fmt, data, chunk):
-        # sizes on both sides of one, two and three chunks
-        write, read, _, _, container, cells = FORMATS[fmt]
-        rows = data.draw(st.lists(cells, min_size=1, max_size=3 * chunk + 1))
-        records = container(*zip(*rows))
-        path = tmp_path_factory.mktemp("io") / "records.csv"
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dataio, "WRITE_CHUNK_ROWS", chunk)
-            write(path, records)
-        with pytest.MonkeyPatch.context() as patch:
-            for name in ("_pair_row", "_window_row", "_segment_row"):
-                patch.setattr(dataio, name, entered_row_loop)
-            identical(read(path), records)
 
     @pytest.mark.parametrize("fmt, dtypes", [
         ("pairs", ["float64", "float64", "bool"]),
@@ -356,10 +400,6 @@ class TestCParseMatchesRowLoop:
             got = read(path)
         identical(got, container(*[()] * len(header)))
         assert [col.dtype for col in got._columns()] == [np.dtype(d) for d in dtypes]
-
-
-def entered_row_loop(row):
-    raise AssertionError(f"the row loop parsed {row}")
 
 
 def write_csv_by_writer(path, header, rows):
@@ -697,7 +737,7 @@ class TestStepSurvivalFiles:
         band = bootstrap_band(pairs, "winter_foldes", B=20, seed=1, grid=[0.5, 1.0, 2.0])
         path = tmp_path / "est.csv"
         dataio.write_step_survival_csv(path, est, band)
-        data = dataio.read_step_survival_csv(path)
+        data = read_step_survival_csv(path)
         assert data["t"] == sorted(data["t"])
         k = data["t"].index(1.0)
         assert data["lower"][k] == pytest.approx(band.lower_at(1.0))
@@ -712,7 +752,7 @@ class TestStepSurvivalFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,survival,variance,lower,upper"
         assert lines[1].endswith(",,,")
-        data = dataio.read_step_survival_csv(path)
+        data = read_step_survival_csv(path)
         assert data["variance"] == [None, None]
 
     @given(data=st.data(), chunk=st.integers(1, 4))
@@ -728,7 +768,7 @@ class TestStepSurvivalFiles:
             patch.setattr(dataio, "WRITE_CHUNK_ROWS", chunk)
             dataio.write_step_survival_csv(folder / "est.csv", None)
             dataio.write_step_survival_json(folder / "est.json", None)
-        from_csv = dataio.read_step_survival_csv(folder / "est.csv")
+        from_csv = read_step_survival_csv(folder / "est.csv")
         from_json = json.loads((folder / "est.json").read_text())
         for name, col in zip(dataio.SURVIVAL_HEADER, cols):
             # repr tells -0.0 from 0.0 and round-trips every float
