@@ -233,7 +233,7 @@ _PLAIN = bytes(range(0x20, 0x7F)) + b"\n\r"
 
 def _kind_table(kinds: tuple) -> np.dtype:
     """A text field one character wider than the longest kind name, so that a longer cell is
-    cut to a width no name has (an error names the cut cell), then a float field."""
+    cut to a width no name has (an error reads it whole), then a float field."""
     return np.dtype([("kind", f"<U{max(map(len, kinds)) + 1}"), ("value", float)])
 
 
@@ -278,20 +278,29 @@ def _load(lines, dtype, build, skiprows=0):
     return build(*(np.ascontiguousarray(f) if f.dtype == float else f for f in fields))
 
 
-def _load_plain(lines, dtype, build):
-    """_load of data lines (bytes), or a ValueError on a byte other than _PLAIN."""
-    odd = b"".join(lines).translate(None, _PLAIN)
-    if odd:
+def _check_cells(line: bytes, dtype, header: list[str]) -> None:
+    """A ValueError, in the file's terms, where np.loadtxt cannot read a data line into ``dtype``:
+    a byte other than _PLAIN, a cell count other than the header's, or a cell it cannot convert."""
+    if odd := line.translate(None, _PLAIN):
         raise ValueError(f"byte {odd[0]:#04x} is not printable ASCII")
-    return _load(lines, dtype, build)
+    cells = line.decode().split(",")
+    if len(cells) != len(header):
+        raise ValueError(f"expected {len(header)} cells, found {len(cells)}")
+    for i, field in enumerate(dtype.descr):
+        try:
+            np.loadtxt([line.decode()], field[1], delimiter=",", comments=None, usecols=i)
+        except ValueError:
+            number = "an integer" if np.dtype(field[1]).kind == "i" else "a number"
+            raise ValueError(f"{cells[i]!r} in column {header[i]} is not {number}") from None
 
 
 def _read_columns(path, header: list[str], dtype, build):
     """``build(*fields)`` of the data rows of a CSV file, as np.loadtxt reads them into ``dtype``;
     ``build`` raises ValueError on a bad row. After the header, the bytes are checked a block at
     a time, and a file of _PLAIN bytes is loaded whole. An error names its file line: with no
-    quoting a row is one nonblank line, and rows fail alone, so the data lines are halved down
-    to the first bad row, one _load_plain of a slice per probe."""
+    quoting a row is one nonblank line, and rows fail alone, so the data lines up to the first
+    that is not _PLAIN are halved down to the first bad row, one _load of a slice per probe.
+    _check_cells words what loadtxt rejects in that row, and kind cells are read whole."""
     path = Path(path)
     try:
         with open(path, "rb") as fh:
@@ -313,16 +322,18 @@ def _read_columns(path, header: list[str], dtype, build):
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
     numbers, lines = zip(*[(n, line) for n, line in enumerate(file_lines[1:], 2) if line])
-    lo, hi = 0, len(lines)  # lines[lo:hi] holds the first bad row
-    while hi - lo > 1:
+    dtype = np.dtype([(k, re.sub(r"U\d+", f"U{max(map(len, lines))}", t)) for k, t in dtype.descr])
+    lo, hi = 0, next((i + 1 for i, x in enumerate(lines) if x.translate(None, _PLAIN)), len(lines))
+    while hi - lo > 1:  # lines[lo:hi] holds the first bad row
         mid = (lo + hi) // 2
         try:
-            _load_plain(lines[lo:mid], dtype, build)
+            _load(lines[lo:mid], dtype, build)
             lo = mid
         except ValueError:
             hi = mid
     try:  # with the rows before it, so that a row index counts as in the whole file
-        _load_plain(lines[:hi], dtype, build)
+        _check_cells(lines[lo], dtype, header)
+        _load(lines[:hi], dtype, build)
     except ValueError as exc:
         raise DataFormatError(f"{path}:{numbers[lo]}: {exc}") from None
     raise AssertionError(f"{path}: the file fails to load, but no row of it fails")

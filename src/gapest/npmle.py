@@ -330,7 +330,8 @@ def laslett_em_many(
     accepted step no longer raises l, so a ``tol`` below float resolution
     cannot run to ``max_iter``. That rise is computed from K times the
     step, not as a difference of two values of l, so rises far below the
-    rounding error of l still count.
+    rounding error of l still count; n log(1 + sum(step) / sum(q)), each
+    sum a sequential ``total``, takes out the masses' rounding away from 1.
 
     Steps. Each is SQUAREM (Varadhan and Roland 2008, scheme SqS3): from
     q1 = F(q) and q2 = F(q1), with r = q1 - q, v = q2 - q1 - r and
@@ -384,17 +385,13 @@ def laslett_em_many(
         d = ktmul(cn / kq)
         return normalised(q * d), d
 
-    def rise(q_to, q_from, kq_from, live):
-        """l(q_to) - l(q_from) of the fits indexed by ``live`` (nan elsewhere),
-        from K (q_to - q_from): accurate down to rises far below the
-        rounding error of l itself. The last term corrects for the rounding
-        of the two totals away from 1."""
+    def rise(q_to, q_from, kq_from):
+        """l(q_to) - l(q_from) of every fit, from K (q_to - q_from): accurate
+        far below the rounding error of l. The last term takes out the masses'
+        totals, rounded away from 1, each a sequential ``total``."""
         step = q_to - q_from
         gain = total(c * np.log1p(kmul(step) / kq_from))[:, 0]
-        out = np.full(len(step), np.nan)
-        for i, s, f in zip(live, step[live].tolist(), q_from[live].tolist()):
-            out[i] = gain[i] - n[i] * math.log1p(math.fsum(s) / math.fsum(f))
-        return out
+        return gain - n * np.log1p(total(step)[:, 0] / total(q_from)[:, 0])
 
     q = np.tile(normalised(w + atoms), (fits, 1))  # uniform masses p
     kq = kmul(q)
@@ -432,14 +429,15 @@ def laslett_em_many(
             kqx = kmul(qx)
             qs, _ = em_map(qx, kqx)
             kqs = kmul(qs)
-            ok = trying & (kqx > 0.0).all(axis=1) & (kqs > 0.0).all(axis=1)  # false for nan
-            ok &= rise(qs, q2, kq2, ok.nonzero()[0]) >= 0.0
-            q_new, kq_new = np.where(ok[:, None], qs, q_new), np.where(ok[:, None], kqs, kq_new)
+            ok = trying & (np.minimum(kqx, kqs).min(axis=1) > 0.0)  # false for nan
+            ok &= rise(qs, q2, kq2) >= 0.0
+            q_new, kq_new = (qs, kqs) if ok.all() else (  # qs whole if every fit accepts
+                np.where(ok[:, None], qs, q_new), np.where(ok[:, None], kqs, kq_new))
             trying &= ~ok
             if not trying.any():
                 break
             alpha = (alpha - 1.0) / 2.0
-        stalled = ~(rise(q_new, q, kq, np.arange(len(ids))) > 0.0)
+        stalled = ~(rise(q_new, q, kq) > 0.0)
         q, kq = q_new, kq_new
         for i, ll in zip(ids.tolist(), loglik(kq).tolist()):
             traces[i].append(ll)

@@ -104,9 +104,9 @@ def _counter(times, censored, entry):
         order = order[np.lexsort((censored[order], exits))]
     ev = np.flatnonzero(~censored[order])
     t = exits[ev]
-    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    starts = np.flatnonzero(np.append(True, t[1:] != t[:-1]))
     event_times, exited = t[starts], ev[starts]
-    last = ev[np.r_[starts[1:], ev.size] - 1] + 1
+    last = ev[np.append(starts[1:], ev.size) - 1] + 1
     if late := entry.any():
         by_entry = np.argsort(entry[order])
         # an event row enters before it exits, so some entry is below each T[k]

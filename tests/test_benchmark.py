@@ -15,7 +15,7 @@ from gapest import (
     mc_compare,
     tail_failure_demo,
 )
-from gapest import npmle
+from gapest import npmle, parse_distribution
 from gapest.benchmark import TailReport, TailRow, _simulate
 
 
@@ -190,6 +190,31 @@ class TestMcCompare:
         rows = report.csv_rows()
         assert len(rows) == len(report.summaries) * report.grid.size
         assert all(len(r) == 5 for r in rows)
+
+
+# The mc-segments-em studies of the benchmark at its seed 1: four study seeds
+# from SeedSequence(1), and a relative slack below which a drop in an EM trace
+# is float rounding, both as perfbench/workloads.py and perfbench/tracing.py take them.
+BENCH_STUDY_SEEDS = [int(s) for s in np.random.SeedSequence(1).generate_state(4)]
+TRACE_SLACK = 1e-12
+
+
+@pytest.mark.parametrize("seed", BENCH_STUDY_SEEDS)
+def test_the_benchmark_em_fits_are_certified_and_their_traces_never_drop(seed):
+    # A traced benchmark run checks this only for lone laslett_em calls, and
+    # mc_compare fits its replicates as one laslett_em_many batch instead.
+    config = McConfig(dist_spec="exp:1", scheme="segments", n=400, replicates=10, seed=seed,
+                      window_length=3.0, birth_rate=2.0, bin_width=0.25)
+    assert mc_compare(config).em_fits["certified"] == 10
+    dist = parse_distribution("exp:1")
+    problems = [npmle.em_problem(_simulate(config, dist, rep), 3.0, 0.25) for rep in range(10)]
+    atoms = problems[0][0]
+    assert all(grid.tobytes() == atoms.tobytes() for grid, _ in problems)
+    fits = npmle.laslett_em_many([problem for _, problem in problems], 3.0, atoms)
+    for fit in fits:
+        ll = fit.loglik_trace
+        assert fit.converged
+        assert np.all(np.diff(ll) >= -TRACE_SLACK * np.maximum(np.abs(ll[:-1]), 1.0))
 
 
 class TestTailDemo:

@@ -87,8 +87,24 @@ class TestPairsCsv:
         # no quoting: line 2 is a row of one field, not the start of a cell
         path = tmp_path / "bad.csv"
         path.write_text('r,s,censored\n"1\n",2,0\nx,2,0\n')
-        with pytest.raises(DataFormatError, match="bad.csv:2: the dtype passed requires 3 col"):
+        with pytest.raises(DataFormatError, match="bad.csv:2: expected 3 cells, found 1$"):
             dataio.read_pairs_csv(path)
+
+    @pytest.mark.parametrize("row, error", [
+        ("1,2,0,4", "expected 3 cells, found 4"),
+        ("1,2", "expected 3 cells, found 2"),
+        ("1,abc,0", "'abc' in column s is not a number"),
+        ("1,,0", "'' in column s is not a number"),
+        ("1,2,x", "'x' in column censored is not an integer"),
+        ("1,2,1.0", "'1.0' in column censored is not an integer"),
+    ])
+    def test_rows_loadtxt_cannot_read_are_worded_in_the_file_terms(self, tmp_path, row, error):
+        # no numpy row count beside the file line, and no advice on loadtxt's options
+        path = tmp_path / "bad.csv"
+        path.write_text(f"r,s,censored\n1,2,0\n{row}\n1,2,0\n")
+        with pytest.raises(DataFormatError) as info:
+            dataio.read_pairs_csv(path)
+        assert str(info.value) == f"{path}:3: {error}"
 
     @pytest.mark.parametrize("cell", ["01", "+1", "-0", " 1", "1 "])
     def test_flags_that_int_reads_as_0_or_1(self, tmp_path, cell):
@@ -101,8 +117,8 @@ class TestPairsCsv:
         ("1\t", "byte 0x09 is not printable ASCII"),
         ("\x0c1", "byte 0x0c is not printable ASCII"),
         ("1\x00", "byte 0x00 is not printable ASCII"),
-        ("1_0", "could not convert string '1_0' to float64"),
-        ('"1"', "could not convert string '\"1\"' to float64"),
+        ("1_0", "'1_0' in column r is not a number"),
+        ('"1"', "'\"1\"' in column r is not a number"),
     ])
     def test_cells_that_float_reads_are_errors_at_their_line(self, tmp_path, cell, error):
         path = tmp_path / "bad.csv"
@@ -169,6 +185,15 @@ class TestSegmentsCsv:
         path.write_text("kind,length\npc,1.0\nzz,1.0\n")
         with pytest.raises(DataFormatError, match="bad.csv:3"):
             dataio.read_segments_csv(path)
+
+    @pytest.mark.parametrize("cell", ["pcxxx", "pcx", " pc ", "complete"])
+    def test_an_unknown_kind_is_named_as_the_file_holds_it(self, tmp_path, cell):
+        # wider than any kind name, the cell is still named whole
+        path = tmp_path / "bad.csv"
+        path.write_text(f"kind,length\npc,1\n{cell},1\n")
+        with pytest.raises(DataFormatError) as info:
+            dataio.read_segments_csv(path)
+        assert str(info.value) == f"{path}:3: segment 1 has unknown kind {cell!r}"
 
     @given(st.lists(st.tuples(st.sampled_from(SEGMENT_KINDS), POSITIVE), min_size=1, max_size=20))
     def test_property_round_trip_is_bitwise(self, tmp_path_factory, rows):
