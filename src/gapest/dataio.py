@@ -231,10 +231,11 @@ def write_csv(path, header: list[str], columns) -> None:
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\n\r"
 
 
-def _kind_table(kinds: tuple) -> np.dtype:
-    """A text field one character wider than the longest kind name, so that a longer cell is
-    cut to a width no name has (an error reads it whole), then a float field."""
-    return np.dtype([("kind", f"<U{max(map(len, kinds)) + 1}"), ("value", float)])
+def _kind_table(kinds: tuple):
+    """table(width): a text field ``width`` wide, or one character wider than the longest kind
+    name if that is more, so that a longer cell is cut to a width no name has; a float field."""
+    least = max(map(len, kinds)) + 1
+    return lambda width: np.dtype([("kind", f"<U{max(least, width)}"), ("value", float)])
 
 
 def write_pairs_csv(path, pairs: Pairs) -> None:
@@ -250,7 +251,7 @@ def _pairs(r, s, flag):
 
 def read_pairs_csv(path) -> Pairs:
     dtype = np.dtype([("r", float), ("s", float), ("censored", "<i8")])
-    return _read_columns(path, PAIRS_HEADER, dtype, _pairs)
+    return _read_columns(path, PAIRS_HEADER, lambda width: dtype, _pairs)
 
 
 def write_window_csv(path, obs: WindowRecords) -> None:
@@ -278,30 +279,15 @@ def _load(lines, dtype, build, skiprows=0):
     return build(*(np.ascontiguousarray(f) if f.dtype == float else f for f in fields))
 
 
-def _check_cells(line: bytes, dtype, header: list[str]) -> None:
-    """A ValueError, in the file's terms, where np.loadtxt cannot read a data line into ``dtype``:
-    a byte other than _PLAIN, a cell count other than the header's, or a cell it cannot convert."""
-    if odd := line.translate(None, _PLAIN):
-        raise ValueError(f"byte {odd[0]:#04x} is not printable ASCII")
-    cells = line.decode().split(",")
-    if len(cells) != len(header):
-        raise ValueError(f"expected {len(header)} cells, found {len(cells)}")
-    for i, field in enumerate(dtype.descr):
-        try:
-            np.loadtxt([line.decode()], field[1], delimiter=",", comments=None, usecols=i)
-        except ValueError:
-            number = "an integer" if np.dtype(field[1]).kind == "i" else "a number"
-            raise ValueError(f"{cells[i]!r} in column {header[i]} is not {number}") from None
-
-
-def _read_columns(path, header: list[str], dtype, build):
-    """``build(*fields)`` of the data rows of a CSV file, as np.loadtxt reads them into ``dtype``;
-    ``build`` raises ValueError on a bad row. After the header, the bytes are checked a block at
-    a time, and a file of _PLAIN bytes is loaded whole. An error names its file line: with no
-    quoting a row is one nonblank line, and rows fail alone, so the data lines up to the first
-    that is not _PLAIN are halved down to the first bad row, one _load of a slice per probe.
-    _check_cells words what loadtxt rejects in that row, and kind cells are read whole."""
-    path = Path(path)
+def _read_columns(path, header: list[str], table, build):
+    """``build(*fields)`` of the data rows of a CSV file, as np.loadtxt reads them into
+    ``table(0)``; ``build`` raises ValueError on a bad row. After the header, the bytes are checked
+    a block at a time, and a file of _PLAIN bytes is loaded whole. An error names its file line:
+    with no quoting a row is one nonblank line, and rows fail alone, so the data lines up to the
+    first that is not _PLAIN are halved down to the first bad row, one _load of a slice per probe.
+    What loadtxt rejects there is worded in the file's terms, and ``table(width)`` reads the
+    row's kind cell whole: only that row widens the field, so the memory stays about the file's."""
+    path, dtype = Path(path), table(0)
     try:
         with open(path, "rb") as fh:
             block = fh.read(_READ_BLOCK)
@@ -322,8 +308,9 @@ def _read_columns(path, header: list[str], dtype, build):
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
     numbers, lines = zip(*[(n, line) for n, line in enumerate(file_lines[1:], 2) if line])
-    dtype = np.dtype([(k, re.sub(r"U\d+", f"U{max(map(len, lines))}", t)) for k, t in dtype.descr])
-    lo, hi = 0, next((i + 1 for i, x in enumerate(lines) if x.translate(None, _PLAIN)), len(lines))
+    end, odd = next(((i, odd) for i, x in enumerate(lines) if (odd := x.translate(None, _PLAIN))),
+                    (len(lines), b""))  # the first line that is not _PLAIN, and its other bytes
+    lo, hi = 0, min(end + 1, len(lines))
     while hi - lo > 1:  # lines[lo:hi] holds the first bad row
         mid = (lo + hi) // 2
         try:
@@ -332,8 +319,18 @@ def _read_columns(path, header: list[str], dtype, build):
         except ValueError:
             hi = mid
     try:  # with the rows before it, so that a row index counts as in the whole file
-        _check_cells(lines[lo], dtype, header)
-        _load(lines[:hi], dtype, build)
+        if lo == end:
+            raise ValueError(f"byte {odd[0]:#04x} is not printable ASCII")
+        if len(cells := lines[lo].decode().split(",")) != len(header):
+            raise ValueError(f"expected {len(header)} cells, found {len(cells)}")
+        for i, cell in enumerate(cells):  # one column at a time, so loadtxt decides what reads
+            try:
+                np.loadtxt(lines[lo:hi], dtype[i], delimiter=",", comments=None, usecols=i,
+                           encoding="ascii")
+            except ValueError:
+                number = "an integer" if dtype[i].kind == "i" else "a number"
+                raise ValueError(f"{cell!r} in column {header[i]} is not {number}") from None
+        _load(lines[:hi], table(len(cells[0])), build)
     except ValueError as exc:
         raise DataFormatError(f"{path}:{numbers[lo]}: {exc}") from None
     raise AssertionError(f"{path}: the file fails to load, but no row of it fails")

@@ -431,8 +431,7 @@ def laslett_em_many(
             kqs = kmul(qs)
             ok = trying & (np.minimum(kqx, kqs).min(axis=1) > 0.0)  # false for nan
             ok &= rise(qs, q2, kq2) >= 0.0
-            q_new, kq_new = (qs, kqs) if ok.all() else (  # qs whole if every fit accepts
-                np.where(ok[:, None], qs, q_new), np.where(ok[:, None], kqs, kq_new))
+            q_new, kq_new = np.where(ok[:, None], qs, q_new), np.where(ok[:, None], kqs, kq_new)
             trying &= ~ok
             if not trying.any():
                 break

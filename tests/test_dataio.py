@@ -195,6 +195,21 @@ class TestSegmentsCsv:
             dataio.read_segments_csv(path)
         assert str(info.value) == f"{path}:3: segment 1 has unknown kind {cell!r}"
 
+    def test_a_long_line_after_the_bad_row_leaves_the_kind_field_narrow(self, tmp_path):
+        # only the bad row's own kind cell widens the field, so the search holds
+        # about the file's bytes, not rows times the longest line
+        path = tmp_path / "bad.csv"
+        path.write_text("kind,length\npc,1\npcxxx,1\n" + "pc,1\n" * 200 + "x" * 100_000 + ",1\n")
+
+        def read():
+            with pytest.raises(DataFormatError) as info:
+                dataio.read_segments_csv(path)
+            return str(info.value)
+
+        error, peak = traced(read)
+        assert error == f"{path}:3: segment 1 has unknown kind 'pcxxx'"
+        assert peak < 2_000_000
+
     @given(st.lists(st.tuples(st.sampled_from(SEGMENT_KINDS), POSITIVE), min_size=1, max_size=20))
     def test_property_round_trip_is_bitwise(self, tmp_path_factory, rows):
         segs = Segments(*zip(*rows))
