@@ -285,8 +285,8 @@ def _read_columns(path, header: list[str], table, build):
     a block at a time, and a file of _PLAIN bytes is loaded whole. An error names its file line:
     with no quoting a row is one nonblank line, and rows fail alone, so the data lines up to the
     first that is not _PLAIN are halved down to the first bad row, one _load of a slice per probe.
-    What loadtxt rejects there is worded in the file's terms, and ``table(width)`` reads the
-    row's kind cell whole: only that row widens the field, so the memory stays about the file's."""
+    What loadtxt rejects there is worded in the file's terms; ``table(width)`` reads that row's
+    kind cell whole, to at most _READ_BLOCK characters over the rows up to it, memory bounded."""
     path, dtype = Path(path), table(0)
     try:
         with open(path, "rb") as fh:
@@ -330,7 +330,7 @@ def _read_columns(path, header: list[str], table, build):
             except ValueError:
                 number = "an integer" if dtype[i].kind == "i" else "a number"
                 raise ValueError(f"{cell!r} in column {header[i]} is not {number}") from None
-        _load(lines[:hi], table(len(cells[0])), build)
+        _load(lines[:hi], table(min(len(cells[0]), _READ_BLOCK // hi)), build)
     except ValueError as exc:
         raise DataFormatError(f"{path}:{numbers[lo]}: {exc}") from None
     raise AssertionError(f"{path}: the file fails to load, but no row of it fails")

@@ -195,11 +195,16 @@ class TestSegmentsCsv:
             dataio.read_segments_csv(path)
         assert str(info.value) == f"{path}:3: segment 1 has unknown kind {cell!r}"
 
-    def test_a_long_line_after_the_bad_row_leaves_the_kind_field_narrow(self, tmp_path):
-        # only the bad row's own kind cell widens the field, so the search holds
-        # about the file's bytes, not rows times the longest line
+    @pytest.mark.parametrize("rows, line, cell", [
+        ("pc,1\npcxxx,1\n" + "pc,1\n" * 200 + "x" * 100_000 + ",1\n", 3, "pcxxx"),
+        ("pc,1\n" * 20_000 + "x" * 1000 + ",1\n", 20_002, "x" * (dataio._READ_BLOCK // 20_001)),
+    ], ids=["long-line-after-it", "long-cell-late"])
+    def test_the_kind_field_widens_only_so_far(self, tmp_path, rows, line, cell):
+        # only the bad row's kind cell widens the field, to at most _READ_BLOCK
+        # characters over the rows up to it: a long line after it, or a long cell
+        # late in the file, does not size every row by itself
         path = tmp_path / "bad.csv"
-        path.write_text("kind,length\npc,1\npcxxx,1\n" + "pc,1\n" * 200 + "x" * 100_000 + ",1\n")
+        path.write_text("kind,length\n" + rows)
 
         def read():
             with pytest.raises(DataFormatError) as info:
@@ -207,8 +212,8 @@ class TestSegmentsCsv:
             return str(info.value)
 
         error, peak = traced(read)
-        assert error == f"{path}:3: segment 1 has unknown kind 'pcxxx'"
-        assert peak < 2_000_000
+        assert error == f"{path}:{line}: segment {line - 2} has unknown kind {cell!r}"
+        assert peak < 16 * dataio._READ_BLOCK  # 20 001 rows x 1000 characters hold 80 MB
 
     @given(st.lists(st.tuples(st.sampled_from(SEGMENT_KINDS), POSITIVE), min_size=1, max_size=20))
     def test_property_round_trip_is_bitwise(self, tmp_path_factory, rows):
