@@ -58,6 +58,8 @@ class McConfig:
             raise EstimationError(
                 f"estimator {bad[0]!r} does not apply to scheme {self.scheme!r}"
             )
+        if len(set(self.estimators)) < len(self.estimators):
+            raise EstimationError(f"estimators {list(self.estimators)} repeat a tag")
         needs = {"window": ("window_length",), "segments": ("window_length", "birth_rate")}
         needed = needs.get(self.scheme, ())
         for name in needed:

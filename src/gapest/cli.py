@@ -218,26 +218,28 @@ def cmd_estimate(args) -> int:
     else:
         data = dataio.read_segments_csv(args.infile)
 
+    try:  # the fit's errors name the input file, as the reader's own do
+        if args.estimator == "em":
+            grid, problem = npmle.em_problem(data, window, args.grid)
+            result = npmle.laslett_em_many([problem], window, grid, args.max_iter, args.tol)[0]
+        else:
+            est, band = row.fit(data, window), None
+            if est.event_counts is not None:
+                est = product_limit.greenwood_variance(est)
+            if args.bootstrap is not None:
+                band = product_limit.bootstrap_band(
+                    data,
+                    row.bootstrap_name,
+                    B=args.bootstrap,
+                    seed=args.seed,
+                    level=args.level,
+                    window_length=window,
+                )
+    except ValueError as exc:
+        raise ValueError(f"{args.infile}: {exc}") from exc
     if args.estimator == "em":
-        grid, problem = npmle.em_problem(data, window, args.grid)
-        result = npmle.laslett_em_many([problem], window, grid, args.max_iter, args.tol)[0]
         dataio.write_em_result_json(args.out, result)
-        return 0
-
-    est = row.fit(data, window)
-    if est.event_counts is not None:
-        est = product_limit.greenwood_variance(est)
-    band = None
-    if args.bootstrap is not None:
-        band = product_limit.bootstrap_band(
-            data,
-            row.bootstrap_name,
-            B=args.bootstrap,
-            seed=args.seed,
-            level=args.level,
-            window_length=window,
-        )
-    if args.format == "json":
+    elif args.format == "json":
         dataio.write_step_survival_json(args.out, est, band)
     else:
         dataio.write_step_survival_csv(args.out, est, band)

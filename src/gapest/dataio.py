@@ -232,10 +232,12 @@ _PLAIN = bytes(range(0x20, 0x7F)) + b"\n\r"
 
 
 def _kind_table(kinds: tuple):
-    """table(width): a text field ``width`` wide, or one character wider than the longest kind
-    name if that is more, so that a longer cell is cut to a width no name has; a float field."""
+    """table(width): a kind field one character wider than the longest kind name, so that a
+    longer cell is cut to a width no name has, and a float field. The kind field is ASCII bytes
+    at width 0 (a quarter of text's memory), else text at least ``width`` wide, to word an error."""
     least = max(map(len, kinds)) + 1
-    return lambda width: np.dtype([("kind", f"<U{max(least, width)}"), ("value", float)])
+    return lambda width: np.dtype([("kind", f"<U{max(least, width)}" if width else f"S{least}"),
+                                   ("value", float)])
 
 
 def write_pairs_csv(path, pairs: Pairs) -> None:
@@ -330,7 +332,7 @@ def _read_columns(path, header: list[str], table, build):
             except ValueError:
                 number = "an integer" if dtype[i].kind == "i" else "a number"
                 raise ValueError(f"{cell!r} in column {header[i]} is not {number}") from None
-        _load(lines[:hi], table(min(len(cells[0]), _READ_BLOCK // hi)), build)
+        _load(lines[:hi], table(max(1, min(len(cells[0]), _READ_BLOCK // hi))), build)
     except ValueError as exc:
         raise DataFormatError(f"{path}:{numbers[lo]}: {exc}") from None
     raise AssertionError(f"{path}: the file fails to load, but no row of it fails")

@@ -89,8 +89,9 @@ def cox_vardi(q_values) -> DiscreteDistribution:
         raise EstimationError(f"observation {bad[0]} is not finite: {q[bad[0]]}")
     if np.any(q <= 0):
         raise EstimationError("observations must be positive")
-    atoms, counts = np.unique(q, return_counts=True)
-    return DiscreteDistribution.from_weights(atoms, counts / atoms)
+    atoms, weights = np.unique(q, return_counts=True)
+    weights = weights / atoms  # the counts go as soon as the weights are made
+    return DiscreteDistribution.from_weights(atoms, weights)
 
 
 def cox_vardi_from_pairs(pairs: Pairs) -> DiscreteDistribution:
@@ -124,7 +125,8 @@ def segment_loglik(
     exception. With ``include_poisson_factor`` the Poisson log probability
     of the observed segment count, with mean birth_rate * (w + mu), is added.
 
-    Atoms must cover every proper complete length exactly.
+    Atoms must cover every proper complete length exactly. Any positive
+    lengths are taken as they are, with no window rules (``check_window``).
     """
     if include_poisson_factor and (birth_rate is None or not 0.0 < birth_rate < math.inf):
         raise ValueError(f"birth_rate must be finite and positive, got {birth_rate}")
@@ -201,6 +203,7 @@ def segment_marginal_loglik(
     Profiling the Poisson birth intensity out of the full segment
     likelihood leaves, up to data-only constants, the sum of the per-kind
     numerators minus n log(w + mu). This is the objective the EM ascends.
+    Any positive lengths are taken as they are, with no window rules.
     """
     ll = _log_numerators(dist, segments, window_length, possible=True)
     return ll - len(segments) * math.log(window_length + dist.mean())
@@ -293,7 +296,7 @@ def laslett_em(
 ) -> EmResult:
     """The segment NPMLE of ``segments`` on a fixed atom grid:
     ``laslett_em_many`` on a batch of one, the lengths taken as they are
-    (finite and positive, as ``Segments`` holds no others)."""
+    (finite and positive, as ``Segments`` holds no others, with no window rules)."""
     lengths, k = np.unique(segments.length, return_inverse=True)
     problem = _distinct_rows(segments.code, k, lengths)
     return laslett_em_many([problem], window_length, grid, max_iter, tol)[0]

@@ -82,42 +82,47 @@ def _tail_sums(masses, out):
 
 
 class _Pooled(NamedTuple):
-    """The rows a product-limit fit counts, and the data unit of each row."""
+    """The rows a product-limit fit counts, their weights (None: one each) and data units."""
 
     times: np.ndarray
     censored: np.ndarray
     entry: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None
     unit: np.ndarray
 
 
-def _counter(times, censored, entry):
+def _counter(times, censored, entry, weighted=True):
     """Distinct event times T of weighted rows, the rows' exit order (events
     first at a tie), and a function that maps weights in that order along
-    axis 0 -- a vector, or a (rows, c) matrix -- to the event counts D and
-    risk counts Y at T. The events at T[k] are the rows exited[k]:last[k],
-    so one cumsum gives D = cum[last] - cum[exited] and Y = w{entry < T} -
-    cum[exited]; w{entry < T} is the weights' total without late entry."""
+    axis 0 -- a vector, a (rows, c) matrix, or None for one per row -- to the
+    event counts D and risk counts Y at T. The events at T[k] are the events[k]
+    rows from exited[k] on, so one cumsum gives D = cum[exited + events] -
+    cum[exited] and Y = w{entry < T} - cum[exited]; entered[k] rows enter before
+    T[k]. One per row, cum[k] is k; unless ``weighted``, only one per row counts."""
     order = np.argsort(times)
     exits = times[order]
     if np.any(exits[1:] == exits[:-1]):  # events first at a tie; exits stay as they are
         order = order[np.lexsort((censored[order], exits))]
     ev = np.flatnonzero(~censored[order])
-    t = exits[ev]
-    starts = np.flatnonzero(np.append(True, t[1:] != t[:-1]))
-    event_times, exited = t[starts], ev[starts]
-    last = ev[np.append(starts[1:], ev.size) - 1] + 1
-    if late := entry.any():
-        by_entry = np.argsort(entry[order])
-        # an event row enters before it exits, so some entry is below each T[k]
-        entered = np.searchsorted(entry[order][by_entry], event_times) - 1
+    exits = exits[ev]
+    starts = np.flatnonzero(np.append(True, exits[1:] != exits[:-1]))
+    event_times = exits[starts]
+    del exits  # each n-long array goes as soon as it is used up
+    exited, events = ev[starts], np.append(starts[1:], ev.size)
+    events -= starts
+    del ev, starts
+    late = entry.any()
+    entered = np.searchsorted(np.sort(entry), event_times) if late else order.size
+    by_entry = np.argsort(entry[order]) if late and weighted else None
 
-    def counts(w):
+    def counts(w=None):
+        if w is None:
+            return events, entered - exited
         # w{entry < T} first, so its temporaries are gone before cum is made
-        at_risk = np.cumsum(w[by_entry], axis=0)[entered] if late else w.sum(axis=0)
+        at_risk = np.cumsum(w[by_entry], axis=0)[entered - 1] if late else w.sum(axis=0)
         cum = np.zeros((w.shape[0] + 1,) + w.shape[1:], dtype=w.dtype)
         np.cumsum(w, axis=0, out=cum[1:])
-        before, d = cum[exited], cum[last]
+        before, d = cum[exited], cum[exited + events]
         d -= before
         return d, np.subtract(at_risk, before, out=before)
 
@@ -155,8 +160,9 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
     entry_times = np.asarray(entry_times, dtype=float)
     if entry_times.shape != times.shape:
         raise EstimationError("entry times must match times")
-    weights = np.ones(times.shape, dtype=np.int64) if weights is None else np.asarray(weights)
-    if weights.shape != times.shape or weights.dtype.kind not in "iu" or np.any(weights < 0):
+    weights = None if weights is None else np.asarray(weights)
+    if weights is not None and (weights.shape != times.shape or weights.dtype.kind not in "iu"
+                                or np.any(weights < 0)):
         raise EstimationError("weights must be nonnegative integers matching times")
     bad = np.flatnonzero(~np.isfinite(times) | ~np.isfinite(entry_times))
     if bad.size:
@@ -172,16 +178,15 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
     if bad.size:
         raise ValueError(f"time <= entry time at index {bad[0]}")
 
-    live = weights > 0
-    if not live.all():  # drop zero-weight rows; with none, copy nothing
+    if weights is not None and not (live := weights > 0).all():  # drop zero-weight rows
         times, censored, entry_times = times[live], censored[live], entry_times[live]
         weights = weights[live]
-    weights = weights.astype(np.int64, copy=False)
     if censored.all():
         raise EstimationError("all observations are censored")
 
-    event_times, order, counts = _counter(times, censored, entry_times)
-    d, y = counts(weights[order])
+    event_times, order, counts = _counter(times, censored, entry_times, weights is not None)
+    d, y = counts(None if weights is None else weights[order].astype(np.int64, copy=False))
+    del order, counts  # the counting arrays go before the survival is formed
     survival = np.cumprod(1.0 - d / y)
 
     at_max = times == times.max()
@@ -196,8 +201,7 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
 
 
 def _pair_rows(pairs: Pairs) -> _Pooled:
-    n = len(pairs)
-    return _Pooled(pairs.q, pairs.censored, pairs.r, np.ones(n, dtype=np.int64), np.arange(n))
+    return _Pooled(pairs.q, pairs.censored, pairs.r, None, np.arange(len(pairs)))
 
 
 def winter_foldes(pairs: Pairs) -> StepSurvival:
@@ -217,8 +221,7 @@ def winter_foldes(pairs: Pairs) -> StepSurvival:
 def _window_rows(obs: WindowRecords) -> _Pooled:
     complete = obs.code == 0  # ``code`` indexes WINDOW_KINDS: 0 complete, 1 censored
     unit = np.flatnonzero(complete | ((obs.code == 1) & ~(obs.value <= 0)))
-    ones = np.ones(unit.size, dtype=np.int64)
-    return _Pooled(obs.value[unit], ~complete[unit], np.zeros(unit.size), ones, unit)
+    return _Pooled(obs.value[unit], ~complete[unit], np.zeros(unit.size), None, unit)
 
 
 def window_product_limit(obs: WindowRecords) -> StepSurvival:
@@ -272,14 +275,16 @@ def greenwood_variance(est: StepSurvival) -> StepSurvival:
     """
     if est.event_counts is None or est.risk_counts is None:
         raise EstimationError("event and risk counts are required")
-    d = np.asarray(est.event_counts, dtype=float)
-    y = np.asarray(est.risk_counts, dtype=float)
+    d = np.asarray(est.event_counts)  # read as floats by each operation
+    y = np.array(est.risk_counts, dtype=float)  # a copy, turned into the terms in place
     if d.shape != est.jump_times.shape or y.shape != est.jump_times.shape:
         raise EstimationError("counts do not align with the jump times")
     exhausted = y <= d
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(exhausted, np.nan, d / (y * (y - d)))
-    variance = est.survival_values**2 * np.cumsum(terms)
+        terms = np.divide(d, np.multiply(y, y - d, out=y), out=y)
+    terms[exhausted] = np.nan
+    variance = est.survival_values**2
+    variance *= np.cumsum(terms, out=terms)
     return dataclasses.replace(est, variance_values=variance)
 
 
@@ -423,7 +428,7 @@ def bootstrap_band(
     else:
         event_times, order, counts = _counter(rows.times, rows.censored, rows.entry)
         place = np.argsort(order)
-        weights = rows.weights[order, None] if rows.weights.max() > 1 else None
+        weights = None if rows.weights is None else rows.weights[order, None]
     slots = place.max() + 2  # units without a row share a spare last slot
     slot = np.full(n, slots - 1)
     slot[rows.unit] = place

@@ -52,11 +52,12 @@ def window_length_checked(w: float) -> float:
 
 
 def _kind_codes(kind: np.ndarray, kinds: tuple) -> np.ndarray:
-    """The index in ``kinds`` of each kind name, or -1 for a name not in it."""
-    order = np.argsort(kinds)
-    table = np.asarray(kinds)[order]
-    pos = np.searchsorted(table, kind).clip(max=len(kinds) - 1)
-    return np.where(table[pos] == kind, order[pos], -1)
+    """The index in ``kinds`` of each kind name (text, or ASCII bytes as the readers load
+    them), or -1 for a name not in it."""
+    code = np.full(kind.shape, -1, dtype=np.int8)
+    for i, name in enumerate(kinds):
+        code[kind == (name.encode() if kind.dtype.kind == "S" else name)] = i
+    return code
 
 
 class _Columns:
@@ -144,7 +145,7 @@ class _KindColumns(_Columns):
 
     def __post_init__(self):
         kind = np.asarray(self.code)
-        code = kind if kind.dtype.kind in "iu" else _kind_codes(kind.astype(str), self.KINDS)
+        code = kind if kind.dtype.kind in "iu" else _kind_codes(kind, self.KINDS)
         bad = np.flatnonzero((code < 0) | (code >= len(self.KINDS)))
         if bad.size:
             raise EstimationError(f"{self.ROW} {bad[0]} has unknown kind {kind.flat[bad[0]].item()!r}")
@@ -251,27 +252,27 @@ def sample_pooled_windows(
                               f"renewals, more than WINDOW_MAX_RENEWALS = {WINDOW_MAX_RENEWALS}")
     rng = derived_rng(seed)
     v = dist.sample_equilibrium_recurrence(rng, n_windows)
-    rounds = [(np.arange(n_windows), v, v)]  # (window, value, time) of each draw
+    # (window, code, value) of each record: the first entry v gives a forward record, or an empty
+    # one past w; gaps ending inside are complete, the one across w is censored, the rest unseen.
+    rounds = [(np.arange(n_windows), np.int8(2) + (v > w), np.minimum(v, w))]
     live, pos = np.flatnonzero(v <= w), v[v <= w]
     while live.size:  # a chunk of gaps for every window still inside
         gaps = dist.sample(rng, live.size * _GAP_CHUNK).reshape(-1, _GAP_CHUNK)
-        times = np.cumsum(np.column_stack([pos, gaps]), axis=1)[:, 1:]  # sequential sums
-        rounds.append((np.repeat(live, _GAP_CHUNK), gaps.ravel(), times.ravel()))
-        inside = times[:, -1] <= w
-        live, pos = live[inside], times[inside, -1]
-    window, value, time = map(np.concatenate, zip(*rounds))
-    order = np.argsort(window, kind="stable")  # each window's draws in round order
-    window, value, time = window[order], value[order], time[order]
-    # A window's first entry v gives a forward record, or an empty one past w.
-    # Gaps ending inside are complete, the one across w is censored, the rest go.
-    head = np.append(True, window[1:] != window[:-1])
-    before = np.append(np.inf, time[:-1])
-    inside = time <= w
-    keep = head | (before <= w)
-    code = 2 * head + ~inside  # index into WINDOW_KINDS
-    value = np.where(inside, value, np.where(head, w, w - before))
-    ends = np.cumsum(np.bincount(window[keep], minlength=n_windows))
-    return WindowRecords(code[keep], value[keep]), ends
+        times = gaps.copy()
+        times[:, 0] += pos
+        np.cumsum(times, axis=1, out=times)  # sequential sums from pos
+        k = (times <= w).sum(axis=1)  # each row's complete gaps; then its censored one, if any
+        row = np.flatnonzero(k < _GAP_CHUNK)
+        gaps[row, k[row]] = w - np.where(k[row] > 0, times[row, k[row] - 1], pos[row])
+        seen = np.arange(_GAP_CHUNK) <= k[:, None]
+        rounds.append((np.repeat(live, seen.sum(axis=1)), (times > w)[seen], gaps[seen]))
+        live, pos = live[k == _GAP_CHUNK], times[k == _GAP_CHUNK, -1]
+        del gaps, times  # before the next round's draws, or the records' sort
+    window, code, value = map(np.concatenate, zip(*rounds))
+    del rounds
+    order = np.argsort(window, kind="stable")  # each window's records in round order
+    ends = np.cumsum(np.bincount(window, minlength=n_windows))
+    return WindowRecords(code[order], value[order]), ends
 
 
 def _split(pooled, ends: np.ndarray) -> list:

@@ -180,6 +180,7 @@ class TestMcCompare:
          "birth_rate must be finite and positive, got inf"),
         (dict(scheme="segments", window_length=3.0, birth_rate=0.0),
          "birth_rate must be finite and positive, got 0.0"),
+        (dict(estimators=("wf", "wf")), r"estimators \['wf', 'wf'\] repeat a tag"),
     ])
     def test_config_rejected(self, kw, match):
         with pytest.raises(EstimationError, match=match):

@@ -346,6 +346,17 @@ def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_a_fit_error_names_the_input_file(tmp_path, capsys):
+    # a well-formed segments file whose pc length no window of length 3 gives
+    src = tmp_path / "in.csv"
+    src.write_text("kind,length\npc,1.5\npc,7.55e+306\nrx,3.0\n")
+    out = tmp_path / "pc.csv"
+    argv = ("estimate", "--estimator", "palmer_cox", "--window", "3", "--in", str(src))
+    assert run(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {src}: segment 1 (pc 7.55e+306) exceeds the window 3.0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row, shown", [
     (b"1.0,2.0,\xff", "byte 0xff is not printable ASCII"),
     ("\u0968,2,0".encode(), "byte 0xe0 is not printable ASCII"),  # a Devanagari 2, float() reads it
@@ -448,7 +459,8 @@ def test_too_small_bin_width_is_one_error_line(tmp_path, capsys, monkeypatch, ar
     Path("in.csv").write_text("kind,length\npc,0.5\nrx,2.0\n")
     assert run(*argv, "--out", "out") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: bin_width 1e-320 cuts (0, ") and err.count("\n") == 1
+    fit_of = "in.csv: " if argv[0] == "estimate" else ""  # a fit's error names its input file
+    assert err.startswith(f"error: {fit_of}bin_width 1e-320 cuts (0, ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
 
@@ -495,7 +507,7 @@ def test_bin_width_making_too_many_atoms_is_one_error_line(tmp_path, capsys, mon
             "--grid", "width=1e-300", "--out", "out")
     assert run(*argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: bin_width 1e-300 cuts (0, ") and err.count("\n") == 1
+    assert err.startswith("error: segs.csv: bin_width 1e-300 cuts (0, ") and err.count("\n") == 1
     assert f"bins, more than EM_MAX_ATOMS = {npmle.EM_MAX_ATOMS}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["segs.csv"]
 
@@ -586,6 +598,13 @@ class TestBench:
     def test_missing_window_for_window_scheme_exits_2(self, tmp_path):
         assert run("bench", "compare", "--scheme", "window", "--dist", "exp:1",
                    "--n", "10", "--reps", "2", "--out", str(tmp_path / "r.json")) == 2
+
+    def test_repeated_estimator_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run("bench", "compare", "--scheme", "equilibrium", "--dist", "exp:1",
+                   "--n", "5", "--reps", "2", "--estimators", "wf,wf", "--out", str(out)) == 2
+        assert "repeat a tag" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_dist_on_bench_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

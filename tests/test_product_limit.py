@@ -326,6 +326,28 @@ class TestKaplanMeier:
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
             assert got.tail_censored == want.tail_censored
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(1, 12).map(lambda k: k / 4.0), st.floats(0.01, 10.0)),
+                st.booleans(),
+                st.floats(0.0, 0.99),
+            ),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda rows: not all(c for _, c, _ in rows))
+    )
+    def test_one_per_row_counts_as_unit_weights(self, rows):
+        # without weights no weight array is formed; the counts are the weighted path's
+        times, censored, frac = (np.array(col) for col in zip(*rows))
+        for entry in (None, frac * times):
+            got = kaplan_meier(times, censored, entry)
+            want = kaplan_meier(times, censored, entry, np.ones(times.size, dtype=np.int64))
+            for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.tail_censored == want.tail_censored
+
     def test_weights_must_be_nonnegative_integers(self):
         with pytest.raises(EstimationError, match="integers"):
             kaplan_meier([1.0, 2.0], weights=[1.0, 2.0])
