@@ -218,7 +218,7 @@ def cmd_estimate(args) -> int:
     else:
         data = dataio.read_segments_csv(args.infile)
 
-    try:  # the fit's errors name the input file, as the reader's own do
+    try:  # the fit's errors name the input file, and the line of a row, as the reader's own do
         if args.estimator == "em":
             grid, problem = npmle.em_problem(data, window, args.grid)
             result = npmle.laslett_em_many([problem], window, grid, args.max_iter, args.tol)[0]
@@ -236,7 +236,9 @@ def cmd_estimate(args) -> int:
                     window_length=window,
                 )
     except ValueError as exc:
-        raise ValueError(f"{args.infile}: {exc}") from exc
+        row = getattr(exc, "row", None)
+        line = "" if row is None else f":{next(dataio.data_lines(args.infile))[row]}"
+        raise ValueError(f"{args.infile}{line}: {exc}") from exc
     if args.estimator == "em":
         dataio.write_em_result_json(args.out, result)
     elif args.format == "json":

@@ -281,6 +281,12 @@ def _load(lines, dtype, build, skiprows=0):
     return build(*(np.ascontiguousarray(f) if f.dtype == float else f for f in fields))
 
 
+def data_lines(path):
+    """The file line numbers and the bytes of the data rows: the nonblank lines after the header."""
+    lines = Path(path).read_bytes().splitlines()  # as text mode splits: on \n, \r\n and \r
+    return zip(*[(n, line) for n, line in enumerate(lines[1:], 2) if line])
+
+
 def _read_columns(path, header: list[str], table, build):
     """``build(*fields)`` of the data rows of a CSV file, as np.loadtxt reads them into
     ``table(0)``; ``build`` raises ValueError on a bad row. After the header, the bytes are checked
@@ -306,10 +312,9 @@ def _read_columns(path, header: list[str], table, build):
                 return _load(path if rows else [], dtype, build, skiprows=1)
         except ValueError:  # EstimationError included
             pass
-        file_lines = path.read_bytes().splitlines()  # as text mode splits: on \n, \r\n and \r
+        numbers, lines = data_lines(path)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
-    numbers, lines = zip(*[(n, line) for n, line in enumerate(file_lines[1:], 2) if line])
     end, odd = next(((i, odd) for i, x in enumerate(lines) if (odd := x.translate(None, _PLAIN))),
                     (len(lines), b""))  # the first line that is not _PLAIN, and its other bytes
     lo, hi = 0, min(end + 1, len(lines))

@@ -14,4 +14,8 @@ class DataFormatError(GapestError, ValueError):
 
 
 class EstimationError(GapestError, ValueError):
-    """An estimator or sampler received data it cannot process."""
+    """An estimator or sampler received data it cannot process, at data row ``row`` if given."""
+
+    def __init__(self, *args, row: int | None = None):
+        super().__init__(*args)
+        self.row = row

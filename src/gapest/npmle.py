@@ -218,15 +218,19 @@ def bin_width_checked(bin_width: float, span: float = 0.0) -> float:
     return bin_width
 
 
+def _bins(lengths: np.ndarray, bin_width: float) -> np.ndarray:
+    """Each length's bin k, as a float: the bins of ``bin_segments``."""
+    bin_width_checked(bin_width, np.max(lengths, initial=0.0))
+    return np.maximum(np.ceil(lengths / bin_width) - 1, 0)
+
+
 def bin_segments(segments: Segments, bin_width: float) -> Segments:
     """Map every length onto the midpoint of its bin ((k h, (k+1) h] -> (k+0.5) h).
 
     Bins are left-open, so a length exactly at k h falls in the bin below.
     Kinds are unchanged. A length so small that length / h underflows to 0 is in bin 0.
     """
-    bin_width_checked(bin_width, np.max(segments.length, initial=0.0))
-    mids = (np.maximum(np.ceil(segments.length / bin_width) - 1, 0) + 0.5) * bin_width
-    return Segments(segments.code, mids)
+    return Segments(segments.code, (_bins(segments.length, bin_width) + 0.5) * bin_width)
 
 
 def default_grid(segments: Segments, window_length: float, bin_width: float) -> np.ndarray:
@@ -235,9 +239,14 @@ def default_grid(segments: Segments, window_length: float, bin_width: float) -> 
     Extending the atoms one window length past the data leaves room for the
     lifetimes that are longer than anything observable in full. At most EM_MAX_ATOMS bins.
     """
-    if not segments:
+    return _grid_past(segments.length.max(initial=-math.inf), window_length, bin_width)
+
+
+def _grid_past(longest: float, window_length: float, bin_width: float) -> np.ndarray:
+    """``default_grid`` of lengths whose largest is ``longest``, -inf for no lengths."""
+    if longest == -math.inf:
         raise EstimationError("need at least one segment")
-    top = float(segments.length.max()) + window_length_checked(window_length)
+    top = float(longest) + window_length_checked(window_length)
     n_bins = max(1, math.ceil(top / bin_width_checked(bin_width, top)))
     if n_bins > EM_MAX_ATOMS:
         raise EstimationError(f"bin_width {bin_width} cuts (0, {top}] into {n_bins:.3g} bins, "
@@ -266,18 +275,18 @@ def em_problem(segments: Segments, window_length: float, grid):
     """The atoms and the (distinct rows, counts) problem of ``segments``
     that ``laslett_em_many`` fits; every segment EM problem is built here.
 
-    ``grid`` is a bin width h: the lengths are binned (``bin_segments``),
-    the atoms are their ``default_grid``, and a binned length (k + 1/2) h
-    is keyed by its bin k. Or ``grid`` is an array of atoms: each proper
+    ``grid`` is a bin width h: a length is keyed by its ``bin_segments`` bin
+    k, and the atoms are ``default_grid``'s up to the largest midpoint, the
+    (k + 1/2) h of the largest k. Or ``grid`` is an array of atoms: each proper
     complete length moves onto the atom whose cell (lo, hi] holds it, the
     cells ending halfway between atoms and half a spacing past the end ones
     (a one-atom cell is empty; ``laslett_em_many`` rejects a length outside
     every cell), and ``np.unique`` keys the lengths."""
     code = segments.check_window(window_length).code
     if np.ndim(grid) == 0:
-        binned = bin_segments(segments, grid)
-        atoms = default_grid(binned, window_length, grid)
-        return atoms, _distinct_rows(code, (binned.length / grid).astype(np.intp), atoms)
+        k = _bins(segments.length, grid)
+        atoms = _grid_past((k.max(initial=-math.inf) + 0.5) * grid, window_length, grid)
+        return atoms, _distinct_rows(code, k.astype(np.intp), atoms)  # k < atoms.size, cast exactly
     atoms = _grid_atoms(grid)
     mirrored = np.pad(atoms, 1, mode="reflect", reflect_type="odd")
     k = np.searchsorted((mirrored[1:] + mirrored[:-1]) / 2, segments.length) - 1

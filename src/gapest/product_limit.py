@@ -177,7 +177,11 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
     bad = np.nonzero(times <= entry_times)[0]
     if bad.size:
         raise ValueError(f"time <= entry time at index {bad[0]}")
+    return _product_limit(times, censored, entry_times, weights)
 
+
+def _product_limit(times, censored, entry_times, weights) -> StepSurvival:
+    """``kaplan_meier`` of rows that already pass its argument checks."""
     if weights is not None and not (live := weights > 0).all():  # drop zero-weight rows
         times, censored, entry_times = times[live], censored[live], entry_times[live]
         weights = weights[live]
@@ -189,15 +193,9 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
     del order, counts  # the counting arrays go before the survival is formed
     survival = np.cumprod(1.0 - d / y)
 
-    at_max = times == times.max()
-    tail_censored = bool(np.any(censored & at_max)) and not bool(np.any(~censored & at_max))
-    return StepSurvival(
-        jump_times=event_times,
-        survival_values=survival,
-        event_counts=d,
-        risk_counts=y,
-        tail_censored=tail_censored,
-    )
+    # the rows at the largest time are all censored exactly when the last event is before it
+    return StepSurvival(event_times, survival, event_counts=d, risk_counts=y,
+                        tail_censored=bool(event_times[-1] < times.max()))
 
 
 def _pair_rows(pairs: Pairs) -> _Pooled:
@@ -263,7 +261,7 @@ def palmer_cox(segments: Segments, window_length: float) -> StepSurvival:
     rows = _segment_rows(segments.check_window(window_length))
     if rows.times.size == 0:
         raise EstimationError("no usable segments after discarding doubly censored ones")
-    return kaplan_meier(*rows[:4])
+    return _product_limit(*rows[:4])  # Segments rows pass every check of kaplan_meier
 
 
 def greenwood_variance(est: StepSurvival) -> StepSurvival:

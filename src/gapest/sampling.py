@@ -192,7 +192,7 @@ class Segments(_KindColumns):
         if bad.any():
             k = int(np.argmax(bad))
             broken = "must equal" if rx[k] else "exceeds"
-            raise EstimationError(f"{self._row(k)} {broken} the window {w}")
+            raise EstimationError(f"{self._row(k)} {broken} the window {w}", row=k)
         return self
 
 

@@ -353,8 +353,41 @@ def test_a_fit_error_names_the_input_file(tmp_path, capsys):
     out = tmp_path / "pc.csv"
     argv = ("estimate", "--estimator", "palmer_cox", "--window", "3", "--in", str(src))
     assert run(*argv, "--out", str(out)) == 1
-    assert capsys.readouterr().err == f"error: {src}: segment 1 (pc 7.55e+306) exceeds the window 3.0\n"
+    assert capsys.readouterr().err == f"error: {src}:3: segment 1 (pc 7.55e+306) exceeds the window 3.0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", [
+    ("palmer_cox",), ("palmer_cox", "--bootstrap", "5"), ("em", "--grid", "width=0.25"),
+])
+@pytest.mark.parametrize("text, at", [
+    ("kind,length\npc,1.5\n\npc,7.55e+306\nrx,3.0\n", ":4: segment 1 (pc 7.55e+306) exceeds"),
+    ("kind,length\r\n\r\n\r\npc,1.5\r\n\r\nrx,2.5\r\n", ":6: segment 1 (rx 2.5) must equal"),
+    ("kind,length\n\nrx,3.0\n\nrx,3.0\npc,4\n", ":6: segment 2 (pc 4.0) exceeds"),
+], ids=["blank-line-before", "crlf-blank-lines", "last-row"])
+def test_a_window_rule_error_names_the_file_line_of_its_row(tmp_path, capsys, estimator, text, at):
+    # the row index counts data rows from 0; the line counts every line, blank ones too
+    src = tmp_path / "bad.csv"
+    src.write_bytes(text.encode())
+    argv = ("estimate", "--estimator", *estimator, "--window", "3", "--in", str(src))
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {src}{at} the window 3.0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("estimator, text, message", [
+    (("palmer_cox",), "kind,length\n\nrx,3\n",
+     "no usable segments after discarding doubly censored ones"),
+    (("palmer_cox",), "kind,length\npx,1\n\nrc,2\n", "all observations are censored"),
+    (("em", "--grid", "width=0.25"), "kind,length\n\n", "need at least one segment"),
+], ids=["no-usable-rows", "all-censored", "no-segments"])
+def test_a_fit_error_that_names_no_row_names_only_the_file(tmp_path, capsys, estimator, text,
+                                                           message):
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    argv = ("estimate", "--estimator", *estimator, "--window", "3", "--in", str(src))
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {src}: {message}\n"
 
 
 @pytest.mark.parametrize("row, shown", [

@@ -594,6 +594,42 @@ def test_a_bin_width_making_more_atoms_than_the_bound_is_named(monkeypatch, call
         call(0.25)
 
 
+@pytest.mark.parametrize("segs, w, h, message", [
+    # a length past the window, at a width that no float counts the bins of: the window rule
+    (segments((PC, 0.5), (PX, 2.5)), 2.0, 1e-318, "segment 1 (px 2.5) exceeds the window 2.0"),
+    (segments((RX, 2.5), (PC, 0.5)), 2.0, 1e-318, "segment 0 (rx 2.5) must equal the window 2.0"),
+    # an empty sample: a bad window, then a bad width, then no segment, before any bin count
+    (segments(), math.inf, math.nan, "window length must be finite and positive, got inf"),
+    (segments(), 2.0, math.nan, "bin_width must be finite and positive, got nan"),
+    (segments(), 2.0, -1.0, "bin_width must be finite and positive, got -1.0"),
+    (segments(), 2.0, 1e-318, "need at least one segment"),
+], ids=["past-window", "rx-off-window", "bad-window", "nan-width", "negative-width",
+        "tiny-width"])
+def test_em_problem_names_the_first_of_two_broken_rules(segs, w, h, message):
+    # in the order of the window rules, bin_width on the largest length, "need at least
+    # one segment" and EM_MAX_ATOMS, as binning and then default_grid report them
+    for call in (lambda: npmle.em_problem(segs, w, h),
+                 lambda: default_grid(bin_segments(segs.check_window(w), h), w, h)):
+        with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.parametrize("rows, w_fits, top, n_bins", [
+    # the lengths alone fill 1 and 3 of 8 bins: the window makes them 8 at w_fits, more at 2
+    (((PC, 0.2),), 1.875, "2.125", 9), (((PC, 0.5), (PX, 0.75)), 1.375, "2.625", 11),
+])
+def test_lengths_that_exceed_em_max_atoms_only_with_the_window_are_named(monkeypatch, rows,
+                                                                         w_fits, top, n_bins):
+    monkeypatch.setattr(npmle, "EM_MAX_ATOMS", 8)
+    segs = segments(*rows)
+    assert npmle.em_problem(segs, w_fits, 0.25)[0].tolist() == list(np.arange(8) * 0.25 + 0.125)
+    message = f"bin_width 0.25 cuts (0, {top}] into {n_bins} bins, more than EM_MAX_ATOMS = 8"
+    for call in (lambda: npmle.em_problem(segs, 2.0, 0.25),
+                 lambda: default_grid(bin_segments(segs, 0.25), 2.0, 0.25)):
+        with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 @pytest.mark.parametrize("kind", [PC, PX, RC])
 def test_a_length_whose_ratio_to_the_bin_width_underflows_is_in_the_first_bin(kind):
     # 5e-324 / 3 is 0.0, so ceil(length / h) - 1 would be bin -1

@@ -32,7 +32,9 @@ from gapest import (
     window_product_limit,
 )
 from gapest import npmle
-from gapest.product_limit import BOOTSTRAP_MAX_RETRIES, ESTIMATORS, BootstrapBand, step_at
+from gapest.product_limit import (
+    BOOTSTRAP_MAX_RETRIES, ESTIMATORS, BootstrapBand, _segment_rows, step_at,
+)
 from gapest.sampling import SEGMENT_KINDS, WINDOW_KINDS
 from gapest.seeding import derived_rng
 
@@ -259,6 +261,17 @@ class TestKaplanMeier:
             for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
             assert got.tail_censored == want.tail_censored
+
+    @given(st.lists(st.tuples(st.integers(1, 4).map(lambda k: k / 4.0), st.booleans(),
+                              st.integers(0, 2)), min_size=1, max_size=12)
+           .filter(lambda rows: any(not c and k > 0 for _, c, k in rows)))
+    def test_tail_censored_means_only_censored_rows_at_the_largest_time(self, rows):
+        # ties at the largest time, between kinds and with rows of weight 0
+        times, censored, weights = (np.array(col) for col in zip(*rows))
+        live = weights > 0
+        at_max = live & (times == times[live].max())
+        want = bool(np.any(censored & at_max)) and not np.any(~censored & at_max)
+        assert kaplan_meier(times, censored, weights=weights).tail_censored is want
 
     @given(
         st.lists(
@@ -523,6 +536,32 @@ class TestPalmerCox:
         for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert got.tail_censored == want.tail_censored
+
+    @given(st.data())
+    def test_the_core_fit_is_kaplan_meier_of_the_checked_rows(self, data):
+        # palmer_cox skips kaplan_meier's argument checks, which rows of a Segments pass;
+        # all four kinds, lengths tied within and across kinds, windows from 0.5 to 3
+        w = data.draw(st.floats(0.5, 3.0))
+        length = st.one_of(st.integers(1, 6).map(lambda k: min(k * w / 6, w)), st.floats(1e-3, w))
+        segment = st.one_of(
+            st.tuples(st.sampled_from(["pc", "px", "rc"]), length), st.just(("rx", w))
+        )
+        rows = data.draw(st.lists(segment, max_size=40))
+        segs = Segments(*zip(*rows)) if rows else Segments([], [])
+        pooled = _segment_rows(segs.check_window(w))
+        if pooled.times.size == 0:
+            message = "no usable segments after discarding doubly censored ones"
+        elif pooled.censored.all():
+            message = "all observations are censored"
+        else:
+            got, want = palmer_cox(segs, w), kaplan_meier(*pooled[:4])
+            for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.tail_censored is want.tail_censored
+            return
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            palmer_cox(segs, w)
 
     @given(st.data())
     def test_time_reversal_invariance(self, data):
