@@ -24,7 +24,7 @@ from . import npmle
 from .distributions import GapDistribution, parse_distribution
 from .errors import EstimationError
 from .product_limit import ESTIMATORS, StepSurvival
-from .sampling import sample_equilibrium, sample_pooled_segments, sample_pooled_windows
+from .sampling import Segments, WindowRecords, _segments_drawn, _windows_drawn, sample_equilibrium
 from .seeding import child_seed, is_integer
 
 MSE_IDENTITY_TOL = 1e-10
@@ -148,22 +148,20 @@ def _simulate(config: McConfig, dist: GapDistribution, rep: int):
     if config.scheme == "equilibrium":
         return sample_equilibrium(dist, config.n, seed)
     if config.scheme == "window":
-        records, _ = sample_pooled_windows(dist, 0.0, config.window_length, config.n, seed)
-        return records
-    segs, _ = sample_pooled_segments(
-        config.birth_rate, dist, 0.0, config.window_length, config.n, seed
-    )
-    return segs
+        return WindowRecords(*_windows_drawn(dist, 0.0, config.window_length, config.n, seed)[1:])
+    drawn = _segments_drawn(config.birth_rate, dist, 0.0, config.window_length, config.n, seed)
+    return Segments(*drawn[3:])
 
 
 def mc_compare(config: McConfig) -> McReport:
     """Run the replicated comparison described by ``config``.
 
     A replicate is reduced as soon as it is sampled, to each estimator's
-    cdf on the grid or, for ``em``, to ``npmle.em_problem``. The EM problems
-    that share a grid are fitted in one ``npmle.laslett_em_many`` batch,
-    each fit bitwise its lone fit. ``em_fits`` has the fits' steps (min,
-    median, max), how many were certified and the largest gap."""
+    cdf on the grid or, for ``em``, to ``npmle.em_problem``; a window or segment
+    replicate stays in its sampler core's draw order, as no reduction reads row
+    order. The EM problems that share a grid are fitted in one
+    ``npmle.laslett_em_many`` batch, each fit bitwise its lone fit. ``em_fits``
+    has the fits' steps (min, median, max), how many were certified and the largest gap."""
     dist = parse_distribution(config.dist_spec)
     base = np.linspace(dist.ppf(0.05), dist.ppf(0.95), MC_GRID_SIZE)
     grid = np.unique(np.append(base, config.check_time))

@@ -224,6 +224,7 @@ def _bins(lengths: np.ndarray, bin_width: float) -> np.ndarray:
     return np.maximum(np.ceil(lengths / bin_width) - 1, 0)
 
 
+@np.errstate(over="ignore")  # a midpoint past the float range is inf, refused as not finite
 def bin_segments(segments: Segments, bin_width: float) -> Segments:
     """Map every length onto the midpoint of its bin ((k h, (k+1) h] -> (k+0.5) h).
 
@@ -271,6 +272,7 @@ def _grid_atoms(grid) -> np.ndarray:
     return atoms
 
 
+@np.errstate(over="ignore")  # a midpoint past the float range is inf, refused by the grid checks
 def em_problem(segments: Segments, window_length: float, grid):
     """The atoms and the (distinct rows, counts) problem of ``segments``
     that ``laslett_em_many`` fits; every segment EM problem is built here.

@@ -167,16 +167,16 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
     bad = np.flatnonzero(~np.isfinite(times) | ~np.isfinite(entry_times))
     if bad.size:
         k = bad[0]
-        raise ValueError(
-            f"time {times[k]} with entry time {entry_times[k]} at index {k} is not finite"
+        raise EstimationError(
+            f"time {times[k]} with entry time {entry_times[k]} at index {k} is not finite", row=k
         )
     if np.any(times <= 0):
-        raise ValueError("observation times must be positive")
+        raise EstimationError("observation times must be positive", row=np.argmax(times <= 0))
     if np.any(entry_times < 0):
         raise ValueError("entry times must be nonnegative")
     bad = np.nonzero(times <= entry_times)[0]
     if bad.size:
-        raise ValueError(f"time <= entry time at index {bad[0]}")
+        raise EstimationError(f"time <= entry time at index {bad[0]}", row=bad[0])
     return _product_limit(times, censored, entry_times, weights)
 
 
@@ -198,6 +198,15 @@ def _product_limit(times, censored, entry_times, weights) -> StepSurvival:
                         tail_censored=bool(event_times[-1] < times.max()))
 
 
+def _fit_rows(rows: _Pooled) -> StepSurvival:
+    """``kaplan_meier`` of the rows; a row it names in an error is named by its data unit."""
+    try:
+        return kaplan_meier(*rows[:4])
+    except EstimationError as exc:
+        exc.row = exc.row if exc.row is None else rows.unit[exc.row]
+        raise
+
+
 def _pair_rows(pairs: Pairs) -> _Pooled:
     return _Pooled(pairs.q, pairs.censored, pairs.r, None, np.arange(len(pairs)))
 
@@ -213,7 +222,7 @@ def winter_foldes(pairs: Pairs) -> StepSurvival:
         raise EstimationError("need at least one pair")
     if pairs.censored.all():
         raise EstimationError("all pairs are censored")
-    return kaplan_meier(*_pair_rows(pairs)[:4])
+    return _fit_rows(_pair_rows(pairs))
 
 
 def _window_rows(obs: WindowRecords) -> _Pooled:
@@ -231,7 +240,7 @@ def window_product_limit(obs: WindowRecords) -> StepSurvival:
     rows = _window_rows(obs)
     if rows.censored.all():
         raise EstimationError("no complete gaps among the observations")
-    return kaplan_meier(*rows[:4])
+    return _fit_rows(rows)
 
 
 def _segment_rows(segments: Segments) -> _Pooled:

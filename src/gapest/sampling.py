@@ -244,6 +244,14 @@ def sample_pooled_windows(
     then in rounds a matrix of _GAP_CHUNK gaps for each window still inside,
     until none is. So window k depends on n_windows too.
     """
+    window, code, value = _windows_drawn(dist, t1, t2, n_windows, seed)
+    order = np.argsort(window, kind="stable")  # each window's records in round order
+    ends = np.cumsum(np.bincount(window, minlength=n_windows))
+    return WindowRecords(code[order], value[order]), ends
+
+
+def _windows_drawn(dist, t1, t2, n_windows, seed):
+    """``sample_pooled_windows`` in draw order: the window, kind code and value of each record."""
     w = window_length_checked(t2 - t1)
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
@@ -267,12 +275,8 @@ def sample_pooled_windows(
         seen = np.arange(_GAP_CHUNK) <= k[:, None]
         rounds.append((np.repeat(live, seen.sum(axis=1)), (times > w)[seen], gaps[seen]))
         live, pos = live[k == _GAP_CHUNK], times[k == _GAP_CHUNK, -1]
-        del gaps, times  # before the next round's draws, or the records' sort
-    window, code, value = map(np.concatenate, zip(*rounds))
-    del rounds
-    order = np.argsort(window, kind="stable")  # each window's records in round order
-    ends = np.cumsum(np.bincount(window, minlength=n_windows))
-    return WindowRecords(code[order], value[order]), ends
+        del gaps, times  # before the next round's draws, or the records' join
+    return tuple(map(np.concatenate, zip(*rounds)))
 
 
 def _split(pooled, ends: np.ndarray) -> list:
@@ -313,6 +317,16 @@ def sample_pooled_segments(
     derived_rng(seed) draws both counts, lifetimes and ages, then positions
     and lifetimes, so window k depends on n_windows too.
     """
+    counts, keep, b, code, length = _segments_drawn(birth_rate, dist, t1, t2, n_windows, seed)
+    window = np.repeat(np.tile(np.arange(n_windows), 2), counts)[keep]
+    order = _birth_order(window, b)
+    ends = np.cumsum(np.bincount(window, minlength=n_windows))
+    return Segments(code[order], length[order]), ends
+
+
+def _segments_drawn(birth_rate, dist, t1, t2, n_windows, seed):
+    """``sample_pooled_segments`` in draw order: the births of each window, alive at t1 then
+    inside, which rows are kept, and each kept row's birth time b relative to t1, code and length."""
     w = window_length_checked(t2 - t1)
     if not 0.0 < birth_rate < math.inf:
         raise ValueError(f"birth_rate must be finite and positive, got {birth_rate}")
@@ -327,15 +341,11 @@ def sample_pooled_segments(
     age = rng.uniform(size=q.size) * q
     position = rng.uniform(0.0, w, size=born.sum())
     # Birth times b relative to t1 and lifetimes x, in (group, window) blocks
-    window = np.repeat(np.tile(np.arange(n_windows), 2), np.append(alive, born))
     b, x = np.append(-age, position), np.append(q, dist.sample(rng, position.size))
-    order = _birth_order(window, b)
-    window, b, x = window[order], b[order], x[order]
     d = b + x
     # 0 pc, 1 px, 2 rc, 3 rx: born before the window start (residual),
     # dying after its end (censored). A pc length is the lifetime itself.
     code = 2 * (b < 0.0) + (d > w)
     length = np.where(code == 0, x, np.minimum(d, w) - np.maximum(b, 0.0))
     keep = length > 0.0
-    ends = np.cumsum(np.bincount(window[keep], minlength=n_windows))
-    return Segments(code[keep], length[keep]), ends
+    return np.append(alive, born), keep, b[keep], code[keep], length[keep]

@@ -5,18 +5,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gapest import (
     EstimationError,
     Exponential,
     McConfig,
+    Segments,
     UniformInterval,
     Weibull,
+    WindowRecords,
     mc_compare,
+    palmer_cox,
+    sample_pooled_segments,
+    sample_pooled_windows,
     tail_failure_demo,
+    window_product_limit,
 )
-from gapest import npmle, parse_distribution
+from gapest import benchmark, npmle, parse_distribution, sampling
 from gapest.benchmark import TailReport, TailRow, _simulate
+from gapest.seeding import child_seed
 
 
 def small_config(**kw):
@@ -191,6 +200,72 @@ class TestMcCompare:
         rows = report.csv_rows()
         assert len(rows) == len(report.summaries) * report.grid.size
         assert all(len(r) == 5 for r in rows)
+
+
+def arranged(config, dist, rep):
+    """A replicate as the public samplers arrange it: by window, and segments by birth."""
+    seed, w = child_seed(config.seed, rep), config.window_length
+    if config.scheme == "window":
+        return sample_pooled_windows(dist, 0.0, w, config.n, seed)[0]
+    return sample_pooled_segments(config.birth_rate, dist, 0.0, w, config.n, seed)[0]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(scheme="segments", n=15, window_length=2.0, birth_rate=3.0),
+    dict(scheme="segments", n=15, window_length=3.0, birth_rate=2.0, dist_spec="weibull:2:1"),
+    dict(scheme="window", n=20, window_length=3.0),
+], ids=["segments-exp", "segments-weibull", "window"])
+def test_a_study_in_draw_order_equals_the_study_of_the_arranged_samples(monkeypatch, kw):
+    got = mc_compare(small_config(replicates=8, bin_width=0.25, **kw)).to_json_dict()
+    monkeypatch.setattr(benchmark, "_simulate", arranged)
+    want = mc_compare(small_config(replicates=8, bin_width=0.25, **kw)).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)  # repr of every float: summaries, em_fits, verdicts
+
+
+def test_a_segments_study_sorts_no_births(monkeypatch):
+    def refuse(window, b):
+        raise AssertionError("a replicate was put in birth order")
+
+    monkeypatch.setattr(sampling, "_birth_order", refuse)
+    assert mc_compare(segments_config(replicates=2)).all_pass
+
+
+# Rows of the four kinds, each length a fraction of the window: on a lattice of eighths, tied
+# within and across kinds, or anywhere.
+ROWS = st.lists(st.tuples(st.integers(0, 3), st.one_of(st.integers(1, 8).map(lambda k: k / 8),
+                                                        st.floats(1e-3, 1.0))),
+                min_size=1, max_size=40)
+
+
+def outcome(call):
+    """Every field of what ``call()`` returns, as bytes, or its error message."""
+    try:
+        got = call()
+    except EstimationError as exc:
+        return str(exc)
+    if not isinstance(got, tuple):
+        return [v if v is None else np.asarray(v).tobytes() for v in vars(got).values()]
+    atoms, (distinct, counts) = got
+    return [atoms.tobytes(), *(col.tobytes() for col in distinct._columns()), counts.tobytes()]
+
+
+@given(st.floats(0.5, 3.0), ROWS, st.randoms(use_true_random=False),
+       st.sampled_from([0.1, 0.25, 1.0]))
+def test_every_replicate_reduction_ignores_row_order(w, drawn, random, h):
+    # what mc_compare computes from a replicate is bitwise the same in any row order
+    code = np.array([c for c, _ in drawn])
+    length = np.array([w if c == 3 else min(f * w, w) for c, f in drawn])  # rx spans the window
+    order = np.arange(code.size)
+    random.shuffle(order)
+    atoms = np.linspace(w / 16, 2 * w, 24)
+    for container, fits in (
+        (Segments, (lambda d: palmer_cox(d, w), lambda d: npmle.em_problem(d, w, h),
+                    lambda d: npmle.em_problem(d, w, atoms))),
+        (WindowRecords, (window_product_limit,)),
+    ):
+        data, shuffled = container(code, length), container(code[order], length[order])
+        for fit in fits:
+            assert outcome(lambda: fit(shuffled)) == outcome(lambda: fit(data))
 
 
 # The mc-segments-em studies of the benchmark at its seed 1 and at its held-out

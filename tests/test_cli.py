@@ -375,6 +375,36 @@ def test_a_window_rule_error_names_the_file_line_of_its_row(tmp_path, capsys, es
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bootstrap", [(), ("--bootstrap", "5")], ids=["fit", "band"])
+@pytest.mark.parametrize("estimator, text, at", [
+    ("wf", "r,s,censored\n1.0,2.0,0\n\n0.5,0.0,0\n", ":4: time <= entry time at index 1"),
+    ("wf", "r,s,censored\r\n\r\n1.0,2.0,0\r\n2.0,0.0,1\r\n", ":4: time <= entry time at index 1"),
+    ("wpl", "kind,value\nforward,0.5\ncomplete,0.0\ncensored,1.0\n",
+     ":3: observation times must be positive"),
+    # a censored gap of 0 is no row of the fit: the complete one after it is row 0
+    ("wpl", "kind,value\r\nforward,0.5\r\n\r\ncensored,0.0\r\ncomplete,0.0\r\n",
+     ":5: observation times must be positive"),
+], ids=["wf-blank-line", "wf-crlf", "wpl", "wpl-crlf-dropped-row"])
+def test_a_product_limit_error_names_the_file_line_of_its_row(tmp_path, capsys, estimator, text,
+                                                               at, bootstrap):
+    src = tmp_path / "bad.csv"
+    src.write_bytes(text.encode())
+    argv = ("estimate", "--estimator", estimator, *bootstrap, "--in", str(src))
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {src}{at}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_em_grid_past_the_float_range_is_one_error_line(tmp_path, capsys):
+    # bin 1's midpoint 1.5 h overflows to inf: no warning (an error in this suite) before the line
+    src = tmp_path / "big.csv"
+    src.write_text("kind,length\npc,1.5e308\n")
+    argv = ("estimate", "--estimator", "em", "--window", "1.6e308", "--grid", "width=1.3e308")
+    assert run(*argv, "--in", str(src), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {src}: bin_width 1.3e+308 cuts (0, inf] into too many bins\n"
+
+
 @pytest.mark.parametrize("estimator, text, message", [
     (("palmer_cox",), "kind,length\n\nrx,3\n",
      "no usable segments after discarding doubly censored ones"),

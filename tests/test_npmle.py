@@ -580,6 +580,17 @@ def test_a_bin_width_too_small_to_count_its_bins_is_named(call, span):
         call(1e-318)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bin_segments(segments((PC, 1.5e308)), 1.3e308), "segment 0 (pc inf) is not finite"),
+    (lambda: npmle.em_problem(segments((PC, 1.5e308)), 1.6e308, 1.3e308),
+     "bin_width 1.3e+308 cuts (0, inf] into too many bins"),
+], ids=["bin_segments", "em_problem"])
+def test_a_midpoint_past_the_float_range_is_refused_without_a_warning(call, message):
+    # bin 1's midpoint 1.5 h overflows to inf; a RuntimeWarning fails the test
+    with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("call, top", [
     (lambda h: default_grid(segments((PC, 0.5), (RX, 2.0)), 2.0, h), "4.0"),
     # the top atom comes from the binned lengths: the bin of 2.0 has midpoint 2 - h/2

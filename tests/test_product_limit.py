@@ -458,6 +458,26 @@ def test_non_finite_observations_rejected(call, match, x):
         call(x)
 
 
+# records 0 (forward) and 1 (a censored gap of 0) are no rows of the window fit
+_ZERO_GAP = WindowRecords(["forward", "censored", "complete", "complete"], [0.5, 0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("call, row", [
+    (lambda: kaplan_meier([1.0, math.inf, 2.0]), 1),
+    (lambda: kaplan_meier([1.0, 0.0, -1.0]), 1),
+    (lambda: kaplan_meier([2.0, 1.0, 1.0], entry_times=[0.0, 0.5, 1.0]), 2),
+    (lambda: winter_foldes(Pairs([1.0, 1e308], [2.0, 1e308], [False, False])), 1),  # q = inf
+    (lambda: winter_foldes(Pairs([1.0, 2.0], [2.0, 0.0], [False, False])), 1),
+    (lambda: window_product_limit(_ZERO_GAP), 3),
+    (lambda: bootstrap_band(_ZERO_GAP, "window_pl", B=5, seed=1), 3),
+], ids=["km_not_finite", "km_not_positive", "km_entry", "wf_not_finite", "wf_entry", "window_pl",
+        "bootstrap"])
+def test_a_row_error_names_the_data_unit_of_its_row(call, row):
+    with np.errstate(over="ignore"), pytest.raises(EstimationError) as info:
+        call()
+    assert info.value.row == row
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda: kaplan_meier([1.0, 2.0], censored=[False]), "censored flags must match"),
     (lambda: kaplan_meier([1.0, 2.0], entry_times=[0.0]), "entry times must match"),

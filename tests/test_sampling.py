@@ -535,6 +535,26 @@ class TestSegmentSampling:
         same(pooled, sample_pooled_segments(rate, dist, t1, t2, n_windows, seed)[0])
 
 
+def by_value_then_code(records):
+    """The rows of a kind container in one canonical order: one np.lexsort of (value, code)."""
+    code, value = records._columns()
+    order = np.lexsort((value, code))
+    return type(records)(code[order], value[order])
+
+
+@given(st.integers(0, 2**32), LAWS, st.floats(0.01, 5.0), st.floats(0.05, 6.0),
+       st.integers(1, 30))
+def test_the_draw_cores_hold_the_rows_of_the_public_samplers(seed, law, rate, width, n_windows):
+    # mc_compare reduces the cores' rows in draw order; the public samplers arrange the same rows
+    dist, t2 = parse_distribution(law), 1.0 + width
+    *_, code, length = sampling._segments_drawn(rate, dist, 1.0, t2, n_windows, seed)
+    pooled, _ = sample_pooled_segments(rate, dist, 1.0, t2, n_windows, seed)
+    same(by_value_then_code(Segments(code, length)), by_value_then_code(pooled))
+    _, code, value = sampling._windows_drawn(dist, 1.0, t2, n_windows, seed)
+    records, _ = sample_pooled_windows(dist, 1.0, t2, n_windows, seed)
+    same(by_value_then_code(WindowRecords(code, value)), by_value_then_code(records))
+
+
 @pytest.mark.parametrize("t2", [math.nan, math.inf])
 def test_window_length_must_be_finite(t2):
     # a NaN or infinite window never ends, so the path loop would not stop
