@@ -42,7 +42,6 @@ _MODULE = {
     "cox_vardi_from_pairs": "npmle",
     "default_grid": "npmle",
     "derived_rng": "seeding",
-    "gof_discrepancy": "npmle",
     "greenwood_variance": "product_limit",
     "kaplan_meier": "product_limit",
     "laslett_em": "npmle",

@@ -3,8 +3,8 @@
 ``mc_compare`` runs seeded replicates of one sampling scheme, applies the
 requested estimators, and aggregates pointwise bias, variance and MSE of
 the estimated cdf on a grid, with pass/fail verdicts (MSE decomposition,
-and the variance ordering between the size-biased NPMLE and the
-delayed-entry product-limit estimator when both are present).
+the variance ordering between the size-biased NPMLE and the delayed-entry
+product-limit estimator when both are present, and every EM fit certified).
 
 ``tail_failure_demo`` contrasts a gap law with infinite inverse moment
 against one with a finite inverse moment: it tabulates sqrt(n) times the
@@ -224,6 +224,8 @@ def mc_compare(config: McConfig) -> McReport:
         verdicts["efficiency_ordering"] = bool(
             summaries["cv"].variance[k] <= summaries["wf"].variance[k]
         )
+    if fits:
+        verdicts["em_certified"] = em_fits["certified"] == len(fits)
     return McReport(
         config=config.echo(),
         grid=grid,

@@ -25,9 +25,6 @@ import numpy as np
 
 from .errors import DistributionSpecError
 
-# Survival mass allowed beyond the upper truncation point of the support.
-TAIL_MASS = 1e-12
-
 
 @functools.cache
 def _scipy_special():
@@ -143,23 +140,12 @@ class GapDistribution:
     def survival(self, t):
         return 1.0 - self.cdf(t)
 
-    def support_upper(self) -> float:
-        """Truncation point leaving survival mass below TAIL_MASS."""
-        return float(self.ppf(1.0 - TAIL_MASS))
-
     def hazard(self, t: float) -> float:
         """f / (1 - F); NaN where survival is zero."""
         s = float(self.survival(t))
         if s <= 0.0:
             return math.nan
         return float(self.pdf(t)) / s
-
-    def cumulative_hazard(self, t: float) -> float:
-        """Integral of the hazard over (0, t]; equals -log survival here."""
-        s = float(self.survival(t))
-        if s <= 0.0:
-            return math.inf
-        return -math.log(s)
 
     def alpha(self, t: float) -> float:
         """Marginal hazard of the backward recurrence time at t.
@@ -327,8 +313,7 @@ class UniformInterval(GapDistribution):
     """Uniform gaps on [a, b] with 0 <= a < b.
 
     The support is bounded, so survival reaches zero at b: hazard-type
-    quantities (hazard, alpha, backward_alpha) are NaN from b on and the
-    cumulative hazard is +inf there.
+    quantities (hazard, alpha, backward_alpha) are NaN from b on.
     """
 
     def __init__(self, a: float, b: float):
@@ -352,9 +337,6 @@ class UniformInterval(GapDistribution):
 
     def ppf(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
-
-    def support_upper(self):
-        return self.b
 
     def integrated_survival(self, t):
         if t >= self.b:
@@ -444,9 +426,6 @@ class DiscreteDistribution(GapDistribution):
         out = self.atoms[idx]
         return out if out.ndim else float(out)
 
-    def support_upper(self):
-        return float(self.atoms[-1])
-
     def integrated_survival(self, t):
         return float(total(self.masses * np.maximum(self.atoms - t, 0.0))[0])
 
@@ -455,13 +434,6 @@ class DiscreteDistribution(GapDistribution):
         if s_left <= 0.0:
             return math.nan
         return float(self.pdf(t)) / s_left
-
-    def cumulative_hazard(self, t):
-        live = self.atoms <= t
-        s_left = 1.0 - np.concatenate(([0.0], self._cum))[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(s_left > 0, self.masses / s_left, np.inf)
-        return float(np.sum(terms[live]))
 
     def integrability_diagnostic(self):
         return IntegrabilityReport(finite=True, value=float(total(self.masses / self.atoms)[0]))

@@ -35,7 +35,6 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, atom_lookup, normalised, total
 from .errors import EstimationError
-from .product_limit import StepSurvival
 from .sampling import Pairs, Segments, window_length_checked
 from .seeding import is_integer
 
@@ -454,21 +453,3 @@ def laslett_em_many(
         q, kq = q_new, kq_new
         for i, ll in zip(ids.tolist(), loglik(kq).tolist()):
             traces[i].append(ll)
-
-
-def gof_discrepancy(a, b) -> float:
-    """Sup distance between two estimated cdfs over their pooled jump points.
-
-    Accepts StepSurvival or DiscreteDistribution on either side. A purely
-    descriptive statistic for comparing estimators fitted to the same data.
-    """
-    a, b = (
-        StepSurvival.from_masses(x.atoms, x.masses)
-        if isinstance(x, DiscreteDistribution)
-        else x
-        for x in (a, b)
-    )
-    if a.jump_times.size == 0 or b.jump_times.size == 0:
-        raise EstimationError("empty estimate")
-    points = np.union1d(a.jump_times, b.jump_times)
-    return float(np.max(np.abs(a.survival_at(points) - b.survival_at(points))))

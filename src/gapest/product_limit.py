@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import npmle
 from .distributions import normalised, step_at
 from .errors import EstimationError
 from .sampling import Pairs, Segments, WindowRecords
@@ -173,7 +174,7 @@ def kaplan_meier(times, censored=None, entry_times=None, weights=None) -> StepSu
     if np.any(times <= 0):
         raise EstimationError("observation times must be positive", row=np.argmax(times <= 0))
     if np.any(entry_times < 0):
-        raise ValueError("entry times must be nonnegative")
+        raise EstimationError("entry times must be nonnegative", row=np.argmax(entry_times < 0))
     bad = np.nonzero(times <= entry_times)[0]
     if bad.size:
         raise EstimationError(f"time <= entry time at index {bad[0]}", row=bad[0])
@@ -335,8 +336,6 @@ class Estimator:
 # function objects, so a caller that rebinds a module attribute (a tracer,
 # a test double) is seen on every path.
 def _fit_cox_vardi(data, window_length) -> StepSurvival:
-    from . import npmle
-
     dist = npmle.cox_vardi_from_pairs(data)
     return StepSurvival.from_masses(dist.atoms, dist.masses)
 

@@ -25,6 +25,7 @@ from gapest import (
 )
 from gapest import benchmark, npmle, parse_distribution, sampling
 from gapest.benchmark import TailReport, TailRow, _simulate
+from gapest.cli import main
 from gapest.seeding import child_seed
 
 
@@ -112,10 +113,25 @@ class TestMcCompare:
         assert 1 <= fits["iterations_min"] <= fits["iterations_median"] <= fits["iterations_max"]
         assert fits["certified"] == 6
         assert 0.0 <= fits["max_gradient_gap"] <= 1e-8
+        assert report.verdicts["em_certified"] is True
         payload = report.to_json_dict()
         assert payload["em_fits"] == fits
         assert payload == mc_compare(config).to_json_dict()
-        assert mc_compare(small_config()).em_fits == {}
+        without_em = mc_compare(small_config())
+        assert without_em.em_fits == {} and "em_certified" not in without_em.verdicts
+
+    def test_an_uncertified_em_fit_fails_the_study(self, monkeypatch, tmp_path, capsys):
+        fit_many = npmle.laslett_em_many
+        monkeypatch.setattr(npmle, "laslett_em_many",
+                            lambda problems, w, grid: fit_many(problems, w, grid, max_iter=1))
+        report = mc_compare(segments_config())
+        assert report.em_fits["certified"] < 8
+        assert report.verdicts["em_certified"] is False and not report.all_pass
+        argv = ["bench", "compare", "--scheme", "segments", "--dist", "exp:1", "--n", "15",
+                "--reps", "8", "--seed", "4", "--window", "2", "--rate", "3", "--bin-width",
+                "0.25", "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "verdicts failed: em_certified\n"
 
     def test_em_fits_run_in_one_batch_per_grid(self, monkeypatch):
         calls = []
@@ -283,8 +299,10 @@ def test_the_benchmark_em_fits_are_certified_and_their_traces_never_drop(seed):
     # mc_compare fits its replicates as one laslett_em_many batch instead.
     config = McConfig(dist_spec="exp:1", scheme="segments", n=400, replicates=10, seed=seed,
                       window_length=3.0, birth_rate=2.0, bin_width=0.25)
-    em_fits = mc_compare(config).em_fits
+    report = mc_compare(config)
+    em_fits = report.em_fits
     assert em_fits["certified"] == 10 and em_fits["max_gradient_gap"] <= npmle.EM_DEFAULT_TOL
+    assert report.verdicts["em_certified"] is True
     dist = parse_distribution("exp:1")
     problems = [npmle.em_problem(_simulate(config, dist, rep), 3.0, 0.25) for rep in range(10)]
     atoms = problems[0][0]

@@ -35,19 +35,17 @@ def quad_tail(dist, t, hi):
 
 
 class TestEvaluate:
-    """cdf, survival, hazard and cumulative hazard at one time point."""
+    """cdf, survival and hazard at one time point."""
 
     def test_exponential_at_one(self):
         dist = Exponential(1.0)
         assert dist.cdf(1.0) == pytest.approx(1.0 - E_INV, abs=1e-12)
         assert dist.hazard(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert dist.cumulative_hazard(1.0) == pytest.approx(1.0, abs=1e-12)
         assert dist.survival(1.0) == pytest.approx(E_INV, abs=1e-12)
 
     @pytest.mark.parametrize("dist", FAMILIES)
     def test_boundary_at_zero(self, dist):
         assert dist.cdf(0.0) == 0.0
-        assert dist.cumulative_hazard(0.0) == 0.0
 
     def test_weibull_hand_hazard(self):
         # hazard of Weibull(2, 1) is 2 t, so beta(1) = 2 and F(1) = 1 - 1/e
@@ -59,7 +57,6 @@ class TestEvaluate:
         dist = UniformInterval(0.0, 1.0)
         assert dist.survival(1.5) == 0.0
         assert math.isnan(dist.hazard(1.5))
-        assert dist.cumulative_hazard(1.5) == math.inf
 
 
 class TestMean:
@@ -78,7 +75,7 @@ class TestMean:
     @pytest.mark.parametrize("dist", FAMILIES)
     def test_mean_cross_check(self, dist):
         # two independent quadratures: integral of u f(u) and of survival
-        hi = dist.support_upper()
+        hi = float(dist.ppf(1 - 1e-12))
         m1, _ = integrate.quad(lambda u: u * float(dist.pdf(u)), 0.0, hi, limit=200)
         m2 = quad_tail(dist, 0.0, hi)
         assert abs(m1 - m2) < 1e-6
@@ -105,7 +102,7 @@ class TestAlpha:
     def test_alpha_is_equilibrium_hazard(self, dist):
         # the recurrence time has density survival/mu; its hazard at t is
         # (survival(t)/mu) / (1 - G(t)) with G the recurrence cdf
-        hi = dist.support_upper()
+        hi = float(dist.ppf(1 - 1e-12))
         mu, _ = integrate.quad(lambda u: float(dist.survival(u)), 0.0, hi, limit=200)
         for t in np.linspace(0.05, float(dist.ppf(0.9)), 7):
             g_t, _ = integrate.quad(lambda u: float(dist.survival(u)) / mu, 0.0, t, limit=200)
@@ -220,7 +217,7 @@ class TestIntegrabilityDiagnostic:
 class TestDensityAndShape:
     @pytest.mark.parametrize("dist", FAMILIES)
     def test_density_integrates_to_one(self, dist):
-        hi = dist.support_upper()
+        hi = float(dist.ppf(1 - 1e-12))
         total, _ = integrate.quad(lambda u: float(dist.pdf(u)), 0.0, hi, limit=200)
         assert abs(total - 1.0) < 1e-6
 
@@ -254,7 +251,6 @@ class TestDiscreteSteps:
         assert float(dist.pdf(2.0)) == 0.0
         assert dist.hazard(1.0) == pytest.approx(0.25, abs=1e-12)
         assert dist.hazard(3.0) == pytest.approx(1.0, abs=1e-12)
-        assert dist.cumulative_hazard(3.0) == pytest.approx(0.25 + 1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(DistributionSpecError):

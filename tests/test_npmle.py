@@ -31,12 +31,12 @@ from gapest import (
     Exponential,
     Pairs,
     Segments,
+    StepSurvival,
     Weibull,
     bin_segments,
     cox_vardi,
     cox_vardi_from_pairs,
     default_grid,
-    gof_discrepancy,
     laslett_em,
     sample_equilibrium,
     sample_segment_replicates,
@@ -983,28 +983,30 @@ class TestOracle:
             npmle_oracle(segs, 1.0, np.linspace(0.5, 3.0, 7))
 
 
+def sup_distance(a, b):
+    """Sup distance between two survival steps over their pooled jump times."""
+    points = np.union1d(a.jump_times, b.jump_times)
+    return float(np.max(np.abs(a.survival_at(points) - b.survival_at(points))))
+
+
+def cox_vardi_step(pairs):
+    dist = cox_vardi_from_pairs(pairs)
+    return StepSurvival.from_masses(dist.atoms, dist.masses)
+
+
 class TestGofDiscrepancy:
-    def test_identical_inputs(self):
-        dist = cox_vardi([1.0, 2.0, 3.0])
-        assert gof_discrepancy(dist, dist) == 0.0
-
-    def test_point_masses_apart(self):
-        a = DiscreteDistribution([1.0], [1.0])
-        b = DiscreteDistribution([2.0], [1.0])
-        assert gof_discrepancy(a, b) == 1.0
-
     def test_mixed_types(self):
         pairs = sample_equilibrium(EXP1, 400, seed=51)
         wf = winter_foldes(pairs)
-        cv = cox_vardi_from_pairs(pairs)
-        d = gof_discrepancy(wf, cv)
+        cv = cox_vardi_step(pairs)
+        d = sup_distance(wf, cv)
         assert 0.0 <= d < 0.2
-        assert d == gof_discrepancy(cv, wf)
+        assert d == sup_distance(cv, wf)
 
     def test_two_consistent_estimators_agree(self):
         close = 0
         for k in range(30):
             pairs = sample_equilibrium(EXP1, 5000, child_seed(900, k))
-            d = gof_discrepancy(winter_foldes(pairs), cox_vardi_from_pairs(pairs))
+            d = sup_distance(winter_foldes(pairs), cox_vardi_step(pairs))
             close += d < 0.05
         assert close >= 27

@@ -466,12 +466,13 @@ _ZERO_GAP = WindowRecords(["forward", "censored", "complete", "complete"], [0.5,
     (lambda: kaplan_meier([1.0, math.inf, 2.0]), 1),
     (lambda: kaplan_meier([1.0, 0.0, -1.0]), 1),
     (lambda: kaplan_meier([2.0, 1.0, 1.0], entry_times=[0.0, 0.5, 1.0]), 2),
+    (lambda: kaplan_meier([1.0, 2.0, 3.0], entry_times=[0.0, -0.5, -1.0]), 1),
     (lambda: winter_foldes(Pairs([1.0, 1e308], [2.0, 1e308], [False, False])), 1),  # q = inf
     (lambda: winter_foldes(Pairs([1.0, 2.0], [2.0, 0.0], [False, False])), 1),
     (lambda: window_product_limit(_ZERO_GAP), 3),
     (lambda: bootstrap_band(_ZERO_GAP, "window_pl", B=5, seed=1), 3),
-], ids=["km_not_finite", "km_not_positive", "km_entry", "wf_not_finite", "wf_entry", "window_pl",
-        "bootstrap"])
+], ids=["km_not_finite", "km_not_positive", "km_entry", "km_negative_entry", "wf_not_finite",
+        "wf_entry", "window_pl", "bootstrap"])
 def test_a_row_error_names_the_data_unit_of_its_row(call, row):
     with np.errstate(over="ignore"), pytest.raises(EstimationError) as info:
         call()
