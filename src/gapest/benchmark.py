@@ -97,7 +97,6 @@ class McConfig:
 class EstimatorSummary:
     """Pointwise accuracy of one estimator across the replicates."""
 
-    name: str
     bias: np.ndarray
     variance: np.ndarray
     mse: np.ndarray
@@ -203,13 +202,7 @@ def mc_compare(config: McConfig) -> McReport:
         bias = mean_hat - true_cdf
         variance = np.mean((stack - mean_hat) ** 2, axis=0)
         mse = np.mean((stack - true_cdf) ** 2, axis=0)
-        summaries[tag] = EstimatorSummary(
-            name=tag,
-            bias=bias,
-            variance=variance,
-            mse=mse,
-            beyond_tail=tails[tag],
-        )
+        summaries[tag] = EstimatorSummary(bias, variance, mse, beyond_tail=tails[tag])
 
     verdicts = {
         "mse_identity": bool(

@@ -395,14 +395,6 @@ class DiscreteDistribution(GapDistribution):
         self.atoms = atoms
         self.masses = masses
 
-    @classmethod
-    def from_weights(cls, atoms, weights) -> "DiscreteDistribution":
-        """Build from nonnegative weights, dividing them once by their total."""
-        weights = np.asarray(weights, dtype=float)
-        if not (np.all(weights >= 0) and np.any(weights > 0)):
-            raise DistributionSpecError("weights must be nonnegative with a positive total")
-        return cls(atoms, normalised(weights))
-
     def cdf(self, t):
         return step_at(self.atoms, self._cum, t, 0.0)
 

@@ -90,7 +90,7 @@ def cox_vardi(q_values) -> DiscreteDistribution:
         raise EstimationError("observations must be positive")
     atoms, weights = np.unique(q, return_counts=True)
     weights = weights / atoms  # the counts go as soon as the weights are made
-    return DiscreteDistribution.from_weights(atoms, weights)
+    return DiscreteDistribution(atoms, normalised(weights))
 
 
 def cox_vardi_from_pairs(pairs: Pairs) -> DiscreteDistribution:

@@ -39,9 +39,7 @@ class StepSurvival:
     """Right-continuous step estimate of a survival function.
 
     The value is 1 before the first jump time and ``survival_values[i]``
-    on [jump_times[i], jump_times[i+1]). ``tail_censored`` flags that the
-    largest observation was censored, so the terminal level is not a real
-    zero of the survival function.
+    on [jump_times[i], jump_times[i+1]).
     """
 
     jump_times: np.ndarray
@@ -49,7 +47,6 @@ class StepSurvival:
     variance_values: np.ndarray | None = None
     event_counts: np.ndarray | None = None
     risk_counts: np.ndarray | None = None
-    tail_censored: bool = False
 
     def __post_init__(self):
         self.jump_times = np.asarray(self.jump_times, dtype=float)
@@ -192,11 +189,7 @@ def _product_limit(times, censored, entry_times, weights) -> StepSurvival:
     event_times, order, counts = _counter(times, censored, entry_times, weights is not None)
     d, y = counts(None if weights is None else weights[order].astype(np.int64, copy=False))
     del order, counts  # the counting arrays go before the survival is formed
-    survival = np.cumprod(1.0 - d / y)
-
-    # the rows at the largest time are all censored exactly when the last event is before it
-    return StepSurvival(event_times, survival, event_counts=d, risk_counts=y,
-                        tail_censored=bool(event_times[-1] < times.max()))
+    return StepSurvival(event_times, np.cumprod(1.0 - d / y), event_counts=d, risk_counts=y)
 
 
 def _fit_rows(rows: _Pooled) -> StepSurvival:
@@ -303,7 +296,6 @@ class BootstrapBand:
     times: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    level: float
     n_resamples: int
     failures: int = 0
 
@@ -486,6 +478,4 @@ def bootstrap_band(
     values.sort(axis=1)
     alpha = 1.0 - level
     lower, upper = (_sorted_quantile(values, q) for q in (alpha / 2.0, 1.0 - alpha / 2.0))
-    return BootstrapBand(
-        times=grid, lower=lower, upper=upper, level=level, n_resamples=B, failures=failures
-    )
+    return BootstrapBand(times=grid, lower=lower, upper=upper, n_resamples=B, failures=failures)

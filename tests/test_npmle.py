@@ -45,6 +45,7 @@ from gapest import (
     npmle,
     winter_foldes,
 )
+from gapest.distributions import normalised
 from gapest.npmle import (
     EM_DEFAULT_MAX_ITER,
     EM_DEFAULT_TOL,
@@ -55,7 +56,8 @@ from gapest.sampling import sample_pooled_segments
 from gapest.seeding import child_seed, derived_rng
 
 from npmle_oracle import (
-    atom_weights, distinct_rows_by_lexsort, npmle_oracle, snap_complete_lengths,
+    REFERENCE_GAP, atom_weights, distinct_rows_by_lexsort, npmle_oracle, npmle_reference,
+    snap_complete_lengths,
 )
 
 PC, PX, RC, RX = "pc", "px", "rc", "rx"
@@ -112,6 +114,24 @@ def random_em_instance(rng, max_atoms=3, max_segments=8):
         else:
             segs.append((PX, float(rng.uniform(0.01, atoms[-1] * 0.95))))
     return segments(*segs), w, atoms
+
+
+def random_sparse_instance(rng):
+    """4 to 8 atoms on a quarter lattice with complete lengths at only some
+    of them, so the optimum often puts no mass on an atom."""
+    d = int(rng.integers(4, 9))
+    atoms = np.sort(rng.choice(np.arange(1, 25), d, replace=False) / 4.0)
+    w = float(rng.uniform(0.5, 4.0))
+    rows = [(PC, float(atoms[rng.integers(0, d)]))]
+    for _ in range(int(rng.integers(d, 3 * d))):
+        roll = rng.uniform()
+        if roll < 0.35:
+            rows.append((PC, float(atoms[rng.integers(0, d)])))
+        elif roll < 0.9:
+            rows.append(((PX, RC)[roll < 0.6], float(rng.uniform(0.01, 0.99 * atoms[-1]))))
+        elif atoms[-1] > w:
+            rows.append((RX, w))
+    return segments(*rows), w, atoms
 
 
 def loglik_by_kind(dist, segments, w):
@@ -188,7 +208,7 @@ def kernel_instances(draw):
     atoms = np.array(sorted(draw(st.sets(quarters, min_size=1, max_size=8))))
     weights = draw(st.lists(st.integers(0, 4), min_size=atoms.size, max_size=atoms.size))
     weights[draw(st.integers(0, atoms.size - 1))] += 1
-    dist = DiscreteDistribution.from_weights(atoms, weights)
+    dist = DiscreteDistribution(atoms, normalised(np.array(weights, dtype=float)))
     w = draw(st.one_of(quarters, st.floats(0.1, 6.0)))
     length = st.one_of(st.sampled_from(atoms.tolist()), quarters, st.floats(0.01, 7.0))
     rows = draw(st.lists(st.one_of(
@@ -288,7 +308,7 @@ class TestSegmentLoglik:
     ])
     def test_unknown_kinds_never_reach_an_evaluator(self, kind):
         # these evaluators used to score an unknown kind as a censored one
-        dist = DiscreteDistribution.from_weights([0.5, 1.5, 3.5], [1, 1, 1])
+        dist = DiscreteDistribution([0.5, 1.5, 3.5], np.full(3, 1 / 3))
         for evaluate in (
             lambda segs: segment_loglik(dist, None, segs, 3.0),
             lambda segs: segment_marginal_loglik(dist, segs, 3.0),
@@ -427,7 +447,7 @@ class TestStructuredKernel:
         weights[data.draw(st.integers(0, atoms.size - 1))] += 1.0
         v = np.array(data.draw(st.lists(
             st.floats(1e-3, 1e3), min_size=len(segs), max_size=len(segs))))
-        dist = DiscreteDistribution.from_weights(atoms, weights)
+        dist = DiscreteDistribution(atoms, normalised(weights))
         self.check(segs, w, atoms, dist.masses, v, possible=True)
         loglik, marginal = dense_logliks(dist, segs, w)
         assert_close_logliks(segment_loglik(dist, None, segs, w), loglik)
@@ -976,6 +996,32 @@ class TestOracle:
             assert ll_or >= ll_em - 1e-6
             assert abs(ll_or - ll_em) < 1e-6
             assert np.max(np.abs(oracle.masses - em.distribution.masses)) < 1e-4
+
+    def test_the_newton_reference_meets_the_closed_forms(self):
+        segs, w = segments((PC, 0.5), (PC, 0.5), (PC, 0.5), (PC, 1.5)), 1.8
+        raw = np.array([(3 / 4) / (w + 0.5), (1 / 4) / (w + 1.5)])
+        assert np.allclose(npmle_reference(segs, w, [0.5, 1.5]).masses, raw / raw.sum(), atol=1e-12)
+        est = npmle_reference(segments((PC, 1.0), (RX, 2.0)), 2.0, [1.0, 3.0])
+        assert np.allclose(est.masses, [5 / 8, 3 / 8], atol=1e-12)
+
+    def test_em_matches_the_newton_reference_on_four_to_eight_atoms(self):
+        # The reference is certified to REFERENCE_GAP and the EM to its own gap, and a
+        # gap g bounds the distance to the best log likelihood by n log1p(g): so each
+        # fit is at most the other's bound below the other. Most optima leave atoms empty.
+        rng = derived_rng(41)
+        sizes = set()
+        for _ in range(40):
+            segs, w, atoms = random_sparse_instance(rng)
+            sizes.add(atoms.size)
+            ref = npmle_reference(segs, w, atoms)
+            em = laslett_em(segs, w, atoms)
+            assert em.converged and lindsay_gap(ref, segs, w) <= REFERENCE_GAP
+            n = len(segs)
+            diff = segment_marginal_loglik(ref, segs, w) - segment_marginal_loglik(
+                em.distribution, segs, w)
+            assert -n * math.log1p(REFERENCE_GAP) - 1e-12 <= diff
+            assert diff <= n * math.log1p(em.gradient_gap) + 1e-12
+        assert sizes == {4, 5, 6, 7, 8}
 
     def test_atom_cap(self):
         segs = segments((PC, 0.5))

@@ -155,7 +155,6 @@ class TestWinterFoldes:
         assert np.allclose(est.jump_times, [2.0])
         assert np.allclose(est.survival_values, [0.5])
         assert est.survival_at(10.0) == 0.5
-        assert est.tail_censored
 
     def test_errors(self):
         with pytest.raises(EstimationError):
@@ -260,18 +259,6 @@ class TestKaplanMeier:
             )
             for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-            assert got.tail_censored == want.tail_censored
-
-    @given(st.lists(st.tuples(st.integers(1, 4).map(lambda k: k / 4.0), st.booleans(),
-                              st.integers(0, 2)), min_size=1, max_size=12)
-           .filter(lambda rows: any(not c and k > 0 for _, c, k in rows)))
-    def test_tail_censored_means_only_censored_rows_at_the_largest_time(self, rows):
-        # ties at the largest time, between kinds and with rows of weight 0
-        times, censored, weights = (np.array(col) for col in zip(*rows))
-        live = weights > 0
-        at_max = live & (times == times[live].max())
-        want = bool(np.any(censored & at_max)) and not np.any(~censored & at_max)
-        assert kaplan_meier(times, censored, weights=weights).tail_censored is want
 
     @given(
         st.lists(
@@ -337,7 +324,6 @@ class TestKaplanMeier:
                                 None if entry is None else entry[kept], weights[kept])
             for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-            assert got.tail_censored == want.tail_censored
 
     @given(
         st.lists(
@@ -359,7 +345,6 @@ class TestKaplanMeier:
             for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            assert got.tail_censored == want.tail_censored
 
     def test_weights_must_be_nonnegative_integers(self):
         with pytest.raises(EstimationError, match="integers"):
@@ -556,7 +541,6 @@ class TestPalmerCox:
         want = kaplan_meier(times, censored)
         for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
-        assert got.tail_censored == want.tail_censored
 
     @given(st.data())
     def test_the_core_fit_is_kaplan_meier_of_the_checked_rows(self, data):
@@ -579,7 +563,6 @@ class TestPalmerCox:
             for field in ("jump_times", "survival_values", "event_counts", "risk_counts"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-            assert got.tail_censored is want.tail_censored
             return
         with pytest.raises(EstimationError, match=f"^{message}$"):
             palmer_cox(segs, w)
@@ -682,7 +665,7 @@ def band_by_loop(data, estimator, B, seed, level=0.95, grid=None, window_length=
     alpha = 1.0 - level
     lower = np.quantile(values, alpha / 2.0, axis=0)
     upper = np.quantile(values, 1.0 - alpha / 2.0, axis=0)
-    return BootstrapBand(grid, lower, upper, level, B, failures)
+    return BootstrapBand(grid, lower, upper, B, failures)
 
 
 def assert_same_band(got, want):
