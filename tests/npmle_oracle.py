@@ -3,10 +3,10 @@
 
 ``npmle_oracle`` scans the probability simplex over the grid atoms densely
 and then refines the best point in shrinking boxes. Its cost is exponential
-in the number of atoms, so it is capped at ORACLE_MAX_ATOMS.
-``npmle_reference`` climbs the same likelihood by vertex-direction and
-Newton steps, shares no code with the EM, and stops on its own Lindsay gap,
-so it serves grids of any size.
+in the number of atoms, so it is capped at ORACLE_MAX_ATOMS and practical
+up to three. ``textbook_em`` is plain EM in the masses, with no
+acceleration and no code shared with ``laslett_em``; it stops on its own
+Lindsay gap, so it serves any grid.
 
 It also holds the dense (segments x atoms) kernel of the segment
 likelihood numerators, the reference for ``npmle``'s structured one, and
@@ -27,8 +27,7 @@ from gapest.sampling import window_length_checked
 ORACLE_MAX_ATOMS = 6
 ORACLE_COARSE_CAP = 600_000  # candidate budget for the dense simplex scan
 ORACLE_REFINE_STEP = 1e-7
-REFERENCE_GAP = 1e-10  # npmle_reference stops once max_j D_j - 1 is at most this
-REFERENCE_MAX_STEPS = 2_000
+REFERENCE_GAP = 1e-10  # the Lindsay gap the tests certify textbook_em to on 4 to 8 atoms
 
 
 def atom_weights(segments: Segments, atoms: np.ndarray, w: float) -> np.ndarray:
@@ -137,83 +136,30 @@ def npmle_oracle(segments: Segments, window_length: float, grid) -> DiscreteDist
     return DiscreteDistribution(atoms, normalised(best))
 
 
-def npmle_reference(segments: Segments, window_length: float, grid) -> DiscreteDistribution:
-    """Maximizer of sum_i log (K q)_i over the simplex, K the dense kernel
-    ``atom_weights`` over w + a and q_j proportional to p_j (w + a_j), run
-    until its own Lindsay gap max_j D_j - 1, with D = K^T (1 / K q) / n, is
-    at most REFERENCE_GAP. Each step moves mass towards the atom of largest
-    D by an exact line search, then tries Newton steps on the support of q
-    (support reduction: an atom the Newton point makes negative leaves it)
-    and keeps them only if they raise the log likelihood."""
-    atoms = np.unique(np.asarray(grid, dtype=float))
-    w = float(window_length_checked(window_length))
-    kernel = possible_weights(segments, atoms, w) / (w + atoms)
-    n = kernel.shape[0]
-    q = np.full(atoms.size, 1.0 / atoms.size)
-    for _ in range(REFERENCE_MAX_STEPS):
-        d = kernel.T @ (1.0 / (kernel @ q)) / n
-        if d.max() - 1.0 <= REFERENCE_GAP:
-            return DiscreteDistribution(atoms, normalised(q / (w + atoms)))
-        q = _vertex_step(kernel, q, int(np.argmax(d)))
-        newton = _support_newton(kernel, q)
-        if newton is not None and _loglik(kernel, newton) > _loglik(kernel, q):
-            q = newton
-    raise EstimationError(f"reference not certified after {REFERENCE_MAX_STEPS} steps")
+def lindsay_gap(dist, segs, w):
+    """max_j D_j - 1 of the masses of ``dist``, recomputed on every row: the
+    certificate ``laslett_em`` reports."""
+    kernel = atom_weights(segs, dist.atoms, w) / (w + dist.atoms)
+    q = dist.masses * (w + dist.atoms)
+    q /= q.sum()
+    return float(np.max(kernel.T @ (1.0 / (kernel @ q))) / len(segs) - 1.0)
 
 
-def _loglik(kernel, q) -> float:
-    v = kernel @ q
-    return float(np.sum(np.log(v))) if np.all(v > 0) else -math.inf
-
-
-def _vertex_step(kernel, q, j):
-    """(1 - t) q + t e_j at the t in [0, 1] that maximizes the log likelihood,
-    found by bisecting its decreasing derivative."""
-    v, col = kernel @ q, kernel[:, j]
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        t = (lo + hi) / 2
-        mix = (1 - t) * v + t * col
-        if np.all(mix > 0) and np.sum((col - v) / mix) > 0:
-            lo = t
-        else:
-            hi = t
-    step = (1 - lo) * q
-    step[j] += lo
-    return step
-
-
-def _support_newton(kernel, q):
-    """A Newton point of the log likelihood on the face of the simplex that
-    q spans, with a backtracking line search; None if a row's numerator
-    reaches zero on the way."""
-    q = q.copy()
-    free = q > 0
-    while True:
-        scaled = kernel[:, free] / (kernel @ q)[:, None]
-        k = int(free.sum())
-        # maximize g.d - d.H.d / 2 subject to sum(d) = 0, H = scaled^T scaled
-        system = np.zeros((k + 1, k + 1))
-        system[:k, :k] = scaled.T @ scaled
-        system[:k, k] = system[k, :k] = 1.0
-        rhs = np.append(scaled.sum(axis=0), 0.0)
-        target = q.copy()
-        target[free] += np.linalg.lstsq(system, rhs, rcond=None)[0][:k]
-        below = free & (target < 0)
-        if not below.any():
-            break
-        # walk to the first atom that the target puts below zero, and drop it
-        ratio = np.where(below, q / np.where(below, q - target, 1.0), np.inf)
-        j = int(np.argmin(ratio))
-        q = np.maximum(q + ratio[j] * (target - q), 0.0)
-        q[j] = 0.0
-        free[j] = False
-        if not np.all(kernel @ q > 0):
-            return None
-    base, step = _loglik(kernel, q), 1.0
-    while step > 1e-12 and _loglik(kernel, q + step * (target - q)) <= base:
-        step /= 2
-    return normalised(np.maximum(q + step * (target - q), 0.0))
+def textbook_em(segs, w, atoms, tol, max_steps=200_000):
+    """Plain EM in the masses p, one E-step row per segment and no
+    acceleration, run until its own Lindsay gap is at most ``tol``: the
+    reference for ``laslett_em``."""
+    weights = atom_weights(segs, atoms, w)
+    p = np.full(atoms.size, 1.0 / atoms.size)
+    for _ in range(max_steps):
+        dist = DiscreteDistribution(atoms, p)
+        if lindsay_gap(dist, segs, w) <= tol:
+            return dist
+        post = weights * p
+        post /= post.sum(axis=1, keepdims=True)
+        p = post.mean(axis=0) / (w + atoms)
+        p /= p.sum()
+    raise AssertionError(f"textbook EM not certified after {max_steps} steps")
 
 
 def distinct_rows_by_lexsort(segments: Segments):

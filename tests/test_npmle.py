@@ -56,8 +56,8 @@ from gapest.sampling import sample_pooled_segments
 from gapest.seeding import child_seed, derived_rng
 
 from npmle_oracle import (
-    REFERENCE_GAP, atom_weights, distinct_rows_by_lexsort, npmle_oracle, npmle_reference,
-    snap_complete_lengths,
+    REFERENCE_GAP, atom_weights, distinct_rows_by_lexsort, lindsay_gap, npmle_oracle,
+    snap_complete_lengths, textbook_em,
 )
 
 PC, PX, RC, RX = "pc", "px", "rc", "rx"
@@ -152,32 +152,6 @@ def loglik_by_kind(dist, segments, w):
             return -math.inf
         total += math.log(factor)
     return total
-
-
-def lindsay_gap(dist, segs, w):
-    """max_j D_j - 1 of the masses of ``dist``, recomputed on every row: the
-    certificate ``laslett_em`` reports."""
-    kernel = atom_weights(segs, dist.atoms, w) / (w + dist.atoms)
-    q = dist.masses * (w + dist.atoms)
-    q /= q.sum()
-    return float(np.max(kernel.T @ (1.0 / (kernel @ q))) / len(segs) - 1.0)
-
-
-def textbook_em(segs, w, atoms, tol, max_steps=200_000):
-    """Plain EM in the masses p, one E-step row per segment and no
-    acceleration, run until its own Lindsay gap is at most ``tol``: the
-    reference for ``laslett_em``."""
-    weights = atom_weights(segs, atoms, w)
-    p = np.full(atoms.size, 1.0 / atoms.size)
-    for _ in range(max_steps):
-        dist = DiscreteDistribution(atoms, p)
-        if lindsay_gap(dist, segs, w) <= tol:
-            return dist
-        post = weights * p
-        post /= post.sum(axis=1, keepdims=True)
-        p = post.mean(axis=0) / (w + atoms)
-        p /= p.sum()
-    raise AssertionError(f"textbook EM not certified after {max_steps} steps")
 
 
 # Binned segments whose fit takes over a hundred SQUAREM steps (w = 3), and
@@ -997,14 +971,7 @@ class TestOracle:
             assert abs(ll_or - ll_em) < 1e-6
             assert np.max(np.abs(oracle.masses - em.distribution.masses)) < 1e-4
 
-    def test_the_newton_reference_meets_the_closed_forms(self):
-        segs, w = segments((PC, 0.5), (PC, 0.5), (PC, 0.5), (PC, 1.5)), 1.8
-        raw = np.array([(3 / 4) / (w + 0.5), (1 / 4) / (w + 1.5)])
-        assert np.allclose(npmle_reference(segs, w, [0.5, 1.5]).masses, raw / raw.sum(), atol=1e-12)
-        est = npmle_reference(segments((PC, 1.0), (RX, 2.0)), 2.0, [1.0, 3.0])
-        assert np.allclose(est.masses, [5 / 8, 3 / 8], atol=1e-12)
-
-    def test_em_matches_the_newton_reference_on_four_to_eight_atoms(self):
+    def test_em_matches_the_textbook_em_on_four_to_eight_atoms(self):
         # The reference is certified to REFERENCE_GAP and the EM to its own gap, and a
         # gap g bounds the distance to the best log likelihood by n log1p(g): so each
         # fit is at most the other's bound below the other. Most optima leave atoms empty.
@@ -1013,9 +980,9 @@ class TestOracle:
         for _ in range(40):
             segs, w, atoms = random_sparse_instance(rng)
             sizes.add(atoms.size)
-            ref = npmle_reference(segs, w, atoms)
+            ref = textbook_em(segs, w, atoms, REFERENCE_GAP)
             em = laslett_em(segs, w, atoms)
-            assert em.converged and lindsay_gap(ref, segs, w) <= REFERENCE_GAP
+            assert em.converged
             n = len(segs)
             diff = segment_marginal_loglik(ref, segs, w) - segment_marginal_loglik(
                 em.distribution, segs, w)
