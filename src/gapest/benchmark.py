@@ -78,19 +78,10 @@ class McConfig:
                 raise EstimationError(f"{name} must be finite and positive, got {value}")
 
     def echo(self) -> dict:
-        return {
-            "dist": self.dist_spec,
-            "scheme": self.scheme,
-            "n": self.n,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "estimators": list(self.estimators),
-            "window_length": self.window_length,
-            "birth_rate": self.birth_rate,
-            "bin_width": self.bin_width,
-            "grid_size": MC_GRID_SIZE,
-            "check_time": self.check_time,
-        }
+        """Every field, ``dist_spec`` as ``dist``, plus the cdf grid's size."""
+        echo = asdict(self)
+        echo["dist"] = echo.pop("dist_spec")
+        return {**echo, "estimators": list(self.estimators), "grid_size": MC_GRID_SIZE}
 
 
 @dataclass

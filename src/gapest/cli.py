@@ -23,8 +23,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import benchmark, dataio, npmle, product_limit, sampling
 from .distributions import parse_distribution
 from .errors import DistributionSpecError, EstimationError
@@ -53,15 +51,9 @@ def _grid_arg(text: str):
     key, _, value = text.partition("=")
     try:
         if key == "width":
-            width = float(value)
-            if not 0 < width < math.inf:
-                raise ValueError("width must be positive and finite")
-            return width
+            return npmle.bin_width_checked(float(value))
         if key == "atoms":
-            atoms = np.array([float(v) for v in value.split(",")], dtype=float)
-            if atoms.size == 0 or not np.all((atoms > 0) & (atoms < math.inf)):
-                raise ValueError("atoms must be positive and finite")
-            return atoms
+            return npmle._grid_atoms([float(v) for v in value.split(",")])
         raise ValueError("expected width=<h> or atoms=<a1,a2,...>")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid grid spec {text!r}: {exc}") from None
@@ -93,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--window", type=float, help="window length (palmer_cox/em)")
     est.add_argument("--grid", type=_grid_arg, help="width=<h> or atoms=<a1,a2,...> (em)")
     est.add_argument("--bootstrap", type=int, metavar="B", help="add pointwise bootstrap bands")
-    est.add_argument("--level", type=float, default=0.95)
+    est.add_argument("--level", type=float, default=product_limit.BOOTSTRAP_LEVEL)
     est.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
     est.add_argument("--max-iter", type=int, default=npmle.EM_DEFAULT_MAX_ITER,
                      help="most SQUAREM steps (em)")
@@ -113,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--estimators", type=lambda s: tuple(s.split(",")), default=())
     cmp_p.add_argument("--window", type=float)
     cmp_p.add_argument("--rate", type=float)
-    cmp_p.add_argument("--bin-width", type=float, default=0.1)
-    cmp_p.add_argument("--check-time", type=float, default=1.0)
+    cmp_p.add_argument("--bin-width", type=float, default=benchmark.McConfig.bin_width)
+    cmp_p.add_argument("--check-time", type=float, default=benchmark.McConfig.check_time)
     cmp_p.add_argument("--out", required=True, help="JSON report path")
     cmp_p.add_argument("--csv", help="also write tidy CSV rows here")
     cmp_p.set_defaults(func=cmd_bench_compare)
@@ -185,9 +177,11 @@ def _window_from_sidecar(infile: str) -> float | None:
     except (OSError, ValueError):  # not UTF-8 JSON: JSONDecodeError, UnicodeDecodeError
         return None
     window = meta.get("window") if isinstance(meta, dict) else None
-    if window is None or type(window) in (int, float):  # not bool, a subclass of int
-        return window
-    raise ValueError(f"{path}: the window must be a number, got {json.dumps(window)}")
+    if window is not None and type(window) not in (int, float):  # not bool, a subclass of int
+        raise ValueError(f"{path}: the window must be a number, got {json.dumps(window)}")
+    if window is not None and not 0.0 < window < math.inf:  # json.load reads NaN and Infinity
+        raise ValueError(f"{path}: the window must be finite and positive, got {window}")
+    return window
 
 
 def cmd_estimate(args) -> int:
@@ -210,6 +204,8 @@ def cmd_estimate(args) -> int:
         window = _window_from_sidecar(args.infile)
         if window is None:
             return _usage(f"estimator {args.estimator} requires --window")
+    elif row.scheme == "segments" and not 0.0 < window < math.inf:
+        return _usage(f"--window must be finite and positive, got {window}")
 
     if row.scheme == "equilibrium":
         data = dataio.read_pairs_csv(args.infile)

@@ -258,13 +258,9 @@ class Weibull(GapDistribution):
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
         tt = np.maximum(t, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # at 0: inf for a shape below 1
             z = (tt / self.scale) ** self.shape
             dens = (self.shape / self.scale) * (tt / self.scale) ** (self.shape - 1.0) * np.exp(-z)
-        if self.shape >= 1.0:
-            dens = np.where(t > 0, dens, self.shape / self.scale if self.shape == 1.0 else 0.0)
-        else:
-            dens = np.where(t > 0, dens, np.inf)
         return np.where(t < 0, 0.0, dens)
 
     def mean(self):

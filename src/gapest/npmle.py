@@ -14,8 +14,8 @@ max_j D_j - 1 <= tol, reported as ``gradient_gap``, or after ``max_iter``
 steps.
 
 Likelihood evaluators: ``segment_loglik`` scores a discrete distribution
-with the per-kind factors mass(x), S(c+), S(x+)/mu and E(X-w)+/mu plus an
-optional Poisson factor for the observed count;
+with the per-kind factors mass(x), S(c+), S(x+)/mu and E(X-w)+/mu plus,
+given a birth rate, a Poisson factor for the observed count;
 ``segment_marginal_loglik`` is the count-conditional log likelihood
 obtained by profiling the birth intensity out of the full segment
 likelihood, which is the objective the EM ascends.
@@ -107,13 +107,9 @@ def cox_vardi_from_pairs(pairs: Pairs) -> DiscreteDistribution:
 
 
 def segment_loglik(
-    dist: DiscreteDistribution,
-    birth_rate: float | None,
-    segments: Segments,
-    window_length: float,
-    include_poisson_factor: bool = False,
+    dist: DiscreteDistribution, birth_rate: float | None, segments: Segments, window_length: float
 ) -> float:
-    """Sum of per-segment log factors, optionally with the count factor.
+    """Sum of per-segment log factors, with the count factor when ``birth_rate`` is given.
 
     Per kind, with masses p over atoms a and mu = sum(a p):
     proper complete x contributes log p(x); proper censored c contributes
@@ -121,18 +117,18 @@ def segment_loglik(
     log(sum_{a > x} p / mu); residual censored contributes
     log(sum p (a - w)+ / mu): the numerators ``_log_numerators`` reads off p,
     over mu for the residual kinds. A zero factor yields -inf, not an
-    exception. With ``include_poisson_factor`` the Poisson log probability
+    exception. Unless ``birth_rate`` is None, the Poisson log probability
     of the observed segment count, with mean birth_rate * (w + mu), is added.
 
     Atoms must cover every proper complete length exactly. Any positive
     lengths are taken as they are, with no window rules (``check_window``).
     """
-    if include_poisson_factor and (birth_rate is None or not 0.0 < birth_rate < math.inf):
+    if birth_rate is not None and not 0.0 < birth_rate < math.inf:
         raise ValueError(f"birth_rate must be finite and positive, got {birth_rate}")
     mu = dist.mean()
     m_res = int(np.count_nonzero(segments.code >= 2))  # rc and rx: codes 2 and 3
     ll = _log_numerators(dist, segments, window_length, possible=False) - m_res * math.log(mu)
-    if include_poisson_factor:
+    if birth_rate is not None:
         n = len(segments)
         mean = birth_rate * (window_length + mu)
         ll += n * math.log(mean) - mean - math.lgamma(n + 1)
@@ -265,6 +261,9 @@ def _distinct_rows(code: np.ndarray, k: np.ndarray, lengths: np.ndarray):
 
 
 def _grid_atoms(grid) -> np.ndarray:
+    if np.ndim(grid) == 0:
+        raise EstimationError(f"grid {grid} is a number, not an array of atoms: bin with "
+                              "em_problem, or with bin_segments and default_grid")
     atoms = np.unique(np.asarray(grid, dtype=float))
     if atoms.size == 0 or not np.all((atoms > 0.0) & (atoms < math.inf)):
         raise EstimationError("grid atoms must be finite and positive")
@@ -304,7 +303,7 @@ def laslett_em(
     max_iter: int = EM_DEFAULT_MAX_ITER,
     tol: float = EM_DEFAULT_TOL,
 ) -> EmResult:
-    """The segment NPMLE of ``segments`` on a fixed atom grid:
+    """The segment NPMLE of ``segments`` on a fixed array of atoms ``grid``:
     ``laslett_em_many`` on a batch of one, the lengths taken as they are
     (finite and positive, as ``Segments`` holds no others, with no window rules)."""
     lengths, k = np.unique(segments.length, return_inverse=True)

@@ -27,6 +27,7 @@ from .errors import EstimationError
 from .sampling import Pairs, Segments, WindowRecords
 from .seeding import derived_rng, is_integer
 
+BOOTSTRAP_LEVEL = 0.95  # the band's default pointwise coverage
 BOOTSTRAP_MAX_RETRIES = 100
 BOOTSTRAP_MAX_GRID = 4096
 # Bytes of one (replicates x units) integer matrix of a band chunk; the
@@ -368,7 +369,7 @@ def bootstrap_band(
     estimator: str,
     B: int,
     seed: int,
-    level: float = 0.95,
+    level: float = BOOTSTRAP_LEVEL,
     grid=None,
     window_length: float | None = None,
 ) -> BootstrapBand:

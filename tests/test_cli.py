@@ -189,6 +189,22 @@ class TestEstimate:
         assert exc.value.code == 2
         assert not (tmp_path / "em.json").exists()
 
+    @pytest.mark.parametrize("grid, reason", [
+        ("width=0", "bin_width must be finite and positive, got 0.0"),
+        ("width=-inf", "bin_width must be finite and positive, got -inf"),
+        ("atoms=0.5,nan", "grid atoms must be finite and positive"),
+        ("atoms=", "could not convert string to float: ''"),
+        ("size=1", "expected width=<h> or atoms=<a1,a2,...>"),
+    ])
+    def test_an_invalid_grid_names_the_rule_of_npmle(self, tmp_path, capsys, grid, reason):
+        # the width and atom rules are npmle's own, with npmle's message
+        with pytest.raises(SystemExit) as exc:
+            run("estimate", "--estimator", "em", "--in", "in.csv", "--window", "2",
+                "--out", str(tmp_path / "em.json"), "--grid", grid)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith(f"argument --grid: invalid grid spec {grid!r}: {reason}")
+
     def test_em_requires_grid(self, tmp_path):
         src = tmp_path / "segments.csv"
         src.write_text("kind,length\npc,0.75\n")
@@ -303,7 +319,8 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
 
 @pytest.mark.parametrize("data,argv", [
     (None, ("simulate", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "0")),
-    (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "-1")),
+    # a valid --window that the data do not fit is a data error (px 1.5 > 1), not a usage one
+    (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "1")),
     ("kind,length\npc,1.0\npx,5\n", ("estimate", "--estimator", "palmer_cox", "--window", "3")),
     (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "atoms=0.75,1.25")),
     (SEGMENTS, ("estimate", "--estimator", "em", "--window", "1", "--grid", "width=0.5")),
@@ -318,8 +335,8 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
                                       "--grid", "width=0.5")),
     ("kind,length\npc,1.0\nrx,1.0\n", ("estimate", "--estimator", "em", "--window", "3",
                                       "--grid", "atoms=1.0,4.0")),
-    (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "nan")),
-    (SEGMENTS, ("estimate", "--estimator", "em", "--window", "inf", "--grid", "width=0.5")),
+    (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "1.9")),  # rx 2.0 != 1.9
+    (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2.5", "--grid", "width=0.5")),
     ("kind,length\npc,0.75\npc,1.3\n", ("estimate", "--estimator", "em", "--window", "2",
                                        "--grid", "atoms=0.5,1.0")),
     ("kind,length\npc,1.0\npc,1.01\n", ("estimate", "--estimator", "em", "--window", "2",
@@ -344,6 +361,23 @@ def test_rejected_values_exit_1_without_output(tmp_path, capsys, data, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sidecar is None or "in.csv.meta.json: the window must be a number" in err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("window, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("0", "0"), ("-1.5", "-1.5"),
+])
+@pytest.mark.parametrize("estimator", [("palmer_cox",), ("em", "--grid", "width=0.5")])
+def test_a_sidecar_window_that_is_not_finite_and_positive_names_the_sidecar(
+        tmp_path, capsys, window, shown, estimator):
+    # json.load reads NaN and Infinity as floats
+    src = tmp_path / "in.csv"
+    src.write_text(SEGMENTS)
+    (tmp_path / "in.csv.meta.json").write_text(f'{{"window": {window}}}')
+    argv = ("estimate", "--estimator", *estimator, "--in", str(src))
+    assert run(*argv, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src}.meta.json: the window must be finite and positive, got {shown}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_fit_error_names_the_input_file(tmp_path, capsys):
@@ -623,6 +657,11 @@ SEGMENT_SIMULATE = ("simulate", "--scheme", "segments", "--dist", "exp:1", "--n"
     (None, (*SEGMENT_COMPARE, "--window", "inf", "--rate", "2"),
      2, "usage error: window_length must be finite and positive, got inf"),
     (None, COMPARE, 1, "verdicts failed: mse_identity"),
+    # a segment estimator's --window is a flag value, not a fault of the data file
+    *((SEGMENTS, ("estimate", "--estimator", *tag, "--window", w), 2,
+       f"usage error: --window must be finite and positive, got {w}")
+      for w in ("0.0", "-1.0", "nan", "inf")
+      for tag in (("palmer_cox",), ("em", "--grid", "width=0.5"))),
 ])
 def test_error_paths_exit_with_their_message(tmp_path, capsys, monkeypatch, data, argv, code,
                                              message):

@@ -112,6 +112,11 @@ class TestAlpha:
     def test_undefined_when_tail_exhausted(self):
         assert math.isnan(UniformInterval(0.0, 1.0).alpha(1.0))
 
+    @pytest.mark.parametrize("method", ["alpha", "occupation"])
+    def test_negative_time_is_refused(self, method):
+        with pytest.raises(ValueError, match=r"^t must be nonnegative, got -0\.5$"):
+            getattr(Exponential(1.0), method)(-0.5)
+
 
 class TestOccupation:
     def test_exponential_closed_form(self):
@@ -166,6 +171,11 @@ class TestBackwardAlpha:
 
     def test_undefined_where_astride_impossible(self):
         assert math.isnan(UniformInterval(0.0, 1.0).backward_alpha(2.0))
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_nonpositive_time_is_refused(self, t):
+        with pytest.raises(ValueError, match=f"^t must be positive, got {t}$"):
+            Exponential(1.0).backward_alpha(t)
 
 
 class TestIntegrabilityDiagnostic:
@@ -234,6 +244,25 @@ class TestDensityAndShape:
         for u in (0.1, 0.5, 0.9):
             assert float(dist.cdf(dist.ppf(u))) == pytest.approx(u, abs=1e-9)
 
+    @pytest.mark.parametrize("shape, at_zero", [(0.5, math.inf), (1.0, 0.5), (2.0, 0.0)])
+    def test_weibull_density_at_zero(self, shape, at_zero):
+        # (t / scale) ** (shape - 1) is inf, 1 or 0 at t = 0
+        dist = Weibull(shape, 2.0)
+        assert float(dist.pdf(0.0)) == at_zero
+        assert dist.pdf(np.array([-1.0, 0.0])).tolist() == [0.0, at_zero]
+
+    @pytest.mark.parametrize("shape, scale, message", [
+        (0.0, 1.0, "shape must be > 0, got 0.0"), (math.inf, 1.0, "shape must be > 0, got inf"),
+        (2.0, -1.0, "scale must be > 0, got -1.0"), (2.0, math.nan, "scale must be > 0, got nan"),
+    ])
+    def test_weibull_parameters_are_checked(self, shape, scale, message):
+        with pytest.raises(DistributionSpecError, match=f"^{message}$"):
+            Weibull(shape, scale)
+
+    def test_repr_names_the_spec(self):
+        assert repr(Weibull(2.0, 1.0)) == "Weibull('weibull:2:1')"
+        assert repr(Exponential(0.5)) == "Exponential('exp:0.5')"
+
 
 class TestDiscreteSteps:
     def test_right_continuous_cdf(self):
@@ -251,10 +280,13 @@ class TestDiscreteSteps:
         assert float(dist.pdf(2.0)) == 0.0
         assert dist.hazard(1.0) == pytest.approx(0.25, abs=1e-12)
         assert dist.hazard(3.0) == pytest.approx(1.0, abs=1e-12)
+        assert math.isnan(dist.hazard(3.5))  # no survival is left past the last atom
 
     def test_validation(self):
         with pytest.raises(DistributionSpecError):
             DiscreteDistribution([2.0, 1.0], [0.5, 0.5])
+        with pytest.raises(DistributionSpecError, match="^atoms and masses must be matching"):
+            DiscreteDistribution([1.0, 2.0], [1.0])
         with pytest.raises(DistributionSpecError):
             DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(DistributionSpecError):
@@ -288,3 +320,12 @@ class TestSpecStrings:
         with pytest.raises(DistributionSpecError) as err:
             parse_distribution(bad)
         assert bad in str(err.value)
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("atoms:1=0.5,3", "bad atom entry '3'"), ("exp:inf", "non-finite number 'inf'"),
+        ("atoms:1=nan", "non-finite number 'nan'"),
+    ])
+    def test_invalid_specs_give_the_reason(self, bad, reason):
+        with pytest.raises(DistributionSpecError) as err:
+            parse_distribution(bad)
+        assert str(err.value) == f"invalid distribution spec {bad!r}: {reason}"

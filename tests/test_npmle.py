@@ -323,28 +323,29 @@ class TestSegmentLoglik:
     def test_poisson_factor_against_scipy(self):
         segs = segments((PC, 1.0), (RX, 2.0), (PX, 0.5))
         w, rate = 2.0, 1.7
-        base = segment_loglik(self.DIST, rate, segs, w)
-        full = segment_loglik(self.DIST, rate, segs, w, include_poisson_factor=True)
+        base = segment_loglik(self.DIST, None, segs, w)
+        full = segment_loglik(self.DIST, rate, segs, w)
         mean = rate * (w + self.DIST.mean())
         assert full - base == pytest.approx(stats.poisson.logpmf(len(segs), mean), abs=1e-10)
 
-    def test_poisson_factor_needs_rate(self):
-        with pytest.raises(ValueError):
-            segment_loglik(self.DIST, None, segments((PC, 1.0)), 2.0, include_poisson_factor=True)
+    def test_no_rate_adds_no_poisson_factor(self):
+        segs = segments((PC, 1.0), (RX, 2.0), (PX, 0.5))
+        want = loglik_by_kind(self.DIST, segs, 2.0)
+        assert segment_loglik(self.DIST, None, segs, 2.0) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("rate", [None, -1.0, math.nan])
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
     def test_poisson_factor_checks_the_rate_before_a_zero_factor(self, rate):
         # a zero numerator used to return -inf before the rate was looked at
         dist = DiscreteDistribution([1.0, 3.0], [1.0, 0.0])
         assert segment_loglik(dist, None, segments((PX, 2.0)), 4.0) == -math.inf
         with pytest.raises(ValueError, match="birth_rate must be finite and positive, got"):
-            segment_loglik(dist, rate, segments((PX, 2.0)), 4.0, include_poisson_factor=True)
+            segment_loglik(dist, rate, segments((PX, 2.0)), 4.0)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_poisson_factor_needs_a_finite_positive_rate(self, rate):
         # only <= 0 rejected would let nan and inf through to a nan log likelihood
         with pytest.raises(ValueError, match="birth_rate must be finite and positive, got"):
-            segment_loglik(self.DIST, rate, segments((PC, 1.0)), 2.0, include_poisson_factor=True)
+            segment_loglik(self.DIST, rate, segments((PC, 1.0)), 2.0)
 
     @given(kernel_instances())
     def test_matches_the_per_kind_loop(self, instance):
@@ -643,6 +644,22 @@ def test_a_length_whose_ratio_to_the_bin_width_underflows_is_in_the_first_bin(ki
     assert rows.kind.tolist() == [kind] and rows.length.tolist() == [1.5]
     assert counts.tolist() == [1]
     assert bin_segments(segments((kind, 5e-324)), 3.0).length.tolist() == [1.5]
+
+
+@pytest.mark.parametrize("call", [
+    lambda segs: laslett_em(bin_segments(segs, 0.25), 3.0, 0.25),
+    lambda segs: laslett_em(Segments([0], [0.25]), 3.0, 0.25),
+    lambda segs: laslett_em_many([problem_of(bin_segments(segs, 0.25))], 3.0, np.float64(0.25)),
+], ids=["binned", "one-atom-read", "many"])
+def test_a_scalar_grid_is_no_atom_array(call):
+    # only em_problem reads a number as a bin width
+    segs = sample_pooled_segments(2.0, EXP1, 0.0, 3.0, 50, seed=3)[0]
+    message = ("grid 0.25 is a number, not an array of atoms: bin with em_problem, "
+               "or with bin_segments and default_grid")
+    with pytest.raises(EstimationError, match=f"^{re.escape(message)}$"):
+        call(segs)
+    atoms, _ = npmle.em_problem(segs, 3.0, 0.25)
+    assert atoms.tolist() == default_grid(bin_segments(segs, 0.25), 3.0, 0.25).tolist()
 
 
 @pytest.mark.parametrize("atoms", [[], [0.0, 1.0], [-1.0, 2.0]])

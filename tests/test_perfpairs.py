@@ -92,3 +92,23 @@ def test_a_run_that_exits_non_zero_is_recorded_and_the_sweep_goes_on(tmp_path, c
     printed = capsys.readouterr().out
     assert "w seed 2: 2 pairs, 2 runs failed" in printed
     assert "w seed 1: 2 pairs, 0 runs failed, all correct" in printed
+
+
+def test_each_side_has_its_digests_and_the_title_says_whether_they_agree(tmp_path, capsys):
+    assert perfpairs.digest_sets(
+        [{"digest": "b"}, {"returncode": 1, "stderr": ""}, {"digest": "a"}, {"digest": "b"}],
+        [{"digest": "c"}, {"digest": None}],
+    ) == {"parent": ["a", "b"], "change": ["None", "c"]}
+    fake_checkout(tmp_path / "parent", wall=2.0, fail_seed=-1)
+    change = fake_checkout(tmp_path / "change", wall=1.0, fail_seed=-1) / "perfbench" / "run.py"
+    for seeds, digest in ((["1"], '"d{}"'), (["1", "2"], '"e1" if seed == 2 else "d{}"')):
+        change.write_text(FAKE_RUN.format(wall=1.0, fail_seed=-1).replace('"d{}"', digest))
+        out = tmp_path / "runs.json"
+        assert perfpairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "2",
+                               "--seeds", *seeds, "--json", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert record["w seed 1"]["digests"] == {"parent": ["d1"], "change": ["d1"]}
+    assert record["w seed 2"]["digests"] == {"parent": ["d2"], "change": ["e1"]}
+    printed = capsys.readouterr().out.splitlines()
+    assert "all correct, digests equal: parent ['d1'], change ['d1']" in printed[0]
+    assert printed[-4].endswith("all correct, DIGESTS DIFFER: parent ['d2'], change ['e1']")

@@ -9,7 +9,12 @@ reason. Every field of a package dataclass or ``NamedTuple`` must be read
 outside its own class: by an attribute load in the package or in
 ``perfbench/``, or as a word in README. A class that ``asdict`` or
 ``astuple`` serialises counts as read, and a field kept with no read goes in
-``ALLOWED_UNREAD`` with its reason. And the graph of the package's relative
+``ALLOWED_UNREAD`` with its reason. Every parameter with a default, of a
+public function or method of the package, must be passed by some call outside
+the tests: in the package outside its own function, in ``perfbench/`` or in
+README's python block, by keyword, by position, or through ``*``/``**``; calls
+are matched by the called name. A parameter kept with no such call goes in
+``ALLOWED_UNSET`` with its reason. And the graph of the package's relative
 imports, function-local ones included, has no cycle.
 """
 
@@ -34,6 +39,14 @@ ALLOWED_UNREAD = {
     "McReport.config": "the echoed McConfig, written into the bench compare JSON by to_json_dict",
     "McReport.true_cdf": "the true cdf on the grid, written into the bench compare JSON by "
                          "to_json_dict",
+}
+
+# Each parameter with a default that no call outside the tests passes, and why it is kept.
+ALLOWED_UNSET = {
+    "laslett_em.max_iter": "the single-fit library call keeps the step bound that "
+                           "estimate em --max-iter passes to laslett_em_many",
+    "laslett_em.tol": "the single-fit library call keeps the stop rule that "
+                      "estimate em --tol passes to laslett_em_many",
 }
 
 
@@ -184,6 +197,85 @@ def test_every_record_field_is_read_or_allowed():
     others = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
     unread = unread_fields(package_sources(), others, (ROOT / "README.md").read_text())
     assert sorted(unread) == sorted(ALLOWED_UNREAD)  # an allowed field that gains a read leaves
+
+
+def defaulted_parameters(source: str):
+    """``name.parameter``, its positional index (None if keyword-only), and the first
+    and last line of its function, for each parameter with a default of a public
+    module-level function or public method of a public class in ``source``; ``name``
+    is ``Class.method`` for a method, whose index leaves out ``self`` or ``cls``."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node, 0))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    functions.append((f"{node.name}.{item.name}", item, 0 if static else 1))
+    for name, func, bound in functions:
+        if func.name.startswith("_"):
+            continue
+        args = func.args
+        positional = args.posonlyargs + args.args
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            yield f"{name}.{positional[index].arg}", index - bound, func.lineno, func.end_lineno
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{name}.{arg.arg}", None, func.lineno, func.end_lineno
+
+
+def calls(source: str):
+    """Called name, line, positional argument count, keyword names (None for ``**``)
+    and whether a ``*`` argument is passed, for each call in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            yield (name, node.lineno, len(node.args) - starred, {k.arg for k in node.keywords},
+                   starred)
+
+
+def unset_parameters(package: dict[str, str], others: list[str]) -> set[str]:
+    """``name.parameter`` for each defaulted parameter of ``defaulted_parameters``
+    that no call outside its own function in ``package``, and no call in ``others``,
+    passes: by keyword, by position at or past its index, or through ``*``/``**``.
+    Calls are matched by the called name alone."""
+    found = [(file, *call) for file, source in package.items() for call in calls(source)]
+    found += [(None, *call) for source in others for call in calls(source)]
+    unset = set()
+    for file, source in package.items():
+        for qualified, index, first, last in defaulted_parameters(source):
+            *_, function, parameter = qualified.split(".")
+            if not any(
+                name == function and not (f == file and first <= line <= last)
+                and (parameter in keywords or None in keywords
+                     or index is not None and (starred or count > index))
+                for f, name, line, count, keywords, starred in found
+            ):
+                unset.add(qualified)
+    return unset
+
+
+def test_the_parameter_scan_sees_each_kind_of_pass():
+    source = ("def f(a, b=1, *, c=2):\n    return f(a, 2, c=3)\n\n\nclass C:\n"
+              "    def m(self, x=0):\n        pass\n\n    @staticmethod\n"
+              "    def s(y=0):\n        pass\n\n    def _hidden(self, z=0):\n        pass\n")
+    package = {"a.py": source}
+    assert unset_parameters(package, []) == {"f.b", "f.c", "C.m.x", "C.s.y"}  # a call inside f
+    assert unset_parameters(package, ["f(1, 2, c=3)", "o.m(1)", "C.s(1)"]) == set()
+    assert unset_parameters(package, ["f(1, b=2)", "o.m()", "C.s(y=1)"]) == {"f.c", "C.m.x"}
+    assert unset_parameters(package, ["f(*xs)", "o.m(**kw)"]) == {"f.c", "C.s.y"}
+    assert unset_parameters({**package, "b.py": "f(0, 1, **kw)\nC().m(1)\nC.s(2)\n"},
+                            []) == set()
+
+
+def test_every_defaulted_parameter_is_passed_or_allowed():
+    others = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    others += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    unset = unset_parameters(package_sources(), others)
+    assert sorted(unset) == sorted(ALLOWED_UNSET)  # an allowed parameter that gains a call leaves
 
 
 def imported_modules(source: str, modules) -> set[str]:

@@ -11,11 +11,12 @@ go one at a time, each for the ``run_seconds`` of the change's
 BENCHMARK.json, over every workload it lists. For each workload and seed
 the script then prints, per end-to-end metric, each side's median and
 quartiles, the median change, and in how many pairs the change read
-better. A run that exits non-zero is kept as a failed run, with its exit
-code and the end of its stderr, and its pair is left out of the summary;
-the script then exits 1. ``--json PATH`` also writes every run and the
-summary, rewritten after each pair so that an interrupted sweep keeps the
-runs it made.
+better; its title line gives each side's set of output digests and says
+whether the two agree. A run that exits non-zero is kept as a failed run,
+with its exit code and the end of its stderr, and its pair is left out of
+the summary; the script then exits 1. ``--json PATH`` also writes every
+run, the summary and both digest sets, rewritten after each pair so that
+an interrupted sweep keeps the runs it made.
 """
 
 import argparse
@@ -79,6 +80,12 @@ def summarise(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
     return summary
 
 
+def digest_sets(parent: list[dict], change: list[dict]) -> dict:
+    """Each side's sorted set of the digests of its runs that gave a result."""
+    return {side: sorted({str(run["digest"]) for run in runs if "digest" in run})
+            for side, runs in (("parent", parent), ("change", change))}
+
+
 def report_lines(title: str, summary: dict) -> list[str]:
     lines = [title, f"  {'metric':<12} {'parent median [q1, q3]':>32} "
                     f"{'change median [q1, q3]':>32} {'change':>8} {'won':>7} {'bound':>6}"]
@@ -110,15 +117,17 @@ def main(argv=None) -> int:
                     checkout = args.parent if side == "parent" else args.change
                     runs[side].append(run_once(checkout, workload, seed, spec["run_seconds"]))
                 summary = summarise(runs["parent"], runs["change"], spec["end_to_end"])
-                record[key] = {**runs, "summary": summary}
+                digests = digest_sets(runs["parent"], runs["change"])
+                record[key] = {**runs, "summary": summary, "digests": digests}
                 if args.json:
                     args.json.write_text(json.dumps(record, indent=1) + "\n")
             every = runs["parent"] + runs["change"]
             bad = sum(run["returncode"] != 0 for run in every)
             failed += bad
-            title = (f"{key}: {args.pairs} pairs, {bad} runs failed, "
-                     f"{'all correct' if all(r.get('correct') for r in every) else 'NOT ALL CORRECT'}, "
-                     f"digests {sorted({str(r.get('digest')) for r in every})}")
+            correct = "all correct" if all(r.get("correct") for r in every) else "NOT ALL CORRECT"
+            same = "digests equal" if digests["parent"] == digests["change"] else "DIGESTS DIFFER"
+            title = (f"{key}: {args.pairs} pairs, {bad} runs failed, {correct}, {same}: "
+                     f"parent {digests['parent']}, change {digests['change']}")
             print("\n".join(report_lines(title, summary)), flush=True)
     return 1 if failed else 0
 
