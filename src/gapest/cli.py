@@ -30,7 +30,22 @@ from .product_limit import ESTIMATORS
 from .seeding import child_seed
 
 DEFAULT_SEED = 1
+SEED_HELP = "seed of every random draw (default: %(default)s)"
 SCHEMES = tuple(dict.fromkeys(row.scheme for row in ESTIMATORS.values()))
+# Of the flags noted as given (_Given), those each scheme requires and each estimator reads;
+# simulate --scheme equilibrium also reads --censor, and a bench compare that fits em --bin-width.
+SCHEME_FLAGS = {"equilibrium": (), "window": ("--window",), "segments": ("--window", "--rate")}
+_BAND = ("--bootstrap", "--level", "--seed", "--format")
+ESTIMATOR_FLAGS = {"wf": _BAND, "cv": _BAND, "wpl": _BAND, "palmer_cox": ("--window", *_BAND),
+                   "em": ("--window", "--grid", "--max-iter", "--tol")}
+
+
+class _Given(argparse.Action):
+    """Store a flag's value and note the flag in ``given``; a default is never noted."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*getattr(namespace, "given", ()), self.option_strings[0])
 
 
 def _dist_arg(text: str):
@@ -70,27 +85,35 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scheme", required=True, choices=SCHEMES)
     sim.add_argument("--dist", required=True, type=_dist_arg, help="gap distribution spec")
     sim.add_argument("--n", required=True, type=int, help="pairs or replicate windows")
-    sim.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
+    sim.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED, help=SEED_HELP)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--window", type=float, help="window length (window/segments schemes)")
-    sim.add_argument("--rate", type=float, help="birth intensity (segments scheme)")
-    sim.add_argument("--censor", type=_dist_arg, help="right-censoring distribution (equilibrium)")
+    sim.add_argument("--window", type=float, action=_Given,
+                     help="window length (window/segments schemes)")
+    sim.add_argument("--rate", type=float, action=_Given, help="birth intensity (segments scheme)")
+    sim.add_argument("--censor", type=_dist_arg, action=_Given,
+                     help="right-censoring distribution (equilibrium)")
     sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", help="fit an estimator to a data file")
     est.add_argument("--estimator", required=True, choices=sorted(ESTIMATORS))
     est.add_argument("--in", dest="infile", required=True)
     est.add_argument("--out", required=True)
-    est.add_argument("--format", choices=("csv", "json"), default="csv")
-    est.add_argument("--window", type=float, help="window length (palmer_cox/em)")
-    est.add_argument("--grid", type=_grid_arg, help="width=<h> or atoms=<a1,a2,...> (em)")
-    est.add_argument("--bootstrap", type=int, metavar="B", help="add pointwise bootstrap bands")
-    est.add_argument("--level", type=float, default=product_limit.BOOTSTRAP_LEVEL)
-    est.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
-    est.add_argument("--max-iter", type=int, default=npmle.EM_DEFAULT_MAX_ITER,
-                     help="most SQUAREM steps (em)")
-    est.add_argument("--tol", type=float, default=npmle.EM_DEFAULT_TOL,
-                     help="stop once the gradient gap max_j D_j - 1 is at most this (em)")
+    est.add_argument("--format", choices=("csv", "json"), default="csv", action=_Given,
+                     help="survival file format (default: %(default)s)")
+    est.add_argument("--window", type=float, action=_Given, help="window length (palmer_cox/em)")
+    est.add_argument("--grid", type=_grid_arg, action=_Given,
+                     help="width=<h> or atoms=<a1,a2,...> (em)")
+    est.add_argument("--bootstrap", type=int, metavar="B", action=_Given,
+                     help="add pointwise bootstrap bands")
+    est.add_argument("--level", type=float, default=product_limit.BOOTSTRAP_LEVEL, action=_Given,
+                     help="pointwise coverage of the bands (default: %(default)s)")
+    est.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED, action=_Given,
+                     help="seed of the bootstrap resamples (default: %(default)s)")
+    est.add_argument("--max-iter", type=int, default=npmle.EM_DEFAULT_MAX_ITER, action=_Given,
+                     help="most SQUAREM steps (em; default: %(default)s)")
+    est.add_argument("--tol", type=float, default=npmle.EM_DEFAULT_TOL, action=_Given,
+                     help="stop once the gradient gap max_j D_j - 1 is at most this "
+                          "(em; default: %(default)s)")
     est.set_defaults(func=cmd_estimate)
 
     bench = sub.add_parser("bench", help="Monte Carlo studies")
@@ -101,12 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--dist", required=True, type=_dist_arg)
     cmp_p.add_argument("--n", required=True, type=int)
     cmp_p.add_argument("--reps", required=True, type=int)
-    cmp_p.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
-    cmp_p.add_argument("--estimators", type=lambda s: tuple(s.split(",")), default=())
-    cmp_p.add_argument("--window", type=float)
-    cmp_p.add_argument("--rate", type=float)
-    cmp_p.add_argument("--bin-width", type=float, default=benchmark.McConfig.bin_width)
-    cmp_p.add_argument("--check-time", type=float, default=benchmark.McConfig.check_time)
+    cmp_p.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED, help=SEED_HELP)
+    cmp_p.add_argument("--estimators", type=lambda s: tuple(s.split(",")), default=(),
+                       help="comma-separated tags (default: every estimator of the scheme)")
+    cmp_p.add_argument("--window", type=float, action=_Given)
+    cmp_p.add_argument("--rate", type=float, action=_Given)
+    cmp_p.add_argument("--bin-width", type=float, default=benchmark.McConfig.bin_width,
+                       action=_Given, help="em bin width (default: %(default)s)")
+    cmp_p.add_argument("--check-time", type=float, default=benchmark.McConfig.check_time,
+                       help="grid time of the wf/cv variance verdict (default: %(default)s)")
     cmp_p.add_argument("--out", required=True, help="JSON report path")
     cmp_p.add_argument("--csv", help="also write tidy CSV rows here")
     cmp_p.set_defaults(func=cmd_bench_compare)
@@ -115,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     tails.add_argument("--dist-infinite", required=True, type=_dist_arg)
     tails.add_argument("--dist-finite", required=True, type=_dist_arg)
     tails.add_argument("--eps", required=True, type=float)
-    tails.add_argument("--n", type=int, default=500, help="smallest sample size")
-    tails.add_argument("--reps", type=int, default=20)
-    tails.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED)
+    tails.add_argument("--n", type=int, default=500, help="smallest n (default: %(default)s)")
+    tails.add_argument("--reps", type=int, default=20, help="samples per n (default: %(default)s)")
+    tails.add_argument("--seed", type=_seed_arg, default=DEFAULT_SEED, help=SEED_HELP)
     tails.add_argument("--out", required=True, help="CSV table path")
     tails.add_argument("--json", dest="json_out", help="also write the report as JSON")
     tails.set_defaults(func=cmd_bench_tails)
@@ -131,20 +157,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
-    meta = {
-        "command": "simulate",
-        "scheme": args.scheme,
-        "dist": args.dist.spec(),
-        "n": args.n,
-        "seed": args.seed,
-    }
-    needed = {"window": ("window",), "segments": ("window", "rate")}.get(args.scheme, ())
-    if any(getattr(args, flag) is None for flag in needed):
-        flags = " and ".join(f"--{flag}" for flag in needed)
-        return _usage(f"simulate --scheme {args.scheme} requires {flags}")
-    for flag in needed:
-        if not 0.0 < getattr(args, flag) < math.inf:
-            return _usage(f"--{flag} must be finite and positive, got {getattr(args, flag)}")
+    needed = SCHEME_FLAGS[args.scheme]
+    reads = (*needed, "--censor") if args.scheme == "equilibrium" else needed
+    if code := _refuse_unread(args, f"simulate --scheme {args.scheme}", reads):
+        return code
+    if args.n < 1:
+        return _usage(f"--n must be >= 1, got {args.n}")
+    values = {flag[2:]: getattr(args, flag[2:]) for flag in needed}
+    if None in values.values():
+        return _usage(f"simulate --scheme {args.scheme} requires {' and '.join(needed)}")
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            return _usage(f"--{name} must be finite and positive, got {value}")
+    meta = {"command": "simulate", "scheme": args.scheme, "dist": args.dist.spec(), "n": args.n,
+            "seed": args.seed, **values}
     if args.scheme == "equilibrium":
         pairs = sampling.sample_equilibrium(args.dist, args.n, args.seed)
         if args.censor is not None:
@@ -152,18 +178,12 @@ def cmd_simulate(args) -> int:
             meta["censor"] = args.censor.spec()
         dataio.write_pairs_csv(args.out, pairs)
     elif args.scheme == "window":
-        records, _ = sampling.sample_pooled_windows(
-            args.dist, 0.0, args.window, args.n, args.seed
-        )
+        records, _ = sampling.sample_pooled_windows(args.dist, 0.0, args.window, args.n, args.seed)
         dataio.write_window_csv(args.out, records)
-        meta["window"] = args.window
     else:
         segments, _ = sampling.sample_pooled_segments(
-            args.rate, args.dist, 0.0, args.window, args.n, args.seed
-        )
+            args.rate, args.dist, 0.0, args.window, args.n, args.seed)
         dataio.write_segments_csv(args.out, segments)
-        meta["window"] = args.window
-        meta["rate"] = args.rate
     dataio.write_sidecar(args.out, meta)
     return 0
 
@@ -186,11 +206,10 @@ def _window_from_sidecar(infile: str) -> float | None:
 
 def cmd_estimate(args) -> int:
     row = ESTIMATORS[args.estimator]
-    if args.bootstrap is not None:
-        if row.bootstrap_name is None:
-            return _usage(f"estimator {args.estimator} has no bootstrap band")
-        if args.bootstrap < 1:
-            return _usage(f"--bootstrap must be >= 1, got {args.bootstrap}")
+    if code := _refuse_unread(args, f"estimator {args.estimator}", ESTIMATOR_FLAGS[args.estimator]):
+        return code
+    if args.bootstrap is not None and args.bootstrap < 1:
+        return _usage(f"--bootstrap must be >= 1, got {args.bootstrap}")
     if not 0.0 < args.level < 1.0:
         return _usage(f"--level must be in (0, 1), got {args.level}")
     if args.max_iter < 1:
@@ -245,19 +264,15 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bench_compare(args) -> int:
+    fits = args.estimators or [tag for tag, row in ESTIMATORS.items() if row.scheme == args.scheme]
+    reads = (*SCHEME_FLAGS[args.scheme], *(("--bin-width",) if "em" in fits else ()))
+    if code := _refuse_unread(args, f"bench compare of {','.join(fits)}", reads):
+        return code
     try:
         config = benchmark.McConfig(
-            dist_spec=args.dist.spec(),
-            scheme=args.scheme,
-            n=args.n,
-            replicates=args.reps,
-            seed=args.seed,
-            estimators=args.estimators,
-            window_length=args.window,
-            birth_rate=args.rate,
-            bin_width=args.bin_width,
-            check_time=args.check_time,
-        )
+            dist_spec=args.dist.spec(), scheme=args.scheme, n=args.n, replicates=args.reps,
+            seed=args.seed, estimators=args.estimators, window_length=args.window,
+            birth_rate=args.rate, bin_width=args.bin_width, check_time=args.check_time)
     except EstimationError as exc:
         return _usage(str(exc))
     report = benchmark.mc_compare(config)
@@ -273,14 +288,11 @@ def cmd_bench_compare(args) -> int:
 
 
 def cmd_bench_tails(args) -> int:
-    report = benchmark.tail_failure_demo(
-        args.dist_infinite,
-        args.dist_finite,
-        n=args.n,
-        replicates=args.reps,
-        eps=args.eps,
-        seed=args.seed,
-    )
+    if min(args.n, args.reps) < 1 or not 0.0 < args.eps < math.inf:
+        return _usage("--n and --reps must be >= 1 and --eps finite and positive, "
+                      f"got {args.n}, {args.reps} and {args.eps}")
+    report = benchmark.tail_failure_demo(args.dist_infinite, args.dist_finite, n=args.n,
+                                         replicates=args.reps, eps=args.eps, seed=args.seed)
     header = ["dist", "estimator", "n", "sqrt_n_sup_error"]
     dataio.write_csv(args.out, header, list(zip(*report.csv_rows())))
     if args.json_out:
@@ -305,6 +317,12 @@ def cmd_diagnose(args) -> int:
 def _usage(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return 2
+
+
+def _refuse_unread(args, who: str, reads) -> int | None:
+    """Exit 2 naming the first flag given on the command line that ``who`` does not read."""
+    unread = [flag for flag in getattr(args, "given", ()) if flag not in reads]
+    return _usage(f"{who} does not read {unread[0]}") if unread else None
 
 
 def main(argv=None) -> int:

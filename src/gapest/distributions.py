@@ -1,7 +1,7 @@
 """Gap-time distributions and the equilibrium renewal functionals built on them.
 
 A gap distribution F describes the interarrival time X of a renewal process
-with finite mean mu. Besides the usual cdf/density/hazard surface, each
+with finite mean mu. Besides the usual cdf/density surface, each
 distribution exposes the quantities that drive the stationary (equilibrium)
 process: the integrated survival function, the marginal hazard ``alpha`` of
 the backward recurrence time, the occupation probabilities of the
@@ -91,7 +91,7 @@ class GapDistribution:
     """Base class for gap-time distributions with finite mean.
 
     Subclasses implement the family surface below in closed form; the
-    hazards and the equilibrium functionals are derived here from it.
+    survival and the equilibrium functionals are derived here from it.
     ``cdf``/``pdf`` accept scalars or arrays. Every sampler takes exactly
     one uniform per draw where it inverts a cdf.
     """
@@ -139,13 +139,6 @@ class GapDistribution:
 
     def survival(self, t):
         return 1.0 - self.cdf(t)
-
-    def hazard(self, t: float) -> float:
-        """f / (1 - F); NaN where survival is zero."""
-        s = float(self.survival(t))
-        if s <= 0.0:
-            return math.nan
-        return float(self.pdf(t)) / s
 
     def alpha(self, t: float) -> float:
         """Marginal hazard of the backward recurrence time at t.
@@ -309,7 +302,7 @@ class UniformInterval(GapDistribution):
     """Uniform gaps on [a, b] with 0 <= a < b.
 
     The support is bounded, so survival reaches zero at b: hazard-type
-    quantities (hazard, alpha, backward_alpha) are NaN from b on.
+    quantities (alpha, backward_alpha) are NaN from b on.
     """
 
     def __init__(self, a: float, b: float):
@@ -367,10 +360,8 @@ class UniformInterval(GapDistribution):
 class DiscreteDistribution(GapDistribution):
     """Distribution with point masses at strictly increasing positive atoms.
 
-    The cdf is a right-continuous step function; hazard-type quantities use
-    sums over atoms (the hazard at an atom is its mass over the survival
-    just before it) and the inverse-moment diagnostic is the finite sum of
-    mass/atom.
+    The cdf is a right-continuous step function, the density is the mass at
+    an atom, and the inverse-moment diagnostic is the finite sum of mass/atom.
     """
 
     def __init__(self, atoms, masses):
@@ -394,10 +385,6 @@ class DiscreteDistribution(GapDistribution):
     def cdf(self, t):
         return step_at(self.atoms, self._cum, t, 0.0)
 
-    def cdf_left(self, t: float) -> float:
-        """F(t-), the left limit of the step cdf: F at the float below t."""
-        return self.cdf(np.nextafter(t, -np.inf))
-
     def pdf(self, t):
         """Mass at t (zero except exactly at atoms)."""
         idx, hit = atom_lookup(self.atoms, np.asarray(t, dtype=float))
@@ -416,12 +403,6 @@ class DiscreteDistribution(GapDistribution):
 
     def integrated_survival(self, t):
         return float(total(self.masses * np.maximum(self.atoms - t, 0.0))[0])
-
-    def hazard(self, t):
-        s_left = 1.0 - self.cdf_left(t)
-        if s_left <= 0.0:
-            return math.nan
-        return float(self.pdf(t)) / s_left
 
     def integrability_diagnostic(self):
         return IntegrabilityReport(finite=True, value=float(total(self.masses / self.atoms)[0]))

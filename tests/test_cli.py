@@ -14,12 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gapest
 from gapest import EstimationError, Segments, dataio, laslett_em, npmle
-from gapest.cli import main
+from gapest.benchmark import McConfig
+from gapest.cli import DEFAULT_SEED, build_parser, main
+from gapest.product_limit import BOOTSTRAP_LEVEL
 from npmle_oracle import snap_complete_lengths
 from test_dataio import read_step_survival_csv
 
@@ -318,14 +320,11 @@ TAILS = ("bench", "tails", "--dist-infinite", "exp:1", "--dist-finite", "weibull
 
 
 @pytest.mark.parametrize("data,argv", [
-    (None, ("simulate", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "0")),
     # a valid --window that the data do not fit is a data error (px 1.5 > 1), not a usage one
     (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "1")),
     ("kind,length\npc,1.0\npx,5\n", ("estimate", "--estimator", "palmer_cox", "--window", "3")),
     (SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "atoms=0.75,1.25")),
     (SEGMENTS, ("estimate", "--estimator", "em", "--window", "1", "--grid", "width=0.5")),
-    (None, (*TAILS, "--eps", "0.1", "--n", "0")),
-    (None, (*TAILS, "--eps", "0.1", "--reps", "0")),
     ("r,s,censored\n0,0,0\n", ("estimate", "--estimator", "wf")),
     ("r,s,censored\n0.5,1,0\n1,0,1\n", ("estimate", "--estimator", "wf")),
     ("kind,length\npc,1.0\npx,5\n", ("estimate", "--estimator", "em", "--window", "3",
@@ -674,6 +673,180 @@ def test_error_paths_exit_with_their_message(tmp_path, capsys, monkeypatch, data
         argv += ("--in", "in.csv")
     assert run(*argv, "--out", "out") == code
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "0"),
+     "--n must be >= 1, got 0"),
+    ((*WINDOW_SIMULATE[:-1], "-2", "--window", "3"), "--n must be >= 1, got -2"),
+    ((*TAILS, "--eps", "0.1", "--n", "0"),
+     "--n and --reps must be >= 1 and --eps finite and positive, got 0, 20 and 0.1"),
+    ((*TAILS, "--eps", "0.1", "--reps", "0"),
+     "--n and --reps must be >= 1 and --eps finite and positive, got 500, 0 and 0.1"),
+    *(((*TAILS, "--eps", eps), "--n and --reps must be >= 1 and --eps finite and positive, "
+                                f"got 500, 20 and {shown}")
+      for eps, shown in (("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf"))),
+])
+def test_a_bad_count_is_one_usage_error_line(tmp_path, capsys, argv, message):
+    # the library would refuse these too, with exit 1; the flag is at fault, not the data
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    ("r,s,censored\n0.5,1.0,0\n", ("estimate", "--estimator", "wf", "--window", "-5", "--grid",
+                                   "width=0.5", "--max-iter", "3"),
+     "estimator wf does not read --window"),
+    ("r,s,censored\n0.5,1.0,0\n", ("estimate", "--estimator", "cv", "--tol", "1e-3"),
+     "estimator cv does not read --tol"),
+    (SEGMENTS, ("estimate", "--estimator", "palmer_cox", "--window", "2", "--max-iter", "9"),
+     "estimator palmer_cox does not read --max-iter"),
+    *((SEGMENTS, ("estimate", "--estimator", "em", "--window", "2", "--grid", "width=0.5",
+                  flag, value), f"estimator em does not read {flag}")
+      for flag, value in (("--format", "csv"), ("--seed", "9"), ("--level", "0.5"),
+                          ("--bootstrap", "3"))),
+    (None, (*WINDOW_SIMULATE, "--window", "3", "--censor", "exp:1"),
+     "simulate --scheme window does not read --censor"),
+    (None, (*WINDOW_SIMULATE, "--rate", "2", "--window", "3"),
+     "simulate --scheme window does not read --rate"),
+    (None, ("simulate", "--scheme", "equilibrium", "--dist", "exp:1", "--n", "5", "--window", "3"),
+     "simulate --scheme equilibrium does not read --window"),
+    (None, (*SEGMENT_SIMULATE, "--window", "3", "--rate", "2", "--censor", "exp:1"),
+     "simulate --scheme segments does not read --censor"),
+    (None, (*COMPARE, "--window", "3"), "bench compare of wf,cv does not read --window"),
+    (None, (*COMPARE, "--estimators", "wf", "--rate", "2"),
+     "bench compare of wf does not read --rate"),
+    (None, (*COMPARE, "--bin-width", "0.5"), "bench compare of wf,cv does not read --bin-width"),
+    (None, (*SEGMENT_COMPARE, "--window", "3", "--rate", "2", "--estimators", "palmer_cox",
+            "--bin-width", "0.5"), "bench compare of palmer_cox does not read --bin-width"),
+])
+def test_a_flag_the_command_does_not_read_is_one_usage_error_line(tmp_path, capsys, monkeypatch,
+                                                                  data, argv, message):
+    # given with any value, a valid one or not; the first such flag on the line is named
+    monkeypatch.chdir(tmp_path)
+    if data is not None:
+        Path("in.csv").write_text(data)
+        argv += ("--in", "in.csv")
+    assert run(*argv, "--out", "out") == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["in.csv"] if data else [])
+
+
+@pytest.mark.parametrize("argv, sources", [
+    (("estimate", "--estimator", "wf", "--in", "x", "--out", "y"),
+     {"--level": BOOTSTRAP_LEVEL, "--seed": DEFAULT_SEED, "--max-iter": npmle.EM_DEFAULT_MAX_ITER,
+      "--tol": npmle.EM_DEFAULT_TOL, "--format": "csv"}),
+    ((*COMPARE, "--out", "y"), {"--bin-width": McConfig.bin_width,
+                                "--check-time": McConfig.check_time, "--seed": DEFAULT_SEED}),
+    ((*TAILS, "--eps", "0.1", "--out", "y"), {"--n": None, "--reps": None, "--seed": DEFAULT_SEED}),
+])
+def test_help_shows_each_default_from_its_one_source(capsys, argv, sources):
+    # a source of None is the parser itself: bench tails' sizes have no library default
+    parsed = vars(build_parser().parse_args(argv))
+    command = argv[:2] if argv[0] == "bench" else argv[:1]
+    with pytest.raises(SystemExit) as exc:
+        run(*command, "--help")
+    assert exc.value.code == 0
+    options = " ".join(capsys.readouterr().out.split()).partition(" options: ")[2]
+    for flag, source in sources.items():
+        default = parsed[flag[2:].replace("-", "_")]
+        assert source is None or default == source
+        entry = options.partition(f"{flag} ")[2].partition(" --")[0]  # up to the next flag
+        assert f"default: {default})" in entry
+
+
+# The argv of a small run of each command, by estimator or scheme; its input
+# files are made once per module.
+CONTRACT_RUNS = {
+    "estimate": {"wf": ["--in", "pairs.csv"], "cv": ["--in", "pairs.csv"],
+                 "wpl": ["--in", "window.csv"], "palmer_cox": [], "em": []},
+    "simulate": {scheme: ["--dist", "exp:1", "--n", "3"] for scheme in ("equilibrium", "window",
+                                                                      "segments")},
+    "compare": {scheme: ["--dist", "exp:1", "--n", "5", "--reps", "2"]
+                for scheme in ("equilibrium", "window", "segments")},
+}
+# A valid value of each optional flag, by command.
+CONTRACT_FLAGS = {
+    "estimate": {"--format": "json", "--window": "3", "--grid": "width=0.5", "--bootstrap": "2",
+                 "--level": "0.9", "--seed": "5", "--max-iter": "50", "--tol": "1e-6"},
+    "simulate": {"--window": "3", "--rate": "2", "--censor": "exp:2", "--seed": "4"},
+    "compare": {"--window": "3", "--rate": "2", "--bin-width": "0.5", "--seed": "4",
+                "--check-time": "0.5"},
+}
+# The contract, stated apart from the tables of cli.py.
+BAND_FLAGS = {"--bootstrap", "--level", "--seed", "--format"}
+ESTIMATE_READS = {"wf": BAND_FLAGS, "cv": BAND_FLAGS, "wpl": BAND_FLAGS,
+                  "palmer_cox": BAND_FLAGS | {"--window"},
+                  "em": {"--window", "--grid", "--max-iter", "--tol"}}
+SCHEME_NEEDS = {"equilibrium": set(), "window": {"--window"}, "segments": {"--window", "--rate"}}
+COMPARE_ESTIMATORS = {"equilibrium": [("wf",), ("cv",)],  # both would add a verdict two runs fail
+                      "window": [None, ("wpl",)],
+                      "segments": [None, ("palmer_cox",), ("em",), ("palmer_cox", "em")]}
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("contract")
+    for name, flags in (("pairs", ["equilibrium"]), ("window", ["window", "--window", "3"]),
+                        ("segments", ["segments", "--window", "3", "--rate", "2"])):
+        argv = ["simulate", "--dist", "exp:1", "--n", "12", "--out", str(folder / f"{name}.csv")]
+        assert main([*argv, "--scheme", *flags]) == 0
+    (folder / "bare.csv").write_bytes((folder / "segments.csv").read_bytes())  # no sidecar
+    return folder
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_command_exits_0_exactly_when_it_reads_every_given_flag_and_has_its_inputs(
+        contract_inputs, data):
+    command = data.draw(st.sampled_from(sorted(CONTRACT_RUNS)))
+    choice = data.draw(st.sampled_from(sorted(CONTRACT_RUNS[command])), label="choice")
+    given_flags = data.draw(st.lists(st.sampled_from(sorted(CONTRACT_FLAGS[command])),
+                                     unique=True), label="flags")
+    argv = [*CONTRACT_RUNS[command][choice]]
+    for flag in given_flags:
+        argv += [flag, CONTRACT_FLAGS[command][flag]]
+    if command == "estimate":
+        reads, needs = ESTIMATE_READS[choice], {"--grid"} if choice == "em" else set()
+        if choice in ("palmer_cox", "em"):
+            sidecar = data.draw(st.booleans(), label="sidecar")
+            argv += ["--in", "segments.csv" if sidecar else "bare.csv"]
+            needs |= set() if sidecar else {"--window"}
+        argv = ["estimate", "--estimator", choice, *argv]
+    elif command == "simulate":
+        reads = SCHEME_NEEDS[choice] | {"--seed"} | (
+            {"--censor"} if choice == "equilibrium" else set())
+        needs = SCHEME_NEEDS[choice]
+        argv = ["simulate", "--scheme", choice, *argv]
+    else:
+        fits = data.draw(st.sampled_from(COMPARE_ESTIMATORS[choice]), label="estimators")
+        argv += [] if fits is None else ["--estimators", ",".join(fits)]
+        fits = fits or (("palmer_cox", "em") if choice == "segments" else ())
+        reads = SCHEME_NEEDS[choice] | {"--seed", "--check-time"} | (
+            {"--bin-width"} if "em" in fits else set())
+        needs = SCHEME_NEEDS[choice]
+        argv = ["bench", "compare", "--scheme", choice, *argv]
+    out = contract_inputs / "out"
+    for path in (out, contract_inputs / "out.meta.json"):
+        path.unlink(missing_ok=True)
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(contract_inputs)
+    try:
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--out", "out"])
+    finally:
+        os.chdir(cwd)
+    unread = [flag for flag in given_flags if flag not in reads]
+    if not unread and needs <= set(given_flags):
+        assert (code, err.getvalue()) == (0, "")
+        return
+    assert code == 2 and not out.exists()
+    assert re.fullmatch(r"usage error: [^\n]*\n", err.getvalue())
+    if unread:
+        assert err.getvalue().endswith(f" does not read {unread[0]}\n")
 
 
 class TestBench:

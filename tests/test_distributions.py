@@ -35,12 +35,12 @@ def quad_tail(dist, t, hi):
 
 
 class TestEvaluate:
-    """cdf, survival and hazard at one time point."""
+    """cdf, density and survival at one time point."""
 
     def test_exponential_at_one(self):
         dist = Exponential(1.0)
         assert dist.cdf(1.0) == pytest.approx(1.0 - E_INV, abs=1e-12)
-        assert dist.hazard(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert dist.pdf(1.0) == pytest.approx(E_INV, abs=1e-12)
         assert dist.survival(1.0) == pytest.approx(E_INV, abs=1e-12)
 
     @pytest.mark.parametrize("dist", FAMILIES)
@@ -51,12 +51,12 @@ class TestEvaluate:
         # hazard of Weibull(2, 1) is 2 t, so beta(1) = 2 and F(1) = 1 - 1/e
         dist = Weibull(2.0, 1.0)
         assert dist.cdf(1.0) == pytest.approx(1.0 - E_INV, abs=1e-12)
-        assert dist.hazard(1.0) == pytest.approx(2.0, abs=1e-12)
+        assert dist.pdf(1.0) / dist.survival(1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_beta_undefined_past_support(self):
         dist = UniformInterval(0.0, 1.0)
         assert dist.survival(1.5) == 0.0
-        assert math.isnan(dist.hazard(1.5))
+        assert math.isnan(dist.alpha(1.5))
 
 
 class TestMean:
@@ -271,16 +271,12 @@ class TestDiscreteSteps:
         assert float(dist.cdf(1.0)) == 0.25
         assert float(dist.cdf(2.9)) == 0.25
         assert float(dist.cdf(3.0)) == 1.0
-        assert dist.cdf_left(1.0) == 0.0
-        assert dist.cdf_left(3.0) == 0.25
 
-    def test_mass_and_hazard_at_atoms(self):
+    def test_mass_at_atoms(self):
         dist = DiscreteDistribution([1.0, 3.0], [0.25, 0.75])
         assert float(dist.pdf(1.0)) == 0.25
         assert float(dist.pdf(2.0)) == 0.0
-        assert dist.hazard(1.0) == pytest.approx(0.25, abs=1e-12)
-        assert dist.hazard(3.0) == pytest.approx(1.0, abs=1e-12)
-        assert math.isnan(dist.hazard(3.5))  # no survival is left past the last atom
+        assert float(dist.pdf(3.0)) == 0.75
 
     def test_validation(self):
         with pytest.raises(DistributionSpecError):

@@ -40,7 +40,31 @@ def test_one_pair_is_its_own_quartiles_and_the_report_has_a_line_per_metric():
     assert (summary["wall_s"]["won"], summary["units_per_s"]["won"]) == (1, 0)
     lines = perfpairs.report_lines("w seed 1", summary)
     assert lines[0] == "w seed 1" and len(lines) == 2 + len(END_TO_END)
-    assert lines[2].split() == ["wall_s", "2", "[2,", "2]", "1", "[1,", "1]", "-50.0%", "1/1", "25%"]
+    assert lines[2].split() == ["wall_s", "2", "[2,", "2]", "1", "[1,", "1]", "-50.0%", "1/1",
+                                "25%", "gain"]
+    assert lines[3].split()[-5:] == ["-20.0%", "0/1", "25%", "within", "bound"]  # 5 -> 4 units/s
+
+
+@pytest.mark.parametrize("parent, change, lower, want", [
+    # 9 of 10 pairs won, a tie in the tenth, and the median 2.0 lower against an IQR of 0.5
+    ([10.0] * 5 + [10.5] * 5, [8.0] * 9 + [10.5], True, "gain"),
+    # the same runs with higher better: the change's median is 20% worse against a 25% bound
+    ([10.0] * 5 + [10.5] * 5, [8.0] * 9 + [10.5], False, "within bound"),
+    ([10.0] * 10, [7.0] * 10, False, "worse"),  # 30% fewer units against a 25% bound
+    ([10.0] * 10, [13.0] * 10, True, "worse"),  # 30% longer
+    # 8 of 10 won falls short of a gain; the medians are 10% apart and the spread is small
+    ([10.0] * 10, [9.0] * 8 + [11.0] * 2, True, "within bound"),
+    # 10 of 10 won, but the medians are no further apart than the parent's IQR
+    ([8.0, 9.0, 10.0, 11.0, 12.0], [7.9, 8.9, 9.9, 10.9, 11.9], True, "within bound"),
+    # the change's IQR is 40% of its median: unresolved unless every change run wins
+    ([10.0] * 4, [6.0, 8.0, 12.0, 14.0], True, "unresolved"),
+    ([20.0] * 4, [6.0, 8.0, 12.0, 14.0], True, "gain"),
+    # every change run wins, but the medians 20 and 10 are no further apart than the
+    # parent's IQR of 11.375
+    ([14.5, 15.0, 25.0, 30.0], [6.0, 8.0, 12.0, 14.0], True, "within bound"),
+])
+def test_each_metric_gets_one_verdict(parent, change, lower, want):
+    assert perfpairs.verdict(parent, change, lower, 0.25) == want
 
 
 def test_a_pair_with_a_failed_run_is_left_out_of_the_summary():

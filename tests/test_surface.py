@@ -4,10 +4,11 @@ Every name in ``gapest.__all__``, every public module-level name of a
 package module and every public method or property of a package class must
 be used somewhere other than its own definition: by a ``Name``, an
 ``Attribute`` or an import in the package or in ``perfbench/``, or as a word
-in README. A name kept with no such use goes in ``ALLOWED_UNUSED`` with its
+of README's code (an inline code span or a fenced block; prose does not
+count). A name kept with no such use goes in ``ALLOWED_UNUSED`` with its
 reason. Every field of a package dataclass or ``NamedTuple`` must be read
 outside its own class: by an attribute load in the package or in
-``perfbench/``, or as a word in README. A class that ``asdict`` or
+``perfbench/``, or as a word of README's code. A class that ``asdict`` or
 ``astuple`` serialises counts as read, and a field kept with no read goes in
 ``ALLOWED_UNREAD`` with its reason. Every parameter with a default, of a
 public function or method of the package, must be passed by some call outside
@@ -27,11 +28,14 @@ import gapest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_FILES = sorted(Path(gapest.__file__).parent.glob("*.py"))
+README = (ROOT / "README.md").read_text()
 
 # Each public name kept with no use, and why it is kept.
 ALLOWED_UNUSED = {
     "backward_alpha": "the paper's identity alpha * p0 / p1 = 1/t, which tests confirm and "
                       "README documents as the backward intensity",
+    "pdf": "the density of each family, which the sampler law tests integrate as the "
+           "reference density of each draw",
 }
 
 # Each field of a package dataclass or NamedTuple kept with no read, and why it is kept.
@@ -48,6 +52,23 @@ ALLOWED_UNSET = {
     "laslett_em.tol": "the single-fit library call keeps the stop rule that "
                       "estimate em --tol passes to laslett_em_many",
 }
+
+
+def code_of(readme: str) -> str:
+    """README's code: each fenced block and each inline code span, one to a line."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.S | re.M)
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.S | re.M)
+    return "\n".join(blocks + re.findall(r"`([^`]+)`", prose))
+
+
+def test_readme_counts_only_as_code():
+    readme = "f, m and the field a in prose\n\nthen `C` and ``X``:\n\n```sh\nrun b\n```\n"
+    assert code_of(readme).split() == ["run", "b", "C", "X"]
+    package = {"a.py": "def f():\n    pass\n\n\nclass C:\n    def m(self):\n        pass\n",
+               "b.py": "X = 1\n"}
+    assert unused_names(package, [], code_of(readme)) == {"f", "m"}
+    record = "@dataclass\nclass R:\n    a: int\n    b: float\n"
+    assert unread_fields({"a.py": record}, [], code_of(readme)) == {"R.a"}
 
 
 def definitions(source: str):
@@ -79,7 +100,8 @@ def uses(source: str):
 
 def unused_names(package: dict[str, str], others: list[str], readme: str) -> set[str]:
     """The public names defined in ``package`` (file name -> source) that no
-    other line of it, no source in ``others`` and no word of ``readme`` uses."""
+    other line of it, no source in ``others`` and no word of ``readme`` (README's
+    code) uses."""
     used = {}  # name -> [(file, line)]
     for file, source in package.items():
         for name, line in uses(source):
@@ -115,7 +137,7 @@ def test_every_exported_name_is_scanned():
 
 def test_every_public_name_is_used_or_allowed():
     others = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    unused = unused_names(package_sources(), others, (ROOT / "README.md").read_text())
+    unused = unused_names(package_sources(), others, code_of(README))
     assert sorted(unused) == sorted(ALLOWED_UNUSED)  # an allowed name that gains a use leaves
 
 
@@ -160,7 +182,7 @@ def reads(source: str):
 def unread_fields(package: dict[str, str], others: list[str], readme: str) -> set[str]:
     """``Class.field`` for each field of a package record class that no
     attribute load outside its class, no source in ``others`` and no word of
-    ``readme`` reads, unless ``asdict``/``astuple`` serialise the class."""
+    ``readme`` (README's code) reads, unless ``asdict``/``astuple`` serialise the class."""
     written = serialised({node.name: node for source in package.values()
                           for node, _ in record_classes(source)})
     loads = [(name, file, line) for file, source in package.items() for name, line in reads(source)]
@@ -195,7 +217,7 @@ def test_the_field_scan_sees_each_kind_of_read():
 
 def test_every_record_field_is_read_or_allowed():
     others = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    unread = unread_fields(package_sources(), others, (ROOT / "README.md").read_text())
+    unread = unread_fields(package_sources(), others, code_of(README))
     assert sorted(unread) == sorted(ALLOWED_UNREAD)  # an allowed field that gains a read leaves
 
 
@@ -273,7 +295,7 @@ def test_the_parameter_scan_sees_each_kind_of_pass():
 
 def test_every_defaulted_parameter_is_passed_or_allowed():
     others = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    others += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    others += re.findall(r"```python\n(.*?)```", README, flags=re.S)
     unset = unset_parameters(package_sources(), others)
     assert sorted(unset) == sorted(ALLOWED_UNSET)  # an allowed parameter that gains a call leaves
 

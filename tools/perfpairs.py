@@ -10,9 +10,9 @@ ones, so neither side always runs on the warmer or the cooler host. Runs
 go one at a time, each for the ``run_seconds`` of the change's
 BENCHMARK.json, over every workload it lists. For each workload and seed
 the script then prints, per end-to-end metric, each side's median and
-quartiles, the median change, and in how many pairs the change read
-better; its title line gives each side's set of output digests and says
-whether the two agree. A run that exits non-zero is kept as a failed run,
+quartiles, the median change, in how many pairs the change read better and
+a verdict (``verdict``); its title line gives each side's set of output
+digests and says whether the two agree. A run that exits non-zero is kept as a failed run,
 with its exit code and the end of its stderr, and its pair is left out of
 the summary; the script then exits 1. ``--json PATH`` also writes every
 run, the summary and both digest sets, rewritten after each pair so that
@@ -55,9 +55,36 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """One metric's verdict on the runs of its pairs, ``parent[i]`` against ``change[i]``:
+
+    * ``gain``: the change wins at least 9 of 10 pairs (a tie is no win), and
+      its median beats the parent's by more than the parent's IQR;
+    * ``worse``: the change's median is worse than the parent's by more than
+      ``bound`` times the parent's median;
+    * ``unresolved``: either side's IQR is more than ``bound`` times its median,
+      and not every change run beats every parent run;
+    * ``within bound``: every other case.
+    """
+    def beats(c, p):
+        return c < p if lower else c > p
+
+    qp, qc = quartiles(parent), quartiles(change)
+    won = sum(beats(c, p) for p, c in zip(parent, change))
+    gain = qp[1] - qc[1] if lower else qc[1] - qp[1]
+    if 10 * won >= 9 * len(parent) and gain > qp[2] - qp[0]:
+        return "gain"
+    if -gain > bound * abs(qp[1]):
+        return "worse"
+    spread = any(q[2] - q[0] > bound * abs(q[1]) for q in (qp, qc))
+    if spread and not all(beats(c, p) for p in parent for c in change):
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> dict:
-    """Per metric: each side's quartiles, the median change in percent and
-    the pairs the change won. ``parent[i]`` and ``change[i]`` are the two
+    """Per metric: each side's quartiles, the median change in percent, the
+    pairs the change won and the ``verdict``. ``parent[i]`` and ``change[i]`` are the two
     runs of pair i; a pair counts only if both runs hold ``metrics``, and a
     tie is no win. Empty if no pair counts."""
     both = [(a, b) for a, b in zip(parent, change) if "metrics" in a and "metrics" in b]
@@ -76,6 +103,7 @@ def summarise(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
             "won": sum((b < a) if lower else (b > a) for a, b in zip(p, c)),
             "pairs": len(p),
             "bound_pct": 100.0 * spec["bound"],
+            "verdict": verdict(p, c, lower, spec["bound"]),
         }
     return summary
 
@@ -88,11 +116,11 @@ def digest_sets(parent: list[dict], change: list[dict]) -> dict:
 
 def report_lines(title: str, summary: dict) -> list[str]:
     lines = [title, f"  {'metric':<12} {'parent median [q1, q3]':>32} "
-                    f"{'change median [q1, q3]':>32} {'change':>8} {'won':>7} {'bound':>6}"]
+                    f"{'change median [q1, q3]':>32} {'change':>8} {'won':>7} {'bound':>6} verdict"]
     for name, s in summary.items():
         sides = ["{1:.7g} [{0:.7g}, {2:.7g}]".format(*s[side]) for side in ("parent", "change")]
         lines.append(f"  {name:<12} {sides[0]:>32} {sides[1]:>32} {s['change_pct']:>+7.1f}% "
-                     f"{s['won']:>3}/{s['pairs']:<3} {s['bound_pct']:>5.0f}%")
+                     f"{s['won']:>3}/{s['pairs']:<3} {s['bound_pct']:>5.0f}% {s['verdict']}")
     return lines
 
 
