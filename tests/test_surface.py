@@ -34,8 +34,8 @@ README = (ROOT / "README.md").read_text()
 ALLOWED_UNUSED = {
     "backward_alpha": "the paper's identity alpha * p0 / p1 = 1/t, which tests confirm and "
                       "README documents as the backward intensity",
-    "pdf": "the density of each family, which the sampler law tests integrate as the "
-           "reference density of each draw",
+    "pdf": "the density of each family, which the size-biased sampler law test and the "
+           "family tests integrate as their reference",
 }
 
 # Each field of a package dataclass or NamedTuple kept with no read, and why it is kept.
